@@ -284,6 +284,8 @@ def _gab_psd_report(config: RunConfig, fam: GabFamily):
     radius = config.extra.get("radius", 3)
     budget = config.vertex_budget if config.vertex_budget is not None else 5000
     tol = config.tol if config.tol is not None else 1e-8
+    if not x_step > 0:
+        raise ParameterOutOfRange(f"--x-step must be positive, got {x_step!r}")
     count = int(round((x_max - x_min) / x_step)) + 1
     xs = [x_min + i * x_step for i in range(count) if x_min + i * x_step <= x_max + 1e-12]
     rows = [gab_kernel_psd(fam, x, radius, vertex_budget=budget, tol=tol) for x in xs]
@@ -309,6 +311,8 @@ def _gab_lp_report(config: RunConfig, fam: GabFamily):
     n_nodes = config.grid_nodes if config.grid_nodes is not None else 400
     pts = config.extra.get("sweep_points", 5)
     slack = config.tol if config.tol is not None else 1e-8
+    if pts < 2:
+        raise ParameterOutOfRange(f"--sweep-points must be at least 2, got {pts}")
     values = [fam.s0 + (fam.s1 - fam.s0) * i / (pts - 1) for i in range(pts)]
     rows = []
     all_ok = True

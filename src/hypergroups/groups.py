@@ -44,8 +44,14 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
     """Validate a Cayley table and wrap it.
 
     ``table[i][j]`` may hold either the element label or its index.
-    Checks: latin square, two-sided identity, inverses, associativity
-    (full O(n^3) pass).  Violations raise ``InvalidCayleyTable``.
+    Checks: latin square, two-sided identity, inverses, associativity.
+    Associativity uses Light's test: generators are picked greedily (the
+    smallest element not yet a left-nested product of earlier ones, at
+    most log2(n) of them in a group) and ``(x a) y == x (a y)`` is checked
+    for every x, y and generator a only.  The elements passing that test
+    are closed under products, so this proves the whole table
+    associative.  When a generator fails, a full per-row scan names the
+    first failing row.  Violations raise ``InvalidCayleyTable``.
     """
     elements = tuple(elements)
     n = len(elements)
@@ -53,45 +59,60 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
         raise ParseError("element labels must be nonempty and distinct")
     pos = {g: i for i, g in enumerate(elements)}
 
-    mul = np.empty((n, n), dtype=np.int64)
     rows = list(table)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InvalidCayleyTable("table is not |G| x |G|")
-    for i in range(n):
-        for j in range(n):
-            v = rows[i][j]
-            if v in pos:
-                mul[i, j] = pos[v]
-            elif isinstance(v, (int, np.integer)) and 0 <= v < n:
-                mul[i, j] = v
-            else:
-                raise InvalidCayleyTable(f"entry {v!r} at ({i}, {j}) is no element")
+    mul = np.array([pos.get(v, -1) for r in rows for v in r], dtype=np.int64).reshape(n, n)
+    for i, j in np.argwhere(mul < 0):  # not a label: an index, or no element
+        v = rows[i][j]
+        if not (isinstance(v, (int, np.integer)) and 0 <= v < n):
+            raise InvalidCayleyTable(f"entry {v!r} at ({i}, {j}) is no element")
+        mul[i, j] = v
 
-    for i in range(n):
-        if sorted(mul[i]) != list(range(n)) or sorted(mul[:, i]) != list(range(n)):
-            raise InvalidCayleyTable("table is not a latin square", witness=i)
+    idx = np.arange(n)
+    latin = ((np.sort(mul, axis=1) == idx).all(axis=1)
+             & (np.sort(mul, axis=0) == idx[:, None]).all(axis=0))
+    if not latin.all():
+        raise InvalidCayleyTable("table is not a latin square", witness=int(np.argmin(latin)))
 
-    id_candidates = [e for e in range(n)
-                     if (mul[e] == np.arange(n)).all() and (mul[:, e] == np.arange(n)).all()]
+    unit = (mul == idx).all(axis=1) & (mul == idx[:, None]).all(axis=0)
+    id_candidates = np.flatnonzero(unit)
     if len(id_candidates) != 1:
         raise InvalidCayleyTable("no unique two-sided identity")
-    e = id_candidates[0]
+    e = int(id_candidates[0])
 
-    inverse = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        js = np.flatnonzero(mul[i] == e)
-        if len(js) != 1 or mul[js[0], i] != e:
-            raise InvalidCayleyTable(f"element {elements[i]!r} has no two-sided inverse")
-        inverse[i] = js[0]
+    inverse = np.argmax(mul == e, axis=1)  # the one right inverse in each latin row
+    one_sided = mul[inverse, idx] != e
+    if one_sided.any():
+        i = int(np.argmax(one_sided))
+        raise InvalidCayleyTable(f"element {elements[i]!r} has no two-sided inverse")
 
-    # mul[mul[i, j], k] == mul[i, mul[j, k]], vectorized over (j, k) per i
-    for i in range(n):
-        if not np.array_equal(mul[mul[i], :], mul[i, mul]):
-            raise InvalidCayleyTable("multiplication is not associative", witness=i)
+    if not all(np.array_equal(mul[mul[:, a], :], mul[:, mul[a]]) for a in _generators(mul, e)):
+        # mul[mul[i, j], k] == mul[i, mul[j, k]], vectorized over (j, k) per i
+        for i in range(n):
+            if not np.array_equal(mul[mul[i], :], mul[i, mul]):
+                raise InvalidCayleyTable("multiplication is not associative", witness=i)
 
     mul.setflags(write=False)
     inverse.setflags(write=False)
     return FiniteGroup(elements=elements, mul=mul, identity=e, inverse=inverse)
+
+
+def _generators(mul: np.ndarray, e: int) -> list:
+    """Greedy generators: each is the smallest element not yet reached by
+    left-nested products of the earlier ones (the identity counts as reached)."""
+    reached = np.zeros(len(mul), dtype=bool)
+    reached[e] = True
+    gens: list = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached[gens[-1]] = True
+        frontier = np.flatnonzero(reached)
+        while len(frontier):
+            prod = mul[np.ix_(frontier, gens)].ravel()
+            frontier = np.unique(prod[~reached[prod]])
+            reached[frontier] = True
+    return gens
 
 
 def check_subgroup(group: FiniteGroup, subgroup: Sequence) -> np.ndarray:

@@ -4,11 +4,14 @@ A finite hypergroup is a class set D with a convolution sending each
 pair (i, j) to a probability vector over D, an identity class, and an
 involution tied to the support of the convolution at the identity.
 Tensors coming from schemes are exact (Fraction entries); tensors coming
-from numeric families are float and carry a tolerance.
+from numeric families are float and carry a tolerance.  Exact checks run
+on integer numerators over a common denominator, so one code path serves
+both kinds: exact input compares with tolerance 0, float input with tol.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -66,16 +69,11 @@ class FiniteHypergroup:
         return self.haar.astype(np.float64) if self.exact else self.haar
 
 
-def _identity_candidates(conv: np.ndarray, tol: float) -> list:
-    d = conv.shape[0]
-    eye = np.eye(d)
-    out = []
-    for e in range(d):
-        left = conv[e].astype(np.float64) if _is_exact(conv) else np.real(conv[e])
-        right = conv[:, e, :].astype(np.float64) if _is_exact(conv) else np.real(conv[:, e, :])
-        if np.abs(left - eye).max() <= tol and np.abs(right - eye).max() <= tol:
-            out.append(e)
-    return out
+def _identity_candidates(reals: np.ndarray, scale, cut) -> list:
+    """Classes acting as a two-sided unit: both slices equal scale * eye within cut."""
+    unit = np.eye(len(reals), dtype=reals.dtype) * scale
+    return [e for e in range(len(reals)) if np.abs(reals[e] - unit).max() <= cut
+            and np.abs(reals[:, e] - unit).max() <= cut]
 
 
 def make_hypergroup(classes, conv, tol: float = DEFAULT_TOL) -> FiniteHypergroup:
@@ -92,7 +90,9 @@ def make_hypergroup(classes, conv, tol: float = DEFAULT_TOL) -> FiniteHypergroup
     if conv.shape != (d, d, d):
         raise NotAHypergroup(f"tensor shape {conv.shape} does not match {d} classes")
 
-    ids = _identity_candidates(conv, tol)
+    exact = _is_exact(conv)
+    reals, scale = _integer_form(conv) if exact else (np.real(conv), 1)
+    ids = _identity_candidates(reals, scale, 0 if exact else tol)
     if not ids:
         raise NotAHypergroup("no class acts as a two-sided identity")
     if len(ids) > 1:
@@ -104,7 +104,7 @@ def make_hypergroup(classes, conv, tol: float = DEFAULT_TOL) -> FiniteHypergroup
     tau = np.full(d, -1, dtype=np.int64)
     at_e = conv[:, :, e]
     for i in range(d):
-        if _is_exact(conv):
+        if exact:
             support = [j for j in range(d) if at_e[i, j] > 0]
         else:
             support = [j for j in range(d) if abs(at_e[i, j]) > tol]
@@ -149,113 +149,99 @@ def hypergroup_from_scheme(s: Scheme) -> FiniteHypergroup:
     return h
 
 
-def _assoc_residual(conv: np.ndarray):
-    """(delta_i*delta_j)*delta_k minus delta_i*(delta_j*delta_k), both tensors."""
-    t1 = np.tensordot(conv, conv, axes=([2], [0]))            # i j k m
-    t2 = np.tensordot(conv, conv, axes=([2], [1]))            # j k i m
-    return t1, t2.transpose(2, 0, 1, 3)
+def _integer_form(conv: np.ndarray):
+    """Exact tensor as integer numerators over L, the lcm of its denominators.
+
+    The numerators are float64 when d * max|N|^2 and L stay below 2**53:
+    every partial sum of a contraction of two such tensors is then an
+    integer that float64 holds exactly, so BLAS stays exact.  Otherwise
+    they are Python ints in an object array.
+    """
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in conv.flat]
+    scale = math.lcm(*{f.denominator for f in fracs})
+    nums = [f.numerator * (scale // f.denominator) for f in fracs]
+    top = max(map(abs, nums))
+    fits = conv.shape[0] * top * top < 2**53 and scale < 2**53
+    return np.array(nums, dtype=np.float64 if fits else object).reshape(conv.shape), scale
+
+
+def _witness(bad: np.ndarray, cut, first: bool):
+    """Index of the first (C order) or the largest entry of ``bad`` above cut, else None."""
+    k = np.argmax(bad > cut) if first else bad.argmax()
+    return tuple(map(int, np.unravel_index(k, bad.shape))) if bad.flat[k] > cut else None
 
 
 def verify_hypergroup(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> dict:
     """Axiom-by-axiom report for a convolution tensor.
 
-    Exact tensors are checked with exact arithmetic (tol ignored except
-    for reporting); float tensors use ``tol``.  Each entry carries a
-    ``holds`` flag, a witness index tuple when it fails, and a residual.
+    Exact tensors are checked on integer numerators over a common
+    denominator with tolerance 0 (tol is only reported), and a witness is
+    the first violation in C order; float tensors use ``tol`` and report
+    the largest violation.  Each entry carries a ``holds`` flag, a witness
+    index tuple when it fails, and a residual.
     """
-    conv = h.conv
-    d = h.n_classes
-    e = h.identity
-    tau = h.involution
-    exact = h.exact
+    d, e, tau, exact = h.n_classes, h.identity, h.involution, h.exact
+    vals, scale = _integer_form(h.conv) if exact else (h.conv, 1)
+    reals = vals if exact else np.real(vals)
+    cut = 0 if exact else tol
     report: dict = {"exact": exact, "tol": tol}
 
     def entry(name, holds, witness=None, residual=None):
         report[name] = {"holds": bool(holds), "witness": witness, "residual": residual}
 
-    if exact:
-        neg = [(idx, v) for idx, v in np.ndenumerate(conv) if v < 0]
-        sums = conv.sum(axis=2)
-        bad_sum = [(idx, v) for idx, v in np.ndenumerate(sums) if v != 1]
-        entry("nonnegative", not neg, witness=neg[0][0] if neg else None,
-              residual=float(neg[0][1]) if neg else 0.0)
-        entry("row_sums", not bad_sum, witness=bad_sum[0][0] if bad_sum else None,
-              residual=float(bad_sum[0][1] - 1) if bad_sum else 0.0)
-    else:
-        reals = np.real(conv)
-        imag_max = float(np.abs(np.imag(conv)).max()) if np.iscomplexobj(conv) else 0.0
-        neg_min = float(reals.min())
-        entry("nonnegative", neg_min >= -tol and imag_max <= tol,
-              witness=tuple(map(int, np.unravel_index(reals.argmin(), reals.shape)))
-              if neg_min < -tol else None,
-              residual=min(neg_min, 0.0))
-        sums = reals.sum(axis=2)
-        dev = np.abs(sums - 1.0)
-        entry("row_sums", float(dev.max()) <= tol,
-              witness=tuple(map(int, np.unravel_index(dev.argmax(), dev.shape)))
-              if dev.max() > tol else None,
-              residual=float(dev.max()))
+    imag_max = float(np.abs(np.imag(vals)).max()) if np.iscomplexobj(vals) else 0.0
+    below = -reals
+    neg = _witness(below, cut, exact)
+    lowest = reals[neg] if neg is not None else min(reals.min(), 0.0)
+    entry("nonnegative", below.max() <= cut and imag_max <= cut, neg, float(lowest / scale))
 
-    ids = _identity_candidates(conv, tol)
+    dev = reals.sum(axis=2) - scale
+    gap = np.abs(dev)
+    off = _witness(gap, cut, exact)
+    worst = dev[off] if exact and off is not None else gap.max()  # exact: signed, first
+    entry("row_sums", gap.max() <= cut, off, float(worst / scale))
+
+    ids = _identity_candidates(reals, scale, cut)
     entry("identity_unique", ids == [e], witness=ids if ids != [e] else None)
 
     # identity support: e in supp(delta_i * delta_j) iff j = ibar
-    at_e = conv[:, :, e].astype(np.float64) if exact else np.real(conv[:, :, e])
     should = np.zeros((d, d), dtype=bool)
     should[np.arange(d), tau] = True
-    is_pos = at_e > (0 if exact else tol)
-    entry("identity_support", (is_pos == should).all(),
-          witness=_first_mismatch(is_pos, should))
+    mismatch = (reals[:, :, e] > cut) != should
+    entry("identity_support", not mismatch.any(), witness=_witness(mismatch, 0, True))
 
     # involution antihomomorphism: conv[i, j, tau k] == conv[tau j, tau i, k]
-    lhs = conv[:, :, tau]
-    rhs = conv[np.ix_(tau, tau)].transpose(1, 0, 2)
-    if exact:
-        ok = bool((lhs == rhs).all())
-        entry("involution_antihomomorphism", ok,
-              witness=_first_mismatch(lhs, rhs, exact=True), residual=0.0 if ok else None)
-    else:
-        dev = np.abs(lhs - rhs)
-        entry("involution_antihomomorphism", float(dev.max()) <= tol,
-              witness=tuple(map(int, np.unravel_index(dev.argmax(), dev.shape)))
-              if dev.max() > tol else None,
-              residual=float(dev.max()))
+    bad = np.abs(vals[:, :, tau] - vals[np.ix_(tau, tau)].transpose(1, 0, 2))
+    entry("involution_antihomomorphism", bad.max() <= cut, _witness(bad, cut, exact),
+          None if exact and bad.max() > 0 else float(bad.max() / scale))
 
-    t1, t2 = _assoc_residual(conv)
-    if exact:
-        ok = bool((t1 == t2).all())
-        entry("associativity", ok, witness=_first_mismatch(t1, t2, exact=True))
-    else:
-        dev = np.abs(t1 - t2)
-        entry("associativity", float(dev.max()) <= tol,
-              witness=tuple(map(int, np.unravel_index(dev.argmax(), dev.shape)))
-              if dev.max() > tol else None,
-              residual=float(dev.max()))
+    # (delta_i*delta_j)*delta_k against delta_i*(delta_j*delta_k), indexed i j k m, over
+    # blocks of i so that no d^4 tensor is built: each temporary holds about 2**22 entries
+    step = max(1, 2**22 // d**3)
 
-    try:
-        haar = h.haar
-        if exact:
-            ok = all(haar[i] > 0 and haar[i] * conv[tau[i], i, e] == 1 for i in range(d))
-        else:
-            ok = bool((haar > 0).all()) and bool(
-                np.abs(haar * np.real(conv[tau, np.arange(d), e]) - 1.0).max() <= tol
-            )
-    except ZeroDivisionError:
-        ok = False  # the pairing (ibar, i) misses the claimed identity entirely
-    entry("haar_consistency", ok)
+    def assoc_gap(start):
+        rows = vals[start:start + step]
+        return np.abs(np.tensordot(rows, vals, axes=([2], [0]))
+                      - np.tensordot(vals, rows, axes=([2], [1])).transpose(2, 0, 1, 3))
+
+    starts = range(0, d, step)
+    peaks = np.array([assoc_gap(i).max() for i in starts])
+    witness = _witness(peaks, cut, exact)
+    if witness is not None:
+        start = starts[witness[0]]
+        i, *jkm = _witness(assoc_gap(start), cut, exact)
+        witness = (start + i, *jkm)
+    entry("associativity", peaks.max() <= cut, witness, None if exact else float(peaks.max()))
+
+    # left Haar weight of i is 1 / (delta_ibar * delta_i)({e})
+    pair = reals[tau, np.arange(d), e]
+    entry("haar_consistency", (pair > 0).all() and (
+        exact or np.abs(h.haar * pair - 1.0).max() <= tol))
 
     report["all_hold"] = all(
         v["holds"] for k, v in report.items() if isinstance(v, dict) and "holds" in v
     )
     return report
-
-
-def _first_mismatch(a, b, exact=False):
-    if exact:
-        bad = np.argwhere(a != b)
-    else:
-        bad = np.argwhere(a != b) if a.dtype == bool else np.argwhere(np.abs(a - b) > 0)
-    return tuple(map(int, bad[0])) if len(bad) else None
 
 
 def is_commutative(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> bool:

@@ -126,6 +126,20 @@ def test_family_parameter_exit_code(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["--report", "lp-sweep", "--sweep-points", "1"],
+    ["--report", "psd-sweep", "--x-step", "0"],
+    ["--report", "psd-sweep", "--x-step", "-0.5"],
+])
+def test_degenerate_gab_sweep_rejected(capsys, argv):
+    code = main(["family", "gab", "--a", "3", "--b", "3", *argv])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_bad_tolerance_rejected(capsys, docs):
     code, _ = run(capsys, "verify", docs["pentagon.json"], "--tol", "-1")
     assert code == 4

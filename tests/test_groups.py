@@ -80,6 +80,48 @@ def test_nonassociative_loop_rejected():
         group_from_table([0, 1, 2, 3, 4], table)
 
 
+def test_nonassociative_loop_witness_is_first_failing_row():
+    """An order-6 loop whose first greedy generator (1) passes Light's test
+    while the second (2) fails; the fallback scan names row 2, the first
+    row i with (i j) k != i (j k) for some j, k."""
+    table = [
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 3, 2, 5, 4],
+        [2, 3, 4, 5, 0, 1],
+        [3, 2, 5, 4, 1, 0],
+        [4, 5, 0, 1, 3, 2],
+        [5, 4, 1, 0, 2, 3],
+    ]
+    t = np.array(table)
+    assert all(t[t[1, j], k] == t[1, t[j, k]] for j, k in itertools.product(range(6), repeat=2))
+    failing = [i for i in range(6)
+               if any(t[t[i, j], k] != t[i, t[j, k]]
+                      for j, k in itertools.product(range(6), repeat=2))]
+    assert failing[0] == 2
+    with pytest.raises(InvalidCayleyTable, match="not associative") as info:
+        group_from_table(range(6), table)
+    assert info.value.witness == 2
+
+
+def test_table_errors_name_the_first_bad_entry_and_row():
+    with pytest.raises(InvalidCayleyTable, match=r"entry 9 at \(1, 2\) is no element"):
+        group_from_table([0, 1, 2], [[0, 1, 2], [1, 2, 9], [2, "x", 1]])
+    with pytest.raises(InvalidCayleyTable, match="latin") as info:
+        group_from_table([0, 1, 2], [[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+    assert info.value.witness == 1
+    # a loop where 2 * 3 = 0 but 3 * 2 = 1: element 2 is the first without a two-sided inverse
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    with pytest.raises(InvalidCayleyTable, match="element 2 has no two-sided inverse"):
+        group_from_table(range(5), loop)
+
+
+def test_symmetric_group_tables_accepted():
+    for n in (4, 5):
+        g = symmetric_group(n)
+        labelled = [[g.elements[v] for v in row] for row in g.mul.tolist()]
+        assert np.array_equal(group_from_table(g.elements, labelled).mul, g.mul)
+
+
 def test_check_subgroup_accepts_and_rejects():
     g = symmetric_group(3)
     sub = check_subgroup(g, [(0, 1, 2), (1, 0, 2)])

@@ -1,5 +1,6 @@
 """Convolution tensors: construction, axiom checks, and measure/function algebra."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -251,3 +252,100 @@ def test_conv_tensor_is_read_only(pentagon):
     h = make_hypergroup((0, 1, 2), hypergroup_from_scheme(pentagon).conv_float)
     with pytest.raises(ValueError):
         h.conv[0, 0, 0] = 2.0
+
+
+def test_exact_nonassociative_document_witness():
+    """A hermitian 3-class tensor passing every axiom but associativity.
+
+    The witness (1, 1, 2, 0) is the one the Fraction tensordot verifier
+    reported; it is also the first mismatch found by brute force."""
+    from hypergroups.jsonio import hypergroup_from_json
+
+    doc = {"classes": [0, 1, 2], "conv": [
+        [0, 0, 0, "1"], [0, 1, 1, "1"], [0, 2, 2, "1"], [1, 0, 1, "1"], [2, 0, 2, "1"],
+        [1, 1, 0, "1/2"], [1, 1, 1, "1/3"], [1, 1, 2, "1/6"],
+        [1, 2, 1, "1/2"], [1, 2, 2, "1/2"], [2, 1, 1, "1/2"], [2, 1, 2, "1/2"],
+        [2, 2, 0, "1/2"], [2, 2, 1, "1/2"]]}
+    h = hypergroup_from_json(doc)
+    rep = verify_hypergroup(h)
+    assert rep["associativity"] == {"holds": False, "witness": (1, 1, 2, 0), "residual": None}
+    assert not rep["all_hold"]
+    assert all(rep[k]["holds"] for k in ("nonnegative", "row_sums", "identity_unique",
+                                         "identity_support", "involution_antihomomorphism",
+                                         "haar_consistency"))
+    c = h.conv
+    first = next(
+        (i, j, k, m)
+        for i, j, k, m in np.ndindex(3, 3, 3, 3)
+        if sum(c[i, j, l] * c[l, k, m] for l in range(3))
+        != sum(c[j, k, l] * c[i, l, m] for l in range(3))
+    )
+    assert first == (1, 1, 2, 0)
+
+
+def _two_point(q):
+    """Order-2 hypergroup: delta_1 * delta_1 = q delta_0 + (1 - q) delta_1."""
+    conv = np.empty((2, 2, 2), dtype=object)
+    conv[0] = [[F(1), F(0)], [F(0), F(1)]]
+    conv[1] = [[F(0), F(1)], [q, 1 - q]]
+    return conv
+
+
+def test_exact_verify_with_huge_denominators():
+    """Denominators near 3**30 and 5**20 push d * max|N|**2 past 2**53, so
+    the numerators stay Python ints; the product hypergroup still verifies."""
+    from hypergroups.hypergroup import _integer_form
+
+    a, b = _two_point(F(1, 3**30)), _two_point(F(2, 5**20))
+    conv = np.empty((4, 4, 4), dtype=object)
+    for (i, j, k), (p, q, r) in itertools.product(np.ndindex(2, 2, 2), repeat=2):
+        conv[2 * i + p, 2 * j + q, 2 * k + r] = a[i, j, k] * b[p, q, r]
+    nums, scale = _integer_form(conv)
+    assert nums.dtype == object
+    assert 4 * max(abs(v) for v in nums.flat) ** 2 >= 2**53
+    h = make_hypergroup(range(4), conv)
+    rep = verify_hypergroup(h)
+    assert rep["all_hold"], rep
+    assert rep["exact"]
+    # one numerator off by one unit of 1/scale: caught exactly
+    conv[3, 3, 3] += F(1, scale)
+    conv[3, 3, 1] -= F(1, scale)
+    bad = verify_hypergroup(FiniteHypergroup(classes=h.classes, conv=conv,
+                                             identity=h.identity, involution=h.involution))
+    assert bad["row_sums"]["holds"]
+    assert not bad["associativity"]["holds"]
+
+
+def test_exact_verify_z32():
+    h = hypergroup_from_scheme(cyclic_scheme(32))
+    rep = verify_hypergroup(h)
+    assert rep["exact"]
+    assert rep["all_hold"], rep
+
+
+def test_associativity_witness_matches_full_tensor_beyond_first_block(rng):
+    """At d = 48 associativity is checked in blocks of i.  Rows i < 40 are
+    zero, so every violation lies at i >= 40, past the first block; the
+    witness must match a search over the full d^4 defect tensor: the first
+    mismatch in C order (exact) and the argmax (float)."""
+    d = 48
+    ints = rng.integers(0, 4, size=(d, d, d))
+    ints[:40] = 0
+    full = np.abs(np.tensordot(ints, ints, axes=([2], [0]))
+                  - np.tensordot(ints, ints, axes=([2], [1])).transpose(2, 0, 1, 3))
+    first = tuple(map(int, np.argwhere(full > 0)[0]))
+    assert first[0] >= 40
+    exact = np.array([F(int(v)) for v in ints.flat], dtype=object).reshape(ints.shape)
+    h = FiniteHypergroup(classes=tuple(range(d)), conv=exact, identity=0,
+                         involution=np.arange(d))
+    assert verify_hypergroup(h)["associativity"]["witness"] == first
+
+    floats = ints / 7.0 + rng.uniform(0, 1e-3, size=ints.shape) * (ints > 0)
+    full = np.abs(np.tensordot(floats, floats, axes=([2], [0]))
+                  - np.tensordot(floats, floats, axes=([2], [1])).transpose(2, 0, 1, 3))
+    largest = tuple(map(int, np.unravel_index(full.argmax(), full.shape)))
+    hf = FiniteHypergroup(classes=tuple(range(d)), conv=floats, identity=0,
+                          involution=np.arange(d))
+    rep = verify_hypergroup(hf)["associativity"]
+    assert rep["witness"] == largest
+    assert rep["residual"] == pytest.approx(float(full.max()), rel=1e-12)
