@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     QuadratureNotConverged,
     SchemeError,
+    SolverFailed,
     SupportMismatch,
 )
 from .schemes import (
@@ -109,7 +110,8 @@ __all__ = [
     "NoIdentityClass", "NoInvolution", "NonSquare", "NotACharacter",
     "NotAHypergroup", "NotASubgroup", "NotBijective", "NotCommutative",
     "NotDistanceRegular", "NotStochastic", "ParameterOutOfRange",
-    "ParseError", "QuadratureNotConverged", "SchemeError", "SupportMismatch",
+    "ParseError", "QuadratureNotConverged", "SchemeError", "SolverFailed",
+    "SupportMismatch",
     "Scheme", "audit_intersection_identities", "build_scheme",
     "check_automorphism", "commutativity_by_involution_automorphism",
     "is_commutative", "is_symmetric", "is_unimodular",

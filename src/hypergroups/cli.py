@@ -56,6 +56,10 @@ EXIT_STRUCTURE = 2
 EXIT_NONCOMMUTATIVE = 3
 EXIT_PARAMETER = 4
 
+# largest x grid a gab psd-sweep may ask for; each point is one eigenvalue
+# problem on a ball of the clique tree
+PSD_SWEEP_MAX_POINTS = 10_000
+
 
 @dataclass
 class RunConfig:
@@ -286,7 +290,17 @@ def _gab_psd_report(config: RunConfig, fam: GabFamily):
     tol = config.tol if config.tol is not None else 1e-8
     if not x_step > 0:
         raise ParameterOutOfRange(f"--x-step must be positive, got {x_step!r}")
-    count = int(round((x_max - x_min) / x_step)) + 1
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise ParameterOutOfRange(f"--x-min and --x-max must be finite, got {x_min!r}, {x_max!r}")
+    if x_max < x_min:
+        raise ParameterOutOfRange(f"--x-max {x_max!r} is below --x-min {x_min!r}")
+    steps = (x_max - x_min) / x_step  # inf when the span overflows
+    if not steps < PSD_SWEEP_MAX_POINTS - 0.5:  # round(steps) + 1 grid points
+        raise ParameterOutOfRange(
+            f"--x-step {x_step!r} gives more than {PSD_SWEEP_MAX_POINTS} grid points "
+            f"on [{x_min!r}, {x_max!r}]"
+        )
+    count = int(round(steps)) + 1
     xs = [x_min + i * x_step for i in range(count) if x_min + i * x_step <= x_max + 1e-12]
     rows = [gab_kernel_psd(fam, x, radius, vertex_budget=budget, tol=tol) for x in xs]
     csv_lines = ["x,radius,n_vertices,min_eigenvalue,psd"]

@@ -106,3 +106,7 @@ class ClosedFormSingular(SchemeError):
 
 class QuadratureNotConverged(SchemeError):
     """Refining the quadrature still moves the result."""
+
+
+class SolverFailed(SchemeError):
+    """A numerical solver stopped without a usable answer."""

@@ -31,6 +31,8 @@ class CoshFamily:
     def __post_init__(self):
         if not self.r > 0:
             raise ParameterOutOfRange(f"deformation needs r > 0, got {self.r!r}")
+        if not math.isfinite(self.r):
+            raise ParameterOutOfRange(f"deformation r must be finite, got {self.r!r}")
 
     @property
     def p(self) -> float:
@@ -103,6 +105,13 @@ def cosh_window_scheme(fam: CoshFamily, m: int) -> GeneralizedScheme:
     classes = tuple(range(d))
     xs = np.arange(-m, m + 1)
     relation = np.abs(xs[:, None] - xs[None, :]).astype(np.int64)
+    with np.errstate(over="ignore"):
+        weight = np.exp(2.0 * fam.r * xs)
+    if not np.isfinite(weight).all():
+        raise ParameterOutOfRange(
+            f"vertex weight exp(2 r x) overflows float64 at x = {m} "
+            f"(r = {fam.r!r}, window half-width {m})"
+        )
 
     p = fam.p
     stoch = np.zeros((d, n, n))
@@ -113,7 +122,6 @@ def cosh_window_scheme(fam: CoshFamily, m: int) -> GeneralizedScheme:
         down = np.eye(n, k=-k) * ((1 - p) ** k / norm)
         stoch[k] = up + down
 
-    weight = np.exp(2.0 * fam.r * xs)
     boundary = m - np.abs(xs)
 
     return build_windowed(

@@ -19,7 +19,7 @@ from scipy import integrate, sparse
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import dijkstra
 
-from ..errors import BallTooLarge, ClosedFormSingular, ParameterOutOfRange
+from ..errors import BallTooLarge, ClosedFormSingular, ParameterOutOfRange, SolverFailed
 
 
 @dataclass(frozen=True)
@@ -353,7 +353,7 @@ def gab_dual_measure(fam: GabFamily, x: float, y: float, order: int = 8,
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(0, None)] * (G + 1),
                   method="highs")
     if res.status != 0:
-        raise RuntimeError(f"LP solver failed: {res.message}")
+        raise SolverFailed(f"LP solver failed: {res.message}")
     t_star = float(res.x[-1])
     feasible = t_star <= slack
 

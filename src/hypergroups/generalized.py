@@ -172,27 +172,24 @@ def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
     closure_dev = 0.0
     rowsum_dev = 0.0
     support_ok = True
+    # witnesses depend on (i, j) only through the rows they may use
+    witnesses: dict = {}
     for i in range(d):
         for j in range(d):
-            rows = _interior_rows(bd, int(class_order[i]) + int(class_order[j]))
+            needed = int(class_order[i]) + int(class_order[j])
+            rows = _interior_rows(bd, needed)
             if rows.size == 0:
                 continue
+            if needed not in witnesses:
+                # per class k met on these rows, its largest entry (first in C order)
+                cells = relation[rows]
+                ks = np.flatnonzero(np.bincount(cells.ravel(), minlength=d))
+                flat = [np.where(cells == k, stoch[k][rows], -1.0).argmax() for k in ks]
+                rloc, ys = np.unravel_index(flat, cells.shape)
+                witnesses[needed] = ks, rows[rloc], ys
+            ks, xs, ys = witnesses[needed]
             prod = stoch[i] @ stoch[j]
-            counts = np.zeros(d, dtype=np.int64)
-            for k in range(d):
-                cells = (relation[rows] == k)
-                if not cells.any():
-                    continue
-                rloc, y = np.unravel_index(
-                    np.where(cells, stoch[k][rows], -1.0).argmax(), cells.shape
-                )
-                x = int(rows[rloc])
-                y = int(y)
-                p_tilde[i, j, k] = prod[x, y] / stoch[k][x, y]
-                if ref_positive is None:
-                    counts[k] = int(
-                        ((relation[x] == i) & (relation[:, y] == j)).sum()
-                    )
+            p_tilde[i, j, ks] = prod[xs, ys] / stoch[ks, xs, ys]
             approx = np.tensordot(p_tilde[i, j], stoch, axes=([0], [0]))
             dev = float(np.abs(prod[rows] - approx[rows]).max())
             closure_dev = max(closure_dev, dev)
@@ -210,8 +207,12 @@ def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
                     f"sum to {srow!r}",
                     witness=(i, j),
                 )
-            expected_pos = (ref_positive[i, j] if ref_positive is not None
-                            else counts > 0)
+            if ref_positive is None:
+                # positive where some z has relation[x, z] = i and relation[z, y] = j
+                expected_pos = np.zeros(d, dtype=bool)
+                expected_pos[ks] = ((relation[xs] == i) & (relation[:, ys].T == j)).any(axis=1)
+            else:
+                expected_pos = ref_positive[i, j]
             # where the reference count vanishes the coefficient must be noise;
             # where it is positive the extracted value must be strictly positive
             zero_ok = (np.abs(p_tilde[i, j]) <= np.sqrt(closure_tol)) | expected_pos

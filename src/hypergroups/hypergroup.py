@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotAHypergroup
-from .schemes import Scheme
+from .schemes import BLOCK, Scheme, associativity_gap
 
 DEFAULT_TOL = 1e-12
 
@@ -216,20 +216,15 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> dict:
           None if exact and bad.max() > 0 else float(bad.max() / scale))
 
     # (delta_i*delta_j)*delta_k against delta_i*(delta_j*delta_k), indexed i j k m, over
-    # blocks of i so that no d^4 tensor is built: each temporary holds about 2**22 entries
-    step = max(1, 2**22 // d**3)
-
-    def assoc_gap(start):
-        rows = vals[start:start + step]
-        return np.abs(np.tensordot(rows, vals, axes=([2], [0]))
-                      - np.tensordot(vals, rows, axes=([2], [1])).transpose(2, 0, 1, 3))
-
+    # blocks of i so that no d^4 tensor is built: the two products of a block hold
+    # about BLOCK entries together
+    step = max(1, BLOCK // (2 * d**3))
     starts = range(0, d, step)
-    peaks = np.array([assoc_gap(i).max() for i in starts])
+    peaks = np.array([associativity_gap(vals, i, step).max() for i in starts])
     witness = _witness(peaks, cut, exact)
     if witness is not None:
         start = starts[witness[0]]
-        i, *jkm = _witness(assoc_gap(start), cut, exact)
+        i, *jkm = _witness(associativity_gap(vals, start, step), cut, exact)
         witness = (start + i, *jkm)
     entry("associativity", peaks.max() <= cut, witness, None if exact else float(peaks.max()))
 

@@ -109,7 +109,12 @@ def scheme_to_json(s: Scheme) -> dict:
 
 
 def _norm_label(v: Any) -> Any:
-    return tuple(v) if isinstance(v, list) else v
+    """Hashable form of a JSON label: lists, nested to any depth, become tuples."""
+    if isinstance(v, list):
+        return tuple(_norm_label(x) for x in v)
+    if isinstance(v, dict):
+        raise ParseError(f"labels must be numbers, strings or lists, got {v!r}")
+    return v
 
 
 def scheme_from_json(doc: dict) -> Scheme:
@@ -146,7 +151,7 @@ def cayley_from_json(doc: dict) -> tuple[FiniteGroup, np.ndarray]:
         if key not in doc:
             raise ParseError(f"cayley document missing {key!r}")
     elements = [_norm_label(e) for e in doc["elements"]]
-    group = group_from_table(elements, doc["table"])
+    group = group_from_table(elements, _norm_label(doc["table"]))
     sub_labels = doc.get("subgroup")
     if sub_labels is None:
         sub = np.array([group.identity], dtype=np.int64)

@@ -4,8 +4,13 @@ A scheme is a partition of X x X into relation classes such that the
 diagonal is one class, the transpose of every class is a class, and all
 triple intersection counts depend only on the classes involved.  This
 module builds schemes from raw relation data, computes the intersection
-tensor exactly (integers throughout), and audits the classical identities
-the tensor has to satisfy.
+tensor exactly, and audits the classical identities the tensor has to
+satisfy.
+
+``p[:, :, k]`` is a histogram of (rel[x, z], rel[z, y]) over z at the first
+pair (x, y) of class k; every pair is then checked for every (i, j) by
+float64 products of A_i with a one-hot class stack, in blocks of j.  Counts
+are at most n (n^2 in the audit), so float64 BLAS is exact; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -70,6 +75,13 @@ class Scheme:
         return self.classes[self.relation[self.point_index(x), self.point_index(y)]]
 
 
+# entries that the two largest arrays of one block of a contraction hold
+# together: 32 MiB of float64
+BLOCK = 2**22
+
+_UNDEFINED = object()  # label of a pair the relation data leaves out
+
+
 def _relation_matrix(points, classes, relation_of) -> np.ndarray:
     n = len(points)
     cls_index = {c: i for i, c in enumerate(classes)}
@@ -78,31 +90,32 @@ def _relation_matrix(points, classes, relation_of) -> np.ndarray:
     if len(set(points)) != n:
         raise ParseError("duplicate point labels")
 
-    if callable(relation_of):
-        lookup = relation_of
-    elif isinstance(relation_of, Mapping):
-        lookup = lambda x, y: relation_of[(x, y)]
-    else:
-        # positional: nested sequence aligned with the points order
-        arr = list(relation_of)
-        if len(arr) != n or any(len(row) != n for row in arr):
-            raise ParseError("relation table is not |X| x |X|")
-        pos = {x: i for i, x in enumerate(points)}
-        lookup = lambda x, y: arr[pos[x]][pos[y]]
+    if callable(relation_of) or isinstance(relation_of, Mapping):
+        def label(x, y):
+            try:
+                return relation_of(x, y) if callable(relation_of) else relation_of[(x, y)]
+            except KeyError:
+                return _UNDEFINED
 
-    rel = np.empty((n, n), dtype=np.int64)
-    for a, x in enumerate(points):
-        for b, y in enumerate(points):
-            try:
-                label = lookup(x, y)
-            except KeyError:
-                raise ParseError(f"relation undefined for pair ({x!r}, {y!r})") from None
-            try:
-                rel[a, b] = cls_index[label]
-            except KeyError:
-                raise ParseError(
-                    f"pair ({x!r}, {y!r}) maps to unknown class {label!r}"
-                ) from None
+        rows = [[label(x, y) for y in points] for x in points]
+    else:
+        # positional: nested sequence or array aligned with the points order
+        rows = relation_of if isinstance(relation_of, np.ndarray) else list(relation_of)
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ParseError("relation table is not |X| x |X|")
+
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iub":
+        # integer array: look each distinct label up once
+        values, inverse = np.unique(rows, return_inverse=True)
+        rel = np.array([cls_index.get(v, -1) for v in values.tolist()])[inverse].reshape(n, n)
+    else:
+        rel = np.array([[cls_index.get(v, -1) for v in row] for row in rows], dtype=np.int64)
+    if (rel < 0).any():
+        a, b = map(int, np.argwhere(rel < 0)[0])
+        x, y, c = points[a], points[b], rows[a][b]
+        if c is _UNDEFINED:
+            raise ParseError(f"relation undefined for pair ({x!r}, {y!r})")
+        raise ParseError(f"pair ({x!r}, {y!r}) maps to unknown class {c!r}")
     return rel
 
 
@@ -127,23 +140,54 @@ def _identity_class(classes, rel) -> int:
 
 def _involution_map(classes, rel) -> np.ndarray:
     d = len(classes)
-    tau = np.full(d, -1, dtype=np.int64)
-    transpose = rel.T
-    for i in range(d):
-        cells = rel == i
-        vals = np.unique(transpose[cells])
-        if len(vals) != 1:
-            raise NoInvolution(
-                f"transpose of class {classes[i]!r} meets several classes "
-                f"{[classes[int(v)] for v in vals]}",
-                witness=i,
-            )
-        tau[i] = vals[0]
+    # meets[i, j]: some pair of class i has its transpose in class j
+    meets = np.bincount((rel * d + rel.T).ravel(), minlength=d * d).reshape(d, d) > 0
+    several = np.flatnonzero(meets.sum(axis=1) > 1)
+    if several.size:
+        i = int(several[0])
+        raise NoInvolution(
+            f"transpose of class {classes[i]!r} meets several classes "
+            f"{[classes[int(v)] for v in np.flatnonzero(meets[i])]}",
+            witness=i,
+        )
+    tau = meets.argmax(axis=1)
     if sorted(tau) != list(range(d)):
         raise NoInvolution("transpose map on classes is not a bijection", witness=tuple(tau))
     if not (tau[tau] == np.arange(d)).all():
         raise NoInvolution("transpose map on classes is not an involution", witness=tuple(tau))
     return tau
+
+
+def _check_counts(points, classes, rel, p) -> None:
+    """Raise at the first (i, j), then the first pair (x, y) in C order, whose
+    count (A_i @ onehot)[x, j, y], with onehot[z, j, y] = [rel[z, y] == j]
+    taken over blocks of j, is not p[i, j, rel[x, y]]."""
+    n, d = rel.shape[0], len(classes)
+    step = max(1, BLOCK // (2 * n * n))
+    onehot = None
+    for i in range(d):
+        a_i = (rel == i).astype(np.float64)
+        for j0 in range(0, d, step):
+            js = np.arange(j0, min(d, j0 + step))
+            if onehot is None or step < d:
+                onehot = (rel[:, None, :] == js[:, None]).astype(np.float64).reshape(n, -1)
+            prod = a_i @ onehot
+            for jj, j in enumerate(js.tolist()):
+                count = prod[:, jj * n:(jj + 1) * n]
+                bad = count != p[i, j][rel]
+                if not bad.any():
+                    continue
+                a, b = map(int, np.argwhere(bad)[0])
+                k = int(rel[a, b])
+                w = {"i": classes[i], "j": classes[j], "k": classes[k],
+                     "pair": (points[a], points[b]), "count": int(count[a, b]),
+                     "reference_count": int(p[i, j, k])}
+                raise InconsistentIntersection(
+                    f"count for classes ({w['i']!r}, {w['j']!r}) over a {w['k']!r}-pair is "
+                    f"{w['count']} at {w['pair']!r} but {w['reference_count']} at the "
+                    f"representative pair",
+                    witness=w,
+                )
 
 
 def build_scheme(
@@ -172,45 +216,23 @@ def build_scheme(
         raise ParseError("empty class list")
 
     rel = _relation_matrix(points, classes, relation_of)
+    n, d = len(points), len(classes)
 
-    for i, c in enumerate(classes):
-        if not (rel == i).any():
-            raise EmptyClass(f"class {c!r} is attained by no pair", witness=i)
+    empty = np.flatnonzero(np.bincount(rel.ravel(), minlength=d) == 0)
+    if empty.size:
+        i = int(empty[0])
+        raise EmptyClass(f"class {classes[i]!r} is attained by no pair", witness=i)
 
     e = _identity_class(classes, rel)
     tau = _involution_map(classes, rel)
 
-    d = len(classes)
-    n = len(points)
-    adj = np.stack([(rel == i).astype(np.int64) for i in range(d)])
-
-    # first pair of each class, used as the counting representative
-    reps = [tuple(map(int, np.argwhere(rel == k)[0])) for k in range(d)]
-
-    p = np.zeros((d, d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            prod = adj[i] @ adj[j]
-            row = np.array([prod[reps[k]] for k in range(d)], dtype=np.int64)
-            expected = row[rel]
-            if not np.array_equal(prod, expected):
-                a, b = map(int, np.argwhere(prod != expected)[0])
-                k = int(rel[a, b])
-                raise InconsistentIntersection(
-                    f"count for classes ({classes[i]!r}, {classes[j]!r}) over a "
-                    f"{classes[k]!r}-pair is {int(prod[a, b])} at "
-                    f"({points[a]!r}, {points[b]!r}) but {int(row[k])} at the "
-                    f"representative pair",
-                    witness={
-                        "i": classes[i],
-                        "j": classes[j],
-                        "k": classes[k],
-                        "pair": (points[a], points[b]),
-                        "count": int(prod[a, b]),
-                        "reference_count": int(row[k]),
-                    },
-                )
-            p[i, j] = row
+    # p[:, :, k] counts the class pairs (rel[x, z], rel[z, y]) over z at the
+    # first pair (x, y) of class k in C order, its counting representative
+    first = np.unique(rel.ravel(), return_index=True)[1]
+    p = np.empty((d, d, d), dtype=np.int64)
+    for k, (x, y) in enumerate(zip(*np.unravel_index(first, (n, n)))):
+        p[:, :, k] = np.bincount(rel[x] * d + rel[:, y], minlength=d * d).reshape(d, d)
+    _check_counts(points, classes, rel, p)
 
     omega = p[np.arange(d), tau, e].copy()
     # internal consistency of what was just computed
@@ -252,12 +274,7 @@ def scheme_matrices(s: Scheme):
     """
     d = s.n_classes
     A = np.stack([(s.relation == i).astype(np.int64) for i in range(d)])
-    S = np.empty(A.shape, dtype=object)
-    for i in range(d):
-        w = Fraction(1, int(s.valencies[i]))
-        for a in range(s.n_points):
-            for b in range(s.n_points):
-                S[i, a, b] = w * int(A[i, a, b])
+    S = np.stack([A[i].astype(object) * Fraction(1, int(s.valencies[i])) for i in range(d)])
     return A, S
 
 
@@ -280,6 +297,14 @@ def modular_function_of_scheme(s: Scheme) -> np.ndarray:
          for i in range(s.n_classes)],
         dtype=object,
     )
+
+
+def associativity_gap(t: np.ndarray, start: int, step: int) -> np.ndarray:
+    """|(i*j)*k - i*(j*k)| for the structure tensor t, indexed [i - start, j, k, m]."""
+    rows = t[start:start + step]
+    gap = np.tensordot(rows, t, axes=([2], [0]))
+    gap -= np.tensordot(t, rows, axes=([2], [1])).transpose(2, 0, 1, 3)
+    return np.abs(gap)
 
 
 def _first_bad(mask: np.ndarray):
@@ -329,9 +354,17 @@ def audit_intersection_identities(s: Scheme) -> dict:
     add("weighted_sum_transposed", np.tensordot(p, omega[tau], axes=([2], [0]))
         == omega[tau][:, None] * omega[tau][None, :])
 
-    t1 = np.einsum("ijl,lkm->ijkm", p, p)
-    t2 = np.einsum("jkl,ilm->ijkm", p, p)
-    add("associativity", t1 == t2)
+    # float64 keeps every partial sum exact when d * max(p)^2 < 2**53
+    vals = p.astype(np.float64) if d * int(p.max()) ** 2 < 2**53 else p
+    step = max(1, BLOCK // (2 * d**3))
+    witness = None
+    for start in range(0, d, step):
+        # a failing block is computed again rather than kept, so one block is live at a time
+        if associativity_gap(vals, start, step).any():
+            i, *jkm = _first_bad(associativity_gap(vals, start, step) == 0)
+            witness = (start + i, *jkm)
+            break
+    add("associativity", witness is None, witness)
 
     # positivity of a triple forces compatibility of the valency ratios
     i, j, k = np.meshgrid(np.arange(d), np.arange(d), np.arange(d), indexing="ij")
@@ -358,32 +391,23 @@ def scheme_from_distance_regular_graph(adjacency) -> Scheme:
     if not np.array_equal(A, A.T) or np.diagonal(A).any() or not np.isin(A, (0, 1)).all():
         raise ParseError("adjacency must be symmetric 0/1 with empty diagonal")
 
-    dist = np.full((n, n), -1, dtype=np.int64)
-    nbrs = [np.flatnonzero(A[v]) for v in range(n)]
-    for v in range(n):
-        dist[v, v] = 0
-        frontier = [v]
-        r = 0
-        while frontier:
-            r += 1
-            nxt = []
-            for u in frontier:
-                for w in nbrs[u]:
-                    if dist[v, w] < 0:
-                        dist[v, w] = r
-                        nxt.append(w)
-            frontier = nxt
+    # breadth-first search from every vertex at once: row v of the frontier
+    # holds the vertices first reached from v at distance r
+    dist = np.where(np.eye(n, dtype=bool), 0, -1)
+    edges = A.astype(np.float64)
+    frontier = np.eye(n)
+    r = 0
+    while frontier.any():
+        r += 1
+        reached = (frontier @ edges > 0) & (dist < 0)
+        dist[reached] = r
+        frontier = reached.astype(np.float64)
     if (dist < 0).any():
         a, b = map(int, np.argwhere(dist < 0)[0])
         raise NotDistanceRegular("graph is not connected", witness=(a, b))
 
-    diam = int(dist.max())
     try:
-        return build_scheme(
-            points=tuple(range(n)),
-            classes=tuple(range(diam + 1)),
-            relation_of=dist.tolist(),
-        )
+        return build_scheme(range(n), range(int(dist.max()) + 1), dist)
     except InconsistentIntersection as exc:
         raise NotDistanceRegular(
             f"distance counts are not constant: {exc}", witness=exc.witness

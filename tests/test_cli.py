@@ -130,6 +130,10 @@ def test_family_parameter_exit_code(capsys):
     ["--report", "lp-sweep", "--sweep-points", "1"],
     ["--report", "psd-sweep", "--x-step", "0"],
     ["--report", "psd-sweep", "--x-step", "-0.5"],
+    ["--report", "psd-sweep", "--x-min", "1", "--x-max", "-1"],
+    ["--report", "psd-sweep", "--x-step", "1e-300"],
+    ["--report", "psd-sweep", "--x-min=-1e308", "--x-max=1e308", "--x-step", "1e-300"],
+    ["--report", "psd-sweep", "--x-max", "inf"],
 ])
 def test_degenerate_gab_sweep_rejected(capsys, argv):
     code = main(["family", "gab", "--a", "3", "--b", "3", *argv])
@@ -138,6 +142,37 @@ def test_degenerate_gab_sweep_rejected(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("r, cause", [("inf", "must be finite"), ("60", "overflows")])
+def test_cosh_overflow_rejected(capsys, r, cause):
+    code = main(["family", "cosh", "--r", r])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert cause in captured.err
+
+
+def test_nested_point_labels(capsys, schema, tmp_path):
+    pts = [[[0]], [[1]], [[2]]]
+    doc = {"points": pts, "classes": [0, 1, 2],
+           "relations": [[x, y, (b - a) % 3] for a, x in enumerate(pts)
+                         for b, y in enumerate(pts)]}
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run(capsys, "verify", str(path))
+    assert code == 0
+    check_envelope(schema, rep, "verify")
+    assert rep["results"]["audit"]["all_hold"] is True
+
+    doc["points"][0] = {"x": 0}
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_bad_tolerance_rejected(capsys, docs):

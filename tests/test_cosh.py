@@ -27,6 +27,16 @@ def test_rate_must_be_positive(r):
         CoshFamily(r)
 
 
+def test_rate_must_be_finite():
+    with pytest.raises(ParameterOutOfRange, match="finite"):
+        CoshFamily(float("inf"))
+
+
+def test_window_weight_overflow_rejected():
+    with pytest.raises(ParameterOutOfRange, match="overflows"):
+        cosh_window_scheme(CoshFamily(60.0), 8)
+
+
 def test_drift_probability():
     for r in [0.1, 0.5, 1.0, 2.0, 5.0]:
         fam = CoshFamily(r)

@@ -2,11 +2,19 @@
 graph realizations, and the moment-matching LP."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hypergroups.errors import BallTooLarge, ClosedFormSingular, ParameterOutOfRange
+from hypergroups.errors import (
+    BallTooLarge,
+    ClosedFormSingular,
+    ParameterOutOfRange,
+    SchemeError,
+    SolverFailed,
+)
+from hypergroups.families import gab
 from hypergroups.families.gab import (
     GabFamily,
     chebyshev_grid,
@@ -288,6 +296,14 @@ def test_lp_infeasible_outside_with_valid_certificate():
         vals = np.array([gab_eval_all(fam, 8, t) for t in res.nodes])
         assert float((vals @ yvec).max()) <= 1e-10
         assert float(yvec @ res.moments) > 0
+
+
+def test_lp_solver_failure_is_a_scheme_error(monkeypatch):
+    failed = SimpleNamespace(status=4, message="numerical difficulties")
+    monkeypatch.setattr(gab, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(SolverFailed, match="numerical difficulties") as err:
+        gab_dual_measure(GabFamily(3, 3), 0.3, 0.7, order=4)
+    assert isinstance(err.value, SchemeError)
 
 
 def test_lp_rejects_bad_order():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hypergroups import catalog
+from hypergroups import catalog, schemes
 from hypergroups.errors import (
     EmptyClass,
     InconsistentIntersection,
@@ -103,6 +103,29 @@ def test_audit_identities(name, request):
     assert report["all_hold"], failed
 
 
+def test_audit_associativity_witness_over_blocks(monkeypatch):
+    # d = 48 needs several blocks of i at the default budget and one i per
+    # block at a budget of d^3; the witness must be the first failing
+    # (i, j, k, m) of the full d^4 comparison either way
+    s = catalog.cyclic_scheme(48)
+    default = schemes.BLOCK
+    assert 2 * 48**4 > default
+    for i, j, k in ((40, 3, 5), (0, 47, 1)):
+        p = s.p.copy()
+        p[i, j, k] += 1
+        fake = schemes.Scheme(s.points, s.classes, s.relation, s.identity,
+                              s.involution, p, s.valencies)
+        pf = p.astype(np.float64)
+        full = (np.einsum("ijl,lkm->ijkm", pf, pf, optimize=True)
+                == np.einsum("jkl,ilm->ijkm", pf, pf, optimize=True))
+        want = tuple(map(int, np.argwhere(~full)[0]))
+        for block in (default, 48**3):
+            monkeypatch.setattr(schemes, "BLOCK", block)
+            assert audit_intersection_identities(fake)["associativity"] == {
+                "holds": False, "witness": want,
+            }
+
+
 def test_audit_names_cover_the_seven_identities(pentagon):
     report = audit_intersection_identities(pentagon)
     for key in (
@@ -197,7 +220,83 @@ def test_inconsistent_counts_detected(pentagon):
     rel[(2, 0)] = 1
     with pytest.raises(InconsistentIntersection) as err:
         build_scheme(list(range(5)), [0, 1, 2], rel)
-    assert err.value.witness is not None
+    assert str(err.value) == (
+        "count for classes (1, 1) over a 1-pair is 0 at (0, 4) but 1 at the "
+        "representative pair"
+    )
+    assert err.value.witness == {
+        "i": 1, "j": 1, "k": 1, "pair": (0, 4), "count": 0, "reference_count": 1,
+    }
+
+
+def reference_first_failure(rel):
+    """First (i, j), then first pair in C order, whose count differs from the
+    count at the first pair of its class: the plain d^2 matrix-product scan."""
+    d = int(rel.max()) + 1
+    adj = [(rel == i).astype(np.float64) for i in range(d)]
+    reps = [tuple(np.argwhere(rel == k)[0]) for k in range(d)]
+    for i in range(d):
+        for j in range(d):
+            prod = adj[i] @ adj[j]
+            row = np.array([prod[r] for r in reps])
+            bad = np.argwhere(prod != row[rel])
+            if len(bad):
+                a, b = map(int, bad[0])
+                k = int(rel[a, b])
+                return {"i": i, "j": j, "k": k, "pair": (a, b),
+                        "count": int(prod[a, b]), "reference_count": int(row[k])}
+    return None
+
+
+def test_blocked_count_check_matches_the_full_scan():
+    # complete tripartite graph K_{400,400,400} with one edge moved: two
+    # n x n arrays hold more than schemes.BLOCK / 2 entries, so the check
+    # runs one class j per block
+    n = 1200
+    part = np.arange(n) // 400
+    rel = np.where(part[:, None] == part[None, :], 2, 1)
+    np.fill_diagonal(rel, 0)
+    assert 4 * n * n > schemes.BLOCK
+    rel[0, 1] = rel[1, 0] = 1
+    rel[0, 600] = rel[600, 0] = 2
+    with pytest.raises(InconsistentIntersection) as err:
+        build_scheme(range(n), [0, 1, 2], rel)
+    assert err.value.witness == reference_first_failure(rel)
+    assert err.value.witness["j"] > 0  # not in the first block
+
+
+def test_blocked_count_check_on_small_blocks(monkeypatch):
+    # one class j per block on small schemes, many corruptions
+    rng = np.random.default_rng(5)
+    for s in (catalog.petersen_scheme(), catalog.cyclic_scheme(12), catalog.s3_regular()):
+        n = s.n_points
+        monkeypatch.setattr(schemes, "BLOCK", n * n)
+        for _ in range(20):
+            rel = s.relation.copy()
+            x, y = rng.choice(n, 2, replace=False)
+            c = int(rng.integers(1, s.n_classes))
+            rel[x, y], rel[y, x] = c, s.involution[c]
+            want = reference_first_failure(rel)
+            if want is None or len(np.unique(rel)) < s.n_classes:
+                continue
+            with pytest.raises(InconsistentIntersection) as err:
+                build_scheme(range(n), range(s.n_classes), rel)
+            assert err.value.witness == want
+
+
+def test_relation_table_as_array_and_unknown_labels():
+    table = [[(y - x) % 3 for y in range(3)] for x in range(3)]
+    s = build_scheme(range(3), [0, 1, 2], table)
+    s_arr = build_scheme(range(3), [0, 1, 2], np.array(table))
+    assert np.array_equal(s.relation, s_arr.relation) and np.array_equal(s.p, s_arr.p)
+    strs = [["abc"[v] for v in row] for row in table]
+    assert np.array_equal(build_scheme(range(3), "abc", strs).p, s.p)
+    table[1][2] = 7
+    with pytest.raises(ParseError, match=r"^pair \(1, 2\) maps to unknown class 7$"):
+        build_scheme(range(3), [0, 1, 2], table)
+    strs[2][0] = "z"
+    with pytest.raises(ParseError, match=r"^pair \(2, 0\) maps to unknown class 'z'$"):
+        build_scheme(range(3), "abc", strs)
 
 
 def test_asserted_identity_and_involution_checked(z4):
@@ -248,6 +347,23 @@ def test_drg_rejects_irregular_but_connected():
     adj[0, 1] = adj[1, 0] = 0
     with pytest.raises(NotDistanceRegular):
         scheme_from_distance_regular_graph(adj)
+
+
+def test_drg_switched_hamming_witness():
+    # H(4,2) with edges {0, 1}, {2, 3} switched to {0, 3}, {2, 1}
+    v = np.arange(16)
+    adj = (np.bitwise_count(v[:, None] ^ v[None, :]) == 1).astype(np.int64)
+    adj[0, 1] = adj[1, 0] = adj[2, 3] = adj[3, 2] = 0
+    adj[0, 3] = adj[3, 0] = adj[2, 1] = adj[1, 2] = 1
+    with pytest.raises(NotDistanceRegular) as err:
+        scheme_from_distance_regular_graph(adj)
+    assert str(err.value) == (
+        "distance counts are not constant: count for classes (1, 1) over a "
+        "2-pair is 1 at (0, 5) but 2 at the representative pair"
+    )
+    assert err.value.witness == {
+        "i": 1, "j": 1, "k": 2, "pair": (0, 5), "count": 1, "reference_count": 2,
+    }
 
 
 def test_drg_input_validation():
