@@ -33,12 +33,7 @@ from .schemes import (
     is_symmetric,
     is_unimodular,
 )
-from .families.gab import (
-    GabFamily,
-    gab_dual_measure,
-    gab_kernel_psd,
-    gab_linearization,
-)
+from .families.gab import GabFamily, _psd_rows, gab_dual_measure, gab_linearization
 from .families.cosh import (
     CoshFamily,
     cosh_character,
@@ -219,6 +214,7 @@ def cmd_dualtable(config: RunConfig) -> int:
     m = len(tbl.labels)
     weights = {}
     raw = {}
+    clamped = {}
     min_raw = math.inf
     max_imag = 0.0
     worst_sum = 0.0
@@ -226,7 +222,9 @@ def cmd_dualtable(config: RunConfig) -> int:
         for b in range(m):
             dm = dual_convolution(h, tbl, a, b, tol=tol)
             weights[(a, b)] = dm.weights
-            raw[f"{a},{b}"] = [jsonio._plain(complex(v)) for v in dm.raw]
+            raw[f"{a},{b}"] = [z.real if z.imag == 0.0 else jsonio.format_complex(z)
+                               for z in dm.raw.tolist()]
+            clamped[f"{a},{b}"] = dm.weights.tolist()
             min_raw = min(min_raw, dm.min_raw_real)
             max_imag = max(max_imag, dm.max_abs_imag)
             worst_sum = max(worst_sum, abs(dm.sum_raw - 1.0))
@@ -235,8 +233,7 @@ def cmd_dualtable(config: RunConfig) -> int:
         "kind": kind,
         "characters": list(tbl.labels),
         "raw_coefficients": raw,
-        "clamped_weights": {k: [float(x) for x in weights[tuple(map(int, k.split(",")))]]
-                            for k in raw},
+        "clamped_weights": clamped,
         "min_raw_coefficient": float(min_raw),
         "max_imaginary_part": float(max_imag),
         "max_sum_deviation": float(worst_sum),
@@ -302,7 +299,7 @@ def _gab_psd_report(config: RunConfig, fam: GabFamily):
         )
     count = int(round(steps)) + 1
     xs = [x_min + i * x_step for i in range(count) if x_min + i * x_step <= x_max + 1e-12]
-    rows = [gab_kernel_psd(fam, x, radius, vertex_budget=budget, tol=tol) for x in xs]
+    rows = _psd_rows(fam, xs, radius, budget, tol)
     csv_lines = ["x,radius,n_vertices,min_eigenvalue,psd"]
     for r in rows:
         csv_lines.append(

@@ -1,9 +1,9 @@
 """Deformed nearest-step family on the integers.
 
 For r > 0 the step distributions put mass p^k, (1-p)^k (normalized,
-p = e^r / (e^r + e^-r)) on the two points at distance k, giving a
-generalized scheme over the distance partition of Z whose deformed
-convolution has the closed form
+p = e^r / (e^r + e^-r), that is 1/(1 + e^{-2rk}) and 1/(1 + e^{2rk})) on
+the two points at distance k, giving a generalized scheme over the
+distance partition of Z whose deformed convolution has the closed form
 
     S_k S_l = cosh((k+l)r)/(2 cosh(kr) cosh(lr)) S_{k+l}
             + cosh((k-l)r)/(2 cosh(kr) cosh(lr)) S_{|k-l|}.
@@ -105,22 +105,29 @@ def cosh_window_scheme(fam: CoshFamily, m: int) -> GeneralizedScheme:
     classes = tuple(range(d))
     xs = np.arange(-m, m + 1)
     relation = np.abs(xs[:, None] - xs[None, :]).astype(np.int64)
+    # step masses p^k / (p^k + (1-p)^k) = 1 / (1 + e^{-2rk}) up and 1 / (1 + e^{2rk})
+    # down, in forms that keep the small one instead of rounding 1 - p to 0
+    steps = 2.0 * fam.r * np.arange(1, d)
     with np.errstate(over="ignore"):
         weight = np.exp(2.0 * fam.r * xs)
+        up, down = 1.0 / (1.0 + np.exp(-steps)), 1.0 / (1.0 + np.exp(steps))
     if not np.isfinite(weight).all():
         raise ParameterOutOfRange(
             f"vertex weight exp(2 r x) overflows float64 at x = {m} "
             f"(r = {fam.r!r}, window half-width {m})"
         )
+    subnormal = down < np.finfo(np.float64).tiny
+    if subnormal.any():
+        raise ParameterOutOfRange(
+            f"down-step mass 1/(1 + exp(2 r k)) underflows float64 from k = "
+            f"{int(np.argmax(subnormal)) + 1} "
+            f"(r = {fam.r!r}, window half-width {m})"
+        )
 
-    p = fam.p
     stoch = np.zeros((d, n, n))
     stoch[0] = np.eye(n)
     for k in range(1, d):
-        norm = p ** k + (1 - p) ** k
-        up = np.eye(n, k=k) * (p ** k / norm)
-        down = np.eye(n, k=-k) * ((1 - p) ** k / norm)
-        stoch[k] = up + down
+        stoch[k] = np.eye(n, k=k) * up[k - 1] + np.eye(n, k=-k) * down[k - 1]
 
     boundary = m - np.abs(xs)
 

@@ -15,11 +15,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, sparse
-from scipy.optimize import linprog
-from scipy.sparse.csgraph import dijkstra
 
 from ..errors import BallTooLarge, ClosedFormSingular, ParameterOutOfRange, SolverFailed
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first use (scipy's import outlasts most commands)."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -200,8 +209,7 @@ class GabMeasure:
             one_plus = 1.0 if s0 == -1.0 else (1.0 + x) / (x - s0)
             return (a / (2 * math.pi)) * func(x) * one_minus * one_plus
 
-        val, _ = integrate.quad(integrand, 0.0, math.pi, epsabs=1e-14, epsrel=rtol,
-                                limit=200)
+        val, _ = quad(integrand, 0.0, math.pi, epsabs=1e-14, epsrel=rtol, limit=200)
         if self.atom_location is not None:
             val += self.atom_mass * func(self.atom_location)
         return val
@@ -232,6 +240,10 @@ def gab_ball(fam: GabFamily, radius: int, vertex_budget: int = 5000):
     Only defined for integer parameters.  The ball is grown clique by
     clique: the root joins a cliques of size b; every later vertex joins
     a-1 fresh ones.  Raises ``BallTooLarge`` past the vertex budget.
+
+    Distances are half those of the vertex-clique tree, in which the root
+    paths (root, clique, vertex, ..., clique, v) share a prefix of length
+    P: dist(u, v) = depth u + depth v + 1 - P.
     """
     if not fam.integer_graph:
         raise ParameterOutOfRange(
@@ -242,32 +254,50 @@ def gab_ball(fam: GabFamily, radius: int, vertex_budget: int = 5000):
     if size > vertex_budget:
         raise BallTooLarge(f"ball has {size} vertices, budget is {vertex_budget}")
 
-    rows, cols = [], []
-    depth = [0]
-    frontier = [(0, a)]
-    next_id = 1
-    for d in range(radius):
-        incoming = []
-        for v, clique_count in frontier:
-            for _ in range(clique_count):
-                fresh = list(range(next_id, next_id + b - 1))
-                next_id += b - 1
-                members = [v] + fresh
-                for u in fresh:
-                    depth.append(d + 1)
-                    incoming.append((u, a - 1))
-                for s in range(len(members)):
-                    for t in range(s + 1, len(members)):
-                        rows += [members[s], members[t]]
-                        cols += [members[t], members[s]]
-        frontier = incoming
-    assert next_id == size
+    # path[v, 2t] is the ancestor of v at depth t, path[v, 2t-1] the clique joining
+    # it to its parent, and -1-v pads the row past the depth of v
+    path = np.repeat(-1 - np.arange(size)[:, None], 2 * radius + 1, axis=1)
+    path[0, 0] = 0
+    depth = np.zeros(size, dtype=np.int64)
+    lo, hi, cliques = 0, 1, 0
+    for t in range(1, radius + 1):
+        parents = np.repeat(np.arange(lo, hi), (a if t == 1 else a - 1) * (b - 1))
+        fresh = np.arange(hi, hi + len(parents))
+        path[fresh, : 2 * t - 1] = path[parents, : 2 * t - 1]
+        path[fresh, 2 * t - 1] = cliques + np.arange(len(parents)) // (b - 1)
+        path[fresh, 2 * t] = fresh
+        depth[fresh] = t
+        cliques += len(parents) // (b - 1)
+        lo, hi = hi, hi + len(parents)
+    assert hi == size
 
-    adj = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(size, size)
-    )
-    dist = dijkstra(adj, unweighted=True).astype(np.int64)
-    return dist, np.array(depth, dtype=np.int64)
+    # paths part for good once they differ, so counting equal columns gives P
+    dist = np.zeros((size, size), dtype=np.int64)
+    for col in path.T:
+        dist += col[:, None] == col[None, :]
+    dist -= 1 + depth[:, None]
+    dist -= depth[None, :]
+    np.negative(dist, out=dist)
+    np.fill_diagonal(dist, 0)
+    return dist, depth
+
+
+def _psd_rows(fam: GabFamily, xs, radius: int, vertex_budget: int, tol: float) -> list:
+    """gab_kernel_psd rows for each x of xs, on one ball built once."""
+    dist, _ = gab_ball(fam, radius, vertex_budget=vertex_budget)
+    top = int(dist.max())
+    rows = []
+    for x in xs:
+        K = gab_eval_all(fam, top, np.float64(x))[dist]
+        min_eig = float(np.linalg.eigvalsh(K).min())
+        rows.append({
+            "x": float(x),
+            "radius": int(radius),
+            "n_vertices": int(dist.shape[0]),
+            "min_eigenvalue": min_eig,
+            "psd": bool(min_eig >= -tol),
+        })
+    return rows
 
 
 def gab_kernel_psd(fam: GabFamily, x: float, radius: int,
@@ -278,17 +308,7 @@ def gab_kernel_psd(fam: GabFamily, x: float, radius: int,
     semidefinite on the whole graph; nonnegative floors on all tested
     radii are evidence (not proof) of positivity.
     """
-    dist, _ = gab_ball(fam, radius, vertex_budget=vertex_budget)
-    values = gab_eval_all(fam, int(dist.max()), np.float64(x))
-    K = values[dist]
-    min_eig = float(np.linalg.eigvalsh(K).min())
-    return {
-        "x": float(x),
-        "radius": int(radius),
-        "n_vertices": int(dist.shape[0]),
-        "min_eigenvalue": min_eig,
-        "psd": bool(min_eig >= -tol),
-    }
+    return _psd_rows(fam, [x], radius, vertex_budget, tol)[0]
 
 
 def chebyshev_grid(fam: GabFamily, n_nodes: int) -> np.ndarray:
@@ -331,6 +351,15 @@ def gab_dual_measure(fam: GabFamily, x: float, y: float, order: int = 8,
     """
     if order < 1:
         raise ParameterOutOfRange(f"moment order must be at least 1, got {order}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ParameterOutOfRange(f"x and y must be finite, got x={x!r}, y={y!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = (gab_eval_all(fam, order, np.float64(x))
+                   * gab_eval_all(fam, order, np.float64(y)))
+    if not np.isfinite(moments).all():
+        raise ParameterOutOfRange(
+            f"moments P_n(x) P_n(y) up to order {order} overflow float64 at x={x!r}, y={y!r}"
+        )
     if grid is None:
         nodes = chebyshev_grid(fam, n_nodes)
         extras = [v for v in (x, y, fam.s0)
@@ -341,8 +370,6 @@ def gab_dual_measure(fam: GabFamily, x: float, y: float, order: int = 8,
     else:
         nodes = np.asarray(grid, float)
     G = len(nodes)
-    moments = (gab_eval_all(fam, order, np.float64(x))
-               * gab_eval_all(fam, order, np.float64(y)))
     phi = gab_eval_all(fam, order, nodes)          # (order+1, G)
 
     ones = np.ones((order + 1, 1))

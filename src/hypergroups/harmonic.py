@@ -244,7 +244,9 @@ def dual_convolution(h: FiniteHypergroup, tbl: CharacterTable, a: int, b: int,
 
     c_g = plancherel(g) sum_i haar_i a(i) b(i) conj(g(i)).  Raw values
     are kept; weights are the raw real parts with tiny negatives (within
-    tol of zero) clamped and the vector renormalized to mass one.
+    tol of zero) clamped and the vector renormalized to mass one.  With no
+    positive coefficient there is no mass to renormalize, and
+    ``DualNotPositive`` names (a, b) and the lowest coefficient.
     """
     product = tbl.chars[a] * tbl.chars[b]
     raw = tbl.plancherel * fourier(tbl, product)
@@ -252,6 +254,12 @@ def dual_convolution(h: FiniteHypergroup, tbl: CharacterTable, a: int, b: int,
     min_re = float(re.min())
     weights = np.where(re > 0.0, re, 0.0)
     total = weights.sum()
+    if not total > 0.0:
+        g = int(re.argmin())
+        raise DualNotPositive(
+            f"(chi{a} chi{b}) has no positive coefficient; the lowest is {min_re:.6e} at chi{g}",
+            witness=(a, b, g),
+        )
     weights = weights / total
     return DualMeasure(
         raw=raw,

@@ -12,7 +12,7 @@ both kinds: exact input compares with tolerance 0, float input with tol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -36,6 +36,14 @@ class FiniteHypergroup:
     conv: np.ndarray        # (d, d, d): conv[i, j, k] = (delta_i * delta_j)({k})
     identity: int
     involution: np.ndarray  # (d,) int
+    # exact tensors only: (num, den) with conv == num / den entrywise in lowest
+    # terms, den > 0, as int64 arrays below 2**53 or Python ints; read off conv
+    # when not given
+    ratio: tuple | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.ratio is None and self.exact:
+            object.__setattr__(self, "ratio", _ratio(self.conv))
 
     @property
     def n_classes(self) -> int:
@@ -62,7 +70,10 @@ class FiniteHypergroup:
 
     @cached_property
     def conv_float(self) -> np.ndarray:
-        return self.conv.astype(np.float64) if self.exact else self.conv
+        if not self.exact:
+            return self.conv
+        num, den = self.ratio  # true division of the integers, as float(Fraction) does
+        return (num / den).astype(np.float64)
 
     @cached_property
     def haar_float(self) -> np.ndarray:
@@ -91,8 +102,10 @@ def make_hypergroup(classes, conv, tol: float = DEFAULT_TOL) -> FiniteHypergroup
         raise NotAHypergroup(f"tensor shape {conv.shape} does not match {d} classes")
 
     exact = _is_exact(conv)
-    reals, scale = _integer_form(conv) if exact else (np.real(conv), 1)
-    ids = _identity_candidates(reals, scale, 0 if exact else tol)
+    ratio = _ratio(conv) if exact else None
+    reals, scale = _integer_form(conv, ratio) if exact else (np.real(conv), 1)
+    cut = 0 if exact else tol
+    ids = _identity_candidates(reals, scale, cut)
     if not ids:
         raise NotAHypergroup("no class acts as a two-sided identity")
     if len(ids) > 1:
@@ -102,12 +115,9 @@ def make_hypergroup(classes, conv, tol: float = DEFAULT_TOL) -> FiniteHypergroup
     e = ids[0]
 
     tau = np.full(d, -1, dtype=np.int64)
-    at_e = conv[:, :, e]
+    at_e = reals[:, :, e] if exact else np.abs(conv[:, :, e])
     for i in range(d):
-        if exact:
-            support = [j for j in range(d) if at_e[i, j] > 0]
-        else:
-            support = [j for j in range(d) if abs(at_e[i, j]) > tol]
+        support = np.flatnonzero(at_e[i] > cut).tolist()
         if len(support) != 1:
             raise NotAHypergroup(
                 f"identity lies in {len(support)} products of class {classes[i]!r}",
@@ -122,47 +132,62 @@ def make_hypergroup(classes, conv, tol: float = DEFAULT_TOL) -> FiniteHypergroup
         conv = conv.copy()
         conv.setflags(write=False)
     tau.setflags(write=False)
-    return FiniteHypergroup(classes=classes, conv=conv, identity=e, involution=tau)
+    return FiniteHypergroup(classes=classes, conv=conv, identity=e, involution=tau, ratio=ratio)
 
 
 def hypergroup_from_scheme(s: Scheme) -> FiniteHypergroup:
     """Exact hypergroup on the classes of a scheme.
 
     (delta_i * delta_j)({k}) = valency_k p[i,j,k] / (valency_i valency_j);
-    the left Haar weights then reproduce the valencies.
+    the left Haar weights then reproduce the valencies.  Both sides are at
+    most n^2, so the reduced fractions are int64 arrays well below 2**53
+    (num / den then rounds as float(Fraction) does), and one Fraction is
+    made per distinct value.
     """
-    d = s.n_classes
-    omega = [int(w) for w in s.valencies]
-    conv = np.empty((d, d, d), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            denom = omega[i] * omega[j]
-            for k in range(d):
-                conv[i, j, k] = Fraction(omega[k] * int(s.p[i, j, k]), denom)
+    omega = s.valencies.astype(np.int64)
+    num = omega * s.p.astype(np.int64)
+    den = np.broadcast_to(np.multiply.outer(omega, omega)[:, :, None], num.shape)
+    common = np.gcd(num, den)
+    num, den = num // common, den // common
+    # num + i den is exact in complex128, so equal keys are equal fractions
+    _, first, index = np.unique((num + 1j * den).ravel(), return_index=True,
+                                return_inverse=True)
+    values = np.empty(len(first), dtype=object)
+    values[:] = [Fraction(a, b) for a, b in zip(num.flat[first].tolist(),
+                                                den.flat[first].tolist())]
     h = FiniteHypergroup(
         classes=s.classes,
-        conv=conv,
+        conv=values[index].reshape(num.shape),
         identity=s.identity,
         involution=s.involution.copy(),
+        ratio=(num, den),
     )
-    assert all(h.haar[i] == omega[i] for i in range(d))
+    assert all(h.haar[i] == omega[i] for i in range(s.n_classes))
     return h
 
 
-def _integer_form(conv: np.ndarray):
+def _ratio(conv: np.ndarray) -> tuple:
+    """Reduced numerators and denominators of an exact tensor, as Python ints."""
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in conv.flat]
+    return tuple(np.array(part, dtype=object).reshape(conv.shape) for part in
+                 ([f.numerator for f in fracs], [f.denominator for f in fracs]))
+
+
+def _integer_form(conv: np.ndarray, ratio: tuple | None = None):
     """Exact tensor as integer numerators over L, the lcm of its denominators.
 
-    The numerators are float64 when d * max|N|^2 and L stay below 2**53:
-    every partial sum of a contraction of two such tensors is then an
-    integer that float64 holds exactly, so BLAS stays exact.  Otherwise
-    they are Python ints in an object array.
+    ``ratio`` is the (num, den) pair of conv when the caller holds it.  The
+    numerators are float64 when d * max|N|^2 and L stay below 2**53: every
+    partial sum of a contraction of two such tensors is then an integer
+    that float64 holds exactly, so BLAS stays exact.  Otherwise they are
+    Python ints in an object array.
     """
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in conv.flat]
-    scale = math.lcm(*{f.denominator for f in fracs})
-    nums = [f.numerator * (scale // f.denominator) for f in fracs]
-    top = max(map(abs, nums))
+    num, den = ratio if ratio is not None else _ratio(conv)
+    scale = math.lcm(*np.unique(den).tolist())
+    nums = num.astype(object) * (scale // den.astype(object))
+    top = np.abs(nums).max()
     fits = conv.shape[0] * top * top < 2**53 and scale < 2**53
-    return np.array(nums, dtype=np.float64 if fits else object).reshape(conv.shape), scale
+    return nums.astype(np.float64 if fits else object), scale
 
 
 def _witness(bad: np.ndarray, cut, first: bool):
@@ -181,7 +206,7 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> dict:
     index tuple when it fails, and a residual.
     """
     d, e, tau, exact = h.n_classes, h.identity, h.involution, h.exact
-    vals, scale = _integer_form(h.conv) if exact else (h.conv, 1)
+    vals, scale = _integer_form(h.conv, h.ratio) if exact else (h.conv, 1)
     reals = vals if exact else np.real(vals)
     cut = 0 if exact else tol
     report: dict = {"exact": exact, "tol": tol}
@@ -240,10 +265,9 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> dict:
 
 
 def is_commutative(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> bool:
-    other = h.conv.transpose(1, 0, 2)
-    if h.exact:
-        return bool((h.conv == other).all())
-    return float(np.abs(h.conv - other).max()) <= tol
+    if h.exact:  # reduced fractions are equal iff numerators and denominators are
+        return all(bool((a == a.transpose(1, 0, 2)).all()) for a in h.ratio)
+    return float(np.abs(h.conv - h.conv.transpose(1, 0, 2)).max()) <= tol
 
 
 def is_hermitian(h: FiniteHypergroup) -> bool:

@@ -34,8 +34,14 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# values that are already JSON-safe, matched by exact type before any ABC check
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _plain(value: Any) -> Any:
     """Recursively convert numpy/Fraction/complex values to JSON-safe ones."""
+    if type(value) in _JSON_SCALARS:
+        return value
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -165,20 +171,9 @@ def cayley_from_json(doc: dict) -> tuple[FiniteGroup, np.ndarray]:
 
 
 def hypergroup_to_json(h: FiniteHypergroup) -> dict:
-    conv_rows = []
-    d = h.n_classes
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                v = h.conv[i, j, k]
-                if h.exact:
-                    if v == 0:
-                        continue
-                    conv_rows.append([i, j, k, _plain(Fraction(v))])
-                else:
-                    if v == 0.0:
-                        continue
-                    conv_rows.append([i, j, k, float(v)])
+    support = h.ratio[0] != 0 if h.exact else h.conv != 0.0
+    conv_rows = [[i, j, k, _plain(Fraction(v)) if h.exact else float(v)]
+                 for (i, j, k), v in zip(np.argwhere(support).tolist(), h.conv[support])]
     return {
         "classes": [_plain(c) for c in h.classes],
         "identity": int(h.identity),
@@ -251,6 +246,19 @@ def generalized_to_json(g: GeneralizedScheme) -> dict:
     return doc
 
 
+def _float_array(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float array: strings, nulls, ragged nesting and non-finite
+    values are a ParseError, not a numpy error."""
+    try:
+        raw = np.asarray(doc[key])
+        values = raw.astype(float) if raw.dtype.kind in "biufO" else None
+    except (TypeError, ValueError):
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise ParseError(f"{key!r} must be a rectangular array of finite numbers")
+    return values
+
+
 def generalized_from_json(doc: dict) -> GeneralizedScheme:
     for key in ("points", "classes", "relations", "stoch"):
         if key not in doc:
@@ -271,14 +279,14 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
             raise ParseError(f"unknown label in relation row {row!r}") from exc
     if (relation < 0).any():
         raise ParseError("relation does not cover all ordered pairs")
-    stoch = np.asarray(doc["stoch"], dtype=float)
+    stoch = _float_array(doc, "stoch")
     if stoch.shape != (d, n, n):
         raise ParseError(
             f"stoch must have shape ({d}, {n}, {n}), got {stoch.shape}"
         )
     weight = None
     if "vertex_weight" in doc:
-        weight = np.asarray(doc["vertex_weight"], dtype=float)
+        weight = _float_array(doc, "vertex_weight")
     base_point = None
     if "base_point" in doc:
         label = _norm_label(doc["base_point"])

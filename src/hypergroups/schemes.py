@@ -158,10 +158,14 @@ def _involution_map(classes, rel) -> np.ndarray:
     return tau
 
 
-def _check_counts(points, classes, rel, p) -> None:
-    """Raise at the first (i, j), then the first pair (x, y) in C order, whose
+def _bad_count(points, classes, rel, p) -> dict | None:
+    """Witness of the first (i, j), then the first pair (x, y) in C order, whose
     count (A_i @ onehot)[x, j, y], with onehot[z, j, y] = [rel[z, y] == j]
-    taken over blocks of j, is not p[i, j, rel[x, y]]."""
+    taken over blocks of j, is not p[i, j, rel[x, y]]; None if there is none.
+
+    It returns rather than raises, so a caller that keeps the exception does
+    not keep the float64 blocks (about 10 MiB at 256 points and nine classes)
+    alive through this frame."""
     n, d = rel.shape[0], len(classes)
     step = max(1, BLOCK // (2 * n * n))
     onehot = None
@@ -179,15 +183,10 @@ def _check_counts(points, classes, rel, p) -> None:
                     continue
                 a, b = map(int, np.argwhere(bad)[0])
                 k = int(rel[a, b])
-                w = {"i": classes[i], "j": classes[j], "k": classes[k],
-                     "pair": (points[a], points[b]), "count": int(count[a, b]),
-                     "reference_count": int(p[i, j, k])}
-                raise InconsistentIntersection(
-                    f"count for classes ({w['i']!r}, {w['j']!r}) over a {w['k']!r}-pair is "
-                    f"{w['count']} at {w['pair']!r} but {w['reference_count']} at the "
-                    f"representative pair",
-                    witness=w,
-                )
+                return {"i": classes[i], "j": classes[j], "k": classes[k],
+                        "pair": (points[a], points[b]), "count": int(count[a, b]),
+                        "reference_count": int(p[i, j, k])}
+    return None
 
 
 def build_scheme(
@@ -232,7 +231,14 @@ def build_scheme(
     p = np.empty((d, d, d), dtype=np.int64)
     for k, (x, y) in enumerate(zip(*np.unravel_index(first, (n, n)))):
         p[:, :, k] = np.bincount(rel[x] * d + rel[:, y], minlength=d * d).reshape(d, d)
-    _check_counts(points, classes, rel, p)
+    w = _bad_count(points, classes, rel, p)
+    if w is not None:
+        raise InconsistentIntersection(
+            f"count for classes ({w['i']!r}, {w['j']!r}) over a {w['k']!r}-pair is "
+            f"{w['count']} at {w['pair']!r} but {w['reference_count']} at the "
+            f"representative pair",
+            witness=w,
+        )
 
     omega = p[np.arange(d), tau, e].copy()
     # internal consistency of what was just computed
@@ -391,17 +397,7 @@ def scheme_from_distance_regular_graph(adjacency) -> Scheme:
     if not np.array_equal(A, A.T) or np.diagonal(A).any() or not np.isin(A, (0, 1)).all():
         raise ParseError("adjacency must be symmetric 0/1 with empty diagonal")
 
-    # breadth-first search from every vertex at once: row v of the frontier
-    # holds the vertices first reached from v at distance r
-    dist = np.where(np.eye(n, dtype=bool), 0, -1)
-    edges = A.astype(np.float64)
-    frontier = np.eye(n)
-    r = 0
-    while frontier.any():
-        r += 1
-        reached = (frontier @ edges > 0) & (dist < 0)
-        dist[reached] = r
-        frontier = reached.astype(np.float64)
+    dist = _graph_distances(A)
     if (dist < 0).any():
         a, b = map(int, np.argwhere(dist < 0)[0])
         raise NotDistanceRegular("graph is not connected", witness=(a, b))
@@ -412,6 +408,26 @@ def scheme_from_distance_regular_graph(adjacency) -> Scheme:
         raise NotDistanceRegular(
             f"distance counts are not constant: {exc}", witness=exc.witness
         ) from exc
+
+
+def _graph_distances(A: np.ndarray) -> np.ndarray:
+    """Distances of a 0/1 adjacency matrix, -1 where unreachable.
+
+    Breadth-first search from every vertex at once: row v of the frontier
+    holds the vertices first reached from v at distance r.  A helper of its
+    own, so the n x n float scratch is gone before any exception is raised.
+    """
+    n = A.shape[0]
+    dist = np.where(np.eye(n, dtype=bool), 0, -1)
+    edges = A.astype(np.float64)
+    frontier = np.eye(n)
+    r = 0
+    while frontier.any():
+        r += 1
+        reached = (frontier @ edges > 0) & (dist < 0)
+        dist[reached] = r
+        frontier = reached.astype(np.float64)
+    return dist
 
 
 def _as_permutation(mapping, labels, what: str) -> np.ndarray:

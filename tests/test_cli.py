@@ -1,6 +1,9 @@
 """Command-line entry points: exit codes, report envelopes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -153,6 +156,55 @@ def test_cosh_overflow_rejected(capsys, r, cause):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert cause in captured.err
+
+
+@pytest.mark.parametrize("r", ["18", "19", "20"])
+def test_cosh_large_rate_passes_or_names_the_float64_limit(capsys, r):
+    code = main(["family", "cosh", "--r", r])
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["status"] == "pass"
+    else:
+        assert code == 4
+        assert "float64" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("vertex_weight", "heavy"), ("vertex_weight", [None]), ("stoch", "x"), ("stoch", [[["p"]]]),
+])
+def test_non_numeric_generalized_arrays_are_parse_errors(capsys, docs, tmp_path, key, value):
+    with open(docs["gen.json"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[key] = [value] + doc[key][1:]
+    path = tmp_path / "bad_gen.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {key!r}") and captured.err.count("\n") == 1
+
+
+def _package_env():
+    import hypergroups
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hypergroups.__file__))
+    return env
+
+
+def test_scipy_is_not_imported_unless_called(docs):
+    env = _package_env()
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, hypergroups; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert probe.stdout.strip() == "False"
+    # -X importtime lists every module the command imports on stderr
+    verify = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hypergroups", "verify", docs["pentagon.json"]],
+        env=env, capture_output=True, text=True)
+    assert verify.returncode == 0
+    assert "hypergroups.cli" in verify.stderr
+    assert "scipy" not in verify.stderr
 
 
 def test_nested_point_labels(capsys, schema, tmp_path):

@@ -202,3 +202,17 @@ def test_quadrature_convergence_guard():
     fam = CoshFamily(1.0)
     with pytest.raises(QuadratureNotConverged):
         cosh_connection_quadrature(fam, 0.0, 2, step=3.0, cutoff=3.0)
+
+
+def test_window_step_underflow_rejected():
+    with pytest.raises(ParameterOutOfRange, match="underflows float64"):
+        cosh_window_scheme(CoshFamily(30.0), 8)
+
+
+@pytest.mark.parametrize("r", [18.0, 19.0, 20.0])
+def test_window_keeps_the_small_step_mass(r):
+    """1 - p rounds to 0 here; the down-step mass must not."""
+    g = cosh_window_scheme(CoshFamily(r), 8)
+    k = np.arange(1, 17)
+    np.testing.assert_allclose(g.stoch[k, k, 0], 1.0 / (1.0 + np.exp(2 * r * k)), rtol=1e-15)
+    np.testing.assert_allclose(g.stoch[k, 0, k], 1.0 / (1.0 + np.exp(-2 * r * k)), rtol=1e-15)

@@ -1,6 +1,7 @@
 """Two-parameter polynomial family: evaluation, linearization, measures,
 graph realizations, and the moment-matching LP."""
 
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -230,6 +231,64 @@ def test_ball_budget_and_parameter_guards():
         gab_ball(GabFamily(2.5, 3), 2)
 
 
+def _ball_by_dijkstra(a, b, radius):
+    """Reference: the clique tree's edge list grown clique by clique, then
+    scipy's unweighted shortest paths."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    rows, cols, depth = [], [], [0]
+    frontier, next_id = [(0, a)], 1
+    for t in range(radius):
+        incoming = []
+        for v, cliques in frontier:
+            for _ in range(cliques):
+                members = [v] + list(range(next_id, next_id + b - 1))
+                next_id += b - 1
+                for u in members[1:]:
+                    depth.append(t + 1)
+                    incoming.append((u, a - 1))
+                for s, u in enumerate(members):
+                    for w in members[s + 1:]:
+                        rows += [u, w]
+                        cols += [w, u]
+        frontier = incoming
+    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(next_id, next_id))
+    return dijkstra(adj, unweighted=True).astype(np.int64), np.array(depth)
+
+
+@pytest.mark.parametrize("a, b, radius, budget", [
+    (2, 2, 4, 5000), (3, 3, 3, 5000), (2, 5, 3, 5000), (5, 2, 3, 5000),
+    (4, 3, 2, 5000), (3, 4, 1, 5000), (3, 3, 0, 5000),
+    (3, 3, 5, 2047),  # exactly at its budget
+])
+def test_ball_matches_dijkstra(a, b, radius, budget):
+    dist, depth = gab_ball(GabFamily(a, b), radius, vertex_budget=budget)
+    ref, ref_depth = _ball_by_dijkstra(a, b, radius)
+    assert dist.dtype == depth.dtype == np.int64
+    np.testing.assert_array_equal(dist, ref)
+    np.testing.assert_array_equal(depth, ref_depth)
+    if budget < 5000:
+        with pytest.raises(BallTooLarge):
+            gab_ball(GabFamily(a, b), radius, vertex_budget=budget - 1)
+
+
+def test_psd_sweep_builds_one_ball(monkeypatch, capsys):
+    from hypergroups.cli import main
+
+    calls = []
+    real = gab.gab_ball
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gab, "gab_ball", counted)
+    assert main(["family", "gab", "--a", "3", "--b", "3", "--report", "psd-sweep"]) == 0
+    assert '"points": 61' in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_kernel_positivity_frontier_small_radius():
     fam = GabFamily(3, 3)
     for x in (-1.0, -0.5, 0.0, 1.0, 1.25):
@@ -304,6 +363,20 @@ def test_lp_solver_failure_is_a_scheme_error(monkeypatch):
     with pytest.raises(SolverFailed, match="numerical difficulties") as err:
         gab_dual_measure(GabFamily(3, 3), 0.3, 0.7, order=4)
     assert isinstance(err.value, SchemeError)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e200])
+@pytest.mark.parametrize("which", ["x", "y"])
+def test_lp_rejects_unusable_points(monkeypatch, value, which):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the LP must not be called")
+
+    monkeypatch.setattr(gab, "linprog", no_lp)
+    x, y = (value, 0.3) if which == "x" else (0.3, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterOutOfRange):
+            gab_dual_measure(GabFamily(3, 3), x, y, order=8)
 
 
 def test_lp_rejects_bad_order():

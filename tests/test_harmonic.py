@@ -247,3 +247,17 @@ def test_negative_dual_detected():
     with pytest.raises(DualNotPositive) as exc:
         dual_hypergroup(h, tbl)
     assert exc.value.witness is not None
+
+
+def test_dual_convolution_without_positive_mass():
+    """A product whose coefficients are all nonpositive has no mass to
+    renormalize: DualNotPositive with the (a, b, argmin) witness, not nan."""
+    from hypergroups.harmonic import CharacterTable
+
+    h = hypergroup_from_scheme(cyclic_scheme(2))
+    chars = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+    tbl = CharacterTable(classes=h.classes, chars=chars, plancherel=np.array([-0.5, -0.25]),
+                         haar=np.array([1.0, 1.0]), positive_index=0, residual=0.0)
+    with pytest.raises(DualNotPositive) as exc:
+        dual_convolution(h, tbl, 0, 1)
+    assert exc.value.witness == (0, 1, 1)

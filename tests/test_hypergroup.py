@@ -349,3 +349,51 @@ def test_associativity_witness_matches_full_tensor_beyond_first_block(rng):
     rep = verify_hypergroup(hf)["associativity"]
     assert rep["witness"] == largest
     assert rep["residual"] == pytest.approx(float(full.max()), rel=1e-12)
+
+
+def _hamming_4_2():
+    x = np.arange(16)
+    flips = np.bitwise_xor.outer(x, x)
+    return (np.array([bin(v).count("1") for v in flips.flat]) == 1).reshape(16, 16).astype(int)
+
+
+def test_scheme_hypergroup_matches_per_entry_fractions():
+    """conv[i, j, k] is Fraction(w_k p_ijk, w_i w_j), in value and type; conv_float
+    and the commutativity test agree with the Fraction entries."""
+    from hypergroups import catalog
+    from hypergroups.schemes import scheme_from_distance_regular_graph
+
+    fixtures = {name: getattr(catalog, name)() for name in (
+        "pentagon_scheme", "k4_scheme", "petersen_scheme", "s3_mod_transposition",
+        "s4_mod_s3", "s3_regular")}
+    fixtures.update({f"z{n}": cyclic_scheme(n) for n in range(1, 25)})
+    fixtures["h42"] = scheme_from_distance_regular_graph(_hamming_4_2())
+    for name, s in fixtures.items():
+        h = hypergroup_from_scheme(s)
+        w = [int(v) for v in s.valencies]
+        d = s.n_classes
+        for i, j, k in np.ndindex(d, d, d):
+            v = h.conv[i, j, k]
+            ref = Fraction(w[k] * int(s.p[i, j, k]), w[i] * w[j])
+            assert type(v) is Fraction and v == ref, (name, i, j, k)
+            assert type(v.numerator) is int and type(v.denominator) is int
+            assert h.conv_float[i, j, k] == float(ref), (name, i, j, k)
+        assert h.conv_float.dtype == np.float64
+        assert is_commutative(h) == bool((h.conv == h.conv.transpose(1, 0, 2)).all()), name
+    assert not is_commutative(hypergroup_from_scheme(fixtures["s3_regular"]))
+
+
+def test_exact_ratio_is_read_off_conv():
+    """A tensor given without its integer form gets one, reduced, from its entries."""
+    h0 = hypergroup_from_scheme(cyclic_scheme(5))
+    conv = np.empty((2, 2, 2), dtype=object)
+    conv[...] = [[[1, 0], [0, 1]], [[0, 1], [F(2, 6), F(4, 6)]]]
+    h = FiniteHypergroup(classes=(0, 1), conv=conv, identity=0, involution=np.arange(2))
+    num, den = h.ratio
+    assert num[1, 1].tolist() == [1, 2] and den[1, 1].tolist() == [3, 3]
+    assert h.conv_float[1, 1].tolist() == [1 / 3, 2 / 3]
+    assert is_commutative(h) and h.conv_float.dtype == np.float64
+    assert h0.ratio[0].dtype == h0.ratio[1].dtype == np.int64
+    conv[0, 1, 1], conv[1, 0, 1] = F(1, 2), F(1, 3)  # equal numerators only
+    assert not is_commutative(FiniteHypergroup(classes=(0, 1), conv=conv, identity=0,
+                                               involution=np.arange(2)))

@@ -366,6 +366,25 @@ def test_drg_switched_hamming_witness():
     }
 
 
+def test_drg_rejection_does_not_pin_scratch_arrays():
+    # a kept exception holds its frames; they may hold the n x n integer
+    # relation, but not the BFS's float matrices or the count check's blocks
+    v = np.arange(64)
+    adj = (np.bitwise_count(v[:, None] ^ v[None, :]) == 1).astype(np.int64)
+    adj[0, 1] = adj[1, 0] = adj[2, 3] = adj[3, 2] = 0
+    adj[0, 3] = adj[3, 0] = adj[2, 1] = adj[1, 2] = 1
+    with pytest.raises(NotDistanceRegular) as err:
+        scheme_from_distance_regular_graph(adj)
+    arrays = []
+    for exc in (err.value, err.value.__cause__):
+        tb = exc.__traceback__
+        while tb is not None:
+            arrays += [a for a in tb.tb_frame.f_locals.values() if isinstance(a, np.ndarray)]
+            tb = tb.tb_next
+    large = [a for a in arrays if a.size >= 64 * 64]
+    assert large and all(a.size == 64 * 64 and a.dtype.kind == "i" for a in large)
+
+
 def test_drg_input_validation():
     with pytest.raises(ParseError):
         scheme_from_distance_regular_graph(np.ones((3, 3), dtype=np.int64))  # loops
