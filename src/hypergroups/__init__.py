@@ -74,6 +74,7 @@ from .hypergroup import is_commutative as is_commutative_hypergroup
 from .hypergroup import is_unimodular as is_unimodular_hypergroup
 from .harmonic import (
     CharacterTable,
+    DualCoefficients,
     DualMeasure,
     character_table,
     conjugate_index,
@@ -90,7 +91,6 @@ from .generalized import (
     build_generalized,
     build_windowed,
     classical_embedding,
-    deformed_intersection_numbers,
     deformed_valencies,
     dual_product_generalized,
     hypergroup_from_generalized,
@@ -123,13 +123,12 @@ __all__ = [
     "hypergroup_from_scheme", "involute", "is_hermitian", "is_probability",
     "is_commutative_hypergroup", "is_unimodular_hypergroup",
     "make_hypergroup", "modular_function", "translate", "verify_hypergroup",
-    "CharacterTable", "DualMeasure", "character_table", "conjugate_index",
-    "dual_convolution", "dual_hypergroup", "fourier", "inverse_fourier",
-    "is_positive_definite", "orthogonality_residual",
+    "CharacterTable", "DualCoefficients", "DualMeasure", "character_table",
+    "conjugate_index", "dual_convolution", "dual_hypergroup", "fourier",
+    "inverse_fourier", "is_positive_definite", "orthogonality_residual",
     "scheme_eigenvector_residual",
     "GeneralizedScheme", "build_generalized", "build_windowed",
-    "classical_embedding", "deformed_intersection_numbers",
-    "deformed_valencies", "dual_product_generalized",
+    "classical_embedding", "deformed_valencies", "dual_product_generalized",
     "hypergroup_from_generalized", "kernel_F_f", "pi_positive_definite",
     "positive_connection_check", "s_tilde_f",
     "catalog", "families", "jsonio",

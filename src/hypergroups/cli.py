@@ -211,35 +211,29 @@ def cmd_dualtable(config: RunConfig) -> int:
     h = _hypergroup_of(kind, obj)
     tol = config.tol if config.tol is not None else 1e-9
     tbl = character_table(h, seed=config.seed)
-    m = len(tbl.labels)
-    weights = {}
-    raw = {}
-    clamped = {}
-    min_raw = math.inf
-    max_imag = 0.0
-    worst_sum = 0.0
-    for a in range(m):
-        for b in range(m):
-            dm = dual_convolution(h, tbl, a, b, tol=tol)
-            weights[(a, b)] = dm.weights
-            raw[f"{a},{b}"] = [z.real if z.imag == 0.0 else jsonio.format_complex(z)
-                               for z in dm.raw.tolist()]
-            clamped[f"{a},{b}"] = dm.weights.tolist()
-            min_raw = min(min_raw, dm.min_raw_real)
-            max_imag = max(max_imag, dm.max_abs_imag)
-            worst_sum = max(worst_sum, abs(dm.sum_raw - 1.0))
-    nonneg = bool(min_raw >= -tol)
+    duals = tbl.duals
+    for a, b in np.argwhere(~(duals.total > 0.0))[:1].tolist():
+        dual_convolution(h, tbl, a, b, tol=tol)  # raises DualNotPositive: the pair has no mass
+    pairs = [(a, b) for a in range(tbl.n_characters) for b in range(tbl.n_characters)]
+    # Python min/max in row-major pair order, so ties of 0.0 and -0.0 resolve as before
+    min_raw = min(math.inf, *duals.min_raw_real.ravel().tolist())
+    nonneg = min_raw >= -tol
     results = {
         "kind": kind,
         "characters": list(tbl.labels),
-        "raw_coefficients": raw,
-        "clamped_weights": clamped,
-        "min_raw_coefficient": float(min_raw),
-        "max_imaginary_part": float(max_imag),
-        "max_sum_deviation": float(worst_sum),
+        "raw_coefficients": {
+            f"{a},{b}": [z.real if z.imag == 0.0 else jsonio.format_complex(z)
+                         for z in duals.raw[a, b].tolist()]
+            for a, b in pairs
+        },
+        "clamped_weights": {f"{a},{b}": duals.weights[a, b].tolist() for a, b in pairs},
+        "min_raw_coefficient": min_raw,
+        "max_imaginary_part": max(0.0, *duals.max_abs_imag.ravel().tolist()),
+        "max_sum_deviation": max(0.0, *(abs(z - 1.0) for z in duals.sum_raw.ravel().tolist())),
         "nonnegative": nonneg,
     }
-    csv_text = jsonio.dualtable_to_csv(list(tbl.labels), weights)
+    csv_text = jsonio.dualtable_to_csv(list(tbl.labels), duals.weights)
+    del tbl, duals  # frees the cached coefficients before the report is serialized
     status = "pass" if nonneg else "fail"
     _emit(config, make_report(config, results, status), "dualtable", {"": csv_text})
     return EXIT_PASS if nonneg else EXIT_STRUCTURE

@@ -316,11 +316,6 @@ def classical_embedding(s: Scheme) -> GeneralizedScheme:
     return build_generalized(s, stoch)
 
 
-def deformed_intersection_numbers(g: GeneralizedScheme) -> np.ndarray:
-    """The verified deformed tensor (zero rows where a window pair is unchecked)."""
-    return g.p_tilde
-
-
 def deformed_valencies(g: GeneralizedScheme) -> np.ndarray:
     """1 / p_tilde[i, ibar, e] per class; requires those pairs checked."""
     d = g.n_classes

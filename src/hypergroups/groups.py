@@ -62,16 +62,22 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
     rows = list(table)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InvalidCayleyTable("table is not |G| x |G|")
-    mul = np.array([pos.get(v, -1) for r in rows for v in r], dtype=np.int64).reshape(n, n)
+    mul = np.fromiter(map(pos.get, itertools.chain.from_iterable(rows), itertools.repeat(-1)),
+                      dtype=np.int64, count=n * n).reshape(n, n)
     for i, j in np.argwhere(mul < 0):  # not a label: an index, or no element
         v = rows[i][j]
         if not (isinstance(v, (int, np.integer)) and 0 <= v < n):
             raise InvalidCayleyTable(f"entry {v!r} at ({i}, {j}) is no element")
         mul[i, j] = v
 
+    # a row (column) of n entries is a permutation when it hits all n elements
     idx = np.arange(n)
-    latin = ((np.sort(mul, axis=1) == idx).all(axis=1)
-             & (np.sort(mul, axis=0) == idx[:, None]).all(axis=0))
+    hit = np.zeros((n, n), dtype=bool)
+    hit[idx[:, None], mul] = True
+    latin = hit.all(axis=1)
+    hit[...] = False
+    hit[mul, idx] = True
+    latin &= hit.all(axis=0)
     if not latin.all():
         raise InvalidCayleyTable("table is not a latin square", witness=int(np.argmin(latin)))
 
@@ -87,10 +93,11 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
         i = int(np.argmax(one_sided))
         raise InvalidCayleyTable(f"element {elements[i]!r} has no two-sided inverse")
 
-    if not all(np.array_equal(mul[mul[:, a], :], mul[:, mul[a]]) for a in _generators(mul, e)):
+    m32 = mul.astype(np.int32)  # halves the memory the gathers below move
+    if not all(np.array_equal(m32[m32[:, a], :], m32[:, m32[a]]) for a in _generators(m32, e)):
         # mul[mul[i, j], k] == mul[i, mul[j, k]], vectorized over (j, k) per i
         for i in range(n):
-            if not np.array_equal(mul[mul[i], :], mul[i, mul]):
+            if not np.array_equal(m32[m32[i], :], m32[i, m32]):
                 raise InvalidCayleyTable("multiplication is not associative", witness=i)
 
     mul.setflags(write=False)
@@ -124,15 +131,18 @@ def check_subgroup(group: FiniteGroup, subgroup: Sequence) -> np.ndarray:
     inside[idx] = True
     if not inside[group.identity]:
         raise NotASubgroup("identity is missing")
-    for a in idx:
-        if not inside[group.inverse[a]]:
+    # the first bad a in idx order: a missing inverse, then the first escaping a * b
+    has_inverse = inside[group.inverse[idx]]
+    closed = inside[group.mul[np.ix_(idx, idx)]]
+    bad = ~has_inverse | ~closed.all(axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        a = int(idx[r])
+        if not has_inverse[r]:
             raise NotASubgroup(f"inverse of {group.elements[a]!r} is missing")
-        for b in idx:
-            if not inside[group.mul[a, b]]:
-                raise NotASubgroup(
-                    f"product of {group.elements[a]!r} and {group.elements[b]!r} escapes",
-                    witness=(int(a), int(b)),
-                )
+        b = int(idx[np.argmin(closed[r])])
+        raise NotASubgroup(f"product of {group.elements[a]!r} and {group.elements[b]!r} escapes",
+                           witness=(a, b))
     return idx
 
 
@@ -151,34 +161,18 @@ def symmetric_group(n: int) -> FiniteGroup:
     return group_from_table(tuple(perms), table)
 
 
-def _left_cosets(group: FiniteGroup, sub: np.ndarray):
-    """Left cosets gH as sorted index tuples, ordered by minimal member."""
+def _cosets(group: FiniteGroup, sub: np.ndarray, double: bool = False):
+    """Left cosets gH, or double cosets HgH, as sorted index arrays ordered
+    by minimal member, and the index of the coset of each element."""
     seen = np.full(group.order, -1, dtype=np.int64)
     cosets = []
     for g in range(group.order):
         if seen[g] < 0:
-            members = np.unique(group.mul[g, sub])
-            for m in members:
-                seen[m] = len(cosets)
+            members = group.mul[g, sub]
+            members = np.unique(group.mul[np.ix_(sub, members)] if double else members)
+            seen[members] = len(cosets)
             cosets.append(members)
     return cosets, seen
-
-
-def _double_cosets(group: FiniteGroup, sub: np.ndarray):
-    """Double cosets HgH as sorted index arrays, ordered by minimal member."""
-    seen = np.full(group.order, -1, dtype=np.int64)
-    dcosets = []
-    for g in range(group.order):
-        if seen[g] < 0:
-            members = np.unique(group.mul[np.ix_(sub, group.mul[g, sub])])
-            for m in members.flat:
-                seen[m] = len(dcosets)
-            dcosets.append(members)
-    return dcosets, seen
-
-
-def _coset_label(group: FiniteGroup, members) -> str:
-    return f"{group.elements[int(members.min())]}H"
 
 
 def _double_coset_label(group: FiniteGroup, members) -> str:
@@ -193,19 +187,15 @@ def scheme_from_group_quotient(group: FiniteGroup, subgroup: Sequence) -> Scheme
     cosets inside the double coset (asserted).
     """
     sub = check_subgroup(group, subgroup)
-    cosets, coset_of = _left_cosets(group, sub)
-    dcosets, dcoset_of = _double_cosets(group, sub)
+    cosets, coset_of = _cosets(group, sub)
+    dcosets, dcoset_of = _cosets(group, sub, double=True)
 
-    points = tuple(_coset_label(group, c) for c in cosets)
+    points = tuple(f"{group.elements[int(c.min())]}H" for c in cosets)
     classes = tuple(_double_coset_label(group, dc) for dc in dcosets)
-    reps = [int(c.min()) for c in cosets]
-
-    def rel(xlab, ylab):
-        x = reps[points.index(xlab)]
-        y = reps[points.index(ylab)]
-        return classes[dcoset_of[group.mul[group.inverse[x], y]]]
-
-    s = build_scheme(points, classes, rel)
+    reps = np.array([int(c.min()) for c in cosets])
+    # (xH, yH) -> the double coset of x^{-1} y, over the coset representatives
+    in_dcoset = dcoset_of[group.mul[np.ix_(group.inverse[reps], reps)]]
+    s = build_scheme(points, classes, np.array(classes, dtype=object)[in_dcoset].tolist())
     for k, dc in enumerate(dcosets):
         assert int(s.valencies[s.class_index(classes[k])]) == len(dc) // len(sub)
     return s
@@ -221,30 +211,20 @@ def hecke_convolution(group: FiniteGroup, subgroup: Sequence, a, b) -> dict:
     double-coset space.
     """
     sub = check_subgroup(group, subgroup)
-    cosets, coset_of = _left_cosets(group, sub)
-    dcosets, dcoset_of = _double_cosets(group, sub)
-    ai = group.index(a)
-    bi = group.index(b)
-
-    def coset_reps_inside(dc) -> list:
-        return sorted({int(cosets[coset_of[m]].min()) for m in dc.flat})
-
-    a_reps = coset_reps_inside(dcosets[dcoset_of[ai]])
-    b_reps = coset_reps_inside(dcosets[dcoset_of[bi]])
-    ind_a = len(a_reps)
-    ind_b = len(b_reps)
+    cosets, coset_of = _cosets(group, sub)
+    dcosets, dcoset_of = _cosets(group, sub, double=True)
+    reps = np.array([int(c.min()) for c in cosets])
+    dcoset_of_rep = dcoset_of[reps]
+    a_reps = reps[dcoset_of_rep == dcoset_of[group.index(a)]]
+    b_reps = reps[dcoset_of_rep == dcoset_of[group.index(b)]]
+    # how many products a_i b_j land in each left coset
+    lands = np.bincount(coset_of[group.mul[np.ix_(a_reps, b_reps)]].ravel(),
+                        minlength=len(cosets))
 
     out = {}
-    for dc in dcosets:
-        c_rep = int(dc.min())
-        target = coset_of[c_rep]
-        count = sum(
-            1
-            for x in a_reps
-            for y in b_reps
-            if coset_of[group.mul[x, y]] == target
-        )
-        if count:
-            ind_c = len(coset_reps_inside(dc))
-            out[_double_coset_label(group, dc)] = Fraction(count * ind_c, ind_a * ind_b)
+    for k, dc in enumerate(dcosets):
+        # products landing in cH, times the index of HcH (its number of left cosets)
+        weight = int(lands[coset_of[dc.min()]]) * int((dcoset_of_rep == k).sum())
+        if weight:
+            out[_double_coset_label(group, dc)] = Fraction(weight, a_reps.size * b_reps.size)
     return out

@@ -5,7 +5,9 @@ found as the joint eigenvectors of the class convolution matrices
 (M_i)[j, k] = conv[i, j, k]: a character vector a satisfies
 M_i a = a(i) a, so one seeded random positive combination is
 diagonalized and degenerate clusters are split recursively with the
-remaining matrices.
+remaining matrices.  The dual coefficients c[a, b, g] of
+chi_a chi_b = sum_g c[a, b, g] chi_g are computed for all pairs at once
+and cached on the table as ``CharacterTable.duals`` (24 m^3 bytes).
 """
 
 from __future__ import annotations
@@ -50,6 +52,37 @@ class CharacterTable:
     @cached_property
     def labels(self) -> tuple:
         return tuple(f"chi{r}" for r in range(self.n_characters))
+
+    @cached_property
+    def duals(self) -> DualCoefficients:
+        """Every dual coefficient, from one stacked matmul per a that numpy
+        runs as one gemv per pair, so each pair matches ``fourier`` bitwise."""
+        chars, conj = self.chars, np.conjugate(self.chars)
+        raw = np.empty((len(chars),) * 3, dtype=complex)
+        for a, row in enumerate(raw):  # one a at a time keeps temporaries at m^2 entries
+            np.matmul(conj, (self.haar * (chars[a] * chars))[..., None], out=row[..., None])
+        np.multiply(self.plancherel, raw, out=raw)
+        re = raw.real
+        weights = np.where(re > 0.0, re, 0.0)
+        total = weights.sum(axis=-1)
+        np.divide(weights, total[..., None], out=weights, where=total[..., None] > 0.0)
+        duals = DualCoefficients(raw, weights, total, re.min(axis=-1),
+                                 np.abs(raw.imag).max(axis=-1), raw.sum(axis=-1))
+        for array in vars(duals).values():
+            array.setflags(write=False)  # DualMeasure hands out views
+        return duals
+
+
+@dataclass(frozen=True)
+class DualCoefficients:
+    """c[a, b, g] for all pairs (a, b), with per-pair statistics."""
+
+    raw: np.ndarray           # (m, m, m) complex
+    weights: np.ndarray       # (m, m, m) clamped at 0, renormalized where total > 0
+    total: np.ndarray         # (m, m) clamped mass
+    min_raw_real: np.ndarray  # (m, m)
+    max_abs_imag: np.ndarray  # (m, m)
+    sum_raw: np.ndarray       # (m, m) complex
 
 
 def _cluster(values: np.ndarray, gap: float):
@@ -246,30 +279,21 @@ def dual_convolution(h: FiniteHypergroup, tbl: CharacterTable, a: int, b: int,
     are kept; weights are the raw real parts with tiny negatives (within
     tol of zero) clamped and the vector renormalized to mass one.  With no
     positive coefficient there is no mass to renormalize, and
-    ``DualNotPositive`` names (a, b) and the lowest coefficient.
+    ``DualNotPositive`` names (a, b) and the lowest coefficient.  Values
+    are views into ``tbl.duals``, computed for all pairs on first use.
     """
-    product = tbl.chars[a] * tbl.chars[b]
-    raw = tbl.plancherel * fourier(tbl, product)
-    re = raw.real
-    min_re = float(re.min())
-    weights = np.where(re > 0.0, re, 0.0)
-    total = weights.sum()
-    if not total > 0.0:
-        g = int(re.argmin())
+    duals = tbl.duals
+    min_re = float(duals.min_raw_real[a, b])
+    if not duals.total[a, b] > 0.0:
+        g = int(duals.raw[a, b].real.argmin())
         raise DualNotPositive(
             f"(chi{a} chi{b}) has no positive coefficient; the lowest is {min_re:.6e} at chi{g}",
             witness=(a, b, g),
         )
-    weights = weights / total
-    return DualMeasure(
-        raw=raw,
-        weights=weights,
-        min_raw_real=min_re,
-        max_abs_imag=float(np.abs(raw.imag).max()),
-        sum_raw=complex(raw.sum()),
-        positive=min_re >= -tol,
-        clamped=bool((re < 0.0).any() and min_re >= -tol),
-    )
+    return DualMeasure(raw=duals.raw[a, b], weights=duals.weights[a, b], min_raw_real=min_re,
+                       max_abs_imag=float(duals.max_abs_imag[a, b]),
+                       sum_raw=complex(duals.sum_raw[a, b]),
+                       positive=min_re >= -tol, clamped=-tol <= min_re < 0.0)
 
 
 def conjugate_index(tbl: CharacterTable, a: int, tol: float = 1e-8) -> int:
@@ -287,23 +311,21 @@ def dual_hypergroup(h: FiniteHypergroup, tbl: CharacterTable,
                     tol: float = 1e-9) -> FiniteHypergroup:
     """The dual convolution structure, when its coefficients are positive.
 
-    Raises ``DualNotPositive`` (with the offending character triple) if
-    any raw coefficient sits below -tol; coefficients in [-tol, 0) are
-    clamped and each row renormalized.
+    Raises ``DualNotPositive`` (with the offending character triple) at
+    the first pair a <= b with any raw coefficient below -tol; coefficients
+    in [-tol, 0) are clamped and each row renormalized.  Row (b, a) copies
+    row (a, b), whose raw values can differ from it in the last bit.
     """
-    m = tbl.n_characters
-    conv = np.empty((m, m, m), dtype=np.float64)
-    for a in range(m):
-        for b in range(a, m):
-            dm = dual_convolution(h, tbl, a, b, tol=tol)
-            if not dm.positive:
-                g = int(dm.raw.real.argmin())
-                raise DualNotPositive(
-                    f"(chi{a} chi{b}) has coefficient {dm.min_raw_real:.6e} at chi{g}",
-                    witness=(a, b, g),
-                )
-            conv[a, b] = dm.weights
-            conv[b, a] = dm.weights
+    duals = tbl.duals
+    upper = np.triu(np.ones(duals.total.shape, dtype=bool))
+    bad = upper & ~((duals.total > 0.0) & (duals.min_raw_real >= -tol))
+    if bad.any():
+        a, b = divmod(int(np.argmax(bad)), len(bad))
+        dm = dual_convolution(h, tbl, a, b, tol=tol)  # raises first if the pair has no mass
+        g = int(dm.raw.real.argmin())
+        raise DualNotPositive(f"(chi{a} chi{b}) has coefficient {dm.min_raw_real:.6e} at chi{g}",
+                              witness=(a, b, g))
+    conv = np.where(upper[..., None], duals.weights, duals.weights.swapaxes(0, 1))
     return make_hypergroup(tbl.labels, conv, tol=max(tol, 1e-10))
 
 

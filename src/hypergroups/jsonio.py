@@ -123,14 +123,22 @@ def _norm_label(v: Any) -> Any:
     return v
 
 
+def _list(doc: dict, key: str) -> list:
+    """doc[key], which must be a JSON list."""
+    value = doc[key]
+    if not isinstance(value, list):
+        raise ParseError(f"{key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 def scheme_from_json(doc: dict) -> Scheme:
     for key in ("points", "classes", "relations"):
         if key not in doc:
             raise ParseError(f"scheme document missing {key!r}")
-    points = [_norm_label(p) for p in doc["points"]]
-    classes = [_norm_label(c) for c in doc["classes"]]
+    points = [_norm_label(p) for p in _list(doc, "points")]
+    classes = [_norm_label(c) for c in _list(doc, "classes")]
     mapping = {}
-    for row in doc["relations"]:
+    for row in _list(doc, "relations"):
         if not (isinstance(row, list) and len(row) == 3):
             raise ParseError(f"relation rows must be [x, y, class], got {row!r}")
         x, y, c = (_norm_label(v) for v in row)
@@ -141,7 +149,7 @@ def scheme_from_json(doc: dict) -> Scheme:
     identity = _norm_label(doc["identity"]) if "identity" in doc else None
     involution = None
     if "involution" in doc:
-        conjugates = [_norm_label(v) for v in doc["involution"]]
+        conjugates = [_norm_label(v) for v in _list(doc, "involution")]
         if len(conjugates) != len(classes):
             raise ParseError("involution must list one conjugate per class")
         involution = dict(zip(classes, conjugates))
@@ -156,13 +164,15 @@ def cayley_from_json(doc: dict) -> tuple[FiniteGroup, np.ndarray]:
     for key in ("elements", "table"):
         if key not in doc:
             raise ParseError(f"cayley document missing {key!r}")
-    elements = [_norm_label(e) for e in doc["elements"]]
-    group = group_from_table(elements, _norm_label(doc["table"]))
-    sub_labels = doc.get("subgroup")
-    if sub_labels is None:
+    elements = [_norm_label(e) for e in _list(doc, "elements")]
+    table = _list(doc, "table")
+    if not all(isinstance(row, list) for row in table):
+        raise ParseError("'table' rows must be lists")
+    group = group_from_table(elements, _norm_label(table))
+    if doc.get("subgroup") is None:
         sub = np.array([group.identity], dtype=np.int64)
     else:
-        sub = check_subgroup(group, [_norm_label(e) for e in sub_labels])
+        sub = check_subgroup(group, [_norm_label(e) for e in _list(doc, "subgroup")])
     return group, sub
 
 
@@ -187,11 +197,11 @@ def hypergroup_from_json(doc: dict) -> FiniteHypergroup:
     for key in ("classes", "conv"):
         if key not in doc:
             raise ParseError(f"hypergroup document missing {key!r}")
-    classes = [_norm_label(c) for c in doc["classes"]]
+    classes = [_norm_label(c) for c in _list(doc, "classes")]
     d = len(classes)
     entries = []
     exact = True
-    for row in doc["conv"]:
+    for row in _list(doc, "conv"):
         if not (isinstance(row, list) and len(row) == 4):
             raise ParseError(f"conv rows must be [i, j, k, value], got {row!r}")
         i, j, k, v = row
@@ -263,13 +273,13 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
     for key in ("points", "classes", "relations", "stoch"):
         if key not in doc:
             raise ParseError(f"generalized document missing {key!r}")
-    points = [_norm_label(p) for p in doc["points"]]
-    classes = [_norm_label(c) for c in doc["classes"]]
+    points = [_norm_label(p) for p in _list(doc, "points")]
+    classes = [_norm_label(c) for c in _list(doc, "classes")]
     point_index = {p: i for i, p in enumerate(points)}
     class_index = {c: i for i, c in enumerate(classes)}
     n, d = len(points), len(classes)
     relation = np.full((n, n), -1, dtype=np.int64)
-    for row in doc["relations"]:
+    for row in _list(doc, "relations"):
         if not (isinstance(row, list) and len(row) == 3):
             raise ParseError(f"relation rows must be [x, y, class], got {row!r}")
         x, y, c = (_norm_label(v) for v in row)
@@ -300,7 +310,7 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
                 raise ParseError(f"windowed document missing {key!r}")
         identity = class_index[_norm_label(doc["identity"])]
         involution = np.array(
-            [class_index[_norm_label(c)] for c in doc["involution"]], dtype=np.int64
+            [class_index[_norm_label(c)] for c in _list(doc, "involution")], dtype=np.int64
         )
         return build_windowed(
             points=points,

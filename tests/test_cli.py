@@ -184,6 +184,32 @@ def test_non_numeric_generalized_arrays_are_parse_errors(capsys, docs, tmp_path,
     assert captured.err.startswith(f"error: {key!r}") and captured.err.count("\n") == 1
 
 
+Z2_TABLE = {"elements": [0, 1], "table": [[0, 1], [1, 0]]}
+TWO_POINTS = {"points": [0, 1], "classes": ["e", "a"],
+              "relations": [[0, 0, "e"], [0, 1, "a"], [1, 0, "a"], [1, 1, "e"]]}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("chartable", {"elements": [0, 1], "table": 5}, "'table' must be a list, got int"),
+    ("chartable", {"elements": [0, 1], "table": [[0, 1], 5]}, "'table' rows must be lists"),
+    ("chartable", {**Z2_TABLE, "subgroup": 3}, "'subgroup' must be a list, got int"),
+    ("chartable", {"elements": 7, "table": [[0]]}, "'elements' must be a list, got int"),
+    ("verify", {**TWO_POINTS, "relations": 4}, "'relations' must be a list, got int"),
+    ("verify", {**TWO_POINTS, "points": "01"}, "'points' must be a list, got str"),
+    ("verify", {**TWO_POINTS, "involution": 3}, "'involution' must be a list, got int"),
+    ("verify", {"classes": ["e", "a"], "conv": 3}, "'conv' must be a list, got int"),
+    ("verify", {"classes": {"e": 0}, "conv": []}, "'classes' must be a list, got dict"),
+    ("verify", {**TWO_POINTS, "relations": 4, "stoch": []}, "'relations' must be a list, got int"),
+])
+def test_fields_that_are_not_lists_are_parse_errors(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+
+
 def _package_env():
     import hypergroups
 

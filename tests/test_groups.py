@@ -259,3 +259,102 @@ def test_hecke_weights_are_probabilities():
     out = hecke_convolution(g, sub, 1, 1)
     assert sum(out.values()) == 1
     assert all(v >= 0 for v in out.values())
+
+
+def _latin_witness(table):
+    """The first k whose row or column is not a permutation, by brute force."""
+    t = np.array(table)
+    n = len(t)
+    return next(k for k in range(n)
+                if sorted(t[k]) != list(range(n)) or sorted(t[:, k]) != list(range(n)))
+
+
+@pytest.mark.parametrize("swap, witness", [
+    (((2, 0), (3, 0)), 2),  # within column 0: rows 2 and 3 break, every column stays a permutation
+    (((0, 1), (0, 2)), 1),  # within row 0: columns 1 and 2 break, every row stays a permutation
+])
+def test_latin_witness_of_a_row_or_a_column_failure(swap, witness):
+    table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    (i, j), (k, l) = swap
+    table[i][j], table[k][l] = table[k][l], table[i][j]
+    assert _latin_witness(table) == witness
+    with pytest.raises(InvalidCayleyTable, match="not a latin square") as info:
+        group_from_table(range(4), table)
+    assert info.value.witness == witness
+
+
+def _first_subgroup_failure(g, labels):
+    """For each a in index order: its inverse, then a * b for each b."""
+    idx = sorted({g.index(x) for x in labels})
+    for a in idx:
+        if g.inverse[a] not in idx:
+            return f"inverse of {g.elements[a]!r} is missing", None
+        for b in idx:
+            if g.mul[a, b] not in idx:
+                return f"product of {g.elements[a]!r} and {g.elements[b]!r} escapes", (a, b)
+    return None
+
+
+@pytest.mark.parametrize("subset, message, witness", [
+    ([0, 4, 8, 6], "product of 4 and 6 escapes", (4, 6)),  # every inverse present
+    ([0, 2, 10, 5], "product of 2 and 2 escapes", (2, 2)),  # before the missing inverse of 5
+    ([0, 1], "inverse of 1 is missing", None),  # row 1 also has 1 + 1 escaping
+])
+def test_check_subgroup_names_the_first_failure(subset, message, witness):
+    g = cyclic_group(12)
+    assert _first_subgroup_failure(g, subset) == (message, witness)
+    with pytest.raises(NotASubgroup) as info:
+        check_subgroup(g, subset)
+    assert str(info.value) == message
+    assert info.value.witness == witness
+
+
+def _compose(p, q):
+    return tuple(p[i] for i in q)
+
+
+def _inverse(p):
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def _dihedral_6():
+    """The 12 symmetries of a hexagon as vertex permutations, sorted."""
+    rotation, reflection = (1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)
+    elements = {tuple(range(6))}
+    while True:
+        grown = elements | {_compose(p, g) for p in elements for g in (rotation, reflection)}
+        if grown == elements:
+            return sorted(elements)
+        elements = grown
+
+
+def _stabilizer_case(n):
+    """S_n and the stabilizer of its last point, S_{n-1}."""
+    elements = sorted(itertools.permutations(range(n)))
+    return elements, [p for p in elements if p[-1] == n - 1]
+
+
+@pytest.mark.parametrize("elements, subgroup", [
+    _stabilizer_case(4),
+    _stabilizer_case(5),
+    (_dihedral_6(), [tuple(range(6)), (0, 5, 4, 3, 2, 1)]),  # a reflection: not normal
+], ids=["S4/S3", "S5/S4", "D6/reflection"])
+def test_quotient_relation_is_the_double_coset_of_x_inverse_y(elements, subgroup):
+    """Every pair (xH, yH) lies in the class of H x^-1 y H, recomputed by set algebra."""
+    g = group_from_table(elements, [[_compose(p, q) for q in elements] for p in elements])
+    s = scheme_from_group_quotient(g, subgroup)
+    pos = {p: i for i, p in enumerate(elements)}
+
+    def first(members):
+        return elements[min(pos[x] for x in members)]
+
+    reps = sorted({first({_compose(x, h) for h in subgroup}) for x in elements}, key=pos.get)
+    assert s.points == tuple(f"{x}H" for x in reps)
+    for x, y in itertools.product(reps, repeat=2):
+        z = _compose(_inverse(x), y)
+        dc = {_compose(_compose(h1, z), h2) for h1 in subgroup for h2 in subgroup}
+        found = s.classes[s.relation[s.points.index(f"{x}H"), s.points.index(f"{y}H")]]
+        assert found == f"H{first(dc)}H", (x, y)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from hypergroups import catalog
 from hypergroups.catalog import cyclic_scheme
 from hypergroups.errors import DegenerateSplitFailure, DualNotPositive, NotCommutative
 from hypergroups.harmonic import (
+    CharacterTable,
     character_table,
     conjugate_index,
     dual_convolution,
@@ -22,6 +24,7 @@ from hypergroups.hypergroup import (
     make_hypergroup,
     verify_hypergroup,
 )
+from hypergroups.schemes import scheme_from_distance_regular_graph
 
 COS72 = (np.sqrt(5) - 1) / 4  # = cos(2 pi / 5)
 COS144 = -(np.sqrt(5) + 1) / 4
@@ -252,8 +255,6 @@ def test_negative_dual_detected():
 def test_dual_convolution_without_positive_mass():
     """A product whose coefficients are all nonpositive has no mass to
     renormalize: DualNotPositive with the (a, b, argmin) witness, not nan."""
-    from hypergroups.harmonic import CharacterTable
-
     h = hypergroup_from_scheme(cyclic_scheme(2))
     chars = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
     tbl = CharacterTable(classes=h.classes, chars=chars, plancherel=np.array([-0.5, -0.25]),
@@ -261,3 +262,91 @@ def test_dual_convolution_without_positive_mass():
     with pytest.raises(DualNotPositive) as exc:
         dual_convolution(h, tbl, 0, 1)
     assert exc.value.witness == (0, 1, 1)
+
+
+def _per_pair_raw(tbl, a, b):
+    """Raw coefficients of one pair by the formula the batched table replaced."""
+    return tbl.plancherel * (np.conjugate(tbl.chars) @ (tbl.haar * (tbl.chars[a] * tbl.chars[b])))
+
+
+def _per_pair_dual(tbl, a, b, tol=1e-9):
+    """Every DualMeasure field of one pair, computed for that pair alone."""
+    raw = _per_pair_raw(tbl, a, b)
+    re = raw.real
+    min_re = float(re.min())
+    weights = np.where(re > 0.0, re, 0.0)
+    return (raw, weights / weights.sum(), min_re, float(np.abs(raw.imag).max()),
+            complex(raw.sum()), min_re >= -tol, bool((re < 0.0).any() and min_re >= -tol))
+
+
+def _hamming_4_2():
+    digits = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    adjacency = ((digits[:, None, :] != digits[None, :, :]).sum(-1) == 1).astype(np.int64)
+    return scheme_from_distance_regular_graph(adjacency)
+
+
+DUAL_FIXTURES = {
+    "pentagon": catalog.pentagon_scheme, "k4": catalog.k4_scheme,
+    "petersen": catalog.petersen_scheme, "s3_mod_h": catalog.s3_mod_transposition,
+    "s4_mod_s3": catalog.s4_mod_s3, "H(4,2)": _hamming_4_2,
+    **{f"Z{n}": (lambda n=n: cyclic_scheme(n)) for n in range(1, 25)},
+}
+
+
+@pytest.mark.parametrize("name", DUAL_FIXTURES)
+def test_dual_measure_matches_per_pair_formula_bitwise(name):
+    h = hypergroup_from_scheme(DUAL_FIXTURES[name]())
+    tbl = character_table(h)
+    fields = ("raw", "weights", "min_raw_real", "max_abs_imag", "sum_raw", "positive", "clamped")
+    for a in range(tbl.n_characters):
+        for b in range(tbl.n_characters):
+            dm = dual_convolution(h, tbl, a, b)
+            for field, want in zip(fields, _per_pair_dual(tbl, a, b)):
+                got = getattr(dm, field)
+                assert type(got) is type(want), (name, a, b, field)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, a, b, field)
+
+
+def test_dual_arrays_are_read_only(pentagon):
+    h = hypergroup_from_scheme(pentagon)
+    tbl = character_table(h)
+    dm = dual_convolution(h, tbl, 1, 2)
+    for array in (dm.raw, dm.weights, *vars(tbl.duals).values()):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        dm.weights[0] = 1.0
+    assert dual_convolution(h, tbl, 1, 2).weights.tobytes() == dm.weights.tobytes()
+
+
+def _first_dual_failure(tbl, tol=1e-9):
+    """Message and witness of the first pair a <= b that a per-pair scan rejects."""
+    m = tbl.n_characters
+    for a in range(m):
+        for b in range(a, m):
+            re = _per_pair_raw(tbl, a, b).real
+            g = int(re.argmin())
+            if not np.where(re > 0.0, re, 0.0).sum() > 0.0:
+                return (f"(chi{a} chi{b}) has no positive coefficient; the lowest is "
+                        f"{re.min():.6e} at chi{g}"), (a, b, g)
+            if not re.min() >= -tol:
+                return f"(chi{a} chi{b}) has coefficient {re.min():.6e} at chi{g}", (a, b, g)
+    return None
+
+
+@pytest.mark.parametrize("chars, plancherel, kind", [
+    # (0, 2) has no mass; (1, 1) has a negative coefficient and (1, 2) no mass later
+    ([[1, 1, 1], [1, 1, -2], [1, -2, 0]], [0.5, 0.25, -0.5], "no positive coefficient"),
+    # (0, 1) has a negative coefficient; (1, 2) has no mass later
+    ([[1, 1, 1], [1, 2, -1], [1, -1, 2]], [0.5, 1.0, 0.25], "has coefficient"),
+])
+def test_dual_hypergroup_names_the_first_failing_pair(chars, plancherel, kind):
+    h = hypergroup_from_scheme(cyclic_scheme(3))
+    tbl = CharacterTable(classes=h.classes, chars=np.array(chars, dtype=complex),
+                         plancherel=np.array(plancherel), haar=np.ones(3),
+                         positive_index=0, residual=0.0)
+    message, witness = _first_dual_failure(tbl)
+    assert kind in message and witness[:2] != (0, 0)
+    with pytest.raises(DualNotPositive) as exc:
+        dual_hypergroup(h, tbl)
+    assert str(exc.value) == message
+    assert exc.value.witness == witness
