@@ -44,9 +44,7 @@ from .schemes import (
     is_commutative,
     is_symmetric,
     is_unimodular,
-    modular_function_of_scheme,
     scheme_from_distance_regular_graph,
-    scheme_matrices,
 )
 from .groups import (
     FiniteGroup,
@@ -70,8 +68,6 @@ from .hypergroup import (
     translate,
     verify_hypergroup,
 )
-from .hypergroup import is_commutative as is_commutative_hypergroup
-from .hypergroup import is_unimodular as is_unimodular_hypergroup
 from .harmonic import (
     CharacterTable,
     DualCoefficients,
@@ -115,13 +111,11 @@ __all__ = [
     "Scheme", "audit_intersection_identities", "build_scheme",
     "check_automorphism", "commutativity_by_involution_automorphism",
     "is_commutative", "is_symmetric", "is_unimodular",
-    "modular_function_of_scheme", "scheme_from_distance_regular_graph",
-    "scheme_matrices",
+    "scheme_from_distance_regular_graph",
     "FiniteGroup", "check_subgroup", "cyclic_group", "group_from_table",
     "hecke_convolution", "scheme_from_group_quotient", "symmetric_group",
     "FiniteHypergroup", "convolve_functions", "convolve_measures",
     "hypergroup_from_scheme", "involute", "is_hermitian", "is_probability",
-    "is_commutative_hypergroup", "is_unimodular_hypergroup",
     "make_hypergroup", "modular_function", "translate", "verify_hypergroup",
     "CharacterTable", "DualCoefficients", "DualMeasure", "character_table",
     "conjugate_index", "dual_convolution", "dual_hypergroup", "fourier",

@@ -3,17 +3,18 @@
 A finite hypergroup is a class set D with a convolution sending each
 pair (i, j) to a probability vector over D, an identity class, and an
 involution tied to the support of the convolution at the identity.
-Tensors coming from schemes are exact (Fraction entries); tensors coming
-from numeric families are float and carry a tolerance.  Exact checks run
-on integer numerators over a common denominator, so one code path serves
-both kinds: exact input compares with tolerance 0, float input with tol.
+Tensors coming from schemes are exact and stored once, as integer
+numerators N over L, the lcm of their reduced denominators; ``conv``
+gives them as Fractions, built on first use.  Tensors coming from
+numeric families are float and carry a tolerance.  Checks run on values
+over a scale (N over L, or the float tensor over 1), so one code path
+serves both kinds: exact input compares with tolerance 0, float input
+with tol.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -24,26 +25,20 @@ from .schemes import BLOCK, Scheme, associativity_gap
 DEFAULT_TOL = 1e-12
 
 
-def _is_exact(conv: np.ndarray) -> bool:
-    return conv.dtype == object
-
-
-@dataclass(frozen=True, eq=False)
 class FiniteHypergroup:
-    """Convolution structure; build via make_hypergroup or hypergroup_from_scheme."""
+    """Convolution structure; build via make_hypergroup or hypergroup_from_scheme.
 
-    classes: tuple
-    conv: np.ndarray        # (d, d, d): conv[i, j, k] = (delta_i * delta_j)({k})
-    identity: int
-    involution: np.ndarray  # (d,) int
-    # exact tensors only: (num, den) with conv == num / den entrywise in lowest
-    # terms, den > 0, as int64 arrays below 2**53 or Python ints; read off conv
-    # when not given
-    ratio: tuple | None = field(default=None, repr=False)
+    ``conv`` is a float tensor, or an exact one: numerators N over
+    ``scale`` = L when that is given, else ints and Fractions, read once
+    into N over L.  ``values`` holds the float tensor or N; ``scale`` is
+    None for a float tensor.
+    """
 
-    def __post_init__(self):
-        if self.ratio is None and self.exact:
-            object.__setattr__(self, "ratio", _ratio(self.conv))
+    def __init__(self, classes, conv, identity: int, involution, scale: int | None = None):
+        self.classes = tuple(classes)
+        self.values, self.scale = _stored(conv, scale)
+        self.identity = identity
+        self.involution = involution  # (d,) int
 
     @property
     def n_classes(self) -> int:
@@ -51,33 +46,75 @@ class FiniteHypergroup:
 
     @property
     def exact(self) -> bool:
-        return _is_exact(self.conv)
-
-    def class_index(self, c) -> int:
-        return self.classes.index(c)
+        return self.scale is not None
 
     @cached_property
-    def haar(self) -> np.ndarray:
-        """Left Haar weights: 1 / (delta_{ibar} * delta_i)({e})."""
-        d = self.n_classes
-        e = self.identity
-        if self.exact:
-            return np.array(
-                [Fraction(1, 1) / self.conv[self.involution[i], i, e] for i in range(d)],
-                dtype=object,
-            )
-        return 1.0 / np.real(self.conv[self.involution, np.arange(d), e]).astype(float)
+    def conv(self) -> np.ndarray:
+        """(d, d, d): conv[i, j, k] = (delta_i * delta_j)({k}); read-only Fractions when exact."""
+        if not self.exact:
+            return self.values
+        conv = _fractions(self.values, self.scale)
+        conv.setflags(write=False)
+        return conv
 
     @cached_property
     def conv_float(self) -> np.ndarray:
-        if not self.exact:
-            return self.conv
-        num, den = self.ratio  # true division of the integers, as float(Fraction) does
-        return (num / den).astype(np.float64)
+        return _quotient(self.values, self.scale) if self.exact else self.values
+
+    @cached_property
+    def _at_identity(self) -> np.ndarray:
+        """(delta_ibar * delta_i)({e}) per class i, over the scale."""
+        return self.values[self.involution, np.arange(self.n_classes), self.identity]
+
+    @cached_property
+    def haar(self) -> np.ndarray:
+        """Left Haar weights: 1 / (delta_{ibar} * delta_i)({e}); Fractions when exact."""
+        if self.exact:
+            return _fractions(self.scale, self._at_identity)
+        return 1.0 / np.real(self._at_identity).astype(float)
 
     @cached_property
     def haar_float(self) -> np.ndarray:
-        return self.haar.astype(np.float64) if self.exact else self.haar
+        return _quotient(self.scale, self._at_identity) if self.exact else self.haar
+
+
+def _integer_form(num, den) -> tuple:
+    """(N, L) for the entries num / den (den > 0): N / L == num / den, L the lcm
+    of the reduced denominators.  N is int64 while L * max|num| < 2**62 (so
+    the difference of two entries fits), else Python ints in an object array.
+    """
+    common = np.gcd(num, den)
+    num, den = num // common, den // common
+    scale = math.lcm(*np.unique(den).tolist())
+    kind = np.int64 if scale * int(np.abs(num).max(initial=0)) < 2**62 else object
+    return num.astype(kind) * (scale // den.astype(kind)), scale
+
+
+def _stored(conv, scale) -> tuple:
+    """(values, scale) of a tensor; an object array of ints and Fractions is read into (N, L)."""
+    conv = np.asarray(conv)
+    if scale is not None or conv.dtype != object:
+        return conv, scale
+    parts = np.array([(v.numerator, v.denominator) for v in conv.flat], dtype=object)
+    parts = parts.reshape(conv.shape + (2,))
+    return _integer_form(parts[..., 0], parts[..., 1])
+
+
+def _quotient(num, den) -> np.ndarray:
+    """Integer num / den in float64, rounded once as float(Fraction(num, den)): float64
+    division is, on integers up to 2**53; past that, Python's int true division is."""
+    num, den = np.asarray(num), np.asarray(den)
+    if all(a.dtype != object and np.abs(a).max(initial=0) <= 2**53 for a in (num, den)):
+        return num / den
+    return (num.astype(object) / den.astype(object)).astype(np.float64)
+
+
+def _fractions(num, den) -> np.ndarray:
+    """Object array of Fraction(num, den), broadcast; only callers that ask for Fractions pay."""
+    from fractions import Fraction
+
+    return np.frompyfunc(Fraction, 2, 1)(np.asarray(num, dtype=object),
+                                         np.asarray(den, dtype=object))
 
 
 def _identity_candidates(reals: np.ndarray, scale, cut) -> list:
@@ -87,8 +124,9 @@ def _identity_candidates(reals: np.ndarray, scale, cut) -> list:
             and np.abs(reals[:, e] - unit).max() <= cut]
 
 
-def make_hypergroup(classes, conv, tol: float = DEFAULT_TOL) -> FiniteHypergroup:
-    """Wrap a convolution tensor, inferring identity and involution.
+def make_hypergroup(classes, conv, tol: float = DEFAULT_TOL,
+                    scale: int | None = None) -> FiniteHypergroup:
+    """Wrap a convolution tensor, given as for FiniteHypergroup, inferring identity and involution.
 
     The identity must be the unique class acting as a two-sided unit;
     the involution is read off the support of the convolution at the
@@ -96,16 +134,15 @@ def make_hypergroup(classes, conv, tol: float = DEFAULT_TOL) -> FiniteHypergroup
     axiom sweep lives in :func:`verify_hypergroup`.
     """
     classes = tuple(classes)
-    conv = np.asarray(conv)
+    conv, scale = _stored(conv, scale)
     d = len(classes)
     if conv.shape != (d, d, d):
         raise NotAHypergroup(f"tensor shape {conv.shape} does not match {d} classes")
 
-    exact = _is_exact(conv)
-    ratio = _ratio(conv) if exact else None
-    reals, scale = _integer_form(conv, ratio) if exact else (np.real(conv), 1)
+    exact = scale is not None
+    reals = np.real(conv)
     cut = 0 if exact else tol
-    ids = _identity_candidates(reals, scale, cut)
+    ids = _identity_candidates(reals, scale if exact else 1, cut)
     if not ids:
         raise NotAHypergroup("no class acts as a two-sided identity")
     if len(ids) > 1:
@@ -128,11 +165,10 @@ def make_hypergroup(classes, conv, tol: float = DEFAULT_TOL) -> FiniteHypergroup
         raise NotAHypergroup("support map at the identity is not an involution",
                              witness=tuple(int(t) for t in tau))
 
-    if isinstance(conv, np.ndarray):
-        conv = conv.copy()
-        conv.setflags(write=False)
+    conv = conv.copy()
+    conv.setflags(write=False)
     tau.setflags(write=False)
-    return FiniteHypergroup(classes=classes, conv=conv, identity=e, involution=tau, ratio=ratio)
+    return FiniteHypergroup(classes, conv, e, tau, scale)
 
 
 def hypergroup_from_scheme(s: Scheme) -> FiniteHypergroup:
@@ -140,54 +176,16 @@ def hypergroup_from_scheme(s: Scheme) -> FiniteHypergroup:
 
     (delta_i * delta_j)({k}) = valency_k p[i,j,k] / (valency_i valency_j);
     the left Haar weights then reproduce the valencies.  Both sides are at
-    most n^2, so the reduced fractions are int64 arrays well below 2**53
-    (num / den then rounds as float(Fraction) does), and one Fraction is
-    made per distinct value.
+    most n^2, so numerators and denominators are int64 arrays.
     """
     omega = s.valencies.astype(np.int64)
     num = omega * s.p.astype(np.int64)
     den = np.broadcast_to(np.multiply.outer(omega, omega)[:, :, None], num.shape)
-    common = np.gcd(num, den)
-    num, den = num // common, den // common
-    # num + i den is exact in complex128, so equal keys are equal fractions
-    _, first, index = np.unique((num + 1j * den).ravel(), return_index=True,
-                                return_inverse=True)
-    values = np.empty(len(first), dtype=object)
-    values[:] = [Fraction(a, b) for a, b in zip(num.flat[first].tolist(),
-                                                den.flat[first].tolist())]
-    h = FiniteHypergroup(
-        classes=s.classes,
-        conv=values[index].reshape(num.shape),
-        identity=s.identity,
-        involution=s.involution.copy(),
-        ratio=(num, den),
-    )
-    assert all(h.haar[i] == omega[i] for i in range(s.n_classes))
+    values, scale = _integer_form(num, den)
+    h = FiniteHypergroup(s.classes, values, s.identity, s.involution.copy(), scale)
+    # the Haar weight of class i is L / N[ibar, i, e]
+    assert all(w * n == scale for w, n in zip(omega.tolist(), h._at_identity.tolist()))
     return h
-
-
-def _ratio(conv: np.ndarray) -> tuple:
-    """Reduced numerators and denominators of an exact tensor, as Python ints."""
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in conv.flat]
-    return tuple(np.array(part, dtype=object).reshape(conv.shape) for part in
-                 ([f.numerator for f in fracs], [f.denominator for f in fracs]))
-
-
-def _integer_form(conv: np.ndarray, ratio: tuple | None = None):
-    """Exact tensor as integer numerators over L, the lcm of its denominators.
-
-    ``ratio`` is the (num, den) pair of conv when the caller holds it.  The
-    numerators are float64 when d * max|N|^2 and L stay below 2**53: every
-    partial sum of a contraction of two such tensors is then an integer
-    that float64 holds exactly, so BLAS stays exact.  Otherwise they are
-    Python ints in an object array.
-    """
-    num, den = ratio if ratio is not None else _ratio(conv)
-    scale = math.lcm(*np.unique(den).tolist())
-    nums = num.astype(object) * (scale // den.astype(object))
-    top = np.abs(nums).max()
-    fits = conv.shape[0] * top * top < 2**53 and scale < 2**53
-    return nums.astype(np.float64 if fits else object), scale
 
 
 def _witness(bad: np.ndarray, cut, first: bool):
@@ -206,8 +204,14 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> dict:
     index tuple when it fails, and a residual.
     """
     d, e, tau, exact = h.n_classes, h.identity, h.involution, h.exact
-    vals, scale = _integer_form(h.conv, h.ratio) if exact else (h.conv, 1)
-    reals = vals if exact else np.real(vals)
+    vals, scale = h.values, h.scale if exact else 1
+    if exact:
+        # float64 when d * max|N|^2 and L stay below 2**53: every partial sum of a
+        # contraction of two such tensors is then an integer float64 holds, so BLAS
+        # stays exact; Python ints otherwise
+        top = int(np.abs(vals).max(initial=0))
+        vals = vals.astype(np.float64 if d * top * top < 2**53 and scale < 2**53 else object)
+    reals = np.real(vals)
     cut = 0 if exact else tol
     report: dict = {"exact": exact, "tol": tol}
 
@@ -265,9 +269,8 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> dict:
 
 
 def is_commutative(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> bool:
-    if h.exact:  # reduced fractions are equal iff numerators and denominators are
-        return all(bool((a == a.transpose(1, 0, 2)).all()) for a in h.ratio)
-    return float(np.abs(h.conv - h.conv.transpose(1, 0, 2)).max()) <= tol
+    gap = np.abs(h.values - h.values.transpose(1, 0, 2)).max()
+    return bool(gap <= (0 if h.exact else tol))
 
 
 def is_hermitian(h: FiniteHypergroup) -> bool:
@@ -276,12 +279,12 @@ def is_hermitian(h: FiniteHypergroup) -> bool:
 
 
 def is_probability(vec, tol: float = DEFAULT_TOL) -> bool:
+    """Nonnegative with total 1: exactly for ints and Fractions, within tol for floats."""
     arr = np.asarray(vec)
-    if arr.dtype == object:
-        return all(v >= 0 for v in arr) and arr.sum() == 1
+    cut = 0 if arr.dtype == object else tol
     r = np.real(arr)
     im = np.abs(np.imag(arr)).max() if np.iscomplexobj(arr) else 0.0
-    return bool(r.min() >= -tol and im <= tol and abs(r.sum() - 1.0) <= tol)
+    return bool(r.min() >= -cut and im <= cut and abs(r.sum() - 1) <= cut)
 
 
 def convolve_measures(h: FiniteHypergroup, mu, nu) -> np.ndarray:
@@ -315,13 +318,9 @@ def convolve_functions(h: FiniteHypergroup, f, g) -> np.ndarray:
 
 def modular_function(h: FiniteHypergroup) -> np.ndarray:
     """Delta(i) = haar(i) / haar(ibar); multiplicative on supports."""
-    return h.haar / h.haar[h.involution] if not h.exact else np.array(
-        [h.haar[i] / h.haar[h.involution[i]] for i in range(h.n_classes)], dtype=object
-    )
+    return h.haar / h.haar[h.involution]
 
 
 def is_unimodular(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> bool:
-    delta = modular_function(h)
-    if h.exact:
-        return all(x == 1 for x in delta)
-    return bool(np.abs(delta - 1.0).max() <= tol)
+    gap = np.abs(modular_function(h) - 1).max()
+    return bool(gap <= (0 if h.exact else tol))

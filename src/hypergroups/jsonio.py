@@ -8,6 +8,7 @@ significant digits, and complex values are rendered as ``a+bi`` strings.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import ParseError
 from .generalized import GeneralizedScheme, build_generalized, build_windowed
 from .groups import FiniteGroup, check_subgroup, group_from_table
-from .hypergroup import FiniteHypergroup, make_hypergroup
+from .hypergroup import FiniteHypergroup, _integer_form, make_hypergroup
 from .schemes import Scheme, build_scheme
 
 # ---------------------------------------------------------------------------
@@ -181,25 +182,49 @@ def cayley_from_json(doc: dict) -> tuple[FiniteGroup, np.ndarray]:
 
 
 def hypergroup_to_json(h: FiniteHypergroup) -> dict:
-    support = h.ratio[0] != 0 if h.exact else h.conv != 0.0
-    conv_rows = [[i, j, k, _plain(Fraction(v)) if h.exact else float(v)]
-                 for (i, j, k), v in zip(np.argwhere(support).tolist(), h.conv[support])]
+    support = np.argwhere(h.values != 0)
+    entries = h.values[tuple(support.T)]
+    if h.exact:  # 'p/q' in lowest terms
+        common = np.gcd(entries, h.scale)
+        cells = list(map("{}/{}".format, (entries // common).tolist(),
+                         (h.scale // common).tolist()))
+    else:
+        cells = [float(v) for v in entries.tolist()]
     return {
         "classes": [_plain(c) for c in h.classes],
         "identity": int(h.identity),
         "involution": [int(v) for v in h.involution],
-        "conv": conv_rows,
-        "haar": [_plain(Fraction(w)) if h.exact else float(w) for w in h.haar],
+        "conv": [[i, j, k, v] for (i, j, k), v in zip(support.tolist(), cells)],
+        "haar": [_plain(w) for w in h.haar],
     }
 
 
+# an integer, or a ratio of integers with a nonzero denominator; other strings,
+# "1/0" among them, are read by Fraction()
+_RATIO = re.compile(r"\s*([-+]?\d+)(?:/(\d*[1-9]\d*))?\s*")
+
+
+def _parse_ratio(text: str) -> tuple:
+    """(p, q) with p / q the value of Fraction(text), q > 0."""
+    match = _RATIO.fullmatch(text)
+    try:
+        return (int(match[1]), int(match[2] or 1)) if match else Fraction(text).as_integer_ratio()
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad fraction {text!r}") from exc
+
+
 def hypergroup_from_json(doc: dict) -> FiniteHypergroup:
+    """Exact when every value is an int or a 'p/q' string, read into integer
+    numerators over one denominator; float otherwise.  A repeated [i, j, k]
+    keeps its last value."""
     for key in ("classes", "conv"):
         if key not in doc:
             raise ParseError(f"hypergroup document missing {key!r}")
     classes = [_norm_label(c) for c in _list(doc, "classes")]
     d = len(classes)
-    entries = []
+    if d == 0:
+        raise ParseError("hypergroup document has no classes")
+    entries = {}  # flat index -> (p, q)
     exact = True
     for row in _list(doc, "conv"):
         if not (isinstance(row, list) and len(row) == 4):
@@ -208,27 +233,22 @@ def hypergroup_from_json(doc: dict) -> FiniteHypergroup:
         if not all(isinstance(t, int) and 0 <= t < d for t in (i, j, k)):
             raise ParseError(f"conv indices out of range in {row!r}")
         if isinstance(v, str):
-            try:
-                value = Fraction(v)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad fraction {v!r}") from exc
+            entries[(i * d + j) * d + k] = _parse_ratio(v)
         elif isinstance(v, (int, float)):
-            value = v
-            if not isinstance(v, int):
-                exact = False
+            entries[(i * d + j) * d + k] = (v, 1)
+            exact = exact and isinstance(v, int)
         else:
             raise ParseError(f"conv value must be number or 'p/q', got {v!r}")
-        entries.append((i, j, k, value))
-    if exact:
-        conv = np.zeros((d, d, d), dtype=object)
-        conv[...] = Fraction(0)
-        for i, j, k, v in entries:
-            conv[i, j, k] = Fraction(v)
-    else:
+    flat = np.fromiter(entries, dtype=np.int64, count=len(entries))
+    nums, dens = np.array(list(entries.values()), dtype=object).reshape(-1, 2).T
+    if not exact:
         conv = np.zeros((d, d, d))
-        for i, j, k, v in entries:
-            conv[i, j, k] = float(v)
-    return make_hypergroup(classes, conv)
+        conv.flat[flat] = (nums / dens).astype(np.float64)  # int / int rounds as float(Fraction)
+        return make_hypergroup(classes, conv)
+    values, scale = _integer_form(nums, dens)
+    conv = np.zeros((d, d, d), dtype=values.dtype)
+    conv.flat[flat] = values
+    return make_hypergroup(classes, conv, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +325,17 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
         base_point = point_index[label]
 
     if "boundary_distance" in doc or "class_order" in doc:
-        for key in ("identity", "involution", "boundary_distance", "class_order"):
+        for key in ("identity", "involution", "boundary_distance", "class_order",
+                    "vertex_weight", "base_point"):
             if key not in doc:
                 raise ParseError(f"windowed document missing {key!r}")
-        identity = class_index[_norm_label(doc["identity"])]
-        involution = np.array(
-            [class_index[_norm_label(c)] for c in _list(doc, "involution")], dtype=np.int64
-        )
+        try:
+            identity = class_index[_norm_label(doc["identity"])]
+            involution = np.array(
+                [class_index[_norm_label(c)] for c in _list(doc, "involution")], dtype=np.int64
+            )
+        except KeyError as exc:
+            raise ParseError(f"unknown class {exc.args[0]!r} in windowed document") from exc
         return build_windowed(
             points=points,
             classes=classes,

@@ -16,7 +16,6 @@ are at most n (n^2 in the audit), so float64 BLAS is exact; nothing is sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -272,18 +271,6 @@ def build_scheme(
     return scheme
 
 
-def scheme_matrices(s: Scheme):
-    """Adjacency stack (0/1 ints) and row-stochastic stack (exact rationals).
-
-    Returns ``(A, S)`` with ``A[i]`` the class-i adjacency matrix and
-    ``S[i] = A[i] / valency_i`` as a Fraction-valued object array.
-    """
-    d = s.n_classes
-    A = np.stack([(s.relation == i).astype(np.int64) for i in range(d)])
-    S = np.stack([A[i].astype(object) * Fraction(1, int(s.valencies[i])) for i in range(d)])
-    return A, S
-
-
 def is_commutative(s: Scheme) -> bool:
     return np.array_equal(s.p, s.p.transpose(1, 0, 2))
 
@@ -294,15 +281,6 @@ def is_symmetric(s: Scheme) -> bool:
 
 def is_unimodular(s: Scheme) -> bool:
     return bool((s.valencies == s.valencies[s.involution]).all())
-
-
-def modular_function_of_scheme(s: Scheme) -> np.ndarray:
-    """Valency ratio class -> valency(class) / valency(transpose class)."""
-    return np.array(
-        [Fraction(int(s.valencies[i]), int(s.valencies[s.involution[i]]))
-         for i in range(s.n_classes)],
-        dtype=object,
-    )
 
 
 def associativity_gap(t: np.ndarray, start: int, step: int) -> np.ndarray:

@@ -210,6 +210,57 @@ def test_fields_that_are_not_lists_are_parse_errors(capsys, tmp_path, command, d
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"classes": [], "conv": []}, "hypergroup document has no classes"),
+    ({"classes": [0], "conv": [[0, 0, 0, "1/0"]]}, "bad fraction '1/0'"),
+    ({"classes": [0], "conv": [[0, 0, 0, "abc"]]}, "bad fraction 'abc'"),
+])
+def test_malformed_hypergroup_documents_are_parse_errors(capsys, tmp_path, doc, message):
+    path = tmp_path / "hg.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "hypergroup"):
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
+
+
+def test_decimal_strings_are_exact_values(capsys, tmp_path):
+    """Strings outside the int and int/int forms are read as Fraction(str) reads them."""
+    doc = {"classes": [0, 1, 2], "conv": [
+        [0, 0, 0, "1"], [0, 1, 1, " 1/1"], [0, 2, 2, "1.0"], [1, 0, 1, 1], [2, 0, 2, "1e0"],
+        [1, 1, 0, "0.5"], [1, 1, 2, " 1/2 "], [1, 2, 1, "5e-1"], [1, 2, 2, "1/2"],
+        [2, 1, 1, "0.5"], [2, 1, 2, "2/4"], [2, 2, 0, "+1/2"], [2, 2, 1, "0.50"]]}
+    path = tmp_path / "decimal.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run(capsys, "verify", str(path))
+    assert code == 0
+    assert rep["results"]["audit"]["exact"] is True
+    assert rep["results"]["audit"]["all_hold"] is True
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("identity", "nope", "unknown class 'nope' in windowed document"),
+    ("involution", ["nope"], "unknown class 'nope' in windowed document"),
+    ("base_point", None, "windowed document missing 'base_point'"),
+    ("vertex_weight", None, "windowed document missing 'vertex_weight'"),
+])
+def test_malformed_windowed_documents_are_parse_errors(capsys, tmp_path, key, value, message):
+    from hypergroups.families.cosh import CoshFamily, cosh_window_scheme
+
+    doc = generalized_to_json(cosh_window_scheme(CoshFamily(1.0), 6))
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    path = tmp_path / "window.json"
+    path.write_text(dump_report(doc))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+
+
 def _package_env():
     import hypergroups
 

@@ -294,16 +294,14 @@ def _two_point(q):
 def test_exact_verify_with_huge_denominators():
     """Denominators near 3**30 and 5**20 push d * max|N|**2 past 2**53, so
     the numerators stay Python ints; the product hypergroup still verifies."""
-    from hypergroups.hypergroup import _integer_form
-
     a, b = _two_point(F(1, 3**30)), _two_point(F(2, 5**20))
     conv = np.empty((4, 4, 4), dtype=object)
     for (i, j, k), (p, q, r) in itertools.product(np.ndindex(2, 2, 2), repeat=2):
         conv[2 * i + p, 2 * j + q, 2 * k + r] = a[i, j, k] * b[p, q, r]
-    nums, scale = _integer_form(conv)
-    assert nums.dtype == object
-    assert 4 * max(abs(v) for v in nums.flat) ** 2 >= 2**53
     h = make_hypergroup(range(4), conv)
+    nums, scale = h.values, h.scale
+    assert nums.dtype == object and scale == 3**30 * 5**20
+    assert 4 * max(abs(v) for v in nums.flat) ** 2 >= 2**53
     rep = verify_hypergroup(h)
     assert rep["all_hold"], rep
     assert rep["exact"]
@@ -384,16 +382,18 @@ def test_scheme_hypergroup_matches_per_entry_fractions():
 
 
 def test_exact_ratio_is_read_off_conv():
-    """A tensor given without its integer form gets one, reduced, from its entries."""
+    """A tensor given as ints and Fractions is read once into numerators over
+    the lcm of its reduced denominators; conv gives the Fractions back."""
     h0 = hypergroup_from_scheme(cyclic_scheme(5))
     conv = np.empty((2, 2, 2), dtype=object)
     conv[...] = [[[1, 0], [0, 1]], [[0, 1], [F(2, 6), F(4, 6)]]]
     h = FiniteHypergroup(classes=(0, 1), conv=conv, identity=0, involution=np.arange(2))
-    num, den = h.ratio
-    assert num[1, 1].tolist() == [1, 2] and den[1, 1].tolist() == [3, 3]
+    assert h.exact and h.scale == 3
+    assert h.values.tolist() == [[[3, 0], [0, 3]], [[0, 3], [1, 2]]]
+    assert h.values.dtype == h0.values.dtype == np.int64
+    assert h.conv.tolist() == conv.tolist() and not h.conv.flags.writeable
     assert h.conv_float[1, 1].tolist() == [1 / 3, 2 / 3]
     assert is_commutative(h) and h.conv_float.dtype == np.float64
-    assert h0.ratio[0].dtype == h0.ratio[1].dtype == np.int64
-    conv[0, 1, 1], conv[1, 0, 1] = F(1, 2), F(1, 3)  # equal numerators only
+    conv[0, 1, 1], conv[1, 0, 1] = F(1, 2), F(1, 3)  # reduced numerators equal, values not
     assert not is_commutative(FiniteHypergroup(classes=(0, 1), conv=conv, identity=0,
                                                involution=np.arange(2)))

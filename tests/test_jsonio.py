@@ -68,6 +68,18 @@ def test_hypergroup_roundtrip_exact(pentagon):
     assert h2.conv[1, 1, 0] == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("0.5", Fraction(1, 2)), (" 1/2", Fraction(1, 2)), ("-3", Fraction(-3)),
+    ("1e-2", Fraction(1, 100)), ("+4/6 ", Fraction(2, 3)), ("7", Fraction(7)),
+])
+def test_value_strings_follow_the_fraction_grammar(text, value):
+    doc = {"classes": ["e", "a"], "conv": [
+        [0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"], [1, 1, 1, text]]}
+    h = hypergroup_from_json(doc)
+    assert h.exact
+    assert h.conv[1, 1, 1] == value and h.conv[1, 1, 0] == 1
+
+
 def test_hypergroup_roundtrip_float(pentagon):
     h = hypergroup_from_scheme(pentagon)
     from hypergroups.hypergroup import make_hypergroup

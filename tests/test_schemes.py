@@ -20,10 +20,9 @@ from hypergroups.schemes import (
     is_commutative,
     is_symmetric,
     is_unimodular,
-    modular_function_of_scheme,
     scheme_from_distance_regular_graph,
-    scheme_matrices,
 )
+from hypergroups.hypergroup import hypergroup_from_scheme, modular_function
 
 
 def brute_force_tensor(scheme):
@@ -161,19 +160,10 @@ def test_noncommutative_group_scheme(s3_regular):
     "name", ["pentagon", "z4", "z5", "s3_mod_h", "s4_mod_s3", "s3_regular"]
 )
 def test_unimodularity_and_modular_function(name, request):
+    """The modular function of a scheme hypergroup is valency(i) / valency(ibar) = 1."""
     s = request.getfixturevalue(name)
     assert is_unimodular(s)
-    assert np.array_equal(modular_function_of_scheme(s), np.ones(s.n_classes))
-
-
-def test_scheme_matrices_split(pentagon):
-    A, S = scheme_matrices(pentagon)
-    assert A.sum(axis=0).max() == 1  # the classes partition X x X
-    n = pentagon.n_points
-    for i in range(pentagon.n_classes):
-        assert int(A[i].sum()) == n * int(pentagon.valencies[i])
-        row_sums = S[i].sum(axis=1)
-        assert all(v == 1 for v in row_sums)
+    assert np.array_equal(modular_function(hypergroup_from_scheme(s)), np.ones(s.n_classes))
 
 
 # ---------------------------------------------------------------------------
