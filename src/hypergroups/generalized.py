@@ -15,6 +15,7 @@ from the boundary, tracked per class pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -55,6 +56,11 @@ class GeneralizedScheme:
     base_scheme: Scheme | None = None
     base_product: Callable | None = None
 
+    def __post_init__(self):
+        for arr in (self.stoch, self.vertex_weight, self.p_tilde, self.pair_checked,
+                    self.boundary_distance, self.class_order):
+            arr.setflags(write=False)
+
     @property
     def n_points(self) -> int:
         return len(self.points)
@@ -66,6 +72,18 @@ class GeneralizedScheme:
     @property
     def windowed(self) -> bool:
         return not bool(self.pair_checked.all())
+
+    @cached_property
+    def _base_algebra(self) -> tuple:
+        """Base-scheme tensors for positive_connection_check, built once: the base
+        hypergroup's conv[i, jbar, k], and the (d, d*d) map from class coefficients
+        c to the matrix sqrt(valency_k) (sum_i c_i p[i, j, k]) / sqrt(valency_j)."""
+        s = self.base_scheme
+        h0 = hypergroup_from_scheme(s)
+        root = np.sqrt(s.valencies.astype(np.float64))
+        regular = s.p.transpose(0, 2, 1) * (root[:, None] / root[None, :])
+        pairing = np.ascontiguousarray(h0.conv_float[:, h0.involution, :])
+        return pairing, regular.reshape(s.n_classes, -1)
 
 
 def _interior_rows(bd: np.ndarray, needed: int) -> np.ndarray:
@@ -261,8 +279,6 @@ def build_generalized(base: Scheme, stoch, vertex_weight=None, base_point=None,
         raise SupportMismatch("deformed tensor support differs from the base counts")
     assert checked.all()
 
-    for arr in (stoch_v, weight, p_tilde, checked, bd, order):
-        arr.setflags(write=False)
     return GeneralizedScheme(
         points=base.points, classes=base.classes, relation=base.relation,
         identity=base.identity, involution=base.involution, stoch=stoch_v,
@@ -296,8 +312,6 @@ def build_windowed(points, classes, relation, identity, involution, stoch,
         stochastic_tol=stochastic_tol, balance_tol=balance_tol,
         closure_tol=closure_tol,
     )
-    for arr in (stoch_v, weight, p_tilde, checked, bd, order):
-        arr.setflags(write=False)
     return GeneralizedScheme(
         points=tuple(points), classes=tuple(classes), relation=relation,
         identity=identity, involution=involution, stoch=stoch_v,
@@ -308,12 +322,34 @@ def build_windowed(points, classes, relation, identity, involution, stoch,
 
 
 def classical_embedding(s: Scheme) -> GeneralizedScheme:
-    """A scheme viewed as a generalized scheme: S_i = A_i / valency_i."""
+    """A scheme viewed as a generalized scheme: S_i = A_i / valency_i.
+
+    Nothing is re-checked in floats: build_scheme has verified the counts
+    in integers, so each S_i is doubly stochastic (operator norm 1),
+    reversible for the constant weight, and closed with the deformed
+    tensor valency_k p[i, j, k] / (valency_i valency_j), which is the
+    scheme hypergroup; ``p_tilde`` is its ``conv_float``, correctly
+    rounded.  The report says ``"route": "scheme"``.
+    """
     n, d = s.n_points, s.n_classes
-    stoch = np.empty((d, n, n))
-    for i in range(d):
-        stoch[i] = (s.relation == i) / float(s.valencies[i])
-    return build_generalized(s, stoch)
+    stoch = (s.relation == np.arange(d)[:, None, None]) / s.valencies[:, None, None].astype(float)
+    p_tilde = hypergroup_from_scheme(s).conv_float
+    report = {
+        "route": "scheme", "stochastic_rows_checked": d * n,
+        "detailed_balance_residual": 0.0, "adjoint_residual": 0.0,
+        "operator_norms": [1.0] * d, "closure_residual": 0.0,
+        "deformed_row_sum_residual": float(np.abs(p_tilde.sum(axis=2) - 1.0).max()),
+        "deformed_support_matches": True, "pairs_checked": d * d, "pairs_total": d * d,
+        "window_size": n, "interior_fraction": 1.0,
+    }
+    return GeneralizedScheme(
+        points=s.points, classes=s.classes, relation=s.relation,
+        identity=s.identity, involution=s.involution, stoch=stoch,
+        vertex_weight=np.ones(n), base_point=0, p_tilde=p_tilde,
+        pair_checked=np.ones((d, d), dtype=bool),
+        boundary_distance=np.full(n, n + max(1, d), dtype=np.int64),
+        class_order=np.zeros(d, dtype=np.int64), report=report, base_scheme=s,
+    )
 
 
 def deformed_valencies(g: GeneralizedScheme) -> np.ndarray:
@@ -383,17 +419,14 @@ def kernel_F_f(g: GeneralizedScheme, f) -> np.ndarray:
     return f[g.relation]
 
 
+def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a float a and a complex z, without casting a to complex."""
+    return a @ z.real + 1j * (a @ z.imag)
+
+
 def _deformed_char_residual(g: GeneralizedScheme, alpha: np.ndarray) -> float:
-    worst = 0.0
-    d = g.n_classes
-    for i in range(d):
-        for j in range(d):
-            if not g.pair_checked[i, j]:
-                continue
-            lhs = alpha[i] * alpha[j]
-            rhs = complex(np.dot(g.p_tilde[i, j], alpha))
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    gap = np.abs(np.multiply.outer(alpha, alpha) - _real_times(g.p_tilde, alpha))
+    return float(gap[g.pair_checked].max(initial=0.0))
 
 
 def positive_connection_check(g: GeneralizedScheme, alpha, tol: float = 1e-9,
@@ -403,13 +436,19 @@ def positive_connection_check(g: GeneralizedScheme, alpha, tol: float = 1e-9,
     Verifies alpha is multiplicative for the deformed tensor (over the
     checked pairs), then tests (a) positive definiteness of alpha on the
     base class hypergroup and (b) plain positive semidefiniteness of the
-    point kernel F_alpha.  On windowed objects (a) runs on the class
-    sub-block whose products stay inside the window, and the certificate
-    is flagged as truncated.
+    point kernel F_alpha = sum_i alpha(i) A_i.  Over a base scheme (b)
+    runs in its d-dimensional Bose-Mesner algebra: the hermitian part
+    sum_i c_i A_i, c = (alpha + conj alpha[ibar]) / 2, has the eigenvalues
+    of its left action on the algebra (C^X and the regular module of a
+    semisimple algebra hold the same simple modules), written in the
+    orthonormal basis A_j / sqrt(n valency_j).  On windowed objects (a)
+    runs on the class sub-block whose products stay inside the window,
+    (b) on the dense n x n kernel, and the certificate is flagged as
+    truncated.
     """
     alpha = np.asarray(alpha, dtype=complex)
     char_residual = _deformed_char_residual(g, alpha)
-    if char_residual > character_tol:
+    if not char_residual <= character_tol:  # a nan residual is no character either
         raise NotACharacter(
             f"multiplicativity residual {char_residual:.3e} over checked pairs"
         )
@@ -417,8 +456,11 @@ def positive_connection_check(g: GeneralizedScheme, alpha, tol: float = 1e-9,
     d = g.n_classes
     truncated = g.base_scheme is None
     if not truncated:
-        h0 = hypergroup_from_scheme(g.base_scheme)
-        M = np.tensordot(h0.conv_float[:, h0.involution, :], alpha, axes=([2], [0]))
+        pairing, regular = g._base_algebra
+        M = np.tensordot(pairing, alpha, axes=([2], [0]))
+        adjoint = np.conjugate(alpha[g.involution])
+        kherm = float(np.abs(alpha - adjoint).max())
+        H = _real_times(regular.T, (alpha + adjoint) / 2.0).reshape(d, d)
     else:
         if g.base_product is None:
             raise SchemeError("windowed object lacks a base product rule")
@@ -428,12 +470,11 @@ def positive_connection_check(g: GeneralizedScheme, alpha, tol: float = 1e-9,
             for j in range(K + 1):
                 prod = g.base_product(i, int(g.involution[j]))
                 M[i, j] = sum(w * alpha[k] for k, w in prod.items())
+        H = kernel_F_f(g, alpha)
+        kherm = float(np.abs(H - np.conjugate(H.T)).max())
     herm = float(np.abs(M - np.conjugate(M.T)).max())
     base_min = float(np.linalg.eigvalsh((M + np.conjugate(M.T)) / 2.0).min())
-
-    F = kernel_F_f(g, alpha)
-    kherm = float(np.abs(F - np.conjugate(F.T)).max())
-    kernel_min = float(np.linalg.eigvalsh((F + np.conjugate(F.T)) / 2.0).min())
+    kernel_min = float(np.linalg.eigvalsh((H + np.conjugate(H.T)) / 2.0).min())
 
     ok = (herm <= tol and base_min >= -tol and kherm <= tol and kernel_min >= -tol)
     return ok, {

@@ -243,7 +243,10 @@ def hypergroup_from_json(doc: dict) -> FiniteHypergroup:
     nums, dens = np.array(list(entries.values()), dtype=object).reshape(-1, 2).T
     if not exact:
         conv = np.zeros((d, d, d))
-        conv.flat[flat] = (nums / dens).astype(np.float64)  # int / int rounds as float(Fraction)
+        try:
+            conv.flat[flat] = (nums / dens).astype(np.float64)  # int / int rounds as float(Fraction)
+        except OverflowError as exc:
+            raise ParseError("conv value outside the float range") from exc
         return make_hypergroup(classes, conv)
     values, scale = _integer_form(nums, dens)
     conv = np.zeros((d, d, d), dtype=values.dtype)
@@ -289,6 +292,14 @@ def _float_array(doc: dict, key: str) -> np.ndarray:
     return values
 
 
+def _int_array(doc: dict, key: str, length: int) -> np.ndarray:
+    """doc[key] as an int64 array, which must hold ``length`` JSON integers."""
+    values = _list(doc, key)
+    if len(values) != length or not all(type(v) is int and -2**63 <= v < 2**63 for v in values):
+        raise ParseError(f"{key!r} must list {length} integers")
+    return np.array(values, dtype=np.int64)
+
+
 def generalized_from_json(doc: dict) -> GeneralizedScheme:
     for key in ("points", "classes", "relations", "stoch"):
         if key not in doc:
@@ -317,6 +328,8 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
     weight = None
     if "vertex_weight" in doc:
         weight = _float_array(doc, "vertex_weight")
+        if weight.shape != (n,):
+            raise ParseError(f"vertex_weight must have shape ({n},), got {weight.shape}")
     base_point = None
     if "base_point" in doc:
         label = _norm_label(doc["base_point"])
@@ -336,6 +349,8 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
             )
         except KeyError as exc:
             raise ParseError(f"unknown class {exc.args[0]!r} in windowed document") from exc
+        if len(involution) != d:
+            raise ParseError("involution must list one conjugate per class")
         return build_windowed(
             points=points,
             classes=classes,
@@ -345,8 +360,8 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
             stoch=stoch,
             vertex_weight=weight,
             base_point=base_point,
-            boundary_distance=np.asarray(doc["boundary_distance"], dtype=np.int64),
-            class_order=np.asarray(doc["class_order"], dtype=np.int64),
+            boundary_distance=_int_array(doc, "boundary_distance", n),
+            class_order=_int_array(doc, "class_order", d),
         )
 
     base = build_scheme(points, classes, relation)

@@ -214,6 +214,10 @@ def test_fields_that_are_not_lists_are_parse_errors(capsys, tmp_path, command, d
     ({"classes": [], "conv": []}, "hypergroup document has no classes"),
     ({"classes": [0], "conv": [[0, 0, 0, "1/0"]]}, "bad fraction '1/0'"),
     ({"classes": [0], "conv": [[0, 0, 0, "abc"]]}, "bad fraction 'abc'"),
+    ({"classes": [0], "conv": [[0, 0, 0, 0.5], [0, 0, 0, "1e400"]]},
+     "conv value outside the float range"),
+    ({"classes": [0], "conv": [[0, 0, 0, 0.5], [0, 0, 0, 10**400]]},
+     "conv value outside the float range"),
 ])
 def test_malformed_hypergroup_documents_are_parse_errors(capsys, tmp_path, doc, message):
     path = tmp_path / "hg.json"
@@ -244,6 +248,11 @@ def test_decimal_strings_are_exact_values(capsys, tmp_path):
     ("involution", ["nope"], "unknown class 'nope' in windowed document"),
     ("base_point", None, "windowed document missing 'base_point'"),
     ("vertex_weight", None, "windowed document missing 'vertex_weight'"),
+    ("involution", lambda v: v[:-1], "involution must list one conjugate per class"),
+    ("boundary_distance", lambda v: list(map(str, v)), "'boundary_distance' must list 13 integers"),
+    ("boundary_distance", lambda v: v[:-1], "'boundary_distance' must list 13 integers"),
+    ("class_order", lambda v: v[:-1], "'class_order' must list 13 integers"),
+    ("vertex_weight", lambda v: v[:-1], "vertex_weight must have shape (13,), got (12,)"),
 ])
 def test_malformed_windowed_documents_are_parse_errors(capsys, tmp_path, key, value, message):
     from hypergroups.families.cosh import CoshFamily, cosh_window_scheme
@@ -252,7 +261,7 @@ def test_malformed_windowed_documents_are_parse_errors(capsys, tmp_path, key, va
     if value is None:
         del doc[key]
     else:
-        doc[key] = value
+        doc[key] = value(doc[key]) if callable(value) else value
     path = tmp_path / "window.json"
     path.write_text(dump_report(doc))
     code = main(["verify", str(path)])

@@ -1,5 +1,7 @@
 """Stochastic-matrix realizations of schemes: verification and deformed duals."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,8 @@ from hypergroups.generalized import (
 )
 from hypergroups.harmonic import character_table, dual_convolution
 from hypergroups.hypergroup import hypergroup_from_scheme, verify_hypergroup
-from hypergroups.schemes import build_scheme
+from hypergroups import catalog
+from hypergroups.schemes import build_scheme, scheme_from_distance_regular_graph
 
 
 def symmetrized_z8():
@@ -181,6 +184,8 @@ def test_positive_connection_certificate(pentagon):
     assert not cert["truncated"]
     with pytest.raises(NotACharacter):
         positive_connection_check(g, np.array([1.0, 0.3, 0.7]))
+    with pytest.raises(NotACharacter):
+        positive_connection_check(g, np.array([1.0, np.nan, 1.0]))
 
 
 def test_dual_product_matches_dual_convolution(commutative_schemes):
@@ -207,3 +212,93 @@ def test_dual_product_precondition_flag(pentagon):
     dm, info = dual_product_generalized(g, tbl, 1, 1, check_precondition=False)
     assert "precondition_certified" not in info
     assert dm.positive
+
+
+def hamming_scheme(D, q):
+    digits = (np.arange(q ** D)[:, None] // q ** np.arange(D)) % q
+    adj = (digits[:, None, :] != digits[None, :, :]).sum(-1) == 1
+    return scheme_from_distance_regular_graph(adj.astype(np.int64))
+
+
+def johnson_scheme(v, k):
+    sets = np.array([[x in c for x in range(v)] for c in itertools.combinations(range(v), k)],
+                    dtype=np.int64)
+    return scheme_from_distance_regular_graph((sets @ sets.T == k - 1).astype(np.int64))
+
+
+@pytest.fixture(scope="module")
+def algebra_schemes(commutative_schemes):
+    return {**commutative_schemes, "s3_regular": catalog.s3_regular(),
+            "H(6,2)": hamming_scheme(6, 2), "J(9,4)": johnson_scheme(9, 4)}
+
+
+def _dense_kernel(g, alpha):
+    """The n x n reference: hermiticity residual and eigenvalue floor of F_alpha."""
+    F = kernel_F_f(g, np.asarray(alpha, dtype=complex))
+    herm = float(np.abs(F - np.conjugate(F.T)).max())
+    return herm, float(np.linalg.eigvalsh((F + np.conjugate(F.T)) / 2.0).min())
+
+
+def test_kernel_floor_matches_dense_eigvalsh(algebra_schemes, rng):
+    """The Bose-Mesner route gives the dense kernel floor, for characters,
+    random complex class functions and noncommutative bases alike."""
+    for name, s in algebra_schemes.items():
+        g = classical_embedding(s)
+        d = s.n_classes
+        alphas = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(3)]
+        alphas.append(np.ones(d))
+        if name != "s3_regular":
+            alphas.extend(character_table(hypergroup_from_scheme(s)).chars)
+        for alpha in alphas:
+            _, cert = positive_connection_check(g, alpha, character_tol=np.inf)
+            herm, floor = _dense_kernel(g, alpha)
+            assert cert["kernel_hermiticity_residual"] == herm, name
+            scale = max(1.0, s.n_points * float(np.abs(alpha).max()))
+            assert abs(cert["kernel_min_eigenvalue"] - floor) <= 1e-10 * scale, (name, alpha)
+
+
+def test_kernel_floor_rejects_what_the_dense_kernel_rejects(pentagon):
+    g = classical_embedding(pentagon)
+    alpha = np.array([1.0, -1.0, 1.0])
+    ok, cert = positive_connection_check(g, alpha, character_tol=np.inf)
+    _, floor = _dense_kernel(g, alpha)
+    assert not ok
+    assert floor < -1e-3 and abs(cert["kernel_min_eigenvalue"] - floor) <= 1e-12
+
+
+def test_classical_route_matches_the_audit(algebra_schemes):
+    """The audited build of the same stochastic stack is the oracle for
+    every field the scheme route reads off the verified counts."""
+    for name, s in algebra_schemes.items():
+        g = classical_embedding(s)
+        assert np.array_equal(g.p_tilde, hypergroup_from_scheme(s).conv_float), name
+        norms = [np.linalg.norm(m, 2) for m in g.stoch]
+        np.testing.assert_allclose(g.report["operator_norms"], norms, rtol=0, atol=1e-12)
+        audited = build_generalized(s, g.stoch)
+        np.testing.assert_allclose(g.p_tilde, audited.p_tilde, rtol=0, atol=1e-12,
+                                   err_msg=name)
+        assert g.report.pop("route") == "scheme"
+        assert g.report.keys() == audited.report.keys(), name
+        for key, value in audited.report.items():
+            np.testing.assert_allclose(g.report[key], value, rtol=0, atol=1e-12,
+                                       err_msg=(name, key))
+        for field in ("stoch", "vertex_weight", "pair_checked", "boundary_distance",
+                      "class_order"):
+            assert np.array_equal(getattr(g, field), getattr(audited, field)), (name, field)
+            assert not getattr(g, field).flags.writeable, (name, field)
+
+
+def test_classical_route_solves_nothing_larger_than_d(monkeypatch):
+    s = hamming_scheme(6, 2)
+    chars = character_table(hypergroup_from_scheme(s)).chars
+    sizes = []
+    for solver in ("eigvalsh", "svd"):
+        def spy(a, *args, _solver=getattr(np.linalg, solver), **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _solver(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, solver, spy)
+        # np.linalg.norm(., 2) reaches svd through its own module globals
+        monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, solver, spy)
+    g = classical_embedding(s)
+    assert all(positive_connection_check(g, alpha)[0] for alpha in chars)
+    assert sizes and max(sizes) <= s.n_classes, sizes
