@@ -14,7 +14,7 @@ from the boundary, tracked per class pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -55,6 +55,8 @@ class GeneralizedScheme:
     report: dict
     base_scheme: Scheme | None = None
     base_product: Callable | None = None
+    # hypergroup_from_scheme(base_scheme), set by classical_embedding, which builds it anyway
+    _base_hypergroup: FiniteHypergroup | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.stoch, self.vertex_weight, self.p_tilde, self.pair_checked,
@@ -79,7 +81,7 @@ class GeneralizedScheme:
         hypergroup's conv[i, jbar, k], and the (d, d*d) map from class coefficients
         c to the matrix sqrt(valency_k) (sum_i c_i p[i, j, k]) / sqrt(valency_j)."""
         s = self.base_scheme
-        h0 = hypergroup_from_scheme(s)
+        h0 = self._base_hypergroup or hypergroup_from_scheme(s)
         root = np.sqrt(s.valencies.astype(np.float64))
         regular = s.p.transpose(0, 2, 1) * (root[:, None] / root[None, :])
         pairing = np.ascontiguousarray(h0.conv_float[:, h0.involution, :])
@@ -333,7 +335,8 @@ def classical_embedding(s: Scheme) -> GeneralizedScheme:
     """
     n, d = s.n_points, s.n_classes
     stoch = (s.relation == np.arange(d)[:, None, None]) / s.valencies[:, None, None].astype(float)
-    p_tilde = hypergroup_from_scheme(s).conv_float
+    h0 = hypergroup_from_scheme(s)
+    p_tilde = h0.conv_float
     report = {
         "route": "scheme", "stochastic_rows_checked": d * n,
         "detailed_balance_residual": 0.0, "adjoint_residual": 0.0,
@@ -342,7 +345,7 @@ def classical_embedding(s: Scheme) -> GeneralizedScheme:
         "deformed_support_matches": True, "pairs_checked": d * d, "pairs_total": d * d,
         "window_size": n, "interior_fraction": 1.0,
     }
-    return GeneralizedScheme(
+    g = GeneralizedScheme(
         points=s.points, classes=s.classes, relation=s.relation,
         identity=s.identity, involution=s.involution, stoch=stoch,
         vertex_weight=np.ones(n), base_point=0, p_tilde=p_tilde,
@@ -350,6 +353,8 @@ def classical_embedding(s: Scheme) -> GeneralizedScheme:
         boundary_distance=np.full(n, n + max(1, d), dtype=np.int64),
         class_order=np.zeros(d, dtype=np.int64), report=report, base_scheme=s,
     )
+    object.__setattr__(g, "_base_hypergroup", h0)
+    return g
 
 
 def deformed_valencies(g: GeneralizedScheme) -> np.ndarray:

@@ -43,7 +43,8 @@ class FiniteGroup:
 def group_from_table(elements: Sequence, table) -> FiniteGroup:
     """Validate a Cayley table and wrap it.
 
-    ``table[i][j]`` may hold either the element label or its index.
+    ``table[i][j]`` may hold either the element label or its index; a label
+    wins over an index.
     Checks: latin square, two-sided identity, inverses, associativity.
     Associativity uses Light's test: generators are picked greedily (the
     smallest element not yet a left-nested product of earlier ones, at
@@ -63,12 +64,14 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InvalidCayleyTable("table is not |G| x |G|")
     mul = np.fromiter(map(pos.get, itertools.chain.from_iterable(rows), itertools.repeat(-1)),
-                      dtype=np.int64, count=n * n).reshape(n, n)
-    for i, j in np.argwhere(mul < 0):  # not a label: an index, or no element
-        v = rows[i][j]
-        if not (isinstance(v, (int, np.integer)) and 0 <= v < n):
-            raise InvalidCayleyTable(f"entry {v!r} at ({i}, {j}) is no element")
-        mul[i, j] = v
+                      dtype=np.int64, count=n * n)
+    miss = np.flatnonzero(mul < 0).tolist()  # not a label (a label wins): an index, or no element
+    mul[miss] = [v if isinstance(v, (int, np.integer)) and 0 <= v < n else -1
+                 for v in (rows[k // n][k % n] for k in miss)]
+    mul = mul.reshape(n, n)
+    if (mul < 0).any():
+        i, j = map(int, np.argwhere(mul < 0)[0])
+        raise InvalidCayleyTable(f"entry {rows[i][j]!r} at ({i}, {j}) is no element")
 
     # a row (column) of n entries is a permutation when it hits all n elements
     idx = np.arange(n)
@@ -156,9 +159,11 @@ def cyclic_group(n: int) -> FiniteGroup:
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n on tuples, composition (p * q)(i) = p[q[i]], lexicographic order."""
     perms = list(itertools.permutations(range(n)))
-    pos = {p: i for i, p in enumerate(perms)}
-    table = [[pos[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
-    return group_from_table(tuple(perms), table)
+    # code(p) = sum_i p[i] w[i] grows with lexicographic rank; code(p * q) = sum_j p[j] w[q^-1[j]]
+    arr = np.array(perms, dtype=np.int64).reshape(len(perms), n)
+    w = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    table = np.searchsorted(arr @ w, arr @ w[np.argsort(arr, axis=1)].T)
+    return group_from_table(tuple(perms), table.tolist())
 
 
 def _cosets(group: FiniteGroup, sub: np.ndarray, double: bool = False):

@@ -9,8 +9,12 @@ satisfy.
 
 ``p[:, :, k]`` is a histogram of (rel[x, z], rel[z, y]) over z at the first
 pair (x, y) of class k; every pair is then checked for every (i, j) by
-float64 products of A_i with a one-hot class stack, in blocks of j.  Counts
-are at most n (n^2 in the audit), so float64 BLAS is exact; nothing is sampled.
+float64 products of A_i with a one-hot class stack, in blocks of j.  Rows
+that cannot fail first are skipped: the identity row, as A_e = I is proved
+before, and on a distance partition every row but the adjacency row, which
+alone decides distance-regularity (Brouwer-Cohen-Neumaier 1989, section
+4.1).  Counts are at most n (n^2 in the audit), so float64 BLAS is exact;
+nothing is sampled.
 """
 
 from __future__ import annotations
@@ -157,10 +161,11 @@ def _involution_map(classes, rel) -> np.ndarray:
     return tau
 
 
-def _bad_count(points, classes, rel, p) -> dict | None:
-    """Witness of the first (i, j), then the first pair (x, y) in C order, whose
-    count (A_i @ onehot)[x, j, y], with onehot[z, j, y] = [rel[z, y] == j]
-    taken over blocks of j, is not p[i, j, rel[x, y]]; None if there is none.
+def _bad_count(points, classes, rel, p, rows) -> dict | None:
+    """Witness of the first (i, j), i in ``rows``, then the first pair (x, y)
+    in C order, whose count (A_i @ onehot)[x, j, y], with onehot[z, j, y] =
+    [rel[z, y] == j] taken over blocks of j, is not p[i, j, rel[x, y]]; None
+    if there is none.
 
     It returns rather than raises, so a caller that keeps the exception does
     not keep the float64 blocks (about 10 MiB at 256 points and nine classes)
@@ -168,7 +173,7 @@ def _bad_count(points, classes, rel, p) -> dict | None:
     n, d = rel.shape[0], len(classes)
     step = max(1, BLOCK // (2 * n * n))
     onehot = None
-    for i in range(d):
+    for i in rows:
         a_i = (rel == i).astype(np.float64)
         for j0 in range(0, d, step):
             js = np.arange(j0, min(d, j0 + step))
@@ -201,6 +206,8 @@ def build_scheme(
     keyed by point pairs, or a nested sequence aligned with ``points``.
     The identity class and the involution are always inferred; passing
     ``identity`` or ``involution`` merely asserts the inference matches.
+    Every pair is checked against the representative counts for every
+    (i, j) but those of the identity row i = e, which A_e = I decides.
 
     Raises one of ``ParseError``, ``EmptyClass``, ``NoIdentityClass``,
     ``NoInvolution``, ``InconsistentIntersection`` (with a witness
@@ -214,6 +221,12 @@ def build_scheme(
         raise ParseError("empty class list")
 
     rel = _relation_matrix(points, classes, relation_of)
+    return _verified_scheme(points, classes, rel, range(len(classes)), identity, involution)
+
+
+def _verified_scheme(points, classes, rel, rows, identity=None, involution=None) -> Scheme:
+    """The scheme on the class-index matrix ``rel``, checking the counts of the
+    rows i in ``rows`` only; the identity row never fails, so it is skipped."""
     n, d = len(points), len(classes)
 
     empty = np.flatnonzero(np.bincount(rel.ravel(), minlength=d) == 0)
@@ -230,7 +243,7 @@ def build_scheme(
     p = np.empty((d, d, d), dtype=np.int64)
     for k, (x, y) in enumerate(zip(*np.unravel_index(first, (n, n)))):
         p[:, :, k] = np.bincount(rel[x] * d + rel[:, y], minlength=d * d).reshape(d, d)
-    w = _bad_count(points, classes, rel, p)
+    w = _bad_count(points, classes, rel, p, [i for i in rows if i != e])
     if w is not None:
         raise InconsistentIntersection(
             f"count for classes ({w['i']!r}, {w['j']!r}) over a {w['k']!r}-pair is "
@@ -364,16 +377,24 @@ def audit_intersection_identities(s: Scheme) -> dict:
 def scheme_from_distance_regular_graph(adjacency) -> Scheme:
     """Scheme whose classes are the graph distances, if that is a scheme.
 
-    ``adjacency`` is a symmetric 0/1 matrix without loops.  Raises
-    ``NotDistanceRegular`` (carrying the witness of the first failing
-    count) when the distance partition is not an association scheme.
+    ``adjacency`` is a symmetric 0/1 matrix without loops, checked on the
+    values as given (``ParseError`` otherwise).  Only the adjacency row of
+    the count check runs: a connected graph is distance-regular iff A A_j =
+    sum_k p[1, j, k] A_k for every j (Brouwer-Cohen-Neumaier 1989, 4.1), and
+    then each A_k is a polynomial in A, so every other row holds and the
+    full check's first failure is in this row.  Raises ``NotDistanceRegular``
+    (with that witness) when the distances do not form a scheme.
     """
-    A = np.asarray(adjacency, dtype=np.int64)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ParseError("adjacency matrix must be square")
-    if not np.array_equal(A, A.T) or np.diagonal(A).any() or not np.isin(A, (0, 1)).all():
+    try:
+        A = np.asarray(adjacency)
+    except ValueError:  # ragged nested sequences
+        raise ParseError("adjacency matrix must be square") from None
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ParseError("adjacency matrix must be square and nonempty")
+    if (A.dtype.kind not in "biuf" or not np.isin(A, (0, 1)).all()
+            or not np.array_equal(A, A.T) or np.diagonal(A).any()):
         raise ParseError("adjacency must be symmetric 0/1 with empty diagonal")
+    n = A.shape[0]
 
     dist = _graph_distances(A)
     if (dist < 0).any():
@@ -381,7 +402,9 @@ def scheme_from_distance_regular_graph(adjacency) -> Scheme:
         raise NotDistanceRegular("graph is not connected", witness=(a, b))
 
     try:
-        return build_scheme(range(n), range(int(dist.max()) + 1), dist)
+        # a single vertex has no adjacency row
+        return _verified_scheme(tuple(range(n)), tuple(range(int(dist.max()) + 1)), dist,
+                                [1] if n > 1 else [])
     except InconsistentIntersection as exc:
         raise NotDistanceRegular(
             f"distance counts are not constant: {exc}", witness=exc.witness

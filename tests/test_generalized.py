@@ -1,5 +1,6 @@
 """Stochastic-matrix realizations of schemes: verification and deformed duals."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypergroups.errors import (
     SchemeError,
     SupportMismatch,
 )
+from hypergroups import generalized
 from hypergroups.families.cosh import CoshFamily, cosh_window_scheme
 from hypergroups.generalized import (
     build_generalized,
@@ -302,3 +304,23 @@ def test_classical_route_solves_nothing_larger_than_d(monkeypatch):
     g = classical_embedding(s)
     assert all(positive_connection_check(g, alpha)[0] for alpha in chars)
     assert sizes and max(sizes) <= s.n_classes, sizes
+
+
+def test_classical_embedding_builds_one_base_hypergroup(algebra_schemes, monkeypatch, rng):
+    """The checks reuse the embedding's hypergroup, and read the same base_*
+    fields as an object that builds its own."""
+    built = []
+    real = generalized.hypergroup_from_scheme
+    monkeypatch.setattr(generalized, "hypergroup_from_scheme",
+                        lambda s: built.append(s) or real(s))
+    for name, s in algebra_schemes.items():
+        built.clear()
+        d = s.n_classes
+        alphas = (np.ones(d), rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        g = classical_embedding(s)
+        certs = [positive_connection_check(g, a, character_tol=np.inf)[1] for a in alphas]
+        assert len(built) == 1, name
+        own = dataclasses.replace(g)  # drops the hypergroup the embedding built
+        assert certs == [positive_connection_check(own, a, character_tol=np.inf)[1]
+                         for a in alphas], name
+        assert len(built) == 2, name

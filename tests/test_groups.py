@@ -45,6 +45,13 @@ def test_group_from_table_accepts_labels_and_indices():
     g1 = group_from_table([0, 1, 2], table_idx)
     g2 = group_from_table(["a", "b", "c"], table_lbl)
     assert np.array_equal(g1.mul, g2.mul)
+    # a label wins over an index: Z_3 on the labels 2, 0, 1, where entry 1 is
+    # the label at position 2, not index 1
+    elements = [2, 0, 1]
+    table = [[(x + y) % 3 for y in elements] for x in elements]
+    want = [[elements.index((x + y) % 3) for y in elements] for x in elements]
+    for given_as in (table, np.array(table)):
+        assert group_from_table(elements, given_as).mul.tolist() == want
 
 
 def test_non_latin_table_rejected():
@@ -106,6 +113,11 @@ def test_nonassociative_loop_witness_is_first_failing_row():
 def test_table_errors_name_the_first_bad_entry_and_row():
     with pytest.raises(InvalidCayleyTable, match=r"entry 9 at \(1, 2\) is no element"):
         group_from_table([0, 1, 2], [[0, 1, 2], [1, 2, 9], [2, "x", 1]])
+    # the first bad entry in C order, not in column order, of an integer array
+    with pytest.raises(InvalidCayleyTable, match=r"entry np.int64\(9\) at \(1, 2\) is no"):
+        group_from_table([0, 1, 2], np.array([[0, 1, 2], [1, 2, 9], [-1, 0, 1]]))
+    with pytest.raises(InvalidCayleyTable, match="not |G| x |G|"):
+        group_from_table([0, 1, 2], np.arange(6).reshape(2, 3))
     with pytest.raises(InvalidCayleyTable, match="latin") as info:
         group_from_table([0, 1, 2], [[0, 1, 2], [1, 2, 0], [2, 1, 0]])
     assert info.value.witness == 1
@@ -119,7 +131,21 @@ def test_symmetric_group_tables_accepted():
     for n in (4, 5):
         g = symmetric_group(n)
         labelled = [[g.elements[v] for v in row] for row in g.mul.tolist()]
-        assert np.array_equal(group_from_table(g.elements, labelled).mul, g.mul)
+        # index and label entries mixed in one table
+        mixed = [[g.elements[v] if (i + j) % 2 else v for j, v in enumerate(row)]
+                 for i, row in enumerate(g.mul.tolist())]
+        for table in (labelled, mixed, g.mul.tolist(), g.mul, g.mul.astype(np.uint16)):
+            assert np.array_equal(group_from_table(g.elements, table).mul, g.mul)
+
+
+def test_symmetric_group_matches_composition_by_loops():
+    for n in range(6):
+        perms = list(itertools.permutations(range(n)))
+        pos = {p: i for i, p in enumerate(perms)}
+        table = [[pos[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
+        g = symmetric_group(n)
+        assert g.elements == tuple(perms)
+        assert g.mul.tolist() == table
 
 
 def test_check_subgroup_accepts_and_rejects():

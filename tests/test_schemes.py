@@ -1,7 +1,12 @@
 """Scheme construction, intersection-count verification, and the identity audit."""
 
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergroups import catalog, schemes
 from hypergroups.errors import (
@@ -11,6 +16,7 @@ from hypergroups.errors import (
     NoInvolution,
     NotDistanceRegular,
     ParseError,
+    SchemeError,
 )
 from hypergroups.schemes import (
     audit_intersection_identities,
@@ -376,14 +382,153 @@ def test_drg_rejection_does_not_pin_scratch_arrays():
 
 
 def test_drg_input_validation():
-    with pytest.raises(ParseError):
-        scheme_from_distance_regular_graph(np.ones((3, 3), dtype=np.int64))  # loops
     bad = catalog.cycle_graph(4)
     bad[0, 1] = 2
-    with pytest.raises(ParseError):
-        scheme_from_distance_regular_graph(bad)
-    with pytest.raises(ParseError):
-        scheme_from_distance_regular_graph(catalog.cycle_graph(5)[:4])  # not square
+    malformed = {
+        "loops": np.ones((3, 3), dtype=np.int64), "entry 2": bad,
+        "not square": catalog.cycle_graph(5)[:4], "scalar": np.int64(1), "vector": [0, 1],
+        "empty": np.zeros((0, 0)), "cube": np.zeros((2, 2, 2)), "ragged": [[0, 1], [1]],
+        "digit strings": [["0", "1"], ["1", "0"]], "strings": [["a", "b"], ["b", "a"]],
+        "fractional": [[0, 1.5], [1.5, 0]], "nan": [[0, np.nan], [np.nan, 0]],
+        "complex": [[0, 1j], [1j, 0]], "object": np.array([[0, 1], [1, None]]),
+    }
+    for name, adjacency in malformed.items():
+        try:
+            scheme_from_distance_regular_graph(adjacency)
+        except ParseError:
+            continue
+        pytest.fail(f"{name} adjacency accepted")
+
+
+def test_drg_accepts_bool_and_float_adjacency(petersen):
+    adj = catalog.petersen_graph()
+    for given_as in (adj.astype(bool), adj.astype(float), adj.tolist()):
+        assert np.array_equal(scheme_from_distance_regular_graph(given_as).p, petersen.p)
+    assert scheme_from_distance_regular_graph([[0]]).p.tolist() == [[[1]]]
+
+
+def hamming_graph(D, q):
+    words = np.array(list(itertools.product(range(q), repeat=D))).reshape(-1, D)
+    return ((words[:, None, :] != words[None, :, :]).sum(axis=2) == 1).astype(np.int64)
+
+
+def hamming_intersection_numbers(D, q):
+    """p[i, j, k] of H(D, q) in closed form.  For x, y at distance k, a word z
+    agrees with x at a and with y at b of the k places where they differ,
+    with neither at the c others, and differs from both at t of the D - k
+    places where they agree; then d(x, z) = b + c + t and d(z, y) = a + c + t."""
+    p = np.zeros((D + 1,) * 3, dtype=np.int64)
+    for k in range(D + 1):
+        for a in range(k + 1):
+            for b in range(k + 1 - a):
+                c = k - a - b
+                for t in range(D - k + 1):
+                    p[b + c + t, a + c + t, k] += (comb(k, a) * comb(k - a, b) * (q - 2) ** c
+                                                   * comb(D - k, t) * (q - 1) ** t)
+    return p
+
+
+@pytest.mark.parametrize("D, q", [(3, 3), (2, 4), (4, 2)])
+def test_hamming_closed_form_on_small_graphs(D, q):
+    s = scheme_from_distance_regular_graph(hamming_graph(D, q))
+    assert np.array_equal(s.p, hamming_intersection_numbers(D, q))
+    assert np.array_equal(s.p, brute_force_tensor(s))
+
+
+def test_drg_hamming_10_2_matches_closed_form():
+    v = np.arange(2**10)
+    distance = np.bitwise_count(v[:, None] ^ v[None, :])
+    s = scheme_from_distance_regular_graph(distance == 1)
+    assert s.classes == tuple(range(11))
+    assert np.array_equal(s.relation, distance)
+    assert np.array_equal(s.p, hamming_intersection_numbers(10, 2))
+
+
+def full_scan_bad_count(points, classes, rel, p, rows=None):
+    """The count check over every row i, whatever ``rows`` asks for: the
+    oracle for skipping the identity row and for the adjacency row alone."""
+    n, d = rel.shape[0], len(classes)
+    step = max(1, schemes.BLOCK // (2 * n * n))
+    onehot = None
+    for i in range(d):
+        a_i = (rel == i).astype(np.float64)
+        for j0 in range(0, d, step):
+            js = np.arange(j0, min(d, j0 + step))
+            if onehot is None or step < d:
+                onehot = (rel[:, None, :] == js[:, None]).astype(np.float64).reshape(n, -1)
+            prod = a_i @ onehot
+            for jj, j in enumerate(js.tolist()):
+                count = prod[:, jj * n:(jj + 1) * n]
+                bad = count != p[i, j][rel]
+                if not bad.any():
+                    continue
+                a, b = map(int, np.argwhere(bad)[0])
+                k = int(rel[a, b])
+                return {"i": classes[i], "j": classes[j], "k": classes[k],
+                        "pair": (points[a], points[b]), "count": int(count[a, b]),
+                        "reference_count": int(p[i, j, k])}
+    return None
+
+
+def outcome(build, *args, full_scan=False):
+    """The scheme's tensor, or the exception's type, message and witness."""
+    with pytest.MonkeyPatch.context() as mp:
+        if full_scan:
+            mp.setattr(schemes, "_bad_count", full_scan_bad_count)
+        try:
+            s = build(*args)
+        except SchemeError as exc:
+            return type(exc), str(exc), exc.witness
+    return s.classes, s.identity, s.relation.tolist(), s.p.tolist()
+
+
+DRGS = [catalog.cycle_graph(n) for n in (3, 4, 5, 6, 7)] + [
+    catalog.complete_graph(5), catalog.petersen_graph(), hamming_graph(3, 2),
+    hamming_graph(4, 2), hamming_graph(2, 3), 1 - np.kron(np.eye(4, dtype=np.int64),
+                                                          np.ones((2, 2), dtype=np.int64)),
+]
+
+
+@st.composite
+def graphs(draw):
+    """Random graphs, and relabelled or edge-switched distance-regular ones."""
+    kind = draw(st.sampled_from(["random", "relabelled", "switched"]))
+    if kind == "random":
+        n = draw(st.integers(1, 9))
+        adj = np.zeros((n, n), dtype=np.int64)
+        upper = np.triu_indices(n, 1)
+        adj[upper] = draw(st.lists(st.booleans(), min_size=len(upper[0]),
+                                   max_size=len(upper[0])))
+        return adj + adj.T
+    base = draw(st.sampled_from(DRGS))
+    perm = draw(st.permutations(range(len(base))))
+    adj = base[np.ix_(perm, perm)]
+    if kind == "switched":
+        # degree-preserving switch {a, b}, {c, e} -> {a, e}, {c, b}
+        edges = np.argwhere(np.triu(adj))
+        (a, b), (c, e) = edges[draw(st.lists(st.integers(0, len(edges) - 1), min_size=2,
+                                             max_size=2))]
+        if len({a, b, c, e}) == 4 and not adj[a, e] and not adj[c, b]:
+            adj[a, b] = adj[b, a] = adj[c, e] = adj[e, c] = 0
+            adj[a, e] = adj[e, a] = adj[c, b] = adj[b, c] = 1
+    return adj
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graphs(), st.data())
+def test_row_shortcuts_match_the_full_scan(adj, data):
+    """The adjacency row alone decides a distance partition, and skipping the
+    identity row decides any relation: same tensor, or same exception,
+    message and witness, as the count check over every row."""
+    want = outcome(scheme_from_distance_regular_graph, adj, full_scan=True)
+    assert outcome(scheme_from_distance_regular_graph, adj) == want
+    dist = schemes._graph_distances(adj)
+    if (dist < 0).any():
+        return
+    # the distances as an explicit relation, classes in a random order
+    order = data.draw(st.permutations(range(int(dist.max()) + 1)))
+    args = (range(len(adj)), order, dist)
+    assert outcome(build_scheme, *args) == outcome(build_scheme, *args, full_scan=True)
 
 
 # ---------------------------------------------------------------------------
