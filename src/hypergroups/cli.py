@@ -308,7 +308,9 @@ def _gab_psd_report(config: RunConfig, fam: GabFamily):
         "psd_count": sum(1 for r in rows if r["psd"]),
         "rows": rows,
     }
-    return results, {"": "\n".join(csv_lines) + "\n"}, True
+    # the kernel is psd on [s0, s1] and need not be outside it: inside points decide
+    ok = all(r["psd"] for r in rows if fam.s0 - 1e-12 <= r["x"] <= fam.s1 + 1e-12)
+    return results, {"": "\n".join(csv_lines) + "\n"}, ok
 
 
 def _gab_lp_report(config: RunConfig, fam: GabFamily):

@@ -78,13 +78,13 @@ class GeneralizedScheme:
     @cached_property
     def _base_algebra(self) -> tuple:
         """Base-scheme tensors for positive_connection_check, built once: the base
-        hypergroup's conv[i, jbar, k], and the (d, d*d) map from class coefficients
-        c to the matrix sqrt(valency_k) (sum_i c_i p[i, j, k]) / sqrt(valency_j)."""
+        hypergroup's conv[i, jbar, k] as (d*d, d), and the (d, d*d) map from class
+        coefficients c to the matrix sqrt(valency_k) (sum_i c_i p[i, j, k]) / sqrt(valency_j)."""
         s = self.base_scheme
         h0 = self._base_hypergroup or hypergroup_from_scheme(s)
         root = np.sqrt(s.valencies.astype(np.float64))
         regular = s.p.transpose(0, 2, 1) * (root[:, None] / root[None, :])
-        pairing = np.ascontiguousarray(h0.conv_float[:, h0.involution, :])
+        pairing = h0.conv_float[:, h0.involution, :].reshape(-1, s.n_classes)
         return pairing, regular.reshape(s.n_classes, -1)
 
 
@@ -462,7 +462,7 @@ def positive_connection_check(g: GeneralizedScheme, alpha, tol: float = 1e-9,
     truncated = g.base_scheme is None
     if not truncated:
         pairing, regular = g._base_algebra
-        M = np.tensordot(pairing, alpha, axes=([2], [0]))
+        M = _real_times(pairing, alpha).reshape(d, d)
         adjoint = np.conjugate(alpha[g.involution])
         kherm = float(np.abs(alpha - adjoint).max())
         H = _real_times(regular.T, (alpha + adjoint) / 2.0).reshape(d, d)

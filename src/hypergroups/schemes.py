@@ -9,12 +9,12 @@ satisfy.
 
 ``p[:, :, k]`` is a histogram of (rel[x, z], rel[z, y]) over z at the first
 pair (x, y) of class k; every pair is then checked for every (i, j) by
-float64 products of A_i with a one-hot class stack, in blocks of j.  Rows
-that cannot fail first are skipped: the identity row, as A_e = I is proved
-before, and on a distance partition every row but the adjacency row, which
-alone decides distance-regularity (Brouwer-Cohen-Neumaier 1989, section
-4.1).  Counts are at most n (n^2 in the audit), so float64 BLAS is exact;
-nothing is sampled.
+float64 products of A_i with a one-hot class stack, in blocks of j.  The
+identity row is skipped, as A_e = I is proved before.  A distance partition
+is checked by its adjacency row alone, which decides distance-regularity
+(Brouwer-Cohen-Neumaier 1989, section 4.1), inside the breadth-first search
+whose float32 products it reuses.  Counts are at most n (n^2 in the audit),
+so the float products are exact; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -193,6 +193,12 @@ def _bad_count(points, classes, rel, p, rows) -> dict | None:
     return None
 
 
+def _inconsistency(w: dict) -> InconsistentIntersection:
+    return InconsistentIntersection(
+        f"count for classes ({w['i']!r}, {w['j']!r}) over a {w['k']!r}-pair is {w['count']} "
+        f"at {w['pair']!r} but {w['reference_count']} at the representative pair", witness=w)
+
+
 def build_scheme(
     points: Sequence,
     classes: Sequence,
@@ -239,18 +245,14 @@ def _verified_scheme(points, classes, rel, rows, identity=None, involution=None)
 
     # p[:, :, k] counts the class pairs (rel[x, z], rel[z, y]) over z at the
     # first pair (x, y) of class k in C order, its counting representative
-    first = np.unique(rel.ravel(), return_index=True)[1]
+    first = np.full(d, n * n)
+    np.minimum.at(first, rel.ravel(), np.arange(n * n))
     p = np.empty((d, d, d), dtype=np.int64)
     for k, (x, y) in enumerate(zip(*np.unravel_index(first, (n, n)))):
         p[:, :, k] = np.bincount(rel[x] * d + rel[:, y], minlength=d * d).reshape(d, d)
     w = _bad_count(points, classes, rel, p, [i for i in rows if i != e])
     if w is not None:
-        raise InconsistentIntersection(
-            f"count for classes ({w['i']!r}, {w['j']!r}) over a {w['k']!r}-pair is "
-            f"{w['count']} at {w['pair']!r} but {w['reference_count']} at the "
-            f"representative pair",
-            witness=w,
-        )
+        raise _inconsistency(w)
 
     omega = p[np.arange(d), tau, e].copy()
     # internal consistency of what was just computed
@@ -378,12 +380,13 @@ def scheme_from_distance_regular_graph(adjacency) -> Scheme:
     """Scheme whose classes are the graph distances, if that is a scheme.
 
     ``adjacency`` is a symmetric 0/1 matrix without loops, checked on the
-    values as given (``ParseError`` otherwise).  Only the adjacency row of
-    the count check runs: a connected graph is distance-regular iff A A_j =
-    sum_k p[1, j, k] A_k for every j (Brouwer-Cohen-Neumaier 1989, 4.1), and
-    then each A_k is a polynomial in A, so every other row holds and the
-    full check's first failure is in this row.  Raises ``NotDistanceRegular``
-    (with that witness) when the distances do not form a scheme.
+    values as given (``ParseError`` otherwise).  One breadth-first search
+    measures the distances and checks the adjacency row of the counts: a
+    connected graph is distance-regular iff A A_j = sum_k p[1, j, k] A_k for
+    every j (Brouwer-Cohen-Neumaier 1989, 4.1), and then each A_k is a
+    polynomial in A, so every other row holds and the full check's first
+    failure is in this row.  Raises ``NotDistanceRegular`` (with that
+    witness) when the distances do not form a scheme.
     """
     try:
         A = np.asarray(adjacency)
@@ -396,39 +399,52 @@ def scheme_from_distance_regular_graph(adjacency) -> Scheme:
         raise ParseError("adjacency must be symmetric 0/1 with empty diagonal")
     n = A.shape[0]
 
-    dist = _graph_distances(A)
+    dist, w = _distances_and_first_bad_count(A)
     if (dist < 0).any():
         a, b = map(int, np.argwhere(dist < 0)[0])
         raise NotDistanceRegular("graph is not connected", witness=(a, b))
-
-    try:
-        # a single vertex has no adjacency row
-        return _verified_scheme(tuple(range(n)), tuple(range(int(dist.max()) + 1)), dist,
-                                [1] if n > 1 else [])
-    except InconsistentIntersection as exc:
-        raise NotDistanceRegular(
-            f"distance counts are not constant: {exc}", witness=exc.witness
-        ) from exc
+    if w is not None:
+        exc = _inconsistency(w)
+        raise NotDistanceRegular(f"distance counts are not constant: {exc}", witness=w) from exc
+    return _verified_scheme(tuple(range(n)), tuple(range(int(dist.max()) + 1)), dist, [])
 
 
-def _graph_distances(A: np.ndarray) -> np.ndarray:
-    """Distances of a 0/1 adjacency matrix, -1 where unreachable.
+def _distances_and_first_bad_count(A: np.ndarray) -> tuple[np.ndarray, dict | None]:
+    """Distances of a 0/1 adjacency matrix (-1 where unreachable) and the
+    witness of the adjacency row's first failing count, or None.
 
-    Breadth-first search from every vertex at once: row v of the frontier
-    holds the vertices first reached from v at distance r.  A helper of its
-    own, so the n x n float scratch is gone before any exception is raised.
+    Breadth-first search from every vertex at once.  The level-r product P =
+    A_r A marks the pairs at distance r + 1; P.T = A A_r is block j = r of the
+    row, zero past distance r + 1 as p[1, r, k] is, so the block is checked
+    whole against P.T at each class's first pair in C order, p's
+    representative, and the first failure is the full scan's.  The returned
+    witness keeps no float scratch alive.
     """
     n = A.shape[0]
     dist = np.where(np.eye(n, dtype=bool), 0, -1)
-    edges = A.astype(np.float64)
-    frontier = np.eye(n)
-    r = 0
-    while frontier.any():
-        r += 1
-        reached = (frontier @ edges > 0) & (dist < 0)
-        dist[reached] = r
-        frontier = reached.astype(np.float64)
-    return dist
+    # counts are at most n; float32 is exact below 2**24, past any n x n array that fits
+    edges = A.astype(np.float32)
+    frontier = np.eye(n, dtype=np.float32)
+    first, witness = [0], None  # flat index of the first pair of each distance
+    for r in range(n):  # the diameter is below n
+        prod = np.matmul(frontier, edges)
+        reached = (prod > 0) & (dist < 0)
+        if reached.any():
+            np.putmask(dist, reached, r + 1)
+            first.append(int(reached.argmax()))
+        if witness is None:
+            x, y = np.divmod(first, n)
+            ref = np.append(prod[y, x], 0)  # ref[-1] = 0 at pairs not reached
+            bad = prod != ref[dist]  # the check of P.T, transposed, as dist is symmetric
+            if bad.any():
+                a, b = map(int, np.argwhere(bad.T)[0])
+                k = int(dist[a, b])
+                witness = {"i": 1, "j": r, "k": k, "pair": (a, b),
+                           "count": int(prod[b, a]), "reference_count": int(ref[k])}
+        if len(first) == r + 1:  # nothing reached at this level
+            break
+        frontier = reached.astype(np.float32)
+    return dist, witness
 
 
 def _as_permutation(mapping, labels, what: str) -> np.ndarray:

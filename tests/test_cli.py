@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hypergroups.catalog import pentagon_scheme
+from hypergroups import cli
 from hypergroups.cli import main
 from hypergroups.generalized import classical_embedding
 from hypergroups.harmonic import character_table
@@ -393,6 +394,22 @@ def test_family_gab_psd_sweep(capsys, schema):
     rows = rep["results"]["rows"]
     assert any(not r["psd"] for r in rows)
     assert any(r["psd"] for r in rows)
+
+
+def test_family_gab_psd_sweep_fails_on_an_inside_point(capsys, schema, monkeypatch):
+    # a kernel that is not psd at a point of [s0, s1] contradicts the family's
+    # positive definiteness there, so the sweep fails
+    def rows(fam, xs, radius, budget, tol):
+        return [{"x": float(x), "radius": radius, "n_vertices": 1,
+                 "min_eigenvalue": -1.0 if x == 0 else 1.0, "psd": x != 0} for x in xs]
+
+    monkeypatch.setattr(cli, "_psd_rows", rows)
+    code, rep = run(capsys, "family", "gab", "--a", "3", "--b", "3", "--report", "psd-sweep",
+                    "--x-min", "-0.5", "--x-max", "0.5", "--x-step", "0.5")
+    assert code == 2
+    check_envelope(schema, rep, "family")
+    assert rep["status"] == "fail"
+    assert [r["psd"] for r in rep["results"]["rows"]] == [True, False, True]
 
 
 def test_family_gab_lp_sweep(capsys, schema):

@@ -259,6 +259,25 @@ def test_kernel_floor_matches_dense_eigvalsh(algebra_schemes, rng):
             assert abs(cert["kernel_min_eigenvalue"] - floor) <= 1e-10 * scale, (name, alpha)
 
 
+def test_base_fields_match_the_complex_contraction(algebra_schemes, rng):
+    """The base block is contracted in split real and imaginary parts; the
+    complex tensordot of the same block is the reference."""
+    for name, s in algebra_schemes.items():
+        g = classical_embedding(s)
+        h0 = hypergroup_from_scheme(s)
+        d = s.n_classes
+        alphas = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(3)]
+        alphas += [np.ones(d), 1e3 * rng.standard_normal(d)]
+        for alpha in alphas:
+            _, cert = positive_connection_check(g, alpha, character_tol=np.inf)
+            M = np.tensordot(h0.conv_float[:, h0.involution, :], alpha, axes=([2], [0]))
+            herm = float(np.abs(M - np.conjugate(M.T)).max())
+            floor = float(np.linalg.eigvalsh((M + np.conjugate(M.T)) / 2.0).min())
+            tol = 1e-12 * max(1.0, float(np.abs(alpha).max()))
+            assert abs(cert["base_hermiticity_residual"] - herm) <= tol, name
+            assert abs(cert["base_min_eigenvalue"] - floor) <= tol, name
+
+
 def test_kernel_floor_rejects_what_the_dense_kernel_rejects(pentagon):
     g = classical_embedding(pentagon)
     alpha = np.array([1.0, -1.0, 1.0])

@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypergroups import catalog, schemes
@@ -444,6 +444,36 @@ def test_drg_hamming_10_2_matches_closed_form():
     assert np.array_equal(s.p, hamming_intersection_numbers(10, 2))
 
 
+def test_drg_counts_come_from_the_search_products(monkeypatch):
+    # H(6, 2) has diameter 6: seven n x n products, one per search level,
+    # and no row left for the count check after the search
+    adj = hamming_graph(6, 2)
+    n = len(adj)
+    products, rows = [], []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b):
+            products.append((a.shape, b.shape))
+            return np.matmul(a, b)
+
+    bad_count = schemes._bad_count
+
+    def spy(points, classes, rel, p, rows_asked):
+        rows.append(list(rows_asked))
+        return bad_count(points, classes, rel, p, rows_asked)
+
+    monkeypatch.setattr(schemes, "np", CountingNumpy())
+    monkeypatch.setattr(schemes, "_bad_count", spy)
+    s = scheme_from_distance_regular_graph(adj)
+    assert np.array_equal(s.p, hamming_intersection_numbers(6, 2))
+    assert products == [((n, n), (n, n))] * 7
+    assert rows == [[]]
+
+
 def full_scan_bad_count(points, classes, rel, p, rows=None):
     """The count check over every row i, whatever ``rows`` asks for: the
     oracle for skipping the identity row and for the adjacency row alone."""
@@ -470,15 +500,48 @@ def full_scan_bad_count(points, classes, rel, p, rows=None):
     return None
 
 
+def bfs_distances(A):
+    """Distances of a 0/1 adjacency matrix, -1 where unreachable, by a
+    breadth-first search that checks no counts."""
+    edges = np.asarray(A, dtype=np.float64)
+    n = len(edges)
+    dist = np.where(np.eye(n, dtype=bool), 0, -1)
+    frontier, r = np.eye(n), 0
+    while frontier.any():
+        r += 1
+        reached = (frontier @ edges > 0) & (dist < 0)
+        dist[reached] = r
+        frontier = reached.astype(np.float64)
+    return dist
+
+
+def full_scan_drg(adjacency):
+    """The distance-regular route with the counts checked after the search,
+    by ``_bad_count``: the oracle for the check done inside the search."""
+    n = len(adjacency)
+    dist = bfs_distances(adjacency)
+    if (dist < 0).any():
+        a, b = map(int, np.argwhere(dist < 0)[0])
+        raise NotDistanceRegular("graph is not connected", witness=(a, b))
+    try:
+        return schemes._verified_scheme(tuple(range(n)), tuple(range(int(dist.max()) + 1)),
+                                        dist, range(int(dist.max()) + 1))
+    except InconsistentIntersection as exc:
+        raise NotDistanceRegular(
+            f"distance counts are not constant: {exc}", witness=exc.witness
+        ) from exc
+
+
 def outcome(build, *args, full_scan=False):
-    """The scheme's tensor, or the exception's type, message and witness."""
+    """The scheme's tensor, or the exception's type, message, witness and
+    cause type."""
     with pytest.MonkeyPatch.context() as mp:
         if full_scan:
             mp.setattr(schemes, "_bad_count", full_scan_bad_count)
         try:
             s = build(*args)
         except SchemeError as exc:
-            return type(exc), str(exc), exc.witness
+            return type(exc), str(exc), exc.witness, type(exc.__cause__)
     return s.classes, s.identity, s.relation.tolist(), s.p.tolist()
 
 
@@ -489,9 +552,24 @@ DRGS = [catalog.cycle_graph(n) for n in (3, 4, 5, 6, 7)] + [
 ]
 
 
+def generalized_petersen(n, k):
+    adj = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    for i in range(n):
+        for a, b in ((i, (i + 1) % n), (i, n + i), (n + i, n + (i + k) % n)):
+            adj[a, b] = adj[b, a] = 1
+    return adj
+
+
+# cubic graphs of girth at least 5 have constant counts k, lambda = 0 and
+# mu = 1, so unless distance-regular they first fail past j = 1: j = 2 for
+# the first three (GP(8, 3) is the Moebius-Kantor graph), j = 3 for GP(13, 5)
+CUBIC = [generalized_petersen(n, k) for n, k in ((7, 2), (8, 3), (12, 5), (13, 5))]
+
+
 @st.composite
 def graphs(draw):
-    """Random graphs, and relabelled or edge-switched distance-regular ones."""
+    """Random graphs, and relabelled or edge-switched distance-regular ones or
+    cubic ones that are not."""
     kind = draw(st.sampled_from(["random", "relabelled", "switched"]))
     if kind == "random":
         n = draw(st.integers(1, 9))
@@ -500,7 +578,7 @@ def graphs(draw):
         adj[upper] = draw(st.lists(st.booleans(), min_size=len(upper[0]),
                                    max_size=len(upper[0])))
         return adj + adj.T
-    base = draw(st.sampled_from(DRGS))
+    base = draw(st.sampled_from(DRGS + CUBIC))
     perm = draw(st.permutations(range(len(base))))
     adj = base[np.ix_(perm, perm)]
     if kind == "switched":
@@ -514,19 +592,30 @@ def graphs(draw):
     return adj
 
 
+# a path on three vertices beside a disjoint edge: the larger component is not
+# distance-regular, and "not connected" must still be the error
+PATH_AND_EDGE = np.zeros((5, 5), dtype=np.int64)
+PATH_AND_EDGE[[0, 1, 1, 2, 3, 4], [1, 0, 2, 1, 4, 3]] = 1
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(graphs(), st.data())
+@example(PATH_AND_EDGE, None)
+@example(np.zeros((1, 1), dtype=np.int64), None)  # a single vertex
 def test_row_shortcuts_match_the_full_scan(adj, data):
-    """The adjacency row alone decides a distance partition, and skipping the
-    identity row decides any relation: same tensor, or same exception,
-    message and witness, as the count check over every row."""
-    want = outcome(scheme_from_distance_regular_graph, adj, full_scan=True)
+    """The adjacency row checked inside the breadth-first search decides a
+    distance partition, and skipping the identity row decides any relation:
+    same tensor, or same exception, message, witness and cause, as the count
+    check over every row."""
+    want = outcome(full_scan_drg, adj, full_scan=True)
     assert outcome(scheme_from_distance_regular_graph, adj) == want
-    dist = schemes._graph_distances(adj)
+    dist = bfs_distances(adj)
     if (dist < 0).any():
         return
     # the distances as an explicit relation, classes in a random order
-    order = data.draw(st.permutations(range(int(dist.max()) + 1)))
+    order = list(range(int(dist.max()) + 1))
+    if data is not None:  # the named examples keep the natural order
+        order = data.draw(st.permutations(order))
     args = (range(len(adj)), order, dist)
     assert outcome(build_scheme, *args) == outcome(build_scheme, *args, full_scan=True)
 
