@@ -1,8 +1,13 @@
 """Command-line front end: verification, tables, and family sweeps.
 
-Exit codes: 0 success/pass, 1 unreadable or malformed input, 2 structural
-verification failure, 3 commutativity required but absent, 4 family
-parameter out of range.  All emitters are byte-deterministic for a fixed
+Exit codes: 0 success/pass, 1 unreadable or malformed input or a usage
+error in the command line, 2 structural verification failure, 3
+commutativity required but absent, 4 family parameter out of range.
+Option defaults live only in ``build_parser``, and handlers read the
+parsed ``argparse.Namespace``.  ``--tol``, ``--grid-nodes``,
+``--moment-order`` and ``--vertex-budget`` default to None there, so a
+report lists them only when given; the command that reads one supplies
+its own value otherwise.  All emitters are byte-deterministic for a fixed
 command line (fixed seed, sorted keys, fixed orderings, no timestamps).
 """
 
@@ -12,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,60 +60,40 @@ EXIT_PARAMETER = 4
 PSD_SWEEP_MAX_POINTS = 10_000
 
 
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list = field(default_factory=list)
-    tol: float | None = None
-    seed: int = SEED
-    out_dir: str | None = None
-    window: int | None = None
-    grid_nodes: int | None = None
-    moment_order: int | None = None
-    vertex_budget: int | None = None
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.tol is not None and not self.tol > 0:
-            raise ParameterOutOfRange("tolerance must be positive")
-
-    def as_parameters(self) -> dict:
-        params = {
-            "inputs": list(self.inputs),
-            "seed": self.seed,
-        }
-        if self.tol is not None:
-            params["tol"] = self.tol
-        for key in ("window", "grid_nodes", "moment_order", "vertex_budget"):
-            value = getattr(self, key)
-            if value is not None:
-                params[key] = value
-        params.update(self.extra)
-        return params
-
-
-def make_report(config: RunConfig, results: dict, status: str) -> dict:
+def make_report(args: argparse.Namespace, results: dict, status: str) -> dict:
     return {
         "schema": REPORT_SCHEMA,
         "tool": "hypergroups",
-        "command": config.command,
-        "parameters": config.as_parameters(),
+        "command": args.command,
+        "parameters": _parameters(args),
         "results": results,
         "status": status,
     }
 
 
-def _emit(config: RunConfig, report: dict, stem: str, csv_blocks: dict | None = None):
+def _parameters(args: argparse.Namespace) -> dict:
+    """The options a report echoes: optional overrides only when given."""
+    params = {"inputs": [args.input] if "input" in args else [], "seed": args.seed}
+    for key in ("tol", "grid_nodes", "moment_order", "vertex_budget"):
+        if getattr(args, key, None) is not None:
+            params[key] = getattr(args, key)
+    if args.command == "family":
+        params.update(family=args.family, report=args.report)
+        params.update((key, getattr(args, key)) for key in REPORTS[args.report][1])
+    return params
+
+
+def _emit(args: argparse.Namespace, report: dict, stem: str, csv_blocks: dict | None = None):
     text = jsonio.dump_report(report)
-    if config.out_dir is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        os.makedirs(config.out_dir, exist_ok=True)
-        with open(os.path.join(config.out_dir, stem + ".json"), "w", encoding="utf-8") as fh:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, stem + ".json"), "w", encoding="utf-8") as fh:
             fh.write(text)
         for suffix, csv_text in (csv_blocks or {}).items():
             name = stem + (("_" + suffix) if suffix else "") + ".csv"
-            with open(os.path.join(config.out_dir, name), "w", encoding="utf-8") as fh:
+            with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
                 fh.write(csv_text)
 
 
@@ -143,8 +127,8 @@ def _hypergroup_of(kind: str, obj):
 # subcommands
 
 
-def cmd_verify(config: RunConfig) -> int:
-    kind, obj = _load_any(config.inputs[0])
+def cmd_verify(args: argparse.Namespace) -> int:
+    kind, obj = _load_any(args.input)
     results: dict = {"kind": kind}
     if kind in ("scheme", "cayley"):
         audit = audit_intersection_identities(obj)
@@ -158,7 +142,7 @@ def cmd_verify(config: RunConfig) -> int:
         results["intersection_tensor"] = obj.p.tolist()
         ok = bool(audit["all_hold"])
     elif kind == "hypergroup":
-        tol = config.tol if config.tol is not None else 1e-12
+        tol = args.tol if args.tol is not None else 1e-12
         report = verify_hypergroup(obj, tol=tol)
         results["audit"] = report
         ok = bool(report["all_hold"])
@@ -168,14 +152,14 @@ def cmd_verify(config: RunConfig) -> int:
         results["pairs_checked"] = int(obj.pair_checked.sum())
         ok = True
     status = "pass" if ok else "fail"
-    _emit(config, make_report(config, results, status), "verify")
+    _emit(args, make_report(args, results, status), "verify")
     return EXIT_PASS if ok else EXIT_STRUCTURE
 
 
-def cmd_hypergroup(config: RunConfig) -> int:
-    kind, obj = _load_any(config.inputs[0])
+def cmd_hypergroup(args: argparse.Namespace) -> int:
+    kind, obj = _load_any(args.input)
     h = _hypergroup_of(kind, obj)
-    tol = config.tol if config.tol is not None else 1e-12
+    tol = args.tol if args.tol is not None else 1e-12
     report = verify_hypergroup(h, tol=tol)
     results = {
         "kind": kind,
@@ -183,14 +167,14 @@ def cmd_hypergroup(config: RunConfig) -> int:
         "audit": report,
     }
     ok = bool(report["all_hold"])
-    _emit(config, make_report(config, results, "pass" if ok else "fail"), "hypergroup")
+    _emit(args, make_report(args, results, "pass" if ok else "fail"), "hypergroup")
     return EXIT_PASS if ok else EXIT_STRUCTURE
 
 
-def cmd_chartable(config: RunConfig) -> int:
-    kind, obj = _load_any(config.inputs[0])
+def cmd_chartable(args: argparse.Namespace) -> int:
+    kind, obj = _load_any(args.input)
     h = _hypergroup_of(kind, obj)
-    tbl = character_table(h, seed=config.seed)
+    tbl = character_table(h, seed=args.seed)
     results = {
         "kind": kind,
         "classes": [jsonio._plain(c) for c in h.classes],
@@ -202,15 +186,15 @@ def cmd_chartable(config: RunConfig) -> int:
         "orthogonality_residual": float(orthogonality_residual(tbl)),
     }
     csv_text = jsonio.chartable_to_csv(tbl)
-    _emit(config, make_report(config, results, "pass"), "chartable", {"": csv_text})
+    _emit(args, make_report(args, results, "pass"), "chartable", {"": csv_text})
     return EXIT_PASS
 
 
-def cmd_dualtable(config: RunConfig) -> int:
-    kind, obj = _load_any(config.inputs[0])
+def cmd_dualtable(args: argparse.Namespace) -> int:
+    kind, obj = _load_any(args.input)
     h = _hypergroup_of(kind, obj)
-    tol = config.tol if config.tol is not None else 1e-9
-    tbl = character_table(h, seed=config.seed)
+    tol = args.tol if args.tol is not None else 1e-9
+    tbl = character_table(h, seed=args.seed)
     duals = tbl.duals
     for a, b in np.argwhere(~(duals.total > 0.0))[:1].tolist():
         dual_convolution(h, tbl, a, b, tol=tol)  # raises DualNotPositive: the pair has no mass
@@ -235,7 +219,7 @@ def cmd_dualtable(config: RunConfig) -> int:
     csv_text = jsonio.dualtable_to_csv(list(tbl.labels), duals.weights)
     del tbl, duals  # frees the cached coefficients before the report is serialized
     status = "pass" if nonneg else "fail"
-    _emit(config, make_report(config, results, status), "dualtable", {"": csv_text})
+    _emit(args, make_report(args, results, status), "dualtable", {"": csv_text})
     return EXIT_PASS if nonneg else EXIT_STRUCTURE
 
 
@@ -243,8 +227,10 @@ def cmd_dualtable(config: RunConfig) -> int:
 # family sweeps
 
 
-def _gab_linearization_report(config: RunConfig, fam: GabFamily):
-    nmax = config.extra.get("max_degree", 8)
+def _gab_linearization_report(args: argparse.Namespace, fam: GabFamily):
+    nmax = args.max_degree
+    if nmax < 0:
+        raise ParameterOutOfRange(f"--max-degree must be nonnegative, got {nmax}")
     rows = []
     worst = 0.0
     min_coeff = math.inf
@@ -272,13 +258,10 @@ def _gab_linearization_report(config: RunConfig, fam: GabFamily):
     return results, {"": "\n".join(csv_lines) + "\n"}, ok
 
 
-def _gab_psd_report(config: RunConfig, fam: GabFamily):
-    x_min = config.extra.get("x_min", -1.5)
-    x_max = config.extra.get("x_max", 1.5)
-    x_step = config.extra.get("x_step", 0.05)
-    radius = config.extra.get("radius", 3)
-    budget = config.vertex_budget if config.vertex_budget is not None else 5000
-    tol = config.tol if config.tol is not None else 1e-8
+def _gab_psd_report(args: argparse.Namespace, fam: GabFamily):
+    x_min, x_max, x_step, radius = args.x_min, args.x_max, args.x_step, args.radius
+    budget = args.vertex_budget if args.vertex_budget is not None else 5000
+    tol = args.tol if args.tol is not None else 1e-8
     if not x_step > 0:
         raise ParameterOutOfRange(f"--x-step must be positive, got {x_step!r}")
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
@@ -313,11 +296,11 @@ def _gab_psd_report(config: RunConfig, fam: GabFamily):
     return results, {"": "\n".join(csv_lines) + "\n"}, ok
 
 
-def _gab_lp_report(config: RunConfig, fam: GabFamily):
-    order = config.moment_order if config.moment_order is not None else 8
-    n_nodes = config.grid_nodes if config.grid_nodes is not None else 400
-    pts = config.extra.get("sweep_points", 5)
-    slack = config.tol if config.tol is not None else 1e-8
+def _gab_lp_report(args: argparse.Namespace, fam: GabFamily):
+    order = args.moment_order if args.moment_order is not None else 8
+    n_nodes = args.grid_nodes if args.grid_nodes is not None else 400
+    pts = args.sweep_points
+    slack = args.tol if args.tol is not None else 1e-8
     if pts < 2:
         raise ParameterOutOfRange(f"--sweep-points must be at least 2, got {pts}")
     values = [fam.s0 + (fam.s1 - fam.s0) * i / (pts - 1) for i in range(pts)]
@@ -351,8 +334,8 @@ def _gab_lp_report(config: RunConfig, fam: GabFamily):
     return results, {"": "\n".join(csv_lines) + "\n"}, all_ok
 
 
-def _cosh_window_report(config: RunConfig, fam: CoshFamily):
-    m = config.window if config.window is not None else 8
+def _cosh_window_report(args: argparse.Namespace, fam: CoshFamily):
+    m = args.window
     g = cosh_window_scheme(fam, m)
     closed_dev = 0.0
     for k in range(m + 1):
@@ -390,32 +373,21 @@ def _cosh_window_report(config: RunConfig, fam: CoshFamily):
     return results, None, ok
 
 
-def cmd_family(config: RunConfig) -> int:
-    which = config.extra["family"]
-    report_kind = config.extra["report"]
-    if which == "gab":
-        fam = GabFamily(config.extra["a"], config.extra["b"])
-        builders = {
-            "linearization": _gab_linearization_report,
-            "psd-sweep": _gab_psd_report,
-            "lp-sweep": _gab_lp_report,
-        }
-        if report_kind not in builders:
-            raise ParameterOutOfRange(
-                f"family gab supports reports {sorted(builders)}, got {report_kind!r}"
-            )
-        results, csv_blocks, ok = builders[report_kind](config, fam)
-    else:
-        fam = CoshFamily(config.extra["r"])
-        if report_kind != "window-audit":
-            raise ParameterOutOfRange(
-                f"family cosh supports report 'window-audit', got {report_kind!r}"
-            )
-        results, csv_blocks, ok = _cosh_window_report(config, fam)
+# builder and the options of each --report; its parameters block lists them
+REPORTS = {
+    "linearization": (_gab_linearization_report, ("a", "b", "max_degree")),
+    "psd-sweep": (_gab_psd_report, ("a", "b", "x_min", "x_max", "x_step", "radius")),
+    "lp-sweep": (_gab_lp_report, ("a", "b", "sweep_points")),
+    "window-audit": (_cosh_window_report, ("r", "window")),
+}
 
-    stem = f"family_{which}_{report_kind.replace('-', '_')}"
+
+def cmd_family(args: argparse.Namespace) -> int:
+    fam = GabFamily(args.a, args.b) if args.family == "gab" else CoshFamily(args.r)
+    results, csv_blocks, ok = REPORTS[args.report][0](args, fam)
+    stem = f"family_{args.family}_{args.report.replace('-', '_')}"
     status = "pass" if ok else "fail"
-    _emit(config, make_report(config, results, status), stem, csv_blocks)
+    _emit(args, make_report(args, results, status), stem, csv_blocks)
     return EXIT_PASS if ok else EXIT_STRUCTURE
 
 
@@ -423,8 +395,15 @@ def cmd_family(config: RunConfig) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ParseError (exit 1, one line) instead of exiting 2."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypergroups",
         description="Association schemes, finite hypergroups, duals, and families.",
     )
@@ -474,40 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    extra = {}
-    inputs = []
-    if args.command == "family":
-        extra["family"] = args.family
-        extra["report"] = args.report
-        if args.family == "gab":
-            extra["a"] = args.a
-            extra["b"] = args.b
-            if args.report == "linearization":
-                extra["max_degree"] = args.max_degree
-            if args.report == "psd-sweep":
-                extra.update(x_min=args.x_min, x_max=args.x_max,
-                             x_step=args.x_step, radius=args.radius)
-            if args.report == "lp-sweep":
-                extra["sweep_points"] = args.sweep_points
-        else:
-            extra["r"] = args.r
-    else:
-        inputs = [args.input]
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        tol=args.tol,
-        seed=args.seed,
-        out_dir=args.out,
-        window=getattr(args, "window", None),
-        grid_nodes=getattr(args, "grid_nodes", None),
-        moment_order=getattr(args, "moment_order", None),
-        vertex_budget=getattr(args, "vertex_budget", None),
-        extra=extra,
-    )
-
-
 HANDLERS = {
     "verify": cmd_verify,
     "hypergroup": cmd_hypergroup,
@@ -517,24 +462,24 @@ HANDLERS = {
 }
 
 
+# exit code of each exception kind; the first that matches wins
+EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (NotCommutative, EXIT_NONCOMMUTATIVE),
+    (ParameterOutOfRange, EXIT_PARAMETER),
+    (SchemeError, EXIT_STRUCTURE),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return HANDLERS[args.command](config)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotCommutative as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCOMMUTATIVE
-    except ParameterOutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
+        args = build_parser().parse_args(argv)
+        if args.tol is not None and not args.tol > 0:
+            raise ParameterOutOfRange("tolerance must be positive")
+        return HANDLERS[args.command](args)
     except SchemeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURE
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -249,6 +249,8 @@ def gab_ball(fam: GabFamily, radius: int, vertex_budget: int = 5000):
         raise ParameterOutOfRange(
             f"graph construction needs integer parameters, got a={fam.a}, b={fam.b}"
         )
+    if radius < 0:
+        raise ParameterOutOfRange(f"radius must be nonnegative, got {radius}")
     a, b = int(fam.a), int(fam.b)
     size = _ball_size(a, b, radius)
     if size > vertex_budget:

@@ -132,21 +132,32 @@ def _list(doc: dict, key: str) -> list:
     return value
 
 
+def _relation_map(doc: dict, points: list) -> dict:
+    """The 'relations' rows as {(x, y): class}, read the same for schemes and
+    generalized schemes: each row names two known points, and no ordered
+    pair gets two classes.  Class labels are checked by the caller."""
+    known = set(points)
+    mapping = {}
+    for row in _list(doc, "relations"):
+        if not (isinstance(row, list) and len(row) == 3):
+            raise ParseError(f"relation rows must be [x, y, class], got {row!r}")
+        x, y, c = (_norm_label(v) for v in row)
+        if x not in known or y not in known:
+            raise ParseError(f"unknown label in relation row {row!r}")
+        key = (x, y)
+        if key in mapping and mapping[key] != c:
+            raise ParseError(f"pair {key!r} assigned two classes")
+        mapping[key] = c
+    return mapping
+
+
 def scheme_from_json(doc: dict) -> Scheme:
     for key in ("points", "classes", "relations"):
         if key not in doc:
             raise ParseError(f"scheme document missing {key!r}")
     points = [_norm_label(p) for p in _list(doc, "points")]
     classes = [_norm_label(c) for c in _list(doc, "classes")]
-    mapping = {}
-    for row in _list(doc, "relations"):
-        if not (isinstance(row, list) and len(row) == 3):
-            raise ParseError(f"relation rows must be [x, y, class], got {row!r}")
-        x, y, c = (_norm_label(v) for v in row)
-        key = (x, y)
-        if key in mapping and mapping[key] != c:
-            raise ParseError(f"pair {key!r} assigned two classes")
-        mapping[key] = c
+    mapping = _relation_map(doc, points)
     identity = _norm_label(doc["identity"]) if "identity" in doc else None
     involution = None
     if "involution" in doc:
@@ -310,14 +321,10 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
     class_index = {c: i for i, c in enumerate(classes)}
     n, d = len(points), len(classes)
     relation = np.full((n, n), -1, dtype=np.int64)
-    for row in _list(doc, "relations"):
-        if not (isinstance(row, list) and len(row) == 3):
-            raise ParseError(f"relation rows must be [x, y, class], got {row!r}")
-        x, y, c = (_norm_label(v) for v in row)
-        try:
-            relation[point_index[x], point_index[y]] = class_index[c]
-        except KeyError as exc:
-            raise ParseError(f"unknown label in relation row {row!r}") from exc
+    for (x, y), c in _relation_map(doc, points).items():
+        if c not in class_index:
+            raise ParseError(f"unknown label in relation row {[x, y, c]!r}")
+        relation[point_index[x], point_index[y]] = class_index[c]
     if (relation < 0).any():
         raise ParseError("relation does not cover all ordered pairs")
     stoch = _float_array(doc, "stoch")

@@ -394,7 +394,7 @@ def scheme_from_distance_regular_graph(adjacency) -> Scheme:
         raise ParseError("adjacency matrix must be square") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ParseError("adjacency matrix must be square and nonempty")
-    if (A.dtype.kind not in "biuf" or not np.isin(A, (0, 1)).all()
+    if (A.dtype.kind not in "biuf" or not ((A == 0) | (A == 1)).all()
             or not np.array_equal(A, A.T) or np.diagonal(A).any()):
         raise ParseError("adjacency must be symmetric 0/1 with empty diagonal")
     n = A.shape[0]

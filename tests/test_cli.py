@@ -138,6 +138,8 @@ def test_family_parameter_exit_code(capsys):
     ["--report", "psd-sweep", "--x-step", "1e-300"],
     ["--report", "psd-sweep", "--x-min=-1e308", "--x-max=1e308", "--x-step", "1e-300"],
     ["--report", "psd-sweep", "--x-max", "inf"],
+    ["--report", "psd-sweep", "--radius", "-1"],
+    ["--max-degree", "-1"],
 ])
 def test_degenerate_gab_sweep_rejected(capsys, argv):
     code = main(["family", "gab", "--a", "3", "--b", "3", *argv])
@@ -146,6 +148,31 @@ def test_degenerate_gab_sweep_rejected(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "gab", "--a", "x", "--b", "3"],
+    ["family", "gab", "--a", "3", "--b", "3", "--report", "nope"],
+    ["family", "gab", "--a", "3", "--b", "3", "--bogus"],
+    ["family", "cosh", "--r", "1", "--report", "psd-sweep"],
+    ["family"],
+    ["chartable", "doc.json", "--seed", "zz"],
+    ["verify"],
+    [],
+])
+def test_usage_errors_are_parse_errors(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hypergroups verify")
 
 
 @pytest.mark.parametrize("r, cause", [("inf", "must be finite"), ("60", "overflows")])
@@ -228,6 +255,26 @@ def test_malformed_hypergroup_documents_are_parse_errors(capsys, tmp_path, doc, 
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("doc_name", ["pentagon.json", "gen.json"])
+@pytest.mark.parametrize("row, message", [
+    ([99, 0, 1], "unknown label in relation row [99, 0, 1]"),
+    ([0, 99, 1], "unknown label in relation row [0, 99, 1]"),
+    ([0, 1, 2], "pair (0, 1) assigned two classes"),
+], ids=["unknown-x", "unknown-y", "two-classes"])
+def test_relation_rows_are_read_alike_for_both_kinds(capsys, docs, tmp_path, doc_name,
+                                                      row, message):
+    with open(docs[doc_name], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert [0, 1, 1] in doc["relations"]
+    doc["relations"].append(row)
+    path = tmp_path / doc_name
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
 
 
 def test_decimal_strings_are_exact_values(capsys, tmp_path):
@@ -369,6 +416,51 @@ def test_seed_flag_accepts_hex(capsys, schema, docs):
                     "--seed", "0xC0FFEE")
     assert code == 0
     assert rep["parameters"]["seed"] == 0xC0FFEE
+
+
+GAB = ["family", "gab", "--a", "3", "--b", "3"]
+FAMILY_GAB = {"inputs": [], "seed": 0xC0FFEE, "family": "gab", "a": 3.0, "b": 3.0}
+FAMILY_COSH = {"inputs": [], "seed": 0xC0FFEE, "family": "cosh", "report": "window-audit",
+               "r": 0.5}
+OVERRIDES = ["--tol", "1e-3", "--seed", "0x10"]
+GAB_OVERRIDES = ["--grid-nodes", "100", "--moment-order", "4", "--vertex-budget", "200"]
+GIVEN = {"tol": 1e-3, "seed": 16}
+GAB_GIVEN = {"grid_nodes": 100, "moment_order": 4, "vertex_budget": 200}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (GAB, {**FAMILY_GAB, "report": "linearization", "max_degree": 8}),
+    (GAB + ["--max-degree", "2"] + GAB_OVERRIDES + OVERRIDES,
+     {**FAMILY_GAB, "report": "linearization", "max_degree": 2, **GAB_GIVEN, **GIVEN}),
+    (GAB + ["--report", "psd-sweep"],
+     {**FAMILY_GAB, "report": "psd-sweep", "x_min": -1.5, "x_max": 1.5, "x_step": 0.05,
+      "radius": 3}),
+    (GAB + ["--report", "psd-sweep", "--radius", "2", "--x-min", "-1", "--x-max", "1",
+            "--x-step", "0.5"] + GAB_OVERRIDES + OVERRIDES,
+     {**FAMILY_GAB, "report": "psd-sweep", "x_min": -1.0, "x_max": 1.0, "x_step": 0.5,
+      "radius": 2, **GAB_GIVEN, **GIVEN}),
+    (GAB + ["--report", "lp-sweep"], {**FAMILY_GAB, "report": "lp-sweep", "sweep_points": 5}),
+    (GAB + ["--report", "lp-sweep", "--sweep-points", "2"] + GAB_OVERRIDES + OVERRIDES,
+     {**FAMILY_GAB, "report": "lp-sweep", "sweep_points": 2, **GAB_GIVEN, **GIVEN}),
+    (["family", "cosh", "--r", "0.5"], {**FAMILY_COSH, "window": 8}),
+    (["family", "cosh", "--r", "0.5", "--report", "window-audit", "--window", "4"] + OVERRIDES,
+     {**FAMILY_COSH, "window": 4, **GIVEN}),
+])
+def test_family_parameters_block(capsys, argv, expected):
+    code, rep = run(capsys, *argv)
+    assert code == 0
+    assert rep["parameters"] == expected
+
+
+@pytest.mark.parametrize("command", ["verify", "hypergroup", "chartable", "dualtable"])
+def test_document_parameters_block(capsys, docs, command):
+    path = docs["pentagon.json"]
+    code, rep = run(capsys, command, path)
+    assert code == 0
+    assert rep["parameters"] == {"inputs": [path], "seed": 0xC0FFEE}
+    code, rep = run(capsys, command, path, *OVERRIDES)
+    assert code == 0
+    assert rep["parameters"] == {"inputs": [path], **GIVEN}
 
 
 def test_family_gab_linearization(capsys, schema, tmp_path):
