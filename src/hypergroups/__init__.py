@@ -32,7 +32,6 @@ from .errors import (
     ParseError,
     QuadratureNotConverged,
     SchemeError,
-    SolverFailed,
     SupportMismatch,
 )
 from .schemes import (
@@ -106,8 +105,7 @@ __all__ = [
     "NoIdentityClass", "NoInvolution", "NonSquare", "NotACharacter",
     "NotAHypergroup", "NotASubgroup", "NotBijective", "NotCommutative",
     "NotDistanceRegular", "NotStochastic", "ParameterOutOfRange",
-    "ParseError", "QuadratureNotConverged", "SchemeError", "SolverFailed",
-    "SupportMismatch",
+    "ParseError", "QuadratureNotConverged", "SchemeError", "SupportMismatch",
     "Scheme", "audit_intersection_identities", "build_scheme",
     "check_automorphism", "commutativity_by_involution_automorphism",
     "is_commutative", "is_symmetric", "is_unimodular",

@@ -4,11 +4,11 @@ Exit codes: 0 success/pass, 1 unreadable or malformed input or a usage
 error in the command line, 2 structural verification failure, 3
 commutativity required but absent, 4 family parameter out of range.
 Option defaults live only in ``build_parser``, and handlers read the
-parsed ``argparse.Namespace``.  ``--tol``, ``--grid-nodes``,
-``--moment-order`` and ``--vertex-budget`` default to None there, so a
-report lists them only when given; the command that reads one supplies
-its own value otherwise.  All emitters are byte-deterministic for a fixed
-command line (fixed seed, sorted keys, fixed orderings, no timestamps).
+parsed ``argparse.Namespace``.  ``--tol``, ``--moment-order`` and
+``--vertex-budget`` default to None there, so a report lists them only
+when given; the command that reads one supplies its own value otherwise.
+All emitters are byte-deterministic for a fixed command line (fixed
+seed, sorted keys, fixed orderings, no timestamps).
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ EXIT_PARAMETER = 4
 # largest x grid a gab psd-sweep may ask for; each point is one eigenvalue
 # problem on a ball of the clique tree
 PSD_SWEEP_MAX_POINTS = 10_000
+# largest gab --max-degree: the linearization table has about (2/3) d^3 rows
+LINEARIZATION_MAX_DEGREE = 64
 
 
 def make_report(args: argparse.Namespace, results: dict, status: str) -> dict:
@@ -74,7 +76,7 @@ def make_report(args: argparse.Namespace, results: dict, status: str) -> dict:
 def _parameters(args: argparse.Namespace) -> dict:
     """The options a report echoes: optional overrides only when given."""
     params = {"inputs": [args.input] if "input" in args else [], "seed": args.seed}
-    for key in ("tol", "grid_nodes", "moment_order", "vertex_budget"):
+    for key in ("tol", "moment_order", "vertex_budget"):
         if getattr(args, key, None) is not None:
             params[key] = getattr(args, key)
     if args.command == "family":
@@ -229,8 +231,8 @@ def cmd_dualtable(args: argparse.Namespace) -> int:
 
 def _gab_linearization_report(args: argparse.Namespace, fam: GabFamily):
     nmax = args.max_degree
-    if nmax < 0:
-        raise ParameterOutOfRange(f"--max-degree must be nonnegative, got {nmax}")
+    if not 0 <= nmax <= LINEARIZATION_MAX_DEGREE:
+        raise ParameterOutOfRange(f"--max-degree {nmax} not in [0, {LINEARIZATION_MAX_DEGREE}]")
     rows = []
     worst = 0.0
     min_coeff = math.inf
@@ -298,40 +300,28 @@ def _gab_psd_report(args: argparse.Namespace, fam: GabFamily):
 
 def _gab_lp_report(args: argparse.Namespace, fam: GabFamily):
     order = args.moment_order if args.moment_order is not None else 8
-    n_nodes = args.grid_nodes if args.grid_nodes is not None else 400
     pts = args.sweep_points
     slack = args.tol if args.tol is not None else 1e-8
     if pts < 2:
         raise ParameterOutOfRange(f"--sweep-points must be at least 2, got {pts}")
     values = [fam.s0 + (fam.s1 - fam.s0) * i / (pts - 1) for i in range(pts)]
-    rows = []
-    all_ok = True
+    rows, csv_lines = [], ["x,y,order,feasible,max_violation"]
     for x in values:
         for y in values:
-            res = gab_dual_measure(fam, x, y, order=order, n_nodes=n_nodes, slack=slack)
-            rows.append({
-                "x": x,
-                "y": y,
-                "feasible": res.feasible,
-                "max_violation": res.max_violation,
-            })
-            all_ok = all_ok and res.feasible
-    csv_lines = ["x,y,order,feasible,max_violation"]
-    for r in rows:
-        csv_lines.append(
-            f"{jsonio.format_float(r['x'])},{jsonio.format_float(r['y'])},{order},"
-            f"{int(r['feasible'])},{jsonio.format_float(r['max_violation'])}"
-        )
+            res = gab_dual_measure(fam, x, y, order=order, slack=slack)
+            rows.append({"x": x, "y": y, "feasible": res.feasible,
+                         "max_violation": res.max_violation})
+            csv_lines.append(f"{jsonio.format_float(x)},{jsonio.format_float(y)},{order},"
+                             f"{int(res.feasible)},{jsonio.format_float(res.max_violation)}")
     results = {
         "s0": fam.s0,
         "s1": fam.s1,
         "moment_order": order,
-        "grid_nodes": n_nodes,
         "pairs": len(rows),
         "feasible_count": sum(1 for r in rows if r["feasible"]),
         "rows": rows,
     }
-    return results, {"": "\n".join(csv_lines) + "\n"}, all_ok
+    return results, {"": "\n".join(csv_lines) + "\n"}, results["feasible_count"] == len(rows)
 
 
 def _cosh_window_report(args: argparse.Namespace, fam: CoshFamily):
@@ -439,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     gab.add_argument("--x-step", type=float, default=0.05)
     gab.add_argument("--radius", type=int, default=3)
     gab.add_argument("--sweep-points", type=int, default=5)
-    gab.add_argument("--grid-nodes", type=int, default=None)
     gab.add_argument("--moment-order", type=int, default=None)
     gab.add_argument("--vertex-budget", type=int, default=None)
     common(gab)

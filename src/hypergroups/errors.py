@@ -96,7 +96,7 @@ class ParameterOutOfRange(SchemeError):
     """Family parameter outside its legal domain."""
 
 
-class BallTooLarge(SchemeError):
+class BallTooLarge(ParameterOutOfRange):
     """Graph ball would exceed the vertex budget."""
 
 
@@ -106,7 +106,3 @@ class ClosedFormSingular(SchemeError):
 
 class QuadratureNotConverged(SchemeError):
     """Refining the quadrature still moves the result."""
-
-
-class SolverFailed(SchemeError):
-    """A numerical solver stopped without a usable answer."""

@@ -2,7 +2,7 @@
 
 from .gab import (  # noqa: F401
     GabFamily,
-    LPResult,
+    MomentResult,
     gab_ball,
     gab_dual_measure,
     gab_eval,

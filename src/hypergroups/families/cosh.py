@@ -23,6 +23,9 @@ import numpy as np
 from ..errors import ParameterOutOfRange, QuadratureNotConverged
 from ..generalized import GeneralizedScheme, build_windowed
 
+# largest window half-width m: the window holds 2m + 1 dense (2m + 1)^2 step matrices
+WINDOW_MAX_HALF_WIDTH = 64
+
 
 @dataclass(frozen=True)
 class CoshFamily:
@@ -97,8 +100,8 @@ def cosh_window_scheme(fam: CoshFamily, m: int) -> GeneralizedScheme:
     products of classes k, l are only verified when k + l <= m, and the
     resulting object reports which pairs stayed unchecked.
     """
-    if m < 1:
-        raise ParameterOutOfRange("window half-width must be at least 1")
+    if not 1 <= m <= WINDOW_MAX_HALF_WIDTH:
+        raise ParameterOutOfRange(f"window half-width {m} not in [1, {WINDOW_MAX_HALF_WIDTH}]")
     n = 2 * m + 1
     d = 2 * m + 1
     points = tuple(range(-m, m + 1))

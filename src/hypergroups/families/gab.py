@@ -6,7 +6,7 @@ parameters the polynomials evaluate distance kernels on the graph whose
 vertices sit in a cliques of size b each (a tree of b-cliques).  The
 module carries the linearization coefficients, the Haar weights, two
 independent evaluation routes, the orthogonality measure, finite-ball
-kernel tests, and an LP feasibility probe for product-formula measures.
+kernel tests, and the truncated moment test for dual product formulas.
 """
 
 from __future__ import annotations
@@ -16,19 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BallTooLarge, ClosedFormSingular, ParameterOutOfRange, SolverFailed
-
-
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on first use (scipy's import outlasts most commands)."""
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(*args, **kwargs)
-
-
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use."""
-    from scipy.optimize import linprog as scipy_linprog
-    return scipy_linprog(*args, **kwargs)
+from ..errors import (
+    BallTooLarge,
+    ClosedFormSingular,
+    ParameterOutOfRange,
+    QuadratureNotConverged,
+)
 
 
 @dataclass(frozen=True)
@@ -198,18 +191,22 @@ class GabMeasure:
         """integral of func against the measure, atom included.
 
         Continuous part via the angle substitution x = cos(theta), which
-        removes the endpoint singularities even when s0 = -1 or s1 = 1.
+        removes the endpoint singularities even when s0 = -1 or s1 = 1, by
+        Gauss-Legendre rules in theta of 100 and 200 nodes (func gets an
+        array of x); ``QuadratureNotConverged`` if they differ beyond rtol.
         """
         f = self.fam
-        s0, s1, a = f.s0, f.s1, f.a
 
-        def integrand(theta):
-            x = math.cos(theta)
-            one_minus = 1.0 if s1 == 1.0 else (1.0 - x) / (s1 - x)
-            one_plus = 1.0 if s0 == -1.0 else (1.0 + x) / (x - s0)
-            return (a / (2 * math.pi)) * func(x) * one_minus * one_plus
+        def rule(count: int) -> float:
+            t, w = np.polynomial.legendre.leggauss(count)
+            x = np.cos(math.pi * (t + 1.0) / 2.0)  # d theta = (pi / 2) dt
+            one_minus = 1.0 if f.s1 == 1.0 else (1.0 - x) / (f.s1 - x)
+            one_plus = 1.0 if f.s0 == -1.0 else (1.0 + x) / (x - f.s0)
+            return (f.a / 4.0) * float(np.sum(w * func(x) * one_minus * one_plus))
 
-        val, _ = quad(integrand, 0.0, math.pi, epsabs=1e-14, epsrel=rtol, limit=200)
+        rough, val = rule(100), rule(200)
+        if abs(rough - val) > max(rtol * abs(val), 1e-14):
+            raise QuadratureNotConverged(f"doubling the rule moved the value by {rough - val:.3e}")
         if self.atom_location is not None:
             val += self.atom_mass * func(self.atom_location)
         return val
@@ -226,12 +223,9 @@ def gab_orthogonality_measure(fam: GabFamily) -> GabMeasure:
 
 
 def _ball_size(a: int, b: int, radius: int) -> int:
-    total = 1
-    w = 0
-    for k in range(1, radius + 1):
-        w = a * (b - 1) if k == 1 else w * (a - 1) * (b - 1)
-        total += w
-    return total
+    """1 + a(b-1)(1 + q + ... + q^(radius-1)) vertices, q = (a-1)(b-1)."""
+    q = (a - 1) * (b - 1)
+    return 1 + a * (b - 1) * (radius if q == 1 else (q ** radius - 1) // (q - 1))
 
 
 def gab_ball(fam: GabFamily, radius: int, vertex_budget: int = 5000):
@@ -252,6 +246,8 @@ def gab_ball(fam: GabFamily, radius: int, vertex_budget: int = 5000):
     if radius < 0:
         raise ParameterOutOfRange(f"radius must be nonnegative, got {radius}")
     a, b = int(fam.a), int(fam.b)
+    if 2 * radius >= vertex_budget:  # every level adds at least two vertices
+        raise BallTooLarge(f"a ball of radius {radius} has more than {vertex_budget} vertices")
     size = _ball_size(a, b, radius)
     if size > vertex_budget:
         raise BallTooLarge(f"ball has {size} vertices, budget is {vertex_budget}")
@@ -313,16 +309,8 @@ def gab_kernel_psd(fam: GabFamily, x: float, radius: int,
     return _psd_rows(fam, [x], radius, vertex_budget, tol)[0]
 
 
-def chebyshev_grid(fam: GabFamily, n_nodes: int) -> np.ndarray:
-    """Chebyshev (second kind) nodes on [-s1, s1], endpoints included."""
-    if n_nodes < 2:
-        raise ParameterOutOfRange("grid needs at least two nodes")
-    k = np.arange(n_nodes - 1, -1, -1, dtype=np.float64)
-    return fam.s1 * np.cos(math.pi * k / (n_nodes - 1))
-
-
 @dataclass(frozen=True)
-class LPResult:
+class MomentResult:
     feasible: bool
     max_violation: float
     nodes: np.ndarray
@@ -331,25 +319,64 @@ class LPResult:
     moments: np.ndarray
 
 
+def _gram(fam: GabFamily, m: np.ndarray, size: int) -> np.ndarray:
+    """[L(P_i P_j)] for i, j < size: sum_n g_ij^n m_n where i + j <= order, zero past it."""
+    order = len(m) - 1
+    G = np.zeros((size, size))
+    for i in range(size):
+        for j in range(i, min(size, order + 1 - i)):
+            G[i, j] = G[j, i] = sum(c * m[n] for n, c in gab_linearization(fam, i, j).items())
+    return G
+
+
+def _times_x(fam: GabFamily, rows: int) -> np.ndarray:
+    """J with x P_i = sum_l J[i, l] P_l for i < rows, as x = (P_1 - P_1(0)) / (P_1(1) - P_1(0))."""
+    at_0, at_1 = gab_eval_all(fam, 1, np.array([0.0, 1.0]))[1]
+    J = -at_0 * np.eye(rows, rows + 1)
+    for i in range(rows):
+        for l, c in gab_linearization(fam, 1, i).items():
+            J[i, l] += c
+    return J / (at_1 - at_0)
+
+
+def _gauss_rule(A: np.ndarray, B: np.ndarray, tol: float):
+    """Gauss rule of a positive functional L from B = [L(P_i P_j)], A = [L(x P_i P_j)].
+
+    Golub-Welsch: the atoms are the eigenvalues of the pencil (A, B) on the
+    span of B's eigenvectors above tol (a singular B gives fewer atoms), and
+    an atom's weight is L(phi)^2 for its eigenpolynomial phi, L(phi^2) = 1.
+    """
+    lam, U = np.linalg.eigh(B)
+    keep = lam > tol
+    root, U = np.sqrt(lam[keep]), U[:, keep]
+    z, V = np.linalg.eigh(U.T @ A @ U / np.outer(root, root))
+    return z, (V.T @ (root * U[0])) ** 2
+
+
 def gab_dual_measure(fam: GabFamily, x: float, y: float, order: int = 8,
-                     grid: np.ndarray | None = None, n_nodes: int = 400,
-                     slack: float = 1e-8) -> LPResult:
-    """LP feasibility of a positive measure matching P_n(x) P_n(y), n <= order.
+                     slack: float = 1e-8) -> MomentResult:
+    """Whether a positive measure on [-s1, s1] has moments P_n(x) P_n(y), n <= order.
 
-    Solves min t s.t. |sum_g w_g P_n(z_g) - P_n(x) P_n(y)| <= t, w >= 0
-    over the grid (Chebyshev nodes on [-s1, s1] by default).  Feasible
-    means t* <= slack.  On infeasibility the HiGHS dual is turned into a
-    signed moment combination and re-verified: certificate y satisfies
-    (Phi^T y)_g <= 0 on the grid and y . b > slack * |y|_1, which rules
-    out any grid-supported measure at this slack.
+    A truncated moment problem (Krein-Nudelman, The Markov Moment Problem,
+    1977, ch. III) in the P basis: with L(P_n) = m_n = P_n(x) P_n(y),
+    L(P_i P_j) = sum_n g_ij^n m_n by ``gab_linearization`` and x P_i by the
+    recurrence.  Such a measure exists iff, at order 2k, [L(P_i P_j)]
+    (i, j <= k) and [L((s1^2 - x^2) P_i P_j)] (i, j < k) are positive
+    semidefinite, and at order 2k + 1, [L((s1 -+ x) P_i P_j)] (i, j <= k).
 
-    The default grid augments the Chebyshev nodes with x, y, and s0
-    (when they lie in [-s1, s1]).  The representing measure can sit
-    exactly on those points -- for instance it is a point mass at y when
-    x = s1 -- and a measure concentrated off-grid is not approximable
-    within 1e-8 by on-grid mixtures, so discretizing without these nodes
-    would misreport existence.  Passing an explicit grid skips the
-    augmentation.
+    The measure tried is a principal representation: at an odd order the
+    Gauss rule of L, at an even one the Gauss-Radau rule with its fixed
+    atom at the endpoint away from the mean L(x).  A singular Gram matrix
+    gives fewer atoms (at x = s1, the point mass at y).  With atoms clipped
+    into [-s1, s1] and negative weights dropped, ``max_violation`` is its
+    largest moment residual; feasible means at most slack * max |m_n|.
+
+    Otherwise an eigenvalue below -slack * max |m_n| gives a q with
+    L(w q^2) < 0, w >= 0 on the interval.  The certificate's y holds the P
+    coefficients of -w q^2 (exact interpolation at order + 1 Chebyshev
+    points, |y|_1 = 1); as sum_n y_n P_n <= 0 on all of [-s1, s1], a margin
+    y . m over slack * max |m_n| ("valid") rules out every positive measure
+    on the interval matching the moments within the slack.
     """
     if order < 1:
         raise ParameterOutOfRange(f"moment order must be at least 1, got {order}")
@@ -362,57 +389,44 @@ def gab_dual_measure(fam: GabFamily, x: float, y: float, order: int = 8,
         raise ParameterOutOfRange(
             f"moments P_n(x) P_n(y) up to order {order} overflow float64 at x={x!r}, y={y!r}"
         )
-    if grid is None:
-        nodes = chebyshev_grid(fam, n_nodes)
-        extras = [v for v in (x, y, fam.s0)
-                  if -fam.s1 <= v <= fam.s1
-                  and np.abs(nodes - v).min() > 1e-13]
-        if extras:
-            nodes = np.sort(np.concatenate([nodes, sorted(set(extras))]))
+    s1, k = fam.s1, order // 2
+    scale = float(np.abs(moments).max())  # at least m_0 = 1
+    J = _times_x(fam, order - k)
+    G = _gram(fam, moments, order - k + 1)
+    H = G[: k + 1, : k + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        Lx = J @ G[:, : k + 1]  # L(x P_i P_j) for i < order - k, j <= k
+        if order % 2:
+            checks = [("s1 - x", s1 * H - Lx, (s1, -1.0)), ("s1 + x", s1 * H + Lx, (s1, 1.0))]
+        else:
+            Lxx = Lx @ J.T  # L(x^2 P_i P_j) for i, j < k
+            checks = [("1", H, (1.0,)),
+                      ("s1^2 - x^2", s1 * s1 * H[:k, :k] - Lxx, (s1 * s1, 0.0, -1.0))]
+    if not all(np.isfinite(M).all() for _, M, _ in checks):
+        raise ParameterOutOfRange(f"moment matrices overflow float64 at x={x!r}, y={y!r}")
+    tol = 1e-12 * scale * s1 * s1
+    if order % 2:
+        nodes, weights = _gauss_rule(Lx, H, tol)
     else:
-        nodes = np.asarray(grid, float)
-    G = len(nodes)
-    phi = gab_eval_all(fam, order, nodes)          # (order+1, G)
+        e = -1.0 if Lx[0, 0] >= 0 else 1.0  # the fixed atom e * s1
+        z, w = _gauss_rule(s1 * Lx[:, :k] - e * Lxx, s1 * H[:k, :k] - e * Lx[:, :k], tol)
+        w /= s1 - e * z
+        nodes, weights = np.append(z, e * s1), np.append(w, moments[0] - w.sum())
+    nodes, weights = np.clip(nodes, -s1, s1), np.maximum(weights, 0.0)
+    violation = float(np.abs(gab_eval_all(fam, order, nodes) @ weights - moments).max())
+    if violation <= slack * scale:
+        return MomentResult(True, violation, nodes, weights, None, moments)
 
-    ones = np.ones((order + 1, 1))
-    A_ub = np.vstack([np.hstack([phi, -ones]), np.hstack([-phi, -ones])])
-    b_ub = np.concatenate([moments, -moments])
-    c = np.zeros(G + 1)
-    c[-1] = 1.0
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(0, None)] * (G + 1),
-                  method="highs")
-    if res.status != 0:
-        raise SolverFailed(f"LP solver failed: {res.message}")
-    t_star = float(res.x[-1])
-    feasible = t_star <= slack
-
-    certificate = None
-    if not feasible:
-        marg = np.asarray(res.ineqlin.marginals)
-        for sign in (1.0, -1.0):
-            yvec = sign * (marg[: order + 1] - marg[order + 1:])
-            norm = float(np.abs(yvec).sum())
-            if norm < 1e-15:
-                continue
-            yvec = yvec / norm
-            grid_max = float((phi.T @ yvec).max())
-            margin = float(yvec @ moments)
-            if grid_max <= 1e-10 and margin > slack + 1e-10:
-                certificate = {
-                    "y": yvec,
-                    "grid_max": grid_max,
-                    "moment_margin": margin,
-                    "valid": True,
-                }
-                break
-        if certificate is None:
-            certificate = {"y": None, "valid": False}
-
-    return LPResult(
-        feasible=feasible,
-        max_violation=t_star,
-        nodes=nodes,
-        weights=res.x[:G] if feasible else None,
-        certificate=certificate,
-        moments=moments,
-    )
+    certificate = {"y": None, "valid": False}
+    lam, q, name, weight = min(((*np.linalg.eigh(M), name, w) for name, M, w in checks),
+                               key=lambda c: c[0][0])
+    if lam[0] < -slack * scale:
+        t = s1 * np.cos(math.pi * np.arange(order + 1) / order)
+        V = gab_eval_all(fam, order, t)
+        values = -np.polynomial.polynomial.polyval(t, weight) * (q[:, 0] @ V[: len(q)]) ** 2
+        yvec = np.linalg.solve(V.T, values)
+        yvec /= np.abs(yvec).sum()
+        margin = float(yvec @ moments)
+        certificate = {"y": yvec, "weight": name, "moment_margin": margin,
+                       "valid": margin > slack * scale}
+    return MomentResult(False, violation, np.empty(0), None, certificate, moments)

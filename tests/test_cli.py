@@ -1,5 +1,6 @@
 """Command-line entry points: exit codes, report envelopes, and determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from hypergroups.catalog import pentagon_scheme
 from hypergroups import cli
 from hypergroups.cli import main
+from hypergroups.families import cosh, gab
 from hypergroups.generalized import classical_embedding
 from hypergroups.harmonic import character_table
 from hypergroups.hypergroup import hypergroup_from_scheme, make_hypergroup
@@ -140,6 +142,7 @@ def test_family_parameter_exit_code(capsys):
     ["--report", "psd-sweep", "--x-max", "inf"],
     ["--report", "psd-sweep", "--radius", "-1"],
     ["--max-degree", "-1"],
+    ["--report", "psd-sweep", "--radius", "8"],  # 131071 vertices, past the budget
 ])
 def test_degenerate_gab_sweep_rejected(capsys, argv):
     code = main(["family", "gab", "--a", "3", "--b", "3", *argv])
@@ -326,19 +329,33 @@ def _package_env():
     return env
 
 
-def test_scipy_is_not_imported_unless_called(docs):
+def test_no_module_imports_scipy(docs):
+    import hypergroups
+
+    package = os.path.dirname(hypergroups.__file__)
+    for folder, _, names in os.walk(package):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                imported = [alias.name for node in ast.walk(tree)
+                            if isinstance(node, ast.Import) for alias in node.names]
+                imported += [node.module or "" for node in ast.walk(tree)
+                             if isinstance(node, ast.ImportFrom)]
+                assert not [m for m in imported if m.split(".")[0] == "scipy"], name
     env = _package_env()
     probe = subprocess.run(
         [sys.executable, "-c", "import sys, hypergroups; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert probe.stdout.strip() == "False"
-    # -X importtime lists every module the command imports on stderr
-    verify = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "hypergroups", "verify", docs["pentagon.json"]],
-        env=env, capture_output=True, text=True)
-    assert verify.returncode == 0
-    assert "hypergroups.cli" in verify.stderr
-    assert "scipy" not in verify.stderr
+    # -X importtime lists every module a command imports on stderr
+    for argv in (["verify", docs["pentagon.json"]],
+                 ["family", "gab", "--a", "3", "--b", "3", "--report", "lp-sweep"]):
+        done = subprocess.run([sys.executable, "-X", "importtime", "-m", "hypergroups", *argv],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, argv
+        assert "hypergroups.cli" in done.stderr
+        assert "scipy" not in done.stderr, argv
 
 
 def test_nested_point_labels(capsys, schema, tmp_path):
@@ -423,9 +440,9 @@ FAMILY_GAB = {"inputs": [], "seed": 0xC0FFEE, "family": "gab", "a": 3.0, "b": 3.
 FAMILY_COSH = {"inputs": [], "seed": 0xC0FFEE, "family": "cosh", "report": "window-audit",
                "r": 0.5}
 OVERRIDES = ["--tol", "1e-3", "--seed", "0x10"]
-GAB_OVERRIDES = ["--grid-nodes", "100", "--moment-order", "4", "--vertex-budget", "200"]
+GAB_OVERRIDES = ["--moment-order", "4", "--vertex-budget", "200"]
 GIVEN = {"tol": 1e-3, "seed": 16}
-GAB_GIVEN = {"grid_nodes": 100, "moment_order": 4, "vertex_budget": 200}
+GAB_GIVEN = {"moment_order": 4, "vertex_budget": 200}
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -507,13 +524,46 @@ def test_family_gab_psd_sweep_fails_on_an_inside_point(capsys, schema, monkeypat
 def test_family_gab_lp_sweep(capsys, schema):
     code, rep = run(capsys, "family", "gab", "--a", "3", "--b", "3",
                     "--report", "lp-sweep", "--sweep-points", "3",
-                    "--moment-order", "6", "--grid-nodes", "200")
+                    "--moment-order", "6")
     assert code == 0
     check_envelope(schema, rep, "family")
     rows = rep["results"]["rows"]
     assert len(rows) == 9
     assert all(r["feasible"] for r in rows)
     assert max(r["max_violation"] for r in rows) <= 1e-8
+
+
+def test_family_gab_lp_sweep_chebyshev_case(capsys, schema):
+    """At a = b = 2 each product formula has two atoms, off any fixed grid."""
+    code, rep = run(capsys, "family", "gab", "--a", "2", "--b", "2", "--report", "lp-sweep")
+    assert code == 0
+    check_envelope(schema, rep, "family")
+    res = rep["results"]
+    assert res["pairs"] == res["feasible_count"] == 25
+    assert max(r["max_violation"] for r in res["rows"]) <= 1e-8
+
+
+@pytest.mark.parametrize("argv", [
+    ["gab", "--a", "3", "--b", "3", "--report", "psd-sweep", "--radius", "100000000",
+     "--x-step", "1"],
+    ["gab", "--a", "2", "--b", "2", "--report", "psd-sweep", "--radius", "2500"],
+    ["gab", "--a", "3", "--b", "3", "--max-degree", "100000"],
+    ["gab", "--a", "3", "--b", "3", "--max-degree", str(cli.LINEARIZATION_MAX_DEGREE + 1)],
+    ["cosh", "--r", "1", "--window", str(cosh.WINDOW_MAX_HALF_WIDTH + 1)],
+])
+def test_unbounded_sizes_are_refused_up_front(monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the size check must come before any work")
+
+    monkeypatch.setattr(gab, "_ball_size", no_work)
+    monkeypatch.setattr(cli, "gab_linearization", no_work)
+    monkeypatch.setattr(cosh, "build_windowed", no_work)
+    code = main(["family", *argv])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_family_cosh_window_audit(capsys, schema):

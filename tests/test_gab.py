@@ -1,24 +1,24 @@
 """Two-parameter polynomial family: evaluation, linearization, measures,
-graph realizations, and the moment-matching LP."""
+graph realizations, and the dual moment test against the grid LP oracle."""
 
+import math
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergroups.errors import (
     BallTooLarge,
     ClosedFormSingular,
     ParameterOutOfRange,
-    SchemeError,
-    SolverFailed,
 )
 from hypergroups.families import gab
 from hypergroups.families.gab import (
     GabFamily,
-    chebyshev_grid,
     gab_ball,
     gab_dual_measure,
     gab_eval,
@@ -30,6 +30,9 @@ from hypergroups.families.gab import (
     gab_linearization,
     gab_orthogonality_measure,
 )
+
+import lp_oracle
+from lp_oracle import chebyshev_grid, lp_dual_measure
 
 F = Fraction
 PARAMS = [(2.0, 2.0), (2.0, 2.5), (2.5, 2.0), (2.5, 2.5), (3.0, 3.0),
@@ -336,42 +339,43 @@ def test_lp_feasible_at_endpoint_pairs():
 def test_lp_respects_explicit_grid():
     fam = GabFamily(3, 3)
     grid = np.array([fam.s0, 0.0, fam.s1])
-    res = gab_dual_measure(fam, fam.s1, fam.s1, order=6, grid=grid)
+    res = lp_dual_measure(fam, fam.s1, fam.s1, order=6, grid=grid)
     assert res.feasible
     np.testing.assert_array_equal(res.nodes, grid)
 
 
 def test_lp_infeasible_outside_with_valid_certificate():
     fam = GabFamily(3, 3)
-    for x, y in [(2.0, 2.0), (1.3, 1.3)]:
+    phi = gab_eval_all(fam, 8, np.linspace(-fam.s1, fam.s1, 4001))
+    for x, y in [(2.0, 2.0), (1.3, 1.3), (-1.2, 0.3)]:
         res = gab_dual_measure(fam, x, y, order=8)
         assert not res.feasible, (x, y)
         cert = res.certificate
         assert cert is not None and cert["valid"]
-        assert cert["grid_max"] <= 1e-10
         assert cert["moment_margin"] > 1e-6
-        # re-verify the separating functional from scratch
+        # re-verify the separating polynomial from scratch: nonpositive on
+        # the whole interval, positive against the moments
         yvec = np.asarray(cert["y"])
-        vals = np.array([gab_eval_all(fam, 8, t) for t in res.nodes])
-        assert float((vals @ yvec).max()) <= 1e-10
+        assert float((yvec @ phi).max()) <= 1e-10
         assert float(yvec @ res.moments) > 0
+        # so no grid measure matches the moments either
+        assert not lp_dual_measure(fam, x, y, order=8).feasible
 
 
-def test_lp_solver_failure_is_a_scheme_error(monkeypatch):
+def test_lp_oracle_reports_solver_failure(monkeypatch):
     failed = SimpleNamespace(status=4, message="numerical difficulties")
-    monkeypatch.setattr(gab, "linprog", lambda *args, **kwargs: failed)
-    with pytest.raises(SolverFailed, match="numerical difficulties") as err:
-        gab_dual_measure(GabFamily(3, 3), 0.3, 0.7, order=4)
-    assert isinstance(err.value, SchemeError)
+    monkeypatch.setattr(lp_oracle, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(lp_oracle.SolverFailed, match="numerical difficulties"):
+        lp_dual_measure(GabFamily(3, 3), 0.3, 0.7, order=4)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e200])
 @pytest.mark.parametrize("which", ["x", "y"])
 def test_lp_rejects_unusable_points(monkeypatch, value, which):
-    def no_lp(*args, **kwargs):
-        raise AssertionError("the LP must not be called")
+    def no_matrices(*args, **kwargs):
+        raise AssertionError("the moment matrices must not be built")
 
-    monkeypatch.setattr(gab, "linprog", no_lp)
+    monkeypatch.setattr(gab, "_gram", no_matrices)
     x, y = (value, 0.3) if which == "x" else (0.3, value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -379,10 +383,71 @@ def test_lp_rejects_unusable_points(monkeypatch, value, which):
             gab_dual_measure(GabFamily(3, 3), x, y, order=8)
 
 
+def test_moment_matrices_that_overflow_are_rejected():
+    fam = GabFamily(50, 50)
+    assert np.isfinite(gab_eval_all(fam, 8, 4e20) ** 2).all()  # the moments fit float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterOutOfRange, match="moment matrices overflow"):
+            gab_dual_measure(fam, 4e20, 4e20, order=8)
+
+
 def test_lp_rejects_bad_order():
     fam = GabFamily(3, 3)
     with pytest.raises(ParameterOutOfRange):
         gab_dual_measure(fam, 0.3, 0.7, order=0)
+
+
+@pytest.mark.parametrize("x, y", [(-0.5, 0.0), (0.3, 0.7), (0.9, -0.2), (-1.0, 0.25),
+                                  (1.0, 0.5), (0.6, 0.6)])
+def test_chebyshev_case_matches_closed_form(x, y):
+    """At a = b = 2, P_n = T_n and, with x = cos(al), y = cos(be), the
+    product formula is (delta_cos(al+be) + delta_cos(al-be)) / 2.  With
+    two atoms the moments from order 4 on fix the measure."""
+    fam = GabFamily(2, 2)
+    al, be = math.acos(x), math.acos(y)
+    atoms = np.array([math.cos(al + be), math.cos(al - be)])
+    for order in (4, 7, 8, 12):
+        res = gab_dual_measure(fam, x, y, order=order)
+        assert res.feasible and res.max_violation <= 1e-12, (order, res.max_violation)
+        near = np.abs(res.nodes[:, None] - atoms[None, :]) <= 1e-9
+        assert near[res.weights > 1e-12].any(axis=1).all(), (order, res.nodes, res.weights)
+        for j in range(2):
+            expected = 0.5 * (np.abs(atoms - atoms[j]) <= 1e-9).sum()
+            assert res.weights[near[:, j]].sum() == pytest.approx(expected, abs=1e-12)
+    if (x, y) == (-0.5, 0.0):
+        # the atoms +-sqrt(3)/2 are off the Chebyshev grid, which read this as a failure
+        assert not lp_dual_measure(fam, x, y, order=8).feasible
+
+
+@pytest.mark.parametrize("a, b", [(3, 3), (2, 5), (5, 2), (2.5, 4.0), (2, 2)])
+def test_point_mass_at_the_right_endpoint(a, b):
+    """P_n(s1) = 1, so the product formula at x = s1 is the point mass at y."""
+    fam = GabFamily(a, b)
+    for order in (1, 2, 5, 8, 12):
+        for y in (fam.s0, 0.0, (fam.s0 + fam.s1) / 2, fam.s1):
+            res = gab_dual_measure(fam, fam.s1, y, order=order)
+            assert res.feasible, (order, y, res.max_violation)
+            at_y = np.abs(res.nodes - y) <= 1e-12
+            assert res.weights[at_y].sum() == pytest.approx(1.0, abs=1e-12), (order, y)
+            assert res.weights[~at_y].sum() <= 1e-12, (order, y, res.nodes, res.weights)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.floats(2, 5), st.floats(2, 5), st.floats(0, 1), st.floats(0, 1), st.integers(1, 12))
+def test_moment_measures_hold_up_against_the_lp(a, b, u, v, order):
+    """Over [s0, s1]^2 the moment test finds a measure; it re-verifies
+    from scratch, and the grid LP, given a grid that holds its atoms,
+    finds a measure too."""
+    fam = GabFamily(a, b)
+    x, y = fam.s0 + u * (fam.s1 - fam.s0), fam.s0 + v * (fam.s1 - fam.s0)
+    res = gab_dual_measure(fam, x, y, order=order)
+    assert res.feasible, res.max_violation
+    assert (np.abs(res.nodes) <= fam.s1).all() and (res.weights >= 0).all()
+    dev = float(np.abs(gab_eval_all(fam, order, res.nodes) @ res.weights - res.moments).max())
+    assert dev <= 1e-8 and dev == pytest.approx(res.max_violation, rel=1e-6, abs=1e-15)
+    grid = np.union1d(chebyshev_grid(fam, 100), res.nodes)
+    assert lp_dual_measure(fam, x, y, order=order, grid=grid).feasible
 
 
 def _exact_left_endpoint_values(a, b, nmax):
