@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import harmonic, jsonio
+from . import jsonio
 from .errors import (
     NotCommutative,
     ParameterOutOfRange,
@@ -41,7 +41,6 @@ from .families.gab import GabFamily, _psd_rows, gab_dual_measure, gab_linearizat
 from .families.cosh import (
     CoshFamily,
     cosh_character,
-    cosh_connection_quadrature,
     cosh_convolution,
     cosh_window_scheme,
     window_character,
@@ -60,6 +59,8 @@ EXIT_PARAMETER = 4
 PSD_SWEEP_MAX_POINTS = 10_000
 # largest gab --max-degree: the linearization table has about (2/3) d^3 rows
 LINEARIZATION_MAX_DEGREE = 64
+# largest gab --sweep-points: an lp-sweep runs one moment test per pair, points^2 of them
+LP_SWEEP_MAX_POINTS = 100
 
 
 def make_report(args: argparse.Namespace, results: dict, status: str) -> dict:
@@ -302,8 +303,8 @@ def _gab_lp_report(args: argparse.Namespace, fam: GabFamily):
     order = args.moment_order if args.moment_order is not None else 8
     pts = args.sweep_points
     slack = args.tol if args.tol is not None else 1e-8
-    if pts < 2:
-        raise ParameterOutOfRange(f"--sweep-points must be at least 2, got {pts}")
+    if not 2 <= pts <= LP_SWEEP_MAX_POINTS:
+        raise ParameterOutOfRange(f"--sweep-points {pts} not in [2, {LP_SWEEP_MAX_POINTS}]")
     values = [fam.s0 + (fam.s1 - fam.s0) * i / (pts - 1) for i in range(pts)]
     rows, csv_lines = [], ["x,y,order,feasible,max_violation"]
     for x in values:

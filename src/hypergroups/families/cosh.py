@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import ParameterOutOfRange, QuadratureNotConverged
 from ..generalized import GeneralizedScheme, build_windowed
+from ..harmonic import _multiplicativity_gap
 
 # largest window half-width m: the window holds 2m + 1 dense (2m + 1)^2 step matrices
 WINDOW_MAX_HALF_WIDTH = 64
@@ -169,14 +170,9 @@ def window_character(g: GeneralizedScheme, alpha1: complex):
         back = g.p_tilde[1, n, n - 1] if n >= 1 else 0.0
         alpha[n + 1] = (alpha[1] * alpha[n] - back * alpha[n - 1]) / lead
 
-    worst = 0.0
-    for i in range(m + 1):
-        for j in range(m + 1):
-            if i + j > m or not g.pair_checked[i, j]:
-                continue
-            rhs = complex(np.dot(g.p_tilde[i, j, : m + 1], alpha))
-            worst = max(worst, abs(alpha[i] * alpha[j] - rhs))
-    return alpha, worst
+    gap = _multiplicativity_gap(g.p_tilde[: m + 1, : m + 1, : m + 1], alpha)
+    inside = np.add.outer(np.arange(m + 1), np.arange(m + 1)) <= m
+    return alpha, float(gap[inside & g.pair_checked[: m + 1, : m + 1]].max(initial=0.0))
 
 
 def cosh_connection_quadrature(fam: CoshFamily, lam: float, n: int,

@@ -23,6 +23,10 @@ from ..errors import (
     QuadratureNotConverged,
 )
 
+# largest moment order of gab_dual_measure: its Gram matrices take about order^2 / 4
+# linearizations of O(order) Python work each (about 28 ms a pair at 64)
+MOMENT_MAX_ORDER = 64
+
 
 @dataclass(frozen=True)
 class GabFamily:
@@ -235,9 +239,10 @@ def gab_ball(fam: GabFamily, radius: int, vertex_budget: int = 5000):
     clique: the root joins a cliques of size b; every later vertex joins
     a-1 fresh ones.  Raises ``BallTooLarge`` past the vertex budget.
 
-    Distances are half those of the vertex-clique tree, in which the root
-    paths (root, clique, vertex, ..., clique, v) share a prefix of length
-    P: dist(u, v) = depth u + depth v + 1 - P.
+    Distances are filled in level by level: a fresh vertex v with parent u
+    is one step further than u from every earlier vertex, and two fresh
+    vertices are two steps further apart than their parents unless they
+    share a clique (distance 1).
     """
     if not fam.integer_graph:
         raise ParameterOutOfRange(
@@ -252,31 +257,28 @@ def gab_ball(fam: GabFamily, radius: int, vertex_budget: int = 5000):
     if size > vertex_budget:
         raise BallTooLarge(f"ball has {size} vertices, budget is {vertex_budget}")
 
-    # path[v, 2t] is the ancestor of v at depth t, path[v, 2t-1] the clique joining
-    # it to its parent, and -1-v pads the row past the depth of v
-    path = np.repeat(-1 - np.arange(size)[:, None], 2 * radius + 1, axis=1)
-    path[0, 0] = 0
+    dist = np.zeros((size, size), dtype=np.int64)
     depth = np.zeros(size, dtype=np.int64)
-    lo, hi, cliques = 0, 1, 0
+    lo, hi = 0, 1
     for t in range(1, radius + 1):
         parents = np.repeat(np.arange(lo, hi), (a if t == 1 else a - 1) * (b - 1))
-        fresh = np.arange(hi, hi + len(parents))
-        path[fresh, : 2 * t - 1] = path[parents, : 2 * t - 1]
-        path[fresh, 2 * t - 1] = cliques + np.arange(len(parents)) // (b - 1)
-        path[fresh, 2 * t] = fresh
-        depth[fresh] = t
-        cliques += len(parents) // (b - 1)
         lo, hi = hi, hi + len(parents)
+        fresh = slice(lo, hi)
+        # rows in chunks, so that the gathered parent rows stay near 2**18 entries
+        step = max(1, 2**18 // hi)
+        for r in range(0, len(parents), step):
+            up = parents[r:r + step]
+            rows = dist[lo + r:lo + r + len(up)]
+            np.add(dist[up, :lo], 1, out=rows[:, :lo])
+            np.add(dist[np.ix_(up, parents)], 2, out=rows[:, fresh])
+        dist[:lo, fresh] = dist[fresh, :lo].T
+        level = dist[fresh, fresh]
+        # each fresh vertex against the b - 1 members of its clique, itself included
+        v = np.repeat(np.arange(len(parents)), b - 1)
+        level[v, v - v % (b - 1) + np.tile(np.arange(b - 1), len(parents))] = 1
+        np.fill_diagonal(level, 0)
+        depth[fresh] = t
     assert hi == size
-
-    # paths part for good once they differ, so counting equal columns gives P
-    dist = np.zeros((size, size), dtype=np.int64)
-    for col in path.T:
-        dist += col[:, None] == col[None, :]
-    dist -= 1 + depth[:, None]
-    dist -= depth[None, :]
-    np.negative(dist, out=dist)
-    np.fill_diagonal(dist, 0)
     return dist, depth
 
 
@@ -286,7 +288,13 @@ def _psd_rows(fam: GabFamily, xs, radius: int, vertex_budget: int, tol: float) -
     top = int(dist.max())
     rows = []
     for x in xs:
-        K = gab_eval_all(fam, top, np.float64(x))[dist]
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = gab_eval_all(fam, top, np.float64(x))
+        if not np.isfinite(values).all():
+            raise ParameterOutOfRange(
+                f"kernel values P_n(x) up to degree {top} overflow float64 at x={float(x)!r}"
+            )
+        K = values[dist]
         min_eig = float(np.linalg.eigvalsh(K).min())
         rows.append({
             "x": float(x),
@@ -378,8 +386,8 @@ def gab_dual_measure(fam: GabFamily, x: float, y: float, order: int = 8,
     y . m over slack * max |m_n| ("valid") rules out every positive measure
     on the interval matching the moments within the slack.
     """
-    if order < 1:
-        raise ParameterOutOfRange(f"moment order must be at least 1, got {order}")
+    if not 1 <= order <= MOMENT_MAX_ORDER:
+        raise ParameterOutOfRange(f"moment order {order} not in [1, {MOMENT_MAX_ORDER}]")
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ParameterOutOfRange(f"x and y must be finite, got x={x!r}, y={y!r}")
     with np.errstate(over="ignore", invalid="ignore"):

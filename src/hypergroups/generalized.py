@@ -30,6 +30,7 @@ from .errors import (
     SchemeError,
     SupportMismatch,
 )
+from .harmonic import _hermitian_floor, _multiplicativity_gap, _real_times, dual_convolution
 from .hypergroup import FiniteHypergroup, hypergroup_from_scheme, make_hypergroup
 from .schemes import Scheme
 
@@ -93,8 +94,7 @@ def _interior_rows(bd: np.ndarray, needed: int) -> np.ndarray:
 
 
 def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
-                 base_point, bd, class_order, ref_positive,
-                 stochastic_tol, balance_tol, closure_tol):
+                 base_point, bd, class_order, ref_positive):
     """Shared verification + extraction engine.
 
     ``ref_positive`` is an optional (d, d, d) boolean reference for the
@@ -116,7 +116,7 @@ def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
     weight = weight / weight[base_point]
 
     eye_dev = float(np.abs(stoch[identity] - np.eye(n)).max())
-    if eye_dev > stochastic_tol:
+    if eye_dev > STOCHASTIC_TOL:
         raise SupportMismatch(f"identity transition deviates from I by {eye_dev:.3e}")
 
     if float(stoch.min()) < 0.0:
@@ -130,14 +130,14 @@ def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
     for i in range(d):
         full = _interior_rows(bd, int(class_order[i]))
         dev_full = np.abs(row_sums[i, full] - 1.0)
-        if dev_full.size and float(dev_full.max()) > stochastic_tol:
+        if dev_full.size and float(dev_full.max()) > STOCHASTIC_TOL:
             x = int(full[dev_full.argmax()])
             raise NotStochastic(
                 f"row {points[x]!r} of class {classes[i]!r} sums to {row_sums[i, x]!r}",
                 witness=(i, x),
             )
         over = row_sums[i] - 1.0
-        if float(over.max()) > stochastic_tol:
+        if float(over.max()) > STOCHASTIC_TOL:
             x = int(over.argmax())
             raise NotStochastic(
                 f"row {points[x]!r} of class {classes[i]!r} exceeds mass one",
@@ -171,7 +171,7 @@ def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
     balance = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     bal_dev = float(balance.max())
     report["detailed_balance_residual"] = bal_dev
-    if bal_dev > balance_tol:
+    if bal_dev > BALANCE_TOL:
         i, x, y = map(int, np.unravel_index(balance.argmax(), balance.shape))
         raise DetailedBalanceViolation(
             f"reversibility off by {bal_dev:.3e} on class {classes[i]!r}",
@@ -213,7 +213,7 @@ def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
             approx = np.tensordot(p_tilde[i, j], stoch, axes=([0], [0]))
             dev = float(np.abs(prod[rows] - approx[rows]).max())
             closure_dev = max(closure_dev, dev)
-            if dev > closure_tol:
+            if dev > CLOSURE_TOL:
                 raise ClosureResidual(
                     f"product of classes ({classes[i]!r}, {classes[j]!r}) leaves the "
                     f"span by {dev:.3e}",
@@ -235,7 +235,7 @@ def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
                 expected_pos = ref_positive[i, j]
             # where the reference count vanishes the coefficient must be noise;
             # where it is positive the extracted value must be strictly positive
-            zero_ok = (np.abs(p_tilde[i, j]) <= np.sqrt(closure_tol)) | expected_pos
+            zero_ok = (np.abs(p_tilde[i, j]) <= np.sqrt(CLOSURE_TOL)) | expected_pos
             pos_ok = (p_tilde[i, j] > 0.0) | ~expected_pos
             if not (zero_ok.all() and pos_ok.all()):
                 support_ok = False
@@ -252,10 +252,8 @@ def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
     return stoch, weight, p_tilde, pair_checked, report
 
 
-def build_generalized(base: Scheme, stoch, vertex_weight=None, base_point=None,
-                      stochastic_tol: float = STOCHASTIC_TOL,
-                      balance_tol: float = BALANCE_TOL,
-                      closure_tol: float = CLOSURE_TOL) -> GeneralizedScheme:
+def build_generalized(base: Scheme, stoch, vertex_weight=None,
+                      base_point=None) -> GeneralizedScheme:
     """Verify deformed transition data over a classical scheme.
 
     ``stoch`` is a (classes, points, points) stack; ``vertex_weight``
@@ -274,8 +272,6 @@ def build_generalized(base: Scheme, stoch, vertex_weight=None, base_point=None,
     stoch_v, weight, p_tilde, checked, report = _audit_parts(
         base.points, base.classes, base.relation, base.identity, base.involution,
         stoch, vertex_weight, bp, bd, order, ref_positive=(base.p > 0),
-        stochastic_tol=stochastic_tol, balance_tol=balance_tol,
-        closure_tol=closure_tol,
     )
     if not report["deformed_support_matches"]:
         raise SupportMismatch("deformed tensor support differs from the base counts")
@@ -292,10 +288,7 @@ def build_generalized(base: Scheme, stoch, vertex_weight=None, base_point=None,
 
 def build_windowed(points, classes, relation, identity, involution, stoch,
                    vertex_weight, base_point, boundary_distance, class_order,
-                   base_product=None,
-                   stochastic_tol: float = STOCHASTIC_TOL,
-                   balance_tol: float = BALANCE_TOL,
-                   closure_tol: float = CLOSURE_TOL) -> GeneralizedScheme:
+                   base_product=None) -> GeneralizedScheme:
     """Windowed variant: checks restricted by boundary distance.
 
     The relation partition need not be a scheme on the window; closure
@@ -311,8 +304,6 @@ def build_windowed(points, classes, relation, identity, involution, stoch,
     stoch_v, weight, p_tilde, checked, report = _audit_parts(
         tuple(points), tuple(classes), relation, identity, involution,
         stoch, vertex_weight, base_point, bd, order, ref_positive=None,
-        stochastic_tol=stochastic_tol, balance_tol=balance_tol,
-        closure_tol=closure_tol,
     )
     return GeneralizedScheme(
         points=tuple(points), classes=tuple(classes), relation=relation,
@@ -357,18 +348,18 @@ def classical_embedding(s: Scheme) -> GeneralizedScheme:
     return g
 
 
+def _deformed_valency(g: GeneralizedScheme, i: int) -> float:
+    """1 / p_tilde[i, ibar, e], which needs the pair (i, ibar) checked."""
+    if not g.pair_checked[i, g.involution[i]]:
+        raise SchemeError(
+            f"deformed valency of class {g.classes[i]!r} not determined by this window"
+        )
+    return 1.0 / g.p_tilde[i, g.involution[i], g.identity]
+
+
 def deformed_valencies(g: GeneralizedScheme) -> np.ndarray:
     """1 / p_tilde[i, ibar, e] per class; requires those pairs checked."""
-    d = g.n_classes
-    out = np.empty(d)
-    for i in range(d):
-        if not g.pair_checked[i, g.involution[i]]:
-            raise SchemeError(
-                f"deformed valency of class {g.classes[i]!r} not determined "
-                f"by this window"
-            )
-        out[i] = 1.0 / g.p_tilde[i, g.involution[i], g.identity]
-    return out
+    return np.array([_deformed_valency(g, i) for i in range(g.n_classes)])
 
 
 def hypergroup_from_generalized(g: GeneralizedScheme, tol: float = 1e-9) -> FiniteHypergroup:
@@ -395,9 +386,7 @@ def pi_positive_definite(g: GeneralizedScheme, kernel, tol: float = 1e-9):
     n = g.n_points
     if K.shape != (n, n):
         raise NonSquare(f"kernel has shape {K.shape}, expected {(n, n)}")
-    B = g.vertex_weight[:, None] * K
-    herm = float(np.abs(B - np.conjugate(B.T)).max())
-    min_eig = float(np.linalg.eigvalsh((B + np.conjugate(B.T)) / 2.0).min())
+    herm, min_eig = _hermitian_floor(g.vertex_weight[:, None] * K)
     ok = herm <= tol and min_eig >= -tol
     return ok, {"hermiticity_residual": herm, "min_eigenvalue": min_eig}
 
@@ -406,15 +395,9 @@ def s_tilde_f(g: GeneralizedScheme, f) -> np.ndarray:
     """Weighted transition mixture sum_i f(i) valency~_i S~_i."""
     f = np.asarray(f, dtype=complex)
     d = g.n_classes
-    need = [i for i in range(d) if f[i] != 0]
     omega = np.zeros(d)
-    for i in need:
-        if not g.pair_checked[i, g.involution[i]]:
-            raise SchemeError(
-                f"deformed valency of class {g.classes[i]!r} not determined "
-                f"by this window"
-            )
-        omega[i] = 1.0 / g.p_tilde[i, g.involution[i], g.identity]
+    for i in np.flatnonzero(f):
+        omega[i] = _deformed_valency(g, i)
     return np.tensordot(f * omega, g.stoch.astype(complex), axes=([0], [0]))
 
 
@@ -424,13 +407,8 @@ def kernel_F_f(g: GeneralizedScheme, f) -> np.ndarray:
     return f[g.relation]
 
 
-def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z for a float a and a complex z, without casting a to complex."""
-    return a @ z.real + 1j * (a @ z.imag)
-
-
 def _deformed_char_residual(g: GeneralizedScheme, alpha: np.ndarray) -> float:
-    gap = np.abs(np.multiply.outer(alpha, alpha) - _real_times(g.p_tilde, alpha))
+    gap = _multiplicativity_gap(g.p_tilde, alpha)
     return float(gap[g.pair_checked].max(initial=0.0))
 
 
@@ -464,8 +442,10 @@ def positive_connection_check(g: GeneralizedScheme, alpha, tol: float = 1e-9,
         pairing, regular = g._base_algebra
         M = _real_times(pairing, alpha).reshape(d, d)
         adjoint = np.conjugate(alpha[g.involution])
+        # F_alpha^H = F_(conj alpha[ibar]), so the kernel is hermitian as far as alpha is
         kherm = float(np.abs(alpha - adjoint).max())
-        H = _real_times(regular.T, (alpha + adjoint) / 2.0).reshape(d, d)
+        kernel_min = _hermitian_floor(
+            _real_times(regular.T, (alpha + adjoint) / 2.0).reshape(d, d))[1]
     else:
         if g.base_product is None:
             raise SchemeError("windowed object lacks a base product rule")
@@ -475,11 +455,8 @@ def positive_connection_check(g: GeneralizedScheme, alpha, tol: float = 1e-9,
             for j in range(K + 1):
                 prod = g.base_product(i, int(g.involution[j]))
                 M[i, j] = sum(w * alpha[k] for k, w in prod.items())
-        H = kernel_F_f(g, alpha)
-        kherm = float(np.abs(H - np.conjugate(H.T)).max())
-    herm = float(np.abs(M - np.conjugate(M.T)).max())
-    base_min = float(np.linalg.eigvalsh((M + np.conjugate(M.T)) / 2.0).min())
-    kernel_min = float(np.linalg.eigvalsh((H + np.conjugate(H.T)) / 2.0).min())
+        kherm, kernel_min = _hermitian_floor(kernel_F_f(g, alpha))
+    herm, base_min = _hermitian_floor(M)
 
     ok = (herm <= tol and base_min >= -tol and kherm <= tol and kernel_min >= -tol)
     return ok, {
@@ -501,8 +478,6 @@ def dual_product_generalized(g: GeneralizedScheme, tbl, a: int, b: int,
     second factor passes the positive-connection certificate; the
     certificate outcome rides along in the info dict.
     """
-    from .harmonic import dual_convolution
-
     h = hypergroup_from_generalized(g)
     info: dict = {}
     if check_precondition:

@@ -133,8 +133,26 @@ def _sort_key(row: np.ndarray):
     return tuple(x for pair in zip(-re, -im) for x in pair)
 
 
+def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a float a and a complex z, without casting a to complex."""
+    return a @ z.real + 1j * (a @ z.imag)
+
+
+def _multiplicativity_gap(t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|sum_k t[i, j, k] z[k] - z[i] z[j]| over (i, j) for a (d, d, d) tensor t and
+    values z of shape (d,), or (d, m) for m functions at once; one (d^2, d) product."""
+    d = len(t)
+    prod = _real_times(t.reshape(d * d, d), z).reshape((d, d) + z.shape[1:])
+    return np.abs(prod - z[:, None] * z[None, :])
+
+
+def _hermitian_floor(M: np.ndarray) -> tuple:
+    """(max |M - M^H|, smallest eigenvalue of the hermitian part (M + M^H) / 2)."""
+    adjoint = np.conjugate(M.T)
+    return float(np.abs(M - adjoint).max()), float(np.linalg.eigvalsh((M + adjoint) / 2.0).min())
+
+
 def character_table(h: FiniteHypergroup, gap: float = CLUSTER_GAP,
-                    residual_tol: float = CHARACTER_RESIDUAL_TOL,
                     seed: int = SEED) -> CharacterTable:
     """All characters of a commutative finite hypergroup.
 
@@ -173,14 +191,12 @@ def character_table(h: FiniteHypergroup, gap: float = CLUSTER_GAP,
         chars[r] = v / v[e]
 
     # validation: a(i) a(j) = sum_k conv[i,j,k] a(k), and a(ibar) = conj a(i)
-    prod = np.einsum("ijk,rk->rij", conv, chars)
-    outer = chars[:, :, None] * chars[:, None, :]
-    residual = float(np.abs(prod - outer).max())
+    residual = float(_multiplicativity_gap(h.conv_float, chars.T).max())
     herm = float(np.abs(np.conjugate(chars[:, h.involution]) - chars).max())
     residual = max(residual, herm)
-    if residual > residual_tol:
+    if residual > CHARACTER_RESIDUAL_TOL:
         raise DegenerateSplitFailure(
-            f"multiplicativity residual {residual:.3e} exceeds {residual_tol:.1e}"
+            f"multiplicativity residual {residual:.3e} exceeds {CHARACTER_RESIDUAL_TOL:.1e}"
         )
 
     order = sorted(range(d), key=lambda r: _sort_key(chars[r]))
@@ -239,8 +255,7 @@ def is_positive_definite(h: FiniteHypergroup, f, tol: float = 1e-9,
     f = np.asarray(f, dtype=complex)
     conv = h.conv_float
     M = np.tensordot(conv[:, h.involution, :], f, axes=([2], [0]))
-    herm_residual = float(np.abs(M - np.conjugate(M.T)).max())
-    min_eig = float(np.linalg.eigvalsh((M + np.conjugate(M.T)) / 2.0).min())
+    herm_residual, min_eig = _hermitian_floor(M)
     matrix_positive = herm_residual <= tol and min_eig >= -tol
 
     cert = {

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotAHypergroup
-from .schemes import BLOCK, Scheme, associativity_gap
+from .schemes import Scheme, _associativity_scan, _witness
 
 DEFAULT_TOL = 1e-12
 
@@ -188,12 +188,6 @@ def hypergroup_from_scheme(s: Scheme) -> FiniteHypergroup:
     return h
 
 
-def _witness(bad: np.ndarray, cut, first: bool):
-    """Index of the first (C order) or the largest entry of ``bad`` above cut, else None."""
-    k = np.argmax(bad > cut) if first else bad.argmax()
-    return tuple(map(int, np.unravel_index(k, bad.shape))) if bad.flat[k] > cut else None
-
-
 def verify_hypergroup(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> dict:
     """Axiom-by-axiom report for a convolution tensor.
 
@@ -206,11 +200,10 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> dict:
     d, e, tau, exact = h.n_classes, h.identity, h.involution, h.exact
     vals, scale = h.values, h.scale if exact else 1
     if exact:
-        # float64 when d * max|N|^2 and L stay below 2**53: every partial sum of a
-        # contraction of two such tensors is then an integer float64 holds, so BLAS
-        # stays exact; Python ints otherwise
+        # float64 when d * max|N| and L stay below 2**53, so that every sum and
+        # difference below is exact; Python ints otherwise
         top = int(np.abs(vals).max(initial=0))
-        vals = vals.astype(np.float64 if d * top * top < 2**53 and scale < 2**53 else object)
+        vals = vals.astype(np.float64 if d * top < 2**53 and scale < 2**53 else object)
     reals = np.real(vals)
     cut = 0 if exact else tol
     report: dict = {"exact": exact, "tol": tol}
@@ -244,18 +237,9 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> dict:
     entry("involution_antihomomorphism", bad.max() <= cut, _witness(bad, cut, exact),
           None if exact and bad.max() > 0 else float(bad.max() / scale))
 
-    # (delta_i*delta_j)*delta_k against delta_i*(delta_j*delta_k), indexed i j k m, over
-    # blocks of i so that no d^4 tensor is built: the two products of a block hold
-    # about BLOCK entries together
-    step = max(1, BLOCK // (2 * d**3))
-    starts = range(0, d, step)
-    peaks = np.array([associativity_gap(vals, i, step).max() for i in starts])
-    witness = _witness(peaks, cut, exact)
-    if witness is not None:
-        start = starts[witness[0]]
-        i, *jkm = _witness(associativity_gap(vals, start, step), cut, exact)
-        witness = (start + i, *jkm)
-    entry("associativity", peaks.max() <= cut, witness, None if exact else float(peaks.max()))
+    # (delta_i*delta_j)*delta_k against delta_i*(delta_j*delta_k), on the stored tensor
+    peak, witness = _associativity_scan(h.values, None if exact else tol)
+    entry("associativity", peak <= cut, witness, None if exact else float(peak))
 
     # left Haar weight of i is 1 / (delta_ibar * delta_i)({e})
     pair = reals[tau, np.arange(d), e]

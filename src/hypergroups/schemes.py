@@ -73,10 +73,6 @@ class Scheme:
         except ValueError:
             raise ParseError(f"unknown class {c!r}") from None
 
-    def relation_of(self, x, y):
-        """Class label of the pair (x, y)."""
-        return self.classes[self.relation[self.point_index(x), self.point_index(y)]]
-
 
 # entries that the two largest arrays of one block of a contraction hold
 # together: 32 MiB of float64
@@ -306,9 +302,38 @@ def associativity_gap(t: np.ndarray, start: int, step: int) -> np.ndarray:
     return np.abs(gap)
 
 
-def _first_bad(mask: np.ndarray):
-    idx = np.argwhere(~mask)
-    return tuple(map(int, idx[0])) if len(idx) else None
+def _witness(bad: np.ndarray, cut, first: bool):
+    """Index of the first (C order) or the largest entry of ``bad`` above cut, else None."""
+    k = np.argmax(bad > cut) if first else bad.argmax()
+    return tuple(map(int, np.unravel_index(k, bad.shape))) if bad.flat[k] > cut else None
+
+
+def _associativity_scan(t: np.ndarray, tol: float | None = None) -> tuple:
+    """(peak, witness) of |(i*j)*k - i*(j*k)| over the structure tensor t, indexed i j k m,
+    in blocks of i whose two products hold about BLOCK entries together.
+
+    With tol None, t holds exact integers, contracted in float64 while d max|t|^2 <
+    2**53 (every partial sum is then an integer float64 holds, so BLAS stays exact)
+    and in Python ints otherwise; the witness is the first nonzero entry in C order,
+    and the scan stops at its block.  Otherwise it is the largest entry above tol.
+    """
+    d, exact, cut = len(t), tol is None, tol or 0
+    if exact:
+        top = int(np.abs(t).max(initial=0))
+        t = t.astype(np.float64 if d * top * top < 2**53 else object)
+    step = max(1, BLOCK // (2 * d**3))
+    peaks = []
+    for start in range(0, d, step):
+        # a failing block is computed again rather than kept, so one block is live at a time
+        peaks.append(associativity_gap(t, start, step).max())
+        if exact and peaks[-1] > 0:
+            break
+    peaks = np.array(peaks)
+    block = _witness(peaks, cut, exact)
+    if block is None:
+        return peaks.max(), None
+    i, *jkm = _witness(associativity_gap(t, block[0] * step, step), cut, exact)
+    return peaks.max(), (block[0] * step + i, *jkm)
 
 
 def audit_intersection_identities(s: Scheme) -> dict:
@@ -326,7 +351,7 @@ def audit_intersection_identities(s: Scheme) -> dict:
     def add(name, mask_or_bool, witness=None):
         if isinstance(mask_or_bool, np.ndarray):
             ok = bool(mask_or_bool.all())
-            witness = None if ok else _first_bad(mask_or_bool)
+            witness = None if ok else _witness(~mask_or_bool, 0, True)
         else:
             ok = bool(mask_or_bool)
         report[name] = {"holds": ok, "witness": witness}
@@ -353,16 +378,7 @@ def audit_intersection_identities(s: Scheme) -> dict:
     add("weighted_sum_transposed", np.tensordot(p, omega[tau], axes=([2], [0]))
         == omega[tau][:, None] * omega[tau][None, :])
 
-    # float64 keeps every partial sum exact when d * max(p)^2 < 2**53
-    vals = p.astype(np.float64) if d * int(p.max()) ** 2 < 2**53 else p
-    step = max(1, BLOCK // (2 * d**3))
-    witness = None
-    for start in range(0, d, step):
-        # a failing block is computed again rather than kept, so one block is live at a time
-        if associativity_gap(vals, start, step).any():
-            i, *jkm = _first_bad(associativity_gap(vals, start, step) == 0)
-            witness = (start + i, *jkm)
-            break
+    witness = _associativity_scan(p)[1]
     add("associativity", witness is None, witness)
 
     # positivity of a triple forces compatibility of the valency ratios

@@ -143,6 +143,11 @@ def test_family_parameter_exit_code(capsys):
     ["--report", "psd-sweep", "--radius", "-1"],
     ["--max-degree", "-1"],
     ["--report", "psd-sweep", "--radius", "8"],  # 131071 vertices, past the budget
+    # P_n(-1.5) up to degree 1200 overflows float64
+    ["--a", "2", "--b", "2", "--report", "psd-sweep", "--radius", "600", "--x-step", "3"],
+    ["--report", "lp-sweep", "--moment-order", "100000"],
+    ["--report", "lp-sweep", "--moment-order", "65"],
+    ["--report", "lp-sweep", "--sweep-points", "101"],
 ])
 def test_degenerate_gab_sweep_rejected(capsys, argv):
     code = main(["family", "gab", "--a", "3", "--b", "3", *argv])

@@ -2,6 +2,7 @@
 graph realizations, and the dual moment test against the grid LP oracle."""
 
 import math
+import time
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -276,6 +277,53 @@ def test_ball_matches_dijkstra(a, b, radius, budget):
             gab_ball(GabFamily(a, b), radius, vertex_budget=budget - 1)
 
 
+def _ball_by_root_paths(a, b, radius):
+    """Reference: distances half those of the vertex-clique tree, whose root
+    paths (root, clique, vertex, ..., clique, v) share a prefix of length P:
+    dist(u, v) = depth u + depth v + 1 - P, with P counted column by column."""
+    size = 1 + sum(a * (b - 1) * ((a - 1) * (b - 1)) ** t for t in range(radius))
+    # path[v, 2t] is the ancestor of v at depth t, path[v, 2t-1] the clique joining
+    # it to its parent, and -1-v pads the row past the depth of v
+    path = np.repeat(-1 - np.arange(size)[:, None], 2 * radius + 1, axis=1)
+    path[0, 0] = 0
+    depth = np.zeros(size, dtype=np.int64)
+    lo, hi, cliques = 0, 1, 0
+    for t in range(1, radius + 1):
+        parents = np.repeat(np.arange(lo, hi), (a if t == 1 else a - 1) * (b - 1))
+        fresh = np.arange(hi, hi + len(parents))
+        path[fresh, : 2 * t - 1] = path[parents, : 2 * t - 1]
+        path[fresh, 2 * t - 1] = cliques + np.arange(len(parents)) // (b - 1)
+        path[fresh, 2 * t] = fresh
+        depth[fresh] = t
+        cliques += len(parents) // (b - 1)
+        lo, hi = hi, hi + len(parents)
+    shared = sum((col[:, None] == col[None, :]).astype(np.int64) for col in path.T)
+    dist = depth[:, None] + depth[None, :] + 1 - shared
+    np.fill_diagonal(dist, 0)
+    return dist, depth
+
+
+@pytest.mark.parametrize("a, b, radius", [
+    (2, 2, 0), (2, 2, 1), (2, 2, 7), (3, 3, 1), (3, 3, 4), (2, 5, 3), (5, 2, 3),
+    (4, 3, 2), (3, 4, 3), (2, 3, 6), (6, 6, 2),
+])
+def test_ball_matches_root_path_formula(a, b, radius):
+    dist, depth = gab_ball(GabFamily(a, b), radius)
+    ref, ref_depth = _ball_by_root_paths(a, b, radius)
+    np.testing.assert_array_equal(dist, ref)
+    np.testing.assert_array_equal(depth, ref_depth)
+
+
+def test_thin_ball_is_built_level_by_level():
+    """At a = b = 2 the ball is a path of 2 radius + 1 vertices; radius 2499
+    fills the default budget of 5000 with 4999."""
+    start = time.perf_counter()
+    dist, depth = gab_ball(GabFamily(2, 2), 2499)
+    assert time.perf_counter() - start < 2.0
+    assert dist.shape == (4999, 4999)
+    assert dist[0].max() == 2499 and dist[-1, -2] == 4998 == dist.max()
+
+
 def test_psd_sweep_builds_one_ball(monkeypatch, capsys):
     from hypergroups.cli import main
 
@@ -394,8 +442,9 @@ def test_moment_matrices_that_overflow_are_rejected():
 
 def test_lp_rejects_bad_order():
     fam = GabFamily(3, 3)
-    with pytest.raises(ParameterOutOfRange):
-        gab_dual_measure(fam, 0.3, 0.7, order=0)
+    for order in (0, gab.MOMENT_MAX_ORDER + 1):
+        with pytest.raises(ParameterOutOfRange):
+            gab_dual_measure(fam, 0.3, 0.7, order=order)
 
 
 @pytest.mark.parametrize("x, y", [(-0.5, 0.0), (0.3, 0.7), (0.9, -0.2), (-1.0, 0.25),

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypergroups import schemes
 from hypergroups.catalog import cyclic_scheme
 from hypergroups.errors import NotAHypergroup
 from hypergroups.hypergroup import (
@@ -23,6 +24,7 @@ from hypergroups.hypergroup import (
     translate,
     verify_hypergroup,
 )
+from hypergroups.schemes import audit_intersection_identities, scheme_from_distance_regular_graph
 
 F = Fraction
 
@@ -319,6 +321,30 @@ def test_exact_verify_z32():
     rep = verify_hypergroup(h)
     assert rep["exact"]
     assert rep["all_hold"], rep
+
+
+@pytest.mark.parametrize("i, j, k", [(3, 5, 8), (30, 20, 10), (47, 47, 2), (1, 1, 1)])
+def test_audit_and_verify_name_the_same_associativity_witness(i, j, k):
+    """The audit scans p and verify_hypergroup the scheme hypergroup's
+    numerators, whose defect at (i, j, k, m) is p's times valency_m /
+    (valency_i valency_j valency_k) > 0 (up to the common scale), so the zero
+    patterns agree.  The 94-cycle has d = 48 classes of valencies 1, 2, ..., 2, 1,
+    which takes several blocks; a corrupted count off the identity column
+    must give one witness both ways."""
+    n = 94
+    cycle = np.zeros((n, n), dtype=np.int64)
+    cycle[np.arange(n), (np.arange(n) + 1) % n] = 1
+    s = scheme_from_distance_regular_graph(cycle + cycle.T)
+    assert s.n_classes == 48 and 2 * 48**4 > schemes.BLOCK
+    p = s.p.copy()
+    p[i, j, k] += 1
+    fake = schemes.Scheme(s.points, s.classes, s.relation, s.identity, s.involution, p,
+                          s.valencies)
+    witness = audit_intersection_identities(fake)["associativity"]["witness"]
+    assert witness is not None
+    h = hypergroup_from_scheme(fake)
+    assert h.exact and h.scale > 1
+    assert verify_hypergroup(h)["associativity"]["witness"] == witness
 
 
 def test_associativity_witness_matches_full_tensor_beyond_first_block(rng):
