@@ -7,8 +7,10 @@ Option defaults live only in ``build_parser``, and handlers read the
 parsed ``argparse.Namespace``.  ``--tol``, ``--moment-order`` and
 ``--vertex-budget`` default to None there, so a report lists them only
 when given; the command that reads one supplies its own value otherwise.
-All emitters are byte-deterministic for a fixed command line (fixed
-seed, sorted keys, fixed orderings, no timestamps).
+Each ``cmd_*`` handler returns ``(results, csv_text or None, ok)``, numpy
+values unconverted; ``main`` alone builds the report, writes it to stdout
+or ``--out`` and maps ``ok`` to exit 0 or 2.  Reports are byte-deterministic
+for a fixed command line (fixed seed, sorted keys, fixed orderings).
 """
 
 from __future__ import annotations
@@ -63,17 +65,6 @@ LINEARIZATION_MAX_DEGREE = 64
 LP_SWEEP_MAX_POINTS = 100
 
 
-def make_report(args: argparse.Namespace, results: dict, status: str) -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
-        "tool": "hypergroups",
-        "command": args.command,
-        "parameters": _parameters(args),
-        "results": results,
-        "status": status,
-    }
-
-
 def _parameters(args: argparse.Namespace) -> dict:
     """The options a report echoes: optional overrides only when given."""
     params = {"inputs": [args.input] if "input" in args else [], "seed": args.seed}
@@ -84,20 +75,6 @@ def _parameters(args: argparse.Namespace) -> dict:
         params.update(family=args.family, report=args.report)
         params.update((key, getattr(args, key)) for key in REPORTS[args.report][1])
     return params
-
-
-def _emit(args: argparse.Namespace, report: dict, stem: str, csv_blocks: dict | None = None):
-    text = jsonio.dump_report(report)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, stem + ".json"), "w", encoding="utf-8") as fh:
-            fh.write(text)
-        for suffix, csv_text in (csv_blocks or {}).items():
-            name = stem + (("_" + suffix) if suffix else "") + ".csv"
-            with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
 
 
 # ---------------------------------------------------------------------------
@@ -130,100 +107,79 @@ def _hypergroup_of(kind: str, obj):
 # subcommands
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple:
     kind, obj = _load_any(args.input)
-    results: dict = {"kind": kind}
     if kind in ("scheme", "cayley"):
         audit = audit_intersection_identities(obj)
-        results["audit"] = audit
-        results["flags"] = {
-            "commutative": is_commutative(obj),
-            "symmetric": is_symmetric(obj),
-            "unimodular": is_unimodular(obj),
+        results = {
+            "kind": kind,
+            "audit": audit,
+            "flags": {
+                "commutative": is_commutative(obj),
+                "symmetric": is_symmetric(obj),
+                "unimodular": is_unimodular(obj),
+            },
+            "valencies": obj.valencies,
+            "intersection_tensor": obj.p,
         }
-        results["valencies"] = [int(w) for w in obj.valencies]
-        results["intersection_tensor"] = obj.p.tolist()
-        ok = bool(audit["all_hold"])
-    elif kind == "hypergroup":
-        tol = args.tol if args.tol is not None else 1e-12
-        report = verify_hypergroup(obj, tol=tol)
-        results["audit"] = report
-        ok = bool(report["all_hold"])
-    else:
-        results["audit"] = obj.report
-        results["windowed"] = obj.windowed
-        results["pairs_checked"] = int(obj.pair_checked.sum())
-        ok = True
-    status = "pass" if ok else "fail"
-    _emit(args, make_report(args, results, status), "verify")
-    return EXIT_PASS if ok else EXIT_STRUCTURE
+        return results, None, audit["all_hold"]
+    if kind == "hypergroup":
+        audit = verify_hypergroup(obj, tol=args.tol or 1e-12)
+        return {"kind": kind, "audit": audit}, None, audit["all_hold"]
+    results = {"kind": kind, "audit": obj.report, "windowed": obj.windowed,
+               "pairs_checked": obj.pair_checked.sum()}
+    return results, None, True
 
 
-def cmd_hypergroup(args: argparse.Namespace) -> int:
+def cmd_hypergroup(args: argparse.Namespace) -> tuple:
     kind, obj = _load_any(args.input)
     h = _hypergroup_of(kind, obj)
-    tol = args.tol if args.tol is not None else 1e-12
-    report = verify_hypergroup(h, tol=tol)
-    results = {
-        "kind": kind,
-        "hypergroup": jsonio.hypergroup_to_json(h),
-        "audit": report,
-    }
-    ok = bool(report["all_hold"])
-    _emit(args, make_report(args, results, "pass" if ok else "fail"), "hypergroup")
-    return EXIT_PASS if ok else EXIT_STRUCTURE
+    audit = verify_hypergroup(h, tol=args.tol or 1e-12)
+    results = {"kind": kind, "hypergroup": jsonio.hypergroup_to_json(h), "audit": audit}
+    return results, None, audit["all_hold"]
 
 
-def cmd_chartable(args: argparse.Namespace) -> int:
+def cmd_chartable(args: argparse.Namespace) -> tuple:
     kind, obj = _load_any(args.input)
     h = _hypergroup_of(kind, obj)
     tbl = character_table(h, seed=args.seed)
     results = {
         "kind": kind,
-        "classes": [jsonio._plain(c) for c in h.classes],
-        "characters": [[jsonio.format_complex(complex(v)) for v in row] for row in tbl.chars],
-        "plancherel": [float(v) for v in tbl.plancherel],
-        "haar": [float(v) for v in tbl.haar],
-        "positive_index": int(tbl.positive_index),
-        "residual": float(tbl.residual),
-        "orthogonality_residual": float(orthogonality_residual(tbl)),
+        "classes": h.classes,
+        # a+bi even when the imaginary part is zero, as in the CSV table
+        "characters": [list(map(jsonio.format_complex, row)) for row in tbl.chars.tolist()],
+        "plancherel": tbl.plancherel,
+        "haar": tbl.haar,
+        "positive_index": tbl.positive_index,
+        "residual": tbl.residual,
+        "orthogonality_residual": orthogonality_residual(tbl),
     }
-    csv_text = jsonio.chartable_to_csv(tbl)
-    _emit(args, make_report(args, results, "pass"), "chartable", {"": csv_text})
-    return EXIT_PASS
+    return results, jsonio.chartable_to_csv(tbl), True
 
 
-def cmd_dualtable(args: argparse.Namespace) -> int:
+def cmd_dualtable(args: argparse.Namespace) -> tuple:
     kind, obj = _load_any(args.input)
     h = _hypergroup_of(kind, obj)
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol or 1e-9
     tbl = character_table(h, seed=args.seed)
     duals = tbl.duals
     for a, b in np.argwhere(~(duals.total > 0.0))[:1].tolist():
         dual_convolution(h, tbl, a, b, tol=tol)  # raises DualNotPositive: the pair has no mass
-    pairs = [(a, b) for a in range(tbl.n_characters) for b in range(tbl.n_characters)]
+    m = tbl.n_characters
+    pairs = [f"{a},{b}" for a in range(m) for b in range(m)]
     # Python min/max in row-major pair order, so ties of 0.0 and -0.0 resolve as before
     min_raw = min(math.inf, *duals.min_raw_real.ravel().tolist())
-    nonneg = min_raw >= -tol
     results = {
         "kind": kind,
-        "characters": list(tbl.labels),
-        "raw_coefficients": {
-            f"{a},{b}": [z.real if z.imag == 0.0 else jsonio.format_complex(z)
-                         for z in duals.raw[a, b].tolist()]
-            for a, b in pairs
-        },
-        "clamped_weights": {f"{a},{b}": duals.weights[a, b].tolist() for a, b in pairs},
+        "characters": tbl.labels,
+        "raw_coefficients": dict(zip(pairs, duals.raw.reshape(m * m, -1))),
+        "clamped_weights": dict(zip(pairs, duals.weights.reshape(m * m, -1))),
         "min_raw_coefficient": min_raw,
         "max_imaginary_part": max(0.0, *duals.max_abs_imag.ravel().tolist()),
         "max_sum_deviation": max(0.0, *(abs(z - 1.0) for z in duals.sum_raw.ravel().tolist())),
-        "nonnegative": nonneg,
+        "nonnegative": min_raw >= -tol,
     }
-    csv_text = jsonio.dualtable_to_csv(list(tbl.labels), duals.weights)
-    del tbl, duals  # frees the cached coefficients before the report is serialized
-    status = "pass" if nonneg else "fail"
-    _emit(args, make_report(args, results, status), "dualtable", {"": csv_text})
-    return EXIT_PASS if nonneg else EXIT_STRUCTURE
+    return results, jsonio.dualtable_to_csv(tbl.labels, duals.weights), results["nonnegative"]
 
 
 # ---------------------------------------------------------------------------
@@ -240,31 +196,27 @@ def _gab_linearization_report(args: argparse.Namespace, fam: GabFamily):
     for mdeg in range(nmax + 1):
         for ndeg in range(nmax + 1):
             coeffs = gab_linearization(fam, mdeg, ndeg)
-            total = sum(coeffs.values())
-            worst = max(worst, abs(total - 1.0))
+            worst = max(worst, abs(sum(coeffs.values()) - 1.0))
             if coeffs:
                 min_coeff = min(min_coeff, min(coeffs.values()))
-            for k in sorted(coeffs):
-                rows.append((mdeg, ndeg, k, coeffs[k]))
-    csv_lines = ["m,n,k,g"]
-    csv_lines += [f"{mr},{nr},{kr},{jsonio.format_float(g)}" for mr, nr, kr, g in rows]
+            rows += [(mdeg, ndeg, k, coeffs[k]) for k in sorted(coeffs)]
     results = {
         "s0": fam.s0,
         "s1": fam.s1,
         "max_degree": nmax,
         "rows": len(rows),
         "max_sum_deviation": worst,
-        "min_coefficient": (0.0 if min_coeff is math.inf else float(min_coeff)),
-        "nonnegative": bool(min_coeff >= -1e-15),
+        "min_coefficient": 0.0 if min_coeff is math.inf else min_coeff,
+        "nonnegative": min_coeff >= -1e-15,
     }
     ok = results["nonnegative"] and worst <= 1e-10
-    return results, {"": "\n".join(csv_lines) + "\n"}, ok
+    return results, jsonio._csv(("m", "n", "k", "g"), rows), ok
 
 
 def _gab_psd_report(args: argparse.Namespace, fam: GabFamily):
     x_min, x_max, x_step, radius = args.x_min, args.x_max, args.x_step, args.radius
     budget = args.vertex_budget if args.vertex_budget is not None else 5000
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol or 1e-8
     if not x_step > 0:
         raise ParameterOutOfRange(f"--x-step must be positive, got {x_step!r}")
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
@@ -280,12 +232,8 @@ def _gab_psd_report(args: argparse.Namespace, fam: GabFamily):
     count = int(round(steps)) + 1
     xs = [x_min + i * x_step for i in range(count) if x_min + i * x_step <= x_max + 1e-12]
     rows = _psd_rows(fam, xs, radius, budget, tol)
-    csv_lines = ["x,radius,n_vertices,min_eigenvalue,psd"]
-    for r in rows:
-        csv_lines.append(
-            f"{jsonio.format_float(r['x'])},{r['radius']},{r['n_vertices']},"
-            f"{jsonio.format_float(r['min_eigenvalue'])},{int(r['psd'])}"
-        )
+    columns = ("x", "radius", "n_vertices", "min_eigenvalue", "psd")
+    csv_text = jsonio._csv(columns, ([r[c] for c in columns] for r in rows))
     results = {
         "s0": fam.s0,
         "s1": fam.s1,
@@ -296,24 +244,24 @@ def _gab_psd_report(args: argparse.Namespace, fam: GabFamily):
     }
     # the kernel is psd on [s0, s1] and need not be outside it: inside points decide
     ok = all(r["psd"] for r in rows if fam.s0 - 1e-12 <= r["x"] <= fam.s1 + 1e-12)
-    return results, {"": "\n".join(csv_lines) + "\n"}, ok
+    return results, csv_text, ok
 
 
 def _gab_lp_report(args: argparse.Namespace, fam: GabFamily):
     order = args.moment_order if args.moment_order is not None else 8
     pts = args.sweep_points
-    slack = args.tol if args.tol is not None else 1e-8
+    slack = args.tol or 1e-8
     if not 2 <= pts <= LP_SWEEP_MAX_POINTS:
         raise ParameterOutOfRange(f"--sweep-points {pts} not in [2, {LP_SWEEP_MAX_POINTS}]")
     values = [fam.s0 + (fam.s1 - fam.s0) * i / (pts - 1) for i in range(pts)]
-    rows, csv_lines = [], ["x,y,order,feasible,max_violation"]
+    rows = []
     for x in values:
         for y in values:
             res = gab_dual_measure(fam, x, y, order=order, slack=slack)
             rows.append({"x": x, "y": y, "feasible": res.feasible,
                          "max_violation": res.max_violation})
-            csv_lines.append(f"{jsonio.format_float(x)},{jsonio.format_float(y)},{order},"
-                             f"{int(res.feasible)},{jsonio.format_float(res.max_violation)}")
+    csv_text = jsonio._csv(("x", "y", "order", "feasible", "max_violation"), (
+        (r["x"], r["y"], order, r["feasible"], r["max_violation"]) for r in rows))
     results = {
         "s0": fam.s0,
         "s1": fam.s1,
@@ -322,7 +270,7 @@ def _gab_lp_report(args: argparse.Namespace, fam: GabFamily):
         "feasible_count": sum(1 for r in rows if r["feasible"]),
         "rows": rows,
     }
-    return results, {"": "\n".join(csv_lines) + "\n"}, results["feasible_count"] == len(rows)
+    return results, csv_text, results["feasible_count"] == len(rows)
 
 
 def _cosh_window_report(args: argparse.Namespace, fam: CoshFamily):
@@ -330,14 +278,10 @@ def _cosh_window_report(args: argparse.Namespace, fam: CoshFamily):
     g = cosh_window_scheme(fam, m)
     closed_dev = 0.0
     for k in range(m + 1):
-        for l in range(m + 1):
-            if k + l > m:
-                continue
+        for l in range(m + 1 - k):
             ref = cosh_convolution(fam, k, l)
-            vec = g.p_tilde[k, l]
-            for idx in range(g.n_classes):
-                expect = ref.get(idx, 0.0)
-                closed_dev = max(closed_dev, abs(vec[idx] - expect))
+            vec = g.p_tilde[k, l].tolist()
+            closed_dev = max(closed_dev, *(abs(v - ref.get(i, 0.0)) for i, v in enumerate(vec)))
     lam_values = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
     char_rows = []
     char_dev = 0.0
@@ -345,7 +289,7 @@ def _cosh_window_report(args: argparse.Namespace, fam: CoshFamily):
         alpha1 = complex(cosh_character(fam, lam, 1))
         alpha, resid = window_character(g, alpha1)
         ref = np.asarray(cosh_character(fam, lam, np.arange(m + 1)), dtype=complex)
-        dev = float(np.max(np.abs(alpha - ref)))
+        dev = np.max(np.abs(alpha - ref))
         char_dev = max(char_dev, dev, resid)
         char_rows.append({
             "lambda": lam,
@@ -373,13 +317,9 @@ REPORTS = {
 }
 
 
-def cmd_family(args: argparse.Namespace) -> int:
+def cmd_family(args: argparse.Namespace) -> tuple:
     fam = GabFamily(args.a, args.b) if args.family == "gab" else CoshFamily(args.r)
-    results, csv_blocks, ok = REPORTS[args.report][0](args, fam)
-    stem = f"family_{args.family}_{args.report.replace('-', '_')}"
-    status = "pass" if ok else "fail"
-    _emit(args, make_report(args, results, status), stem, csv_blocks)
-    return EXIT_PASS if ok else EXIT_STRUCTURE
+    return REPORTS[args.report][0](args, fam)
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +406,34 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if args.tol is not None and not args.tol > 0:
             raise ParameterOutOfRange("tolerance must be positive")
-        return HANDLERS[args.command](args)
+        results, csv_text, ok = HANDLERS[args.command](args)
+        text = jsonio.dump_report({
+            "schema": REPORT_SCHEMA,
+            "tool": "hypergroups",
+            "command": args.command,
+            "parameters": _parameters(args),
+            "results": results,
+            "status": "pass" if ok else "fail",
+        })
     except SchemeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+    stem = args.command
+    if args.command == "family":
+        stem = f"family_{args.family}_{args.report.replace('-', '_')}"
+    try:
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            os.makedirs(args.out, exist_ok=True)
+            for suffix, body in ((".json", text), (".csv", csv_text)):
+                if body is not None:
+                    with open(os.path.join(args.out, stem + suffix), "w", encoding="utf-8") as fh:
+                        fh.write(body)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return EXIT_PASS if ok else EXIT_STRUCTURE
 
 
 if __name__ == "__main__":

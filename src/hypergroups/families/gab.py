@@ -38,6 +38,11 @@ class GabFamily:
             raise ParameterOutOfRange(
                 f"family needs a, b >= 2, got a={self.a!r}, b={self.b!r}"
             )
+        if not all(map(math.isfinite, (self.a, self.b, self.s0, self.s1))):
+            raise ParameterOutOfRange(
+                f"family needs finite a, b with s0, s1 in the float64 range, "
+                f"got a={self.a!r}, b={self.b!r}"
+            )
 
     @property
     def s0(self) -> float:
@@ -85,12 +90,16 @@ def gab_linearization(fam: GabFamily, m: int, n: int) -> dict:
         if v != 0.0:
             g[k] = g.get(k, 0.0) + v
 
-    put(m + n, (a - 1) / a)
-    put(lo, 1.0 / (a * (a - 1) ** (w - 1) * (b - 1) ** w))
-    for k in range(w):
-        put(lo + 2 * k + 1, (b - 2) / (a * (a - 1) ** (w - k - 1) * (b - 1) ** (w - k)))
-    for k in range(w - 1):
-        put(lo + 2 * k + 2, (a - 2) / (a * (a - 1) ** (w - k - 1) * (b - 1) ** (w - k - 1)))
+    try:
+        put(m + n, (a - 1) / a)
+        put(lo, 1.0 / (a * (a - 1) ** (w - 1) * (b - 1) ** w))
+        for k in range(w):
+            put(lo + 2 * k + 1, (b - 2) / (a * (a - 1) ** (w - k - 1) * (b - 1) ** (w - k)))
+        for k in range(w - 1):
+            put(lo + 2 * k + 2, (a - 2) / (a * (a - 1) ** (w - k - 1) * (b - 1) ** (w - k - 1)))
+    except OverflowError as exc:  # a float power past the float64 range
+        raise ParameterOutOfRange(
+            f"coefficients of P_{m} P_{n} overflow float64 at a={a!r}, b={b!r}") from exc
     return g
 
 

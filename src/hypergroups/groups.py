@@ -35,7 +35,8 @@ class FiniteGroup:
         try:
             return self.elements.index(g)
         except ValueError:
-            if isinstance(g, (int, np.integer)) and 0 <= int(g) < self.order:
+            # an int or numpy integer; a JSON true or false is no index
+            if (type(g) is int or isinstance(g, np.integer)) and 0 <= int(g) < self.order:
                 return int(g)
             raise ParseError(f"unknown group element {g!r}") from None
 
@@ -65,8 +66,9 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
         raise InvalidCayleyTable("table is not |G| x |G|")
     mul = np.fromiter(map(pos.get, itertools.chain.from_iterable(rows), itertools.repeat(-1)),
                       dtype=np.int64, count=n * n)
-    miss = np.flatnonzero(mul < 0).tolist()  # not a label (a label wins): an index, or no element
-    mul[miss] = [v if isinstance(v, (int, np.integer)) and 0 <= v < n else -1
+    # not a label (a label wins): an index (int or numpy integer, never a bool), or no element
+    miss = np.flatnonzero(mul < 0).tolist()
+    mul[miss] = [v if (type(v) is int or isinstance(v, np.integer)) and 0 <= v < n else -1
                  for v in (rows[k // n][k % n] for k in miss)]
     mul = mul.reshape(n, n)
     if (mul < 0).any():

@@ -25,10 +25,8 @@ from .schemes import Scheme, build_scheme
 
 
 def format_complex(z: complex) -> str:
-    re = f"{z.real:.17g}"
-    im = f"{abs(z.imag):.17g}"
-    sign = "+" if z.imag >= 0 or z.imag != z.imag else "-"
-    return f"{re}{sign}{im}i"
+    im = z.imag
+    return f"{z.real:.17g}{'-' if im < 0 else '+'}{abs(im):.17g}i"  # nan and -0.0 take +
 
 
 def format_float(x: float) -> str:
@@ -40,14 +38,21 @@ _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _plain(value: Any) -> Any:
-    """Recursively convert numpy/Fraction/complex values to JSON-safe ones."""
+    """The JSON form of a report value, converted recursively: numpy scalars
+    become Python ones, int, float and bool arrays lists, a Fraction 'p/q',
+    and a complex its real part when the imaginary part is 0, else 'a+bi'."""
     if type(value) in _JSON_SCALARS:
         return value
+    if isinstance(value, (complex, np.complexfloating)):
+        z = complex(value)
+        return z.real if z.imag == 0.0 else format_complex(z)
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biuf":
+            return value.tolist()
         return [_plain(v) for v in value.tolist()]
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
@@ -55,11 +60,6 @@ def _plain(value: Any) -> Any:
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        z = complex(value)
-        if z.imag == 0.0:
-            return z.real
-        return format_complex(z)
     if isinstance(value, (float, np.floating)):
         return float(value)
     return value
@@ -101,18 +101,18 @@ def detect_kind(doc: dict) -> str:
 
 
 def scheme_to_json(s: Scheme) -> dict:
-    relations = []
-    for xi, x in enumerate(s.points):
-        for yi, y in enumerate(s.points):
-            relations.append([_plain(x), _plain(y), _plain(s.classes[s.relation[xi, yi]])])
-    doc = {
-        "points": [_plain(p) for p in s.points],
-        "classes": [_plain(c) for c in s.classes],
-        "relations": relations,
-        "identity": _plain(s.classes[s.identity]),
-        "involution": [_plain(s.classes[s.involution[i]]) for i in range(s.n_classes)],
+    """Points, classes, one [x, y, class] row per ordered pair, identity and
+    involution: also the first fields of a generalized scheme's document."""
+    points = _plain(s.points)
+    classes = _plain(s.classes)
+    return {
+        "points": points,
+        "classes": classes,
+        "relations": [[x, y, classes[c]] for x, row in zip(points, s.relation.tolist())
+                      for y, c in zip(points, row)],
+        "identity": classes[s.identity],
+        "involution": [classes[c] for c in s.involution.tolist()],
     }
-    return doc
 
 
 def _norm_label(v: Any) -> Any:
@@ -200,13 +200,13 @@ def hypergroup_to_json(h: FiniteHypergroup) -> dict:
         cells = list(map("{}/{}".format, (entries // common).tolist(),
                          (h.scale // common).tolist()))
     else:
-        cells = [float(v) for v in entries.tolist()]
+        cells = entries.tolist()
     return {
-        "classes": [_plain(c) for c in h.classes],
+        "classes": _plain(h.classes),
         "identity": int(h.identity),
-        "involution": [int(v) for v in h.involution],
+        "involution": h.involution.tolist(),
         "conv": [[i, j, k, v] for (i, j, k), v in zip(support.tolist(), cells)],
-        "haar": [_plain(w) for w in h.haar],
+        "haar": _plain(h.haar),
     }
 
 
@@ -241,13 +241,13 @@ def hypergroup_from_json(doc: dict) -> FiniteHypergroup:
         if not (isinstance(row, list) and len(row) == 4):
             raise ParseError(f"conv rows must be [i, j, k, value], got {row!r}")
         i, j, k, v = row
-        if not all(isinstance(t, int) and 0 <= t < d for t in (i, j, k)):
+        if not all(type(t) is int and 0 <= t < d for t in (i, j, k)):  # true is no index
             raise ParseError(f"conv indices out of range in {row!r}")
         if isinstance(v, str):
             entries[(i * d + j) * d + k] = _parse_ratio(v)
-        elif isinstance(v, (int, float)):
+        elif type(v) in (int, float):
             entries[(i * d + j) * d + k] = (v, 1)
-            exact = exact and isinstance(v, int)
+            exact = exact and type(v) is int
         else:
             raise ParseError(f"conv value must be number or 'p/q', got {v!r}")
     flat = np.fromiter(entries, dtype=np.int64, count=len(entries))
@@ -270,23 +270,13 @@ def hypergroup_from_json(doc: dict) -> FiniteHypergroup:
 
 
 def generalized_to_json(g: GeneralizedScheme) -> dict:
-    doc = {
-        "points": [_plain(p) for p in g.points],
-        "classes": [_plain(c) for c in g.classes],
-        "relations": [
-            [_plain(g.points[xi]), _plain(g.points[yi]), _plain(g.classes[g.relation[xi, yi]])]
-            for xi in range(g.n_points)
-            for yi in range(g.n_points)
-        ],
-        "identity": _plain(g.classes[g.identity]),
-        "involution": [_plain(g.classes[g.involution[i]]) for i in range(g.n_classes)],
-        "stoch": [[[float(v) for v in row] for row in mat] for mat in g.stoch],
-        "vertex_weight": [float(w) for w in g.vertex_weight],
-        "base_point": _plain(g.points[g.base_point]),
-    }
+    doc = scheme_to_json(g)
+    doc["stoch"] = g.stoch.tolist()
+    doc["vertex_weight"] = g.vertex_weight.tolist()
+    doc["base_point"] = doc["points"][g.base_point]
     if g.windowed:
-        doc["boundary_distance"] = [int(v) for v in g.boundary_distance]
-        doc["class_order"] = [int(v) for v in g.class_order]
+        doc["boundary_distance"] = g.boundary_distance.tolist()
+        doc["class_order"] = g.class_order.tolist()
     return doc
 
 
@@ -379,22 +369,26 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
 # CSV tables
 
 
-def chartable_to_csv(tbl) -> str:
-    d = len(tbl.classes)
-    lines = ["character," + ",".join(f"class_{i}" for i in range(d)) + ",plancherel"]
-    for r, label in enumerate(tbl.labels):
-        cells = [format_complex(complex(v)) for v in tbl.chars[r]]
-        lines.append(f"{label}," + ",".join(cells) + f",{format_float(tbl.plancherel[r])}")
+# text of a CSV cell by its exact type (callers pass Python scalars, so numpy
+# arrays go in as .tolist()); anything else (labels, ints) prints with str
+_CELL = {float: "%.17g".__mod__, complex: format_complex, bool: "%d".__mod__}
+
+
+def _csv(header, rows) -> str:
+    """A CSV table: the header names, then one line per row of cells."""
+    lines = [",".join(header)]
+    lines += [",".join([_CELL.get(type(v), str)(v) for v in row]) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def chartable_to_csv(tbl) -> str:
+    header = ["character", *(f"class_{i}" for i in range(len(tbl.classes))), "plancherel"]
+    rows = zip(tbl.labels, tbl.chars.tolist(), tbl.plancherel.tolist())
+    return _csv(header, ([label, *chars, w] for label, chars, w in rows))
 
 
 def dualtable_to_csv(labels, weights) -> str:
     """weights: mapping (a, b) -> vector of dual coefficients."""
-    m = len(labels)
-    lines = ["left,right," + ",".join(labels)]
-    for a in range(m):
-        for b in range(m):
-            vec = weights[(a, b)]
-            cells = [format_float(v) for v in vec]
-            lines.append(f"{labels[a]},{labels[b]}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+    pairs = [(a, b) for a in range(len(labels)) for b in range(len(labels))]
+    return _csv(["left", "right", *labels], (
+        [labels[a], labels[b], *np.asarray(weights[a, b]).tolist()] for a, b in pairs))

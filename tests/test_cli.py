@@ -1,6 +1,7 @@
 """Command-line entry points: exit codes, report envelopes, and determinism."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -148,6 +149,10 @@ def test_family_parameter_exit_code(capsys):
     ["--report", "lp-sweep", "--moment-order", "100000"],
     ["--report", "lp-sweep", "--moment-order", "65"],
     ["--report", "lp-sweep", "--sweep-points", "101"],
+    ["--a", "inf"],  # later options win: a = inf, b = 3
+    ["--b", "inf", "--report", "psd-sweep"],
+    ["--a", "1e308"],  # s1 is inf / inf
+    ["--a", "1e200"],  # (a - 1)^2 overflows in the coefficients of P_3 P_3
 ])
 def test_degenerate_gab_sweep_rejected(capsys, argv):
     code = main(["family", "gab", "--a", "3", "--b", "3", *argv])
@@ -254,6 +259,10 @@ def test_fields_that_are_not_lists_are_parse_errors(capsys, tmp_path, command, d
      "conv value outside the float range"),
     ({"classes": [0], "conv": [[0, 0, 0, 0.5], [0, 0, 0, 10**400]]},
      "conv value outside the float range"),
+    ({"classes": [0, 1], "conv": [[True, 0, 0, 1]]}, "conv indices out of range in [True, 0, 0, 1]"),
+    ({"classes": [0], "conv": [[0, 0, 0, True]]}, "conv value must be number or 'p/q', got True"),
+    ({"classes": [0], "conv": [[0, 0, 0, 1], [0, 0, 0, False]]},
+     "conv value must be number or 'p/q', got False"),
 ])
 def test_malformed_hypergroup_documents_are_parse_errors(capsys, tmp_path, doc, message):
     path = tmp_path / "hg.json"
@@ -263,6 +272,24 @@ def test_malformed_hypergroup_documents_are_parse_errors(capsys, tmp_path, doc, 
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: {message}\n"
+
+
+def test_cayley_booleans_are_labels_or_nothing(capsys, tmp_path):
+    """JSON true and false are no element indices; they count only as labels."""
+    z2 = {"elements": ["e", "a"], "table": [["e", "a"], ["a", "e"]]}
+    path = tmp_path / "z2.json"
+    for doc, code, message in (
+        ({**z2, "table": [["e", "a"], ["a", False]]}, 2, "entry False at (1, 1) is no element"),
+        ({**z2, "subgroup": ["e", True]}, 1, "unknown group element True"),
+    ):
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+    path.write_text(json.dumps({"elements": [False, True], "table": [[False, True], [True, False]],
+                                "subgroup": [False, True]}))
+    code, rep = run(capsys, "verify", str(path))
+    assert code == 0 and rep["status"] == "pass"
 
 
 @pytest.mark.parametrize("doc_name", ["pentagon.json", "gen.json"])
@@ -598,6 +625,83 @@ def test_reports_are_byte_identical_across_runs(capsys, docs, tmp_path):
     assert files_a == files_b and files_a
     for name in files_a:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# documents whose reports involve no LAPACK or libm rounding: exact integer
+# and fraction arithmetic, and the gab family at a = b = 3, where every
+# power is a power of 2
+PINNED_DOCS = {
+    "pentagon.json": {
+        "points": [0, 1, 2, 3, 4], "classes": [0, 1, 2],
+        "relations": [[x, y, min((x - y) % 5, (y - x) % 5)] for x in range(5) for y in range(5)],
+    },
+    "s3.json": {
+        "elements": ["e", "a", "b", "c", "d", "f"],
+        "table": [[["e", "a", "b", "c", "d", "f"][k] for k in row] for row in (
+            [0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+            [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0])],
+        "subgroup": ["e", "a"],
+    },
+    "hg.json": {
+        "classes": ["e", "x", "y"],
+        "conv": [[0, 0, 0, 1], [0, 1, 1, "1/1"], [0, 2, 2, 1], [1, 0, 1, 1], [2, 0, 2, 1],
+                 [1, 1, 0, "1/2"], [1, 1, 2, "1/2"], [1, 2, 1, "1/2"], [1, 2, 2, "1/2"],
+                 [2, 1, 1, "1/2"], [2, 1, 2, "1/2"], [2, 2, 0, "1/2"], [2, 2, 1, "1/2"]],
+    },
+}
+
+# sha256 of each report file, recorded before the report writer was reworked
+PINNED_DIGESTS = {
+    "verify pentagon.json -> verify.json":
+        "9ecdb255e8a24e57e0e4e5f6bf3afe828e84b6de5b36bb79d5ae10329dda0d75",
+    "hypergroup pentagon.json -> hypergroup.json":
+        "3824afd2ee0e0ca2201e45d42ef7aa8c26354c76ae160348c2e3b7cd0727e721",
+    "verify s3.json -> verify.json":
+        "818d0e094023e1f0e865726fa9678c1feeef6cbd836ac077cf717d7c5b7f3139",
+    "hypergroup s3.json -> hypergroup.json":
+        "323cfdfff7be05b9b083a9ee825e778140a7d9579d94181e8443f8f84e4631aa",
+    "verify hg.json -> verify.json":
+        "d6625bfefd732856294019a684af1a9ed655d7a7c1859d812fb3e74d6ab223c9",
+    "hypergroup hg.json -> hypergroup.json":
+        "c77fe20653298d59309ec48c2080089f7f6ca78fd4545b3b2c267e48cf73869d",
+    "family gab --a 3 --b 3 --max-degree 3 -> family_gab_linearization.csv":
+        "1b4b03786402634940f0b4e2b24702e9d159cc43d88df7a15b460c73f5b57a3e",
+    "family gab --a 3 --b 3 --max-degree 3 -> family_gab_linearization.json":
+        "b1193652aeda06469d4eb854337287ac6fdb2b679c19e7d7a8fdfe47086899ae",
+}
+
+
+def test_reports_match_recorded_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in PINNED_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    runs = [[command, name] for name in PINNED_DOCS for command in ("verify", "hypergroup")]
+    runs.append(["family", "gab", "--a", "3", "--b", "3", "--max-degree", "3"])
+    found = {}
+    for argv in runs:
+        assert main(argv) == 0, argv
+        stdout = capsys.readouterr().out
+        assert main(argv + ["--out", "rep"]) == 0, argv
+        assert capsys.readouterr().out == ""
+        for path in sorted((tmp_path / "rep").iterdir()):
+            key = f"{' '.join(argv)} -> {path.name}"
+            found[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+            if path.suffix == ".json":
+                assert path.read_text() == stdout, key
+            path.unlink()
+    assert found == PINNED_DIGESTS
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    code = main(["family", "cosh", "--r", "0.5", "--out", str(taken)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write the report: ")
+    assert captured.err.count("\n") == 1
+    assert taken.read_text() == "not a directory"
 
 
 def test_exit_zero_quiet_with_out_dir(capsys, docs, tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,6 +204,28 @@ def test_dualtable_csv_shape():
         "v,u,0.25,0.75",
         "v,v,0.5,0.5",
     ]
+
+
+def test_csv_cells_match_recorded_text():
+    """Cell text recorded before the CSV writer was shared: -0.0, nan and a
+    large float in both tables, complex cells as a+bi."""
+    nan = float("nan")
+    tbl = SimpleNamespace(
+        classes=(0, 1), labels=("chi0", "chi1"),
+        chars=np.array([[1 + 0j, 0.5 - 0.25j], [complex(-0.0, -0.0), complex(nan, 0.0)]]),
+        plancherel=np.array([1.2345678901234567e300, nan]))
+    assert chartable_to_csv(tbl) == (
+        "character,class_0,class_1,plancherel\n"
+        "chi0,1+0i,0.5-0.25i,1.2345678901234567e+300\n"
+        "chi1,-0+0i,nan+0i,nan\n")
+    weights = np.array([[[1.0, -0.0], [0.5, 0.25]],
+                        [[nan, 1.2345678901234567e300], [0.1, 2.0 ** -60]]])
+    assert dualtable_to_csv(["chi0", "chi1"], weights) == (
+        "left,right,chi0,chi1\n"
+        "chi0,chi0,1,-0\n"
+        "chi0,chi1,0.5,0.25\n"
+        "chi1,chi0,nan,1.2345678901234567e+300\n"
+        "chi1,chi1,0.10000000000000001,8.6736173798840355e-19\n")
 
 
 def test_s3_cayley_roundtrip_via_json(tmp_path):
