@@ -60,12 +60,20 @@ class GabFamily:
 
 
 def gab_haar(fam: GabFamily, n: int) -> float:
-    """Haar weight of degree n: 1, then a(a-1)^(n-1)(b-1)^n."""
+    """Haar weight of degree n: 1, then a(a-1)^(n-1)(b-1)^n, as a float."""
     if n < 0:
         raise ParameterOutOfRange("degree must be nonnegative")
     if n == 0:
         return 1.0
-    return fam.a * (fam.a - 1) ** (n - 1) * (fam.b - 1) ** n
+    a, b = float(fam.a), float(fam.b)
+    try:
+        weight = a * (a - 1) ** (n - 1) * (b - 1) ** n
+    except OverflowError:  # a float power past the float64 range
+        weight = math.inf
+    if weight == math.inf:  # or a product past it
+        raise ParameterOutOfRange(
+            f"Haar weight of degree {n} overflows float64 at a={fam.a!r}, b={fam.b!r}")
+    return weight
 
 
 def gab_linearization(fam: GabFamily, m: int, n: int) -> dict:

@@ -14,7 +14,7 @@ from the boundary, tracked per class pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .harmonic import _hermitian_floor, _multiplicativity_gap, _real_times, dual_convolution
 from .hypergroup import FiniteHypergroup, hypergroup_from_scheme, make_hypergroup
-from .schemes import Scheme
+from .schemes import Scheme, _triple_counts
 
 STOCHASTIC_TOL = 1e-12
 BALANCE_TOL = 1e-10
@@ -89,22 +89,50 @@ class GeneralizedScheme:
         return pairing, regular.reshape(s.n_classes, -1)
 
 
-def _interior_rows(bd: np.ndarray, needed: int) -> np.ndarray:
-    return np.flatnonzero(bd >= needed)
+def build_generalized(base: Scheme, stoch, vertex_weight=None,
+                      base_point=None) -> GeneralizedScheme:
+    """Verify deformed transition data over a classical scheme: the audit of
+    :func:`build_windowed` on a window without boundary, so every pair is checked.
 
-
-def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
-                 base_point, bd, class_order, ref_positive):
-    """Shared verification + extraction engine.
-
-    ``ref_positive`` is an optional (d, d, d) boolean reference for the
-    support pattern of the deformed tensor; when None it is counted from
-    the relation matrix at interior witnesses.
+    ``stoch`` is a (classes, points, points) stack; ``vertex_weight``
+    defaults to the constant weight; ``base_point`` (a point label)
+    fixes the normalization.  Raises what ``build_windowed`` raises, and
+    ``SupportMismatch`` when the deformed tensor's support differs from
+    the base counts.
     """
-    n = len(points)
-    d = len(classes)
+    n, d = base.n_points, base.n_classes
+    g = build_windowed(
+        base.points, base.classes, base.relation, base.identity, base.involution, stoch,
+        np.ones(n) if vertex_weight is None else vertex_weight,
+        0 if base_point is None else base.point_index(base_point),
+        np.full(n, n + max(1, d)), np.zeros(d))
+    if not g.report["deformed_support_matches"]:
+        raise SupportMismatch("deformed tensor support differs from the base counts")
+    return replace(g, base_scheme=base)
+
+
+def build_windowed(points, classes, relation, identity, involution, stoch,
+                   vertex_weight, base_point, boundary_distance, class_order,
+                   base_product=None) -> GeneralizedScheme:
+    """Verify deformed transition data on a window of a relation partition.
+
+    The relation partition need not be a scheme on the window; closure
+    of the pair (i, j) is verified on rows whose boundary distance is at
+    least class_order[i] + class_order[j], and pairs with no such row
+    stay unchecked.  The deformed tensor's support is compared with the
+    triple counts of the relation at the witness pairs its coefficients
+    are read at.  Raises ``NonSquare``, ``NotStochastic``,
+    ``SupportMismatch``, ``DetailedBalanceViolation`` or
+    ``ClosureResidual`` with witnesses.
+    """
+    points, classes = tuple(points), tuple(classes)
+    n, d = len(points), len(classes)
+    relation = np.asarray(relation, dtype=np.int64)
+    involution = np.asarray(involution, dtype=np.int64)
+    bd = np.asarray(boundary_distance, dtype=np.int64)
+    order = np.asarray(class_order, dtype=np.int64)
     stoch = np.asarray(stoch, dtype=np.float64)
-    weight = np.asarray(weight, dtype=np.float64)
+    weight = np.asarray(vertex_weight, dtype=np.float64)
     report: dict = {}
 
     if stoch.shape != (d, n, n):
@@ -127,8 +155,9 @@ def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
         )
 
     row_sums = stoch.sum(axis=2)
+    full_rows = bd >= order[:, None]  # (d, n): rows on which class i keeps mass one
     for i in range(d):
-        full = _interior_rows(bd, int(class_order[i]))
+        full = np.flatnonzero(full_rows[i])
         dev_full = np.abs(row_sums[i, full] - 1.0)
         if dev_full.size and float(dev_full.max()) > STOCHASTIC_TOL:
             x = int(full[dev_full.argmax()])
@@ -143,9 +172,7 @@ def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
                 f"row {points[x]!r} of class {classes[i]!r} exceeds mass one",
                 witness=(i, x),
             )
-    report["stochastic_rows_checked"] = int(sum(
-        len(_interior_rows(bd, int(class_order[i]))) for i in range(d)
-    ))
+    report["stochastic_rows_checked"] = int(full_rows.sum())
 
     for i in range(d):
         on_class = relation == i
@@ -191,13 +218,12 @@ def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
     pair_checked = np.zeros((d, d), dtype=bool)
     closure_dev = 0.0
     rowsum_dev = 0.0
-    support_ok = True
     # witnesses depend on (i, j) only through the rows they may use
     witnesses: dict = {}
     for i in range(d):
         for j in range(d):
-            needed = int(class_order[i]) + int(class_order[j])
-            rows = _interior_rows(bd, needed)
+            needed = int(order[i]) + int(order[j])
+            rows = np.flatnonzero(bd >= needed)
             if rows.size == 0:
                 continue
             if needed not in witnesses:
@@ -227,19 +253,22 @@ def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
                     f"sum to {srow!r}",
                     witness=(i, j),
                 )
-            if ref_positive is None:
-                # positive where some z has relation[x, z] = i and relation[z, y] = j
-                expected_pos = np.zeros(d, dtype=bool)
-                expected_pos[ks] = ((relation[xs] == i) & (relation[:, ys].T == j)).any(axis=1)
-            else:
-                expected_pos = ref_positive[i, j]
-            # where the reference count vanishes the coefficient must be noise;
-            # where it is positive the extracted value must be strictly positive
-            zero_ok = (np.abs(p_tilde[i, j]) <= np.sqrt(CLOSURE_TOL)) | expected_pos
-            pos_ok = (p_tilde[i, j] > 0.0) | ~expected_pos
-            if not (zero_ok.all() and pos_ok.all()):
-                support_ok = False
             pair_checked[i, j] = True
+
+    # expected[i, j, k]: the relation's triple count is positive at the witness
+    # p_tilde[i, j, k] was read at (unchecked pairs read none and stay False);
+    # built as [k, i, j], one witness's (d, d) counts at a time
+    expected = np.zeros((d, d, d), dtype=bool)
+    for needed, (ks, xs, ys) in witnesses.items():
+        read_here = order[:, None] + order[None, :] == needed
+        for k, x, y in zip(ks, xs, ys):
+            expected[k] |= read_here & (_triple_counts(relation, x, y, d) > 0)
+    expected = expected.transpose(1, 2, 0)
+    # where the count vanishes the coefficient must be noise;
+    # where it is positive the extracted value must be strictly positive
+    zero_ok = (np.abs(p_tilde) <= np.sqrt(CLOSURE_TOL)) | expected
+    pos_ok = (p_tilde > 0.0) | ~expected
+    support_ok = bool((zero_ok & pos_ok).all())
 
     report["closure_residual"] = closure_dev
     report["deformed_row_sum_residual"] = rowsum_dev
@@ -249,67 +278,11 @@ def _audit_parts(points, classes, relation, identity, involution, stoch, weight,
     report["window_size"] = n
     report["interior_fraction"] = float(pair_checked.mean())
 
-    return stoch, weight, p_tilde, pair_checked, report
-
-
-def build_generalized(base: Scheme, stoch, vertex_weight=None,
-                      base_point=None) -> GeneralizedScheme:
-    """Verify deformed transition data over a classical scheme.
-
-    ``stoch`` is a (classes, points, points) stack; ``vertex_weight``
-    defaults to the constant weight; ``base_point`` (a point label)
-    fixes the normalization.  Raises ``NotStochastic``,
-    ``SupportMismatch``, ``DetailedBalanceViolation`` or
-    ``ClosureResidual`` with witnesses.
-    """
-    n = base.n_points
-    if vertex_weight is None:
-        vertex_weight = np.ones(n)
-    bp = 0 if base_point is None else base.point_index(base_point)
-    bd = np.full(n, n + max(1, base.n_classes), dtype=np.int64)
-    order = np.zeros(base.n_classes, dtype=np.int64)
-
-    stoch_v, weight, p_tilde, checked, report = _audit_parts(
-        base.points, base.classes, base.relation, base.identity, base.involution,
-        stoch, vertex_weight, bp, bd, order, ref_positive=(base.p > 0),
-    )
-    if not report["deformed_support_matches"]:
-        raise SupportMismatch("deformed tensor support differs from the base counts")
-    assert checked.all()
-
     return GeneralizedScheme(
-        points=base.points, classes=base.classes, relation=base.relation,
-        identity=base.identity, involution=base.involution, stoch=stoch_v,
-        vertex_weight=weight, base_point=bp, p_tilde=p_tilde,
-        pair_checked=checked, boundary_distance=bd, class_order=order,
-        report=report, base_scheme=base, base_product=None,
-    )
-
-
-def build_windowed(points, classes, relation, identity, involution, stoch,
-                   vertex_weight, base_point, boundary_distance, class_order,
-                   base_product=None) -> GeneralizedScheme:
-    """Windowed variant: checks restricted by boundary distance.
-
-    The relation partition need not be a scheme on the window; closure
-    of the pair (i, j) is verified on rows whose boundary distance is at
-    least class_order[i] + class_order[j], and pairs with no such row
-    stay unchecked.
-    """
-    relation = np.asarray(relation, dtype=np.int64)
-    involution = np.asarray(involution, dtype=np.int64)
-    bd = np.asarray(boundary_distance, dtype=np.int64)
-    order = np.asarray(class_order, dtype=np.int64)
-
-    stoch_v, weight, p_tilde, checked, report = _audit_parts(
-        tuple(points), tuple(classes), relation, identity, involution,
-        stoch, vertex_weight, base_point, bd, order, ref_positive=None,
-    )
-    return GeneralizedScheme(
-        points=tuple(points), classes=tuple(classes), relation=relation,
-        identity=identity, involution=involution, stoch=stoch_v,
+        points=points, classes=classes, relation=relation,
+        identity=identity, involution=involution, stoch=stoch,
         vertex_weight=weight, base_point=base_point, p_tilde=p_tilde,
-        pair_checked=checked, boundary_distance=bd, class_order=order,
+        pair_checked=pair_checked, boundary_distance=bd, class_order=order,
         report=report, base_scheme=None, base_product=base_product,
     )
 

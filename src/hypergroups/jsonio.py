@@ -18,7 +18,7 @@ from .errors import ParseError
 from .generalized import GeneralizedScheme, build_generalized, build_windowed
 from .groups import FiniteGroup, check_subgroup, group_from_table
 from .hypergroup import FiniteHypergroup, _integer_form, make_hypergroup
-from .schemes import Scheme, build_scheme
+from .schemes import Scheme, _relation_matrix, build_scheme
 
 # ---------------------------------------------------------------------------
 # scalar formatting
@@ -132,39 +132,75 @@ def _list(doc: dict, key: str) -> list:
     return value
 
 
-def _relation_map(doc: dict, points: list) -> dict:
-    """The 'relations' rows as {(x, y): class}, read the same for schemes and
-    generalized schemes: each row names two known points, and no ordered
-    pair gets two classes.  Class labels are checked by the caller."""
-    known = set(points)
+_BOOL_KEYS = (object(), object())  # the keys of false and true, equal to no other key
+
+
+def _key(label) -> Any:
+    """The dict key of a label, under which true and false match no number (True == 1)."""
+    if type(label) is bool:
+        return _BOOL_KEYS[label]
+    if type(label) is tuple:
+        return tuple(map(_key, label))
+    return label
+
+
+# the keys of each document kind read by _scheme_fields, in the order they are checked
+_REQUIRED = {
+    "scheme": ("points", "classes", "relations"),
+    "generalized": ("points", "classes", "relations", "stoch"),
+    "windowed": ("points", "classes", "relations", "stoch", "identity", "involution",
+                 "boundary_distance", "class_order", "vertex_weight", "base_point"),
+}
+
+
+def _scheme_fields(doc: dict, kind: str) -> tuple:
+    """Points, classes, the 'relations' rows as {(x, y): class}, the asserted
+    identity and involution ({class: conjugate}) and, for a generalized document,
+    base point (None where absent): the fields that scheme and generalized
+    documents share, read alike for both.  A label in a row or an assertion
+    stands for the entry of 'points' or 'classes' that it names under _key, and
+    no ordered pair gets two classes."""
+    for key in _REQUIRED[kind]:
+        if key not in doc:
+            raise ParseError(f"{kind} document missing {key!r}")
+    points = [_norm_label(p) for p in _list(doc, "points")]
+    classes = [_norm_label(c) for c in _list(doc, "classes")]
+    point_of = {_key(p): p for p in points}
+    class_of = {_key(c): c for c in classes}
     mapping = {}
     for row in _list(doc, "relations"):
         if not (isinstance(row, list) and len(row) == 3):
             raise ParseError(f"relation rows must be [x, y, class], got {row!r}")
-        x, y, c = (_norm_label(v) for v in row)
-        if x not in known or y not in known:
-            raise ParseError(f"unknown label in relation row {row!r}")
-        key = (x, y)
-        if key in mapping and mapping[key] != c:
-            raise ParseError(f"pair {key!r} assigned two classes")
-        mapping[key] = c
-    return mapping
+        x, y, c = map(_norm_label, row)
+        try:
+            x, y, c = point_of[_key(x)], point_of[_key(y)], class_of[_key(c)]
+        except KeyError:
+            raise ParseError(f"unknown label in relation row {row!r}") from None
+        if mapping.setdefault((x, y), c) is not c:
+            raise ParseError(f"pair {(x, y)!r} assigned two classes")
 
+    def named(table, label, unknown):
+        label = _norm_label(label)
+        if _key(label) not in table:
+            raise ParseError(unknown.format(label))
+        return table[_key(label)]
 
-def scheme_from_json(doc: dict) -> Scheme:
-    for key in ("points", "classes", "relations"):
-        if key not in doc:
-            raise ParseError(f"scheme document missing {key!r}")
-    points = [_norm_label(p) for p in _list(doc, "points")]
-    classes = [_norm_label(c) for c in _list(doc, "classes")]
-    mapping = _relation_map(doc, points)
-    identity = _norm_label(doc["identity"]) if "identity" in doc else None
+    unknown_class = "unknown class {!r} in " + kind + " document"
+    identity = named(class_of, doc["identity"], unknown_class) if "identity" in doc else None
     involution = None
     if "involution" in doc:
-        conjugates = [_norm_label(v) for v in _list(doc, "involution")]
+        conjugates = [named(class_of, c, unknown_class) for c in _list(doc, "involution")]
         if len(conjugates) != len(classes):
             raise ParseError("involution must list one conjugate per class")
         involution = dict(zip(classes, conjugates))
+    base_point = None
+    if kind != "scheme" and "base_point" in doc:
+        base_point = named(point_of, doc["base_point"], "unknown base point {!r}")
+    return points, classes, mapping, identity, involution, base_point
+
+
+def scheme_from_json(doc: dict) -> Scheme:
+    points, classes, mapping, identity, involution, _ = _scheme_fields(doc, "scheme")
     return build_scheme(points, classes, mapping, identity=identity, involution=involution)
 
 
@@ -302,67 +338,33 @@ def _int_array(doc: dict, key: str, length: int) -> np.ndarray:
 
 
 def generalized_from_json(doc: dict) -> GeneralizedScheme:
-    for key in ("points", "classes", "relations", "stoch"):
-        if key not in doc:
-            raise ParseError(f"generalized document missing {key!r}")
-    points = [_norm_label(p) for p in _list(doc, "points")]
-    classes = [_norm_label(c) for c in _list(doc, "classes")]
-    point_index = {p: i for i, p in enumerate(points)}
-    class_index = {c: i for i, c in enumerate(classes)}
+    """The scheme fields, read as :func:`scheme_from_json` reads them, and the
+    transition stack.  A document with 'boundary_distance' or 'class_order' is
+    a window: it must hold every field :func:`generalized_to_json` writes, and
+    its relation needs no scheme; any other is audited over its base scheme."""
+    kind = "windowed" if "boundary_distance" in doc or "class_order" in doc else "generalized"
+    points, classes, mapping, identity, involution, base_point = _scheme_fields(doc, kind)
+    if kind == "windowed":
+        relation = _relation_matrix(points, classes, mapping)
+    else:
+        base = build_scheme(points, classes, mapping, identity=identity, involution=involution)
     n, d = len(points), len(classes)
-    relation = np.full((n, n), -1, dtype=np.int64)
-    for (x, y), c in _relation_map(doc, points).items():
-        if c not in class_index:
-            raise ParseError(f"unknown label in relation row {[x, y, c]!r}")
-        relation[point_index[x], point_index[y]] = class_index[c]
-    if (relation < 0).any():
-        raise ParseError("relation does not cover all ordered pairs")
     stoch = _float_array(doc, "stoch")
     if stoch.shape != (d, n, n):
-        raise ParseError(
-            f"stoch must have shape ({d}, {n}, {n}), got {stoch.shape}"
-        )
+        raise ParseError(f"stoch must have shape ({d}, {n}, {n}), got {stoch.shape}")
     weight = None
     if "vertex_weight" in doc:
         weight = _float_array(doc, "vertex_weight")
         if weight.shape != (n,):
             raise ParseError(f"vertex_weight must have shape ({n},), got {weight.shape}")
-    base_point = None
-    if "base_point" in doc:
-        label = _norm_label(doc["base_point"])
-        if label not in point_index:
-            raise ParseError(f"unknown base point {label!r}")
-        base_point = point_index[label]
 
-    if "boundary_distance" in doc or "class_order" in doc:
-        for key in ("identity", "involution", "boundary_distance", "class_order",
-                    "vertex_weight", "base_point"):
-            if key not in doc:
-                raise ParseError(f"windowed document missing {key!r}")
-        try:
-            identity = class_index[_norm_label(doc["identity"])]
-            involution = np.array(
-                [class_index[_norm_label(c)] for c in _list(doc, "involution")], dtype=np.int64
-            )
-        except KeyError as exc:
-            raise ParseError(f"unknown class {exc.args[0]!r} in windowed document") from exc
-        if len(involution) != d:
-            raise ParseError("involution must list one conjugate per class")
-        return build_windowed(
-            points=points,
-            classes=classes,
-            relation=relation,
-            identity=identity,
-            involution=involution,
-            stoch=stoch,
-            vertex_weight=weight,
-            base_point=base_point,
-            boundary_distance=_int_array(doc, "boundary_distance", n),
-            class_order=_int_array(doc, "class_order", d),
-        )
-
-    base = build_scheme(points, classes, relation)
-    return build_generalized(base, stoch, vertex_weight=weight, base_point=base_point)
+    if kind == "generalized":
+        return build_generalized(base, stoch, vertex_weight=weight, base_point=base_point)
+    # _relation_matrix has found the labels distinct, so .index finds the entry itself
+    return build_windowed(points, classes, relation, classes.index(identity),
+                          [classes.index(involution[c]) for c in classes], stoch, weight,
+                          points.index(base_point), _int_array(doc, "boundary_distance", n),
+                          _int_array(doc, "class_order", d))
 
 
 # ---------------------------------------------------------------------------

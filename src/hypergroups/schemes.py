@@ -118,6 +118,11 @@ def _relation_matrix(points, classes, relation_of) -> np.ndarray:
     return rel
 
 
+def _triple_counts(rel, x, y, d: int) -> np.ndarray:
+    """(d, d) counts of the class pairs (rel[x, z], rel[z, y]) over the points z."""
+    return np.bincount(rel[x] * d + rel[:, y], minlength=d * d).reshape(d, d)
+
+
 def _identity_class(classes, rel) -> int:
     diag = np.diagonal(rel)
     e = int(diag[0])
@@ -245,7 +250,7 @@ def _verified_scheme(points, classes, rel, rows, identity=None, involution=None)
     np.minimum.at(first, rel.ravel(), np.arange(n * n))
     p = np.empty((d, d, d), dtype=np.int64)
     for k, (x, y) in enumerate(zip(*np.unravel_index(first, (n, n)))):
-        p[:, :, k] = np.bincount(rel[x] * d + rel[:, y], minlength=d * d).reshape(d, d)
+        p[:, :, k] = _triple_counts(rel, x, y, d)
     w = _bad_count(points, classes, rel, p, [i for i in rows if i != e])
     if w is not None:
         raise _inconsistency(w)

@@ -312,6 +312,70 @@ def test_relation_rows_are_read_alike_for_both_kinds(capsys, docs, tmp_path, doc
     assert captured.err == f"error: {message}\n"
 
 
+def _rename_points(doc, name):
+    doc["points"] = [name(x) for x in doc["points"]]
+    doc["relations"] = [[name(x), name(y), c] for x, y, c in doc["relations"]]
+    if "base_point" in doc:
+        doc["base_point"] = name(doc["base_point"])
+
+
+def _rename_classes(doc, name):
+    doc["classes"] = [name(c) for c in doc["classes"]]
+    doc["relations"] = [[x, y, name(c)] for x, y, c in doc["relations"]]
+    doc["identity"] = name(doc["identity"])
+    doc["involution"] = [name(c) for c in doc["involution"]]
+
+
+def _reverse_classes(doc):
+    for key in ("classes", "involution", "stoch"):  # stoch[i] is the matrix of class i
+        if key in doc:
+            doc[key].reverse()
+
+
+def _booleans(label):
+    """0 and 1 as the JSON labels false and true."""
+    return {0: False, 1: True}.get(label, label)
+
+
+@pytest.mark.parametrize("doc_name, kind", [("pentagon.json", "scheme"),
+                                            ("gen.json", "generalized")])
+@pytest.mark.parametrize("edit, code, message", [
+    (lambda doc: _rename_classes(doc, "c{}".format), 0, None),
+    (_reverse_classes, 0, None),
+    (lambda doc: (_rename_points(doc, _booleans), _rename_classes(doc, _booleans)), 0, None),
+    (lambda doc: doc.update(identity=1), 2, "inferred identity 0 does not match asserted 1"),
+    (lambda doc: doc.update(involution=[0, 2, 1]), 2,
+     "inferred involution sends 1 to 1, not the asserted 2"),
+    (lambda doc: doc["points"].append(0), 1, "duplicate point labels"),
+    (lambda doc: doc["relations"].__setitem__(1, [False, True, 1]), 1,
+     "unknown label in relation row [False, True, 1]"),
+    (lambda doc: doc["relations"].__setitem__(1, [0, 1, True]), 1,
+     "unknown label in relation row [0, 1, True]"),
+    (lambda doc: doc.update(identity=False), 1, "unknown class False in {kind} document"),
+    (lambda doc: doc.update(involution=[0, True, 2]), 1, "unknown class True in {kind} document"),
+], ids=["string-classes", "permuted-classes", "boolean-labels", "wrong-identity",
+        "wrong-involution", "repeated-point", "boolean-points", "boolean-class",
+        "boolean-identity", "boolean-involution"])
+def test_scheme_fields_are_read_alike_for_both_kinds(capsys, docs, tmp_path, doc_name, kind,
+                                                    edit, code, message):
+    """A scheme document and its generalized twin share one reader: class labels
+    are any labels, the asserted identity and involution are checked, and JSON
+    true and false name only boolean labels."""
+    with open(docs[doc_name], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["identity"] == 0 and doc["involution"] == [0, 1, 2]
+    assert doc["relations"][1] == [0, 1, 1]
+    edit(doc)
+    path = tmp_path / doc_name
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == code
+    captured = capsys.readouterr()
+    if message is None:
+        assert json.loads(captured.out)["status"] == "pass"
+    else:
+        assert captured.out == "" and captured.err == f"error: {message.format(kind=kind)}\n"
+
+
 def test_decimal_strings_are_exact_values(capsys, tmp_path):
     """Strings outside the int and int/int forms are read as Fraction(str) reads them."""
     doc = {"classes": [0, 1, 2], "conv": [

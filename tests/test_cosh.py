@@ -1,11 +1,14 @@
 """Hyperbolic deformation of the integer half-line: window schemes,
 deformed characters, and the connection quadrature."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hypergroups.errors import ParameterOutOfRange, QuadratureNotConverged
 from hypergroups.families.cosh import (
+    WINDOW_MAX_HALF_WIDTH,
     CoshFamily,
     cosh_base_product,
     cosh_character,
@@ -187,6 +190,19 @@ def test_window_character_recursion_matches_closed_form(r):
 def test_window_size_guard():
     with pytest.raises(ParameterOutOfRange):
         cosh_window_scheme(CoshFamily(1.0), 0)
+
+
+def test_largest_window_audit_peak_memory():
+    """At the largest window the audit's peak allocation stays a few (d, n, n)
+    transition stacks: it keeps no (d, d) triple-count array per witness."""
+    tracemalloc.start()
+    try:
+        g = cosh_window_scheme(CoshFamily(1.0), WINDOW_MAX_HALF_WIDTH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.report["deformed_support_matches"]
+    assert peak <= 8 * g.stoch.nbytes, (peak, g.stoch.nbytes)
 
 
 def test_quadrature_reproduces_characters():

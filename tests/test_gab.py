@@ -438,6 +438,10 @@ def test_moment_matrices_that_overflow_are_rejected():
         warnings.simplefilter("error")
         with pytest.raises(ParameterOutOfRange, match="moment matrices overflow"):
             gab_dual_measure(fam, 4e20, 4e20, order=8)
+        # Haar weights: a float power, and with integer a, b no big int either
+        for fam, n in ((GabFamily(1e200, 3), 3), (GabFamily(3, 3), 10**6)):
+            with pytest.raises(ParameterOutOfRange, match="Haar weight .* overflows"):
+                gab_haar(fam, n)
 
 
 def test_lp_rejects_bad_order():

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hypergroups.catalog import s3_group, z4_group
+from hypergroups.catalog import cyclic_scheme, s3_group, z4_group
 from hypergroups.errors import ParseError
 from hypergroups.families.cosh import CoshFamily, cosh_window_scheme
 from hypergroups.generalized import classical_embedding
@@ -92,14 +92,18 @@ def test_hypergroup_roundtrip_float(pentagon):
     np.testing.assert_allclose(h2.conv, hf.conv, rtol=0, atol=0)
 
 
-def test_generalized_roundtrip_embedding(pentagon):
-    g = classical_embedding(pentagon)
-    doc = generalized_to_json(g)
-    assert detect_kind(doc) == "generalized"
-    g2 = generalized_from_json(json.loads(dump_report(doc)))
-    assert not g2.windowed
-    np.testing.assert_allclose(g2.stoch, g.stoch, rtol=0, atol=0)
-    np.testing.assert_allclose(g2.p_tilde, g.p_tilde, rtol=0, atol=1e-12)
+def test_generalized_roundtrip_embedding(pentagon, petersen, s3_mod_h, s4_mod_s3):
+    """Integer and string class labels read back as written."""
+    for s in (pentagon, petersen, cyclic_scheme(12), s3_mod_h, s4_mod_s3):
+        g = classical_embedding(s)
+        doc = generalized_to_json(g)
+        assert detect_kind(doc) == "generalized"
+        g2 = generalized_from_json(json.loads(dump_report(doc)))
+        assert not g2.windowed
+        assert g2.classes == g.classes and g2.points == g.points
+        np.testing.assert_array_equal(g2.relation, g.relation)
+        np.testing.assert_allclose(g2.stoch, g.stoch, rtol=0, atol=0)
+        np.testing.assert_allclose(g2.p_tilde, g.p_tilde, rtol=0, atol=1e-12)
 
 
 def test_generalized_roundtrip_windowed():
