@@ -38,7 +38,11 @@ class GabFamily:
             raise ParameterOutOfRange(
                 f"family needs a, b >= 2, got a={self.a!r}, b={self.b!r}"
             )
-        if not all(map(math.isfinite, (self.a, self.b, self.s0, self.s1))):
+        try:
+            finite = all(map(math.isfinite, (self.a, self.b, self.s0, self.s1)))
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise ParameterOutOfRange(
                 f"family needs finite a, b with s0, s1 in the float64 range, "
                 f"got a={self.a!r}, b={self.b!r}"

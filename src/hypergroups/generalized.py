@@ -27,12 +27,13 @@ from .errors import (
     NotAHypergroup,
     NonSquare,
     NotStochastic,
+    ParseError,
     SchemeError,
     SupportMismatch,
 )
 from .harmonic import _hermitian_floor, _multiplicativity_gap, _real_times, dual_convolution
 from .hypergroup import FiniteHypergroup, hypergroup_from_scheme, make_hypergroup
-from .schemes import Scheme, _triple_counts
+from .schemes import Scheme, _key, _triple_counts
 
 STOCHASTIC_TOL = 1e-12
 BALANCE_TOL = 1e-10
@@ -95,16 +96,20 @@ def build_generalized(base: Scheme, stoch, vertex_weight=None,
     :func:`build_windowed` on a window without boundary, so every pair is checked.
 
     ``stoch`` is a (classes, points, points) stack; ``vertex_weight``
-    defaults to the constant weight; ``base_point`` (a point label)
-    fixes the normalization.  Raises what ``build_windowed`` raises, and
-    ``SupportMismatch`` when the deformed tensor's support differs from
-    the base counts.
+    defaults to the constant weight; ``base_point`` (a point label, where
+    true and false name no number) fixes the normalization.  Raises
+    ``ParseError`` for an unknown base point, what ``build_windowed``
+    raises, and ``SupportMismatch`` when the deformed tensor's support
+    differs from the base counts.
     """
     n, d = base.n_points, base.n_classes
+    keys = [*map(_key, base.points)]
+    if base_point is not None and _key(base_point) not in keys:
+        raise ParseError(f"unknown point {base_point!r}")
     g = build_windowed(
         base.points, base.classes, base.relation, base.identity, base.involution, stoch,
         np.ones(n) if vertex_weight is None else vertex_weight,
-        0 if base_point is None else base.point_index(base_point),
+        0 if base_point is None else keys.index(_key(base_point)),
         np.full(n, n + max(1, d)), np.zeros(d))
     if not g.report["deformed_support_matches"]:
         raise SupportMismatch("deformed tensor support differs from the base counts")

@@ -3,20 +3,23 @@
 The point of entry is a multiplication table over opaque element labels.
 From a group G and a subgroup H we build the double-coset scheme on G/H
 and the double-coset convolution computed directly from coset products,
-so the two routes to the same measure can be compared exactly.
+so the two routes to the same measure can be compared exactly.  The
+orbitals of a transitive action form a scheme (Bannai-Ito 1984, II.2), so
+once the table and H are checked, the quotient's counts are not rechecked.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidCayleyTable, NotASubgroup, ParseError
-from .schemes import Scheme, build_scheme
+from .schemes import Scheme, _key, _verified_scheme
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,11 +33,15 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _positions(self) -> dict:
+        return {_key(g): i for i, g in enumerate(self.elements)}
+
     def index(self, g) -> int:
         """Index of an element given by label, or by index when no label matches."""
         try:
-            return self.elements.index(g)
-        except ValueError:
+            return self._positions[_key(g)]
+        except (KeyError, TypeError):  # TypeError: an unhashable g, which is no label
             # an int or numpy integer; a JSON true or false is no index
             if (type(g) is int or isinstance(g, np.integer)) and 0 <= int(g) < self.order:
                 return int(g)
@@ -45,7 +52,7 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
     """Validate a Cayley table and wrap it.
 
     ``table[i][j]`` may hold either the element label or its index; a label
-    wins over an index.
+    wins over an index, and true and false name boolean labels only.
     Checks: latin square, two-sided identity, inverses, associativity.
     Associativity uses Light's test: generators are picked greedily (the
     smallest element not yet a left-nested product of earlier ones, at
@@ -59,17 +66,23 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
     n = len(elements)
     if len(set(elements)) != n or n == 0:
         raise ParseError("element labels must be nonempty and distinct")
-    pos = {g: i for i, g in enumerate(elements)}
+    pos = {_key(g): i for i, g in enumerate(elements)}
 
     rows = list(table)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InvalidCayleyTable("table is not |G| x |G|")
     mul = np.fromiter(map(pos.get, itertools.chain.from_iterable(rows), itertools.repeat(-1)),
                       dtype=np.int64, count=n * n)
-    # not a label (a label wins): an index (int or numpy integer, never a bool), or no element
+    # not found as itself: an index (int or numpy integer, never a bool; a label wins),
+    # a label under _key (a boolean, or a tuple holding one), or no element
     miss = np.flatnonzero(mul < 0).tolist()
-    mul[miss] = [v if (type(v) is int or isinstance(v, np.integer)) and 0 <= v < n else -1
-                 for v in (rows[k // n][k % n] for k in miss)]
+    mul[miss] = [v if (type(v) is int or isinstance(v, np.integer)) and 0 <= v < n
+                 else pos.get(_key(v), -1) for v in (rows[k // n][k % n] for k in miss)]
+    # true or false found as the label 1 or 0 (True == 1): the labels, distinct by
+    # equality, hold no boolean beside that number, so it names no element
+    at01 = np.flatnonzero(np.isin(mul, [i for i, g in enumerate(elements)
+                                        if type(g) is not bool and g in (0, 1)])).tolist()
+    mul[[k for k in at01 if type(rows[k // n][k % n]) is bool]] = -1
     mul = mul.reshape(n, n)
     if (mul < 0).any():
         i, j = map(int, np.argwhere(mul < 0)[0])
@@ -168,43 +181,47 @@ def symmetric_group(n: int) -> FiniteGroup:
     return group_from_table(tuple(perms), table.tolist())
 
 
-def _cosets(group: FiniteGroup, sub: np.ndarray, double: bool = False):
-    """Left cosets gH, or double cosets HgH, as sorted index arrays ordered
-    by minimal member, and the index of the coset of each element."""
-    seen = np.full(group.order, -1, dtype=np.int64)
-    cosets = []
-    for g in range(group.order):
-        if seen[g] < 0:
-            members = group.mul[g, sub]
-            members = np.unique(group.mul[np.ix_(sub, members)] if double else members)
-            seen[members] = len(cosets)
-            cosets.append(members)
-    return cosets, seen
+def _quotient(group: FiniteGroup, subgroup: Sequence) -> tuple:
+    """The subgroup H, checked here and only here; the index of the left coset
+    gH and of the double coset HgH of each element; and the minimal member of
+    each left coset and of each double coset, in which order both are numbered."""
+    sub = check_subgroup(group, subgroup)
+    coset_of = np.full(group.order, -1, dtype=np.int64)
+    dcoset_of = coset_of.copy()
+    reps, dreps = [], []
+    for g in range(group.order):  # g is the minimal member of each coset it opens
+        if coset_of[g] < 0:
+            coset_of[group.mul[g, sub]] = len(reps)
+            reps.append(g)
+        if dcoset_of[g] < 0:
+            dcoset_of[group.mul[np.ix_(sub, group.mul[g, sub])]] = len(dreps)
+            dreps.append(g)
+    return sub, coset_of, dcoset_of, np.array(reps), dreps
 
 
-def _double_coset_label(group: FiniteGroup, members) -> str:
-    return f"H{group.elements[int(members.min())]}H"
+def _double_coset_label(group: FiniteGroup, g: int) -> str:
+    return f"H{group.elements[g]}H"
 
 
 def scheme_from_group_quotient(group: FiniteGroup, subgroup: Sequence) -> Scheme:
     """Scheme on G/H whose classes are the double cosets of H.
 
     Points are left cosets xH, and (xH, yH) lies in the class of the
-    double coset H x^{-1} y H.  Class valency equals the number of left
-    cosets inside the double coset (asserted).
+    double coset H x^{-1} y H; no count is rechecked (see the module
+    docstring), and class valency equals the number of left cosets inside
+    the double coset (asserted).  Elements that print alike (0 and "0")
+    give duplicate labels, a ``ParseError``.
     """
-    sub = check_subgroup(group, subgroup)
-    cosets, coset_of = _cosets(group, sub)
-    dcosets, dcoset_of = _cosets(group, sub, double=True)
-
-    points = tuple(f"{group.elements[int(c.min())]}H" for c in cosets)
-    classes = tuple(_double_coset_label(group, dc) for dc in dcosets)
-    reps = np.array([int(c.min()) for c in cosets])
-    # (xH, yH) -> the double coset of x^{-1} y, over the coset representatives
-    in_dcoset = dcoset_of[group.mul[np.ix_(group.inverse[reps], reps)]]
-    s = build_scheme(points, classes, np.array(classes, dtype=object)[in_dcoset].tolist())
-    for k, dc in enumerate(dcosets):
-        assert int(s.valencies[s.class_index(classes[k])]) == len(dc) // len(sub)
+    sub, _, dcoset_of, reps, dreps = _quotient(group, subgroup)
+    points = tuple(f"{group.elements[r]}H" for r in reps.tolist())
+    classes = tuple(_double_coset_label(group, g) for g in dreps)
+    for what, labels in (("class", classes), ("point", points)):
+        if len(set(labels)) != len(labels):
+            raise ParseError(f"duplicate {what} labels")
+    # (xH, yH) -> the double coset of x^{-1} y: class indices in class order
+    rel = dcoset_of[group.mul[np.ix_(group.inverse[reps], reps)]]
+    s = _verified_scheme(points, classes, rel, [])
+    assert np.array_equal(s.valencies * len(sub), np.bincount(dcoset_of))
     return s
 
 
@@ -217,21 +234,14 @@ def hecke_convolution(group: FiniteGroup, subgroup: Sequence, a, b) -> dict:
     normalized by the coset indices, a probability measure on the
     double-coset space.
     """
-    sub = check_subgroup(group, subgroup)
-    cosets, coset_of = _cosets(group, sub)
-    dcosets, dcoset_of = _cosets(group, sub, double=True)
-    reps = np.array([int(c.min()) for c in cosets])
+    _, coset_of, dcoset_of, reps, dreps = _quotient(group, subgroup)
     dcoset_of_rep = dcoset_of[reps]
     a_reps = reps[dcoset_of_rep == dcoset_of[group.index(a)]]
     b_reps = reps[dcoset_of_rep == dcoset_of[group.index(b)]]
     # how many products a_i b_j land in each left coset
     lands = np.bincount(coset_of[group.mul[np.ix_(a_reps, b_reps)]].ravel(),
-                        minlength=len(cosets))
-
-    out = {}
-    for k, dc in enumerate(dcosets):
-        # products landing in cH, times the index of HcH (its number of left cosets)
-        weight = int(lands[coset_of[dc.min()]]) * int((dcoset_of_rep == k).sum())
-        if weight:
-            out[_double_coset_label(group, dc)] = Fraction(weight, a_reps.size * b_reps.size)
-    return out
+                        minlength=len(reps))
+    # products landing in cH, times the index of HcH (its number of left cosets)
+    weights = lands[coset_of[dreps]] * np.bincount(dcoset_of_rep)
+    return {_double_coset_label(group, c): Fraction(int(w), a_reps.size * b_reps.size)
+            for c, w in zip(dreps, weights.tolist()) if w}

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import ParseError
 from .generalized import GeneralizedScheme, build_generalized, build_windowed
-from .groups import FiniteGroup, check_subgroup, group_from_table
+from .groups import FiniteGroup, group_from_table
 from .hypergroup import FiniteHypergroup, _integer_form, make_hypergroup
-from .schemes import Scheme, _relation_matrix, build_scheme
+from .schemes import Scheme, _key, _relation_matrix, build_scheme
 
 # ---------------------------------------------------------------------------
 # scalar formatting
@@ -132,18 +132,6 @@ def _list(doc: dict, key: str) -> list:
     return value
 
 
-_BOOL_KEYS = (object(), object())  # the keys of false and true, equal to no other key
-
-
-def _key(label) -> Any:
-    """The dict key of a label, under which true and false match no number (True == 1)."""
-    if type(label) is bool:
-        return _BOOL_KEYS[label]
-    if type(label) is tuple:
-        return tuple(map(_key, label))
-    return label
-
-
 # the keys of each document kind read by _scheme_fields, in the order they are checked
 _REQUIRED = {
     "scheme": ("points", "classes", "relations"),
@@ -208,7 +196,9 @@ def scheme_from_json(doc: dict) -> Scheme:
 # groups given by Cayley tables
 
 
-def cayley_from_json(doc: dict) -> tuple[FiniteGroup, np.ndarray]:
+def cayley_from_json(doc: dict) -> tuple[FiniteGroup, list]:
+    """The group and the subgroup's labels as the document names them (the
+    identity's label when it names none), left for the quotient to check."""
     for key in ("elements", "table"):
         if key not in doc:
             raise ParseError(f"cayley document missing {key!r}")
@@ -218,10 +208,8 @@ def cayley_from_json(doc: dict) -> tuple[FiniteGroup, np.ndarray]:
         raise ParseError("'table' rows must be lists")
     group = group_from_table(elements, _norm_label(table))
     if doc.get("subgroup") is None:
-        sub = np.array([group.identity], dtype=np.int64)
-    else:
-        sub = check_subgroup(group, [_norm_label(e) for e in _list(doc, "subgroup")])
-    return group, sub
+        return group, [group.elements[group.identity]]
+    return group, [_norm_label(e) for e in _list(doc, "subgroup")]
 
 
 # ---------------------------------------------------------------------------

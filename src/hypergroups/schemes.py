@@ -13,8 +13,10 @@ float64 products of A_i with a one-hot class stack, in blocks of j.  The
 identity row is skipped, as A_e = I is proved before.  A distance partition
 is checked by its adjacency row alone, which decides distance-regularity
 (Brouwer-Cohen-Neumaier 1989, section 4.1), inside the breadth-first search
-whose float32 products it reuses.  Counts are at most n (n^2 in the audit),
-so the float products are exact; nothing is sampled.
+whose float32 products it reuses, and a group quotient by no row, as orbitals
+form a scheme (Bannai-Ito 1984, II.2).  Counts are at most n (n^2 in the
+audit), so the float products are exact; nothing is sampled.  ``_key`` is the
+label key of the document readers: under it, true and false name no number.
 """
 
 from __future__ import annotations
@@ -61,24 +63,23 @@ class Scheme:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def point_index(self, x) -> int:
-        try:
-            return self.points.index(x)
-        except ValueError:
-            raise ParseError(f"unknown point {x!r}") from None
-
-    def class_index(self, c) -> int:
-        try:
-            return self.classes.index(c)
-        except ValueError:
-            raise ParseError(f"unknown class {c!r}") from None
-
 
 # entries that the two largest arrays of one block of a contraction hold
 # together: 32 MiB of float64
 BLOCK = 2**22
 
 _UNDEFINED = object()  # label of a pair the relation data leaves out
+
+_BOOL_KEYS = (object(), object())  # the keys of false and true, equal to no other key
+
+
+def _key(label):
+    """The dict key of a label, under which true and false match no number (True == 1)."""
+    if type(label) is bool:
+        return _BOOL_KEYS[label]
+    if type(label) is tuple:
+        return tuple(map(_key, label))
+    return label
 
 
 def _relation_matrix(points, classes, relation_of) -> np.ndarray:
@@ -269,14 +270,17 @@ def _verified_scheme(points, classes, rel, rows, identity=None, involution=None)
         valencies=omega,
     )
 
-    if identity is not None and classes[e] != identity:
+    if identity is not None and _key(classes[e]) != _key(identity):
         raise NoIdentityClass(
             f"inferred identity {classes[e]!r} does not match asserted {identity!r}"
         )
     if involution is not None:
+        class_of = {_key(c): i for i, c in enumerate(classes)}
         for c, cbar in dict(involution).items():
-            i = scheme.class_index(c)
-            if classes[tau[i]] != cbar:
+            if _key(c) not in class_of:
+                raise ParseError(f"unknown class {c!r}")
+            i = class_of[_key(c)]
+            if _key(classes[tau[i]]) != _key(cbar):
                 raise NoInvolution(
                     f"inferred involution sends {c!r} to {classes[tau[i]]!r}, "
                     f"not the asserted {cbar!r}"

@@ -275,12 +275,17 @@ def test_malformed_hypergroup_documents_are_parse_errors(capsys, tmp_path, doc, 
 
 
 def test_cayley_booleans_are_labels_or_nothing(capsys, tmp_path):
-    """JSON true and false are no element indices; they count only as labels."""
+    """JSON true and false are no element indices and match no number label; they
+    count only as boolean labels.  Labels that print alike give duplicate classes."""
     z2 = {"elements": ["e", "a"], "table": [["e", "a"], ["a", "e"]]}
+    z2_numbers = {"elements": [0, 1], "table": [[0, 1], [1, 0]]}
     path = tmp_path / "z2.json"
     for doc, code, message in (
         ({**z2, "table": [["e", "a"], ["a", False]]}, 2, "entry False at (1, 1) is no element"),
         ({**z2, "subgroup": ["e", True]}, 1, "unknown group element True"),
+        ({**z2_numbers, "table": [[0, 1], [1, False]]}, 2, "entry False at (1, 1) is no element"),
+        ({**z2_numbers, "subgroup": [0, True]}, 1, "unknown group element True"),
+        ({"elements": [0, "0"], "table": [[0, "0"], ["0", 0]]}, 1, "duplicate class labels"),
     ):
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == code
@@ -290,6 +295,19 @@ def test_cayley_booleans_are_labels_or_nothing(capsys, tmp_path):
                                 "subgroup": [False, True]}))
     code, rep = run(capsys, "verify", str(path))
     assert code == 0 and rep["status"] == "pass"
+
+
+@pytest.mark.parametrize("elements, subgroup", [([3, 0, 1, 2], None), ([0, 2, 1, 3], [0, 2])])
+def test_cayley_labels_out_of_index_order(capsys, tmp_path, elements, subgroup):
+    """Z4 on integer labels not in index order: the subgroup is read by label, once."""
+    doc = {"elements": elements, "table": [[(a + b) % 4 for b in elements] for a in elements]}
+    if subgroup is not None:
+        doc["subgroup"] = subgroup
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run(capsys, "verify", str(path))
+    assert code == 0 and rep["status"] == "pass"
+    assert rep["results"]["valencies"] == [1] * (4 // len(subgroup or [0]))
 
 
 @pytest.mark.parametrize("doc_name", ["pentagon.json", "gen.json"])

@@ -46,6 +46,14 @@ def test_parameters_must_exceed_one(a, b):
         GabFamily(a, b)
 
 
+@pytest.mark.parametrize("a,b", [(10**400, 3), (3, 10**400), (10**300, 10**300)],
+                         ids=["a-past-float64", "b-past-float64", "s0-past-float64"])
+def test_parameters_past_the_float_range(a, b):
+    """Python ints past float64, or whose s0, s1 pass it: an error, not OverflowError."""
+    with pytest.raises(ParameterOutOfRange, match="float64 range"):
+        GabFamily(a, b)
+
+
 def test_interval_endpoints_pinned():
     fam = GabFamily(3, 3)
     assert fam.s0 == -1.0

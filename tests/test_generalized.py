@@ -13,6 +13,7 @@ from hypergroups.errors import (
     NotACharacter,
     NotAHypergroup,
     NotStochastic,
+    ParseError,
     SchemeError,
     SupportMismatch,
 )
@@ -78,6 +79,13 @@ def test_uniform_weight_is_reversible(pentagon):
     g = classical_embedding(pentagon)
     np.testing.assert_array_equal(g.vertex_weight, np.ones(5))
     assert g.base_point == 0
+
+
+def test_base_point_is_a_label_matched_by_type(pentagon):
+    g = classical_embedding(pentagon)
+    assert build_generalized(pentagon, g.stoch, base_point=1).base_point == 1
+    with pytest.raises(ParseError, match="unknown point True"):
+        build_generalized(pentagon, g.stoch, base_point=True)
 
 
 def test_rejects_non_stochastic_rows(pentagon):

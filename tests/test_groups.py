@@ -16,7 +16,7 @@ from hypergroups.groups import (
     symmetric_group,
 )
 from hypergroups.hypergroup import hypergroup_from_scheme
-from hypergroups.schemes import is_commutative
+from hypergroups.schemes import build_scheme, is_commutative
 
 
 def test_cyclic_group_structure():
@@ -384,3 +384,40 @@ def test_quotient_relation_is_the_double_coset_of_x_inverse_y(elements, subgroup
         dc = {_compose(_compose(h1, z), h2) for h1 in subgroup for h2 in subgroup}
         found = s.classes[s.relation[s.points.index(f"{x}H"), s.points.index(f"{y}H")]]
         assert found == f"H{first(dc)}H", (x, y)
+
+
+def _recounted(g, subgroup):
+    """build_scheme over the labels of the double cosets H x^-1 y H, found by set
+    algebra on the table, with every count row checked."""
+    sub = [g.index(h) for h in subgroup]
+    reps = sorted({min(g.mul[x, h] for h in sub) for x in range(g.order)})
+    points = [f"{g.elements[x]}H" for x in reps]
+    first = {}  # (xH, yH) -> the minimal member of H x^-1 y H
+    for (x, px), (y, py) in itertools.product(zip(reps, points), repeat=2):
+        z = g.mul[g.inverse[x], y]
+        first[px, py] = min(g.mul[g.mul[h1, z], h2] for h1 in sub for h2 in sub)
+    classes = {m: f"H{g.elements[m]}H" for m in sorted(set(first.values()))}
+    return build_scheme(points, list(classes.values()),
+                        {pair: classes[m] for pair, m in first.items()})
+
+
+@pytest.mark.parametrize("build_group, subgroup", [
+    (lambda: symmetric_group(3), [(0, 1, 2), (1, 0, 2)]),
+    (lambda: symmetric_group(4), _stabilizer_case(4)[1]),
+    (lambda: symmetric_group(5), _stabilizer_case(5)[1]),
+    (lambda: group_from_table(_dihedral_6(), [[_compose(p, q) for q in _dihedral_6()]
+                                              for p in _dihedral_6()]),
+     [tuple(range(6)), (0, 5, 4, 3, 2, 1)]),
+    (lambda: symmetric_group(3), [(0, 1, 2)]),
+    *((lambda n=n: cyclic_group(n), [0]) for n in range(1, 25)),
+    (lambda: cyclic_group(4), [0, 2]),
+], ids=["S3/H", "S4/S3", "S5/S4", "D6/reflection", "S3",
+        *(f"Z{n}" for n in range(1, 25)), "Z4/{0,2}"])
+def test_quotient_equals_the_full_recount(build_group, subgroup):
+    """The quotient, built with no count checked, is the scheme that build_scheme
+    verifies row by row from the same labels."""
+    g = build_group()
+    s, ref = scheme_from_group_quotient(g, subgroup), _recounted(g, subgroup)
+    assert (s.points, s.classes, s.identity) == (ref.points, ref.classes, ref.identity)
+    for name in ("relation", "p", "valencies", "involution"):
+        np.testing.assert_array_equal(getattr(s, name), getattr(ref, name), err_msg=name)
