@@ -408,6 +408,8 @@ def positive_connection_check(g: GeneralizedScheme, alpha, tol: float = 1e-9,
     truncated.
     """
     alpha = np.asarray(alpha, dtype=complex)
+    if alpha.shape != (g.n_classes,):
+        raise NotACharacter(f"class function of shape {alpha.shape} on {g.n_classes} classes")
     char_residual = _deformed_char_residual(g, alpha)
     if not char_residual <= character_tol:  # a nan residual is no character either
         raise NotACharacter(

@@ -73,16 +73,15 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
         raise InvalidCayleyTable("table is not |G| x |G|")
     mul = np.fromiter(map(pos.get, itertools.chain.from_iterable(rows), itertools.repeat(-1)),
                       dtype=np.int64, count=n * n)
+    # true and false equal 1 and 0, so an entry found as a label holding a 0 or 1
+    # (alone or in a tuple) may hold a boolean there: look it up again under _key
+    at01 = np.flatnonzero(np.isin(mul, [i for i, g in enumerate(elements) if _holds_01(g)]))
+    mul[at01] = [pos.get(_key(rows[k // n][k % n]), -1) for k in at01.tolist()]
     # not found as itself: an index (int or numpy integer, never a bool; a label wins),
     # a label under _key (a boolean, or a tuple holding one), or no element
     miss = np.flatnonzero(mul < 0).tolist()
     mul[miss] = [v if (type(v) is int or isinstance(v, np.integer)) and 0 <= v < n
                  else pos.get(_key(v), -1) for v in (rows[k // n][k % n] for k in miss)]
-    # true or false found as the label 1 or 0 (True == 1): the labels, distinct by
-    # equality, hold no boolean beside that number, so it names no element
-    at01 = np.flatnonzero(np.isin(mul, [i for i, g in enumerate(elements)
-                                        if type(g) is not bool and g in (0, 1)])).tolist()
-    mul[[k for k in at01 if type(rows[k // n][k % n]) is bool]] = -1
     mul = mul.reshape(n, n)
     if (mul < 0).any():
         i, j = map(int, np.argwhere(mul < 0)[0])
@@ -121,6 +120,13 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
     mul.setflags(write=False)
     inverse.setflags(write=False)
     return FiniteGroup(elements=elements, mul=mul, identity=e, inverse=inverse)
+
+
+def _holds_01(label) -> bool:
+    """Whether a boolean equals the label, or its place in a tuple label (True == 1)."""
+    if type(label) is tuple:
+        return any(map(_holds_01, label))
+    return type(label) is not bool and label in (0, 1)
 
 
 def _generators(mul: np.ndarray, e: int) -> list:

@@ -1,13 +1,13 @@
 """Characters, Plancherel weights, Fourier pairs, and dual convolutions.
 
-All of this lives on a commutative finite hypergroup.  Characters are
-found as the joint eigenvectors of the class convolution matrices
-(M_i)[j, k] = conv[i, j, k]: a character vector a satisfies
-M_i a = a(i) a, so one seeded random positive combination is
-diagonalized and degenerate clusters are split recursively with the
-remaining matrices.  The dual coefficients c[a, b, g] of
-chi_a chi_b = sum_g c[a, b, g] chi_g are computed for all pairs at once
-and cached on the table as ``CharacterTable.duals`` (24 m^3 bytes).
+All of this lives on a commutative finite hypergroup.  A character a
+satisfies M_i a = a(i) a for the class matrices (M_i)[j, k] = conv[i, j, k],
+so one seeded random positive combination of them is diagonalized once; a
+draw that leaves two eigenvalues within the gap does not separate the
+characters and raises ``DegenerateSplitFailure``, and another ``--seed``
+redraws it.  The dual coefficients c[a, b, g] of chi_a chi_b =
+sum_g c[a, b, g] chi_g are computed for all pairs at once and cached on
+the table as ``CharacterTable.duals`` (24 m^3 bytes).
 """
 
 from __future__ import annotations
@@ -85,48 +85,6 @@ class DualCoefficients:
     sum_raw: np.ndarray       # (m, m) complex
 
 
-def _cluster(values: np.ndarray, gap: float):
-    """Connected components of the eigenvalues under |.| <= gap."""
-    c = len(values)
-    close = np.abs(values[:, None] - values[None, :]) <= gap
-    seen = np.zeros(c, dtype=bool)
-    clusters = []
-    for i in range(c):
-        if seen[i]:
-            continue
-        stack, comp = [i], []
-        seen[i] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in np.flatnonzero(close[u] & ~seen):
-                seen[v] = True
-                stack.append(v)
-        clusters.append(sorted(comp))
-    return clusters
-
-
-def _split(basis: np.ndarray, mats, gap: float):
-    """Refine an invariant subspace into joint eigenvectors."""
-    if basis.shape[1] == 1:
-        return [basis[:, 0]]
-    if not mats:
-        raise DegenerateSplitFailure(
-            f"cluster of dimension {basis.shape[1]} not separated by any class matrix",
-            witness=basis.shape[1],
-        )
-    B, *_ = np.linalg.lstsq(basis, mats[0] @ basis, rcond=None)
-    w, U = np.linalg.eig(B)
-    clusters = _cluster(w, gap)
-    if len(clusters) == 1:
-        return _split(basis, mats[1:], gap)
-    out = []
-    for cl in clusters:
-        q, _ = np.linalg.qr(basis @ U[:, cl])
-        out.extend(_split(q, mats[1:], gap))
-    return out
-
-
 def _sort_key(row: np.ndarray):
     re = np.round(row.real, 9)
     im = np.round(row.imag, 9)
@@ -156,34 +114,34 @@ def character_table(h: FiniteHypergroup, gap: float = CLUSTER_GAP,
                     seed: int = SEED) -> CharacterTable:
     """All characters of a commutative finite hypergroup.
 
-    Raises ``NotCommutative`` for noncommutative input and
-    ``DegenerateSplitFailure`` when joint diagonalization cannot isolate
-    one-dimensional joint eigenspaces or the result fails the
-    multiplicativity validation.
+    One seeded combination T = sum_i mu_i M_i is diagonalized once.  Raises
+    ``NotCommutative`` for noncommutative input and ``DegenerateSplitFailure``
+    when two eigenvalues of T lie within ``gap`` (the draw does not separate
+    the characters; witness: the index pair; another ``seed`` redraws it) or
+    the result fails the multiplicativity validation.
     """
     if not is_commutative(h):
         raise NotCommutative("character theory here needs a commutative hypergroup")
     conv = h.conv_float.astype(complex)
     d = h.n_classes
-    mats = [conv[i] for i in range(d)]
 
     rng = np.random.default_rng(seed)
     mu = rng.uniform(0.5, 1.5, size=d)
     T = np.tensordot(mu, conv, axes=([0], [0]))
 
     w, V = np.linalg.eig(T)
-    vectors = []
-    for cl in _cluster(w, gap):
-        q, _ = np.linalg.qr(V[:, cl])
-        vectors.extend(_split(q, mats, gap))
-    if len(vectors) != d:
+    close = np.argwhere(np.triu(np.abs(w[:, None] - w[None, :]) <= gap, 1))
+    if len(close):
+        i, j = close[0].tolist()
         raise DegenerateSplitFailure(
-            f"found {len(vectors)} joint eigenvectors for {d} classes"
-        )
+            f"eigenvalues {i} and {j} of the combination drawn with seed {seed} lie within "
+            f"{gap:g}, so it does not separate the characters; redraw with another seed",
+            witness=(i, j))
 
     e = h.identity
     chars = np.empty((d, d), dtype=complex)
-    for r, v in enumerate(vectors):
+    for r in range(d):
+        v = np.linalg.qr(V[:, [r]])[0][:, 0]
         if abs(v[e]) < 1e-12 * np.linalg.norm(v):
             raise DegenerateSplitFailure(
                 "candidate character vanishes at the identity class", witness=r

@@ -285,16 +285,22 @@ def test_cayley_booleans_are_labels_or_nothing(capsys, tmp_path):
         ({**z2, "subgroup": ["e", True]}, 1, "unknown group element True"),
         ({**z2_numbers, "table": [[0, 1], [1, False]]}, 2, "entry False at (1, 1) is no element"),
         ({**z2_numbers, "subgroup": [0, True]}, 1, "unknown group element True"),
+        ({"elements": [[0, 1], [1, 0]], "table": [[[0, 1], [1, 0]], [[1, 0], [False, True]]]},
+         2, "entry (False, True) at (1, 1) is no element"),
         ({"elements": [0, "0"], "table": [[0, "0"], ["0", 0]]}, 1, "duplicate class labels"),
     ):
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == code
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
-    path.write_text(json.dumps({"elements": [False, True], "table": [[False, True], [True, False]],
-                                "subgroup": [False, True]}))
-    code, rep = run(capsys, "verify", str(path))
-    assert code == 0 and rep["status"] == "pass"
+    for doc in ({"elements": [False, True], "table": [[False, True], [True, False]],
+                 "subgroup": [False, True]},
+                {"elements": [[0, 1], [1, 0]], "table": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]},
+                {"elements": [[0, True], [1, False]], "table": [[[0, True], [1, False]],
+                                                                [[1, False], [0, True]]]}):
+        path.write_text(json.dumps(doc))
+        code, rep = run(capsys, "verify", str(path))
+        assert code == 0 and rep["status"] == "pass"
 
 
 @pytest.mark.parametrize("elements, subgroup", [([3, 0, 1, 2], None), ([0, 2, 1, 3], [0, 2])])
@@ -709,9 +715,11 @@ def test_reports_are_byte_identical_across_runs(capsys, docs, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-# documents whose reports involve no LAPACK or libm rounding: exact integer
-# and fraction arithmetic, and the gab family at a = b = 3, where every
-# power is a power of 2
+# documents whose verify and hypergroup reports involve no LAPACK or libm
+# rounding: exact integer and fraction arithmetic, and the gab family at
+# a = b = 3, where every power is a power of 2.  Their chartable and
+# dualtable reports go through LAPACK's eig, so those digests hold for the
+# numpy and OpenBLAS build they were recorded with (numpy 2.4, OpenBLAS 0.3.31).
 PINNED_DOCS = {
     "pentagon.json": {
         "points": [0, 1, 2, 3, 4], "classes": [0, 1, 2],
@@ -729,6 +737,11 @@ PINNED_DOCS = {
         "conv": [[0, 0, 0, 1], [0, 1, 1, "1/1"], [0, 2, 2, 1], [1, 0, 1, 1], [2, 0, 2, 1],
                  [1, 1, 0, "1/2"], [1, 1, 2, "1/2"], [1, 2, 1, "1/2"], [1, 2, 2, "1/2"],
                  [2, 1, 1, "1/2"], [2, 1, 2, "1/2"], [2, 2, 0, "1/2"], [2, 2, 1, "1/2"]],
+    },
+    # Z_5 on string labels out of index order: its characters are complex
+    "z5.json": {
+        "elements": ["g2", "g0", "g4", "g1", "g3"],
+        "table": [[f"g{(a + b) % 5}" for b in (2, 0, 4, 1, 3)] for a in (2, 0, 4, 1, 3)],
     },
 }
 
@@ -750,6 +763,43 @@ PINNED_DIGESTS = {
         "1b4b03786402634940f0b4e2b24702e9d159cc43d88df7a15b460c73f5b57a3e",
     "family gab --a 3 --b 3 --max-degree 3 -> family_gab_linearization.json":
         "b1193652aeda06469d4eb854337287ac6fdb2b679c19e7d7a8fdfe47086899ae",
+    # recorded before the character table lost its recursive cluster splitter
+    "chartable pentagon.json -> chartable.csv":
+        "d3f2016460084efefc04bff453bc4825cd81723ffeaea5f8a461cf98e699a62c",
+    "chartable pentagon.json -> chartable.json":
+        "166e5ce1c4a2ad100a41ce0716e9ab9ff5c4da8cc09fcf2477048ee4dec9df1d",
+    "dualtable pentagon.json -> dualtable.csv":
+        "d45f9cd333e66d493930e5720bb31a49ee73d5fec86be856a5f1a13d19752bdf",
+    "dualtable pentagon.json -> dualtable.json":
+        "d46998b9021dd479ea627342a638f0efebeaa7c36b5981c3cd31c7fcfed107ad",
+    "chartable s3.json -> chartable.csv":
+        "d7e36738824d2148c3ac2a21367b0805efd5782892e3f17cb881710927b2e8d0",
+    "chartable s3.json -> chartable.json":
+        "3fd5444e39b37202e58ff5acd5991751b87d631dc7fc0e084f2a76a58dae9d92",
+    "dualtable s3.json -> dualtable.csv":
+        "938360e5a841af2b250d757475bfe5650ebe260a3c6d231e9d87c3a402da3359",
+    "dualtable s3.json -> dualtable.json":
+        "f5888c2b5c7ed5d243c7fcb4bda794460b6faaa88756035f44e41443218d4015",
+    "chartable hg.json -> chartable.csv":
+        "d3f2016460084efefc04bff453bc4825cd81723ffeaea5f8a461cf98e699a62c",
+    "chartable hg.json -> chartable.json":
+        "ba1413401389f73013847a029569c7af142a3a3a47e90c8bdf57e9279e1efe66",
+    "dualtable hg.json -> dualtable.csv":
+        "d45f9cd333e66d493930e5720bb31a49ee73d5fec86be856a5f1a13d19752bdf",
+    "dualtable hg.json -> dualtable.json":
+        "6f424e732250ae83561ae737c4b2b658e0ac5cd431babaa320002f76c72872eb",
+    "verify z5.json -> verify.json":
+        "e6ddb07105bacd25f2bbabe9e565ae8a26240921fab98c3d9966bc60b342e9f3",
+    "hypergroup z5.json -> hypergroup.json":
+        "59fa6d9f3770bcd88c11e07c573b6540068962381cec67803f71b9e9a32414dc",
+    "chartable z5.json -> chartable.csv":
+        "5b35737678cc84b59165bf53fe0ae7a6a12e309510913da74d9a47202ad311af",
+    "chartable z5.json -> chartable.json":
+        "45ad3df25fb695d092422fe596be4f5d255bd34efb58ad12dc0f362b21fa1bb5",
+    "dualtable z5.json -> dualtable.csv":
+        "e788e50ea41de88f1b143ee0e15c9dcf5a5d2177511536184cc3f420152c36a0",
+    "dualtable z5.json -> dualtable.json":
+        "558772ce0b9f6e37cc616700e301c6a736f2cf2c8bc4b50e49d10db1642e5260",
 }
 
 
@@ -757,7 +807,8 @@ def test_reports_match_recorded_bytes(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, doc in PINNED_DOCS.items():
         (tmp_path / name).write_text(json.dumps(doc))
-    runs = [[command, name] for name in PINNED_DOCS for command in ("verify", "hypergroup")]
+    runs = [[command, name] for name in PINNED_DOCS
+            for command in ("verify", "hypergroup", "chartable", "dualtable")]
     runs.append(["family", "gab", "--a", "3", "--b", "3", "--max-degree", "3"])
     found = {}
     for argv in runs:

@@ -18,9 +18,15 @@ from hypergroups.errors import (
     SupportMismatch,
 )
 from hypergroups import generalized
-from hypergroups.families.cosh import CoshFamily, cosh_window_scheme
+from hypergroups.families.cosh import (
+    CoshFamily,
+    cosh_character,
+    cosh_window_scheme,
+    window_character,
+)
 from hypergroups.generalized import (
     build_generalized,
+    build_windowed,
     classical_embedding,
     deformed_valencies,
     dual_product_generalized,
@@ -196,6 +202,53 @@ def test_positive_connection_certificate(pentagon):
         positive_connection_check(g, np.array([1.0, 0.3, 0.7]))
     with pytest.raises(NotACharacter):
         positive_connection_check(g, np.array([1.0, np.nan, 1.0]))
+    with pytest.raises(NotACharacter, match=r"^class function of shape \(4,\) on 3 classes$"):
+        positive_connection_check(g, np.ones(4))
+
+
+def test_windowed_positive_connection_certificate():
+    """The window's branch: cosh characters pass, with the certificate flagged
+    truncated; the m + 1 values of window_character are no class function on
+    the 2m + 1 classes of the window."""
+    fam = CoshFamily(1.0)
+    g = cosh_window_scheme(fam, 4)
+    for lam in (0.0, 1.0, np.pi):
+        ok, cert = positive_connection_check(g, cosh_character(fam, lam, np.arange(9)))
+        assert ok and cert["truncated"], (lam, cert)
+    alpha, _ = window_character(g, 0.5)
+    with pytest.raises(NotACharacter, match=r"^class function of shape \(5,\) on 9 classes$"):
+        positive_connection_check(g, alpha)
+
+
+def _set(index, value):
+    def corrupt(array):
+        array = array.copy()
+        array[index] = value
+        return array
+    return corrupt
+
+
+@pytest.mark.parametrize("field, corrupt, error, witness", [
+    ("stoch", lambda stoch: stoch[:, :-1], NonSquare, None),
+    ("vertex_weight", _set(1, -1.0), DetailedBalanceViolation, 1),
+    ("stoch", _set((0, 0, 1), 0.5), SupportMismatch, None),
+    ("stoch", _set((2, 1, 3), -0.1), NotStochastic, (2, 1, 3)),
+    ("stoch", _set((2, 0, 2), 1.5), NotStochastic, (2, 0)),
+    ("stoch", _set((2, 0, 2), 0.0), SupportMismatch, (2, 0, 2)),
+], ids=["stack-shape", "weight-not-positive", "identity-not-I", "negative-entry",
+        "boundary-row-above-one", "vanishes-on-relation"])
+def test_build_windowed_rejections(field, corrupt, error, witness):
+    """Corrupted copies of the inputs cosh_window_scheme passes; row 0 (x = -3)
+    is a boundary row of class 2, which may lose mass but not exceed one."""
+    g = cosh_window_scheme(CoshFamily(1.0), 3)
+    inputs = {name: getattr(g, name) for name in (
+        "points", "classes", "relation", "identity", "involution", "stoch", "vertex_weight",
+        "base_point", "boundary_distance", "class_order", "base_product")}
+    assert build_windowed(**inputs).windowed
+    inputs[field] = corrupt(inputs[field])
+    with pytest.raises(error) as failure:
+        build_windowed(**inputs)
+    assert failure.value.witness == witness
 
 
 def test_dual_product_matches_dual_convolution(commutative_schemes):

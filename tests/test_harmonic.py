@@ -89,8 +89,13 @@ def test_noncommutative_rejected(s3_regular):
 
 
 def test_absurd_cluster_gap_fails_loudly(pentagon):
-    with pytest.raises(DegenerateSplitFailure):
-        character_table(hypergroup_from_scheme(pentagon), gap=10.0)
+    """No draw clears this gap: the first close eigenvalue pair is the witness,
+    and the one-line message names the seed that another one would replace."""
+    for seed in (7, 0xC0FFEE):
+        with pytest.raises(DegenerateSplitFailure) as failure:
+            character_table(hypergroup_from_scheme(pentagon), gap=10.0, seed=seed)
+        assert failure.value.witness == (0, 1)
+        assert f"seed {seed} " in str(failure.value) and "\n" not in str(failure.value)
 
 
 def test_fourier_roundtrip_and_parseval(commutative_schemes, rng):
