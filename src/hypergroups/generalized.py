@@ -33,7 +33,7 @@ from .errors import (
 )
 from .harmonic import _hermitian_floor, _multiplicativity_gap, _real_times, dual_convolution
 from .hypergroup import FiniteHypergroup, hypergroup_from_scheme, make_hypergroup
-from .schemes import Scheme, _key, _triple_counts
+from .schemes import Scheme, _key, _label_index, _triple_counts
 
 STOCHASTIC_TOL = 1e-12
 BALANCE_TOL = 1e-10
@@ -103,13 +103,12 @@ def build_generalized(base: Scheme, stoch, vertex_weight=None,
     differs from the base counts.
     """
     n, d = base.n_points, base.n_classes
-    keys = [*map(_key, base.points)]
-    if base_point is not None and _key(base_point) not in keys:
+    x = 0 if base_point is None else _label_index(base.points, "point").get(_key(base_point))
+    if x is None:
         raise ParseError(f"unknown point {base_point!r}")
     g = build_windowed(
         base.points, base.classes, base.relation, base.identity, base.involution, stoch,
-        np.ones(n) if vertex_weight is None else vertex_weight,
-        0 if base_point is None else keys.index(_key(base_point)),
+        np.ones(n) if vertex_weight is None else vertex_weight, x,
         np.full(n, n + max(1, d)), np.zeros(d))
     if not g.report["deformed_support_matches"]:
         raise SupportMismatch("deformed tensor support differs from the base counts")

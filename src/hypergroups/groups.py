@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidCayleyTable, NotASubgroup, ParseError
-from .schemes import Scheme, _key, _verified_scheme
+from .schemes import Scheme, _key, _label_index, _verified_scheme
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +35,7 @@ class FiniteGroup:
 
     @cached_property
     def _positions(self) -> dict:
-        return {_key(g): i for i, g in enumerate(self.elements)}
+        return _label_index(self.elements, "element")
 
     def index(self, g) -> int:
         """Index of an element given by label, or by index when no label matches."""
@@ -64,29 +64,34 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
     """
     elements = tuple(elements)
     n = len(elements)
-    if len(set(elements)) != n or n == 0:
-        raise ParseError("element labels must be nonempty and distinct")
-    pos = {_key(g): i for i, g in enumerate(elements)}
+    if n == 0:
+        raise ParseError("empty element list")
+    pos = _label_index(elements, "element")
 
     rows = list(table)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InvalidCayleyTable("table is not |G| x |G|")
     mul = np.fromiter(map(pos.get, itertools.chain.from_iterable(rows), itertools.repeat(-1)),
                       dtype=np.int64, count=n * n)
-    # true and false equal 1 and 0, so an entry found as a label holding a 0 or 1
-    # (alone or in a tuple) may hold a boolean there: look it up again under _key
-    at01 = np.flatnonzero(np.isin(mul, [i for i, g in enumerate(elements) if _holds_01(g)]))
-    mul[at01] = [pos.get(_key(rows[k // n][k % n]), -1) for k in at01.tolist()]
-    # not found as itself: an index (int or numpy integer, never a bool; a label wins),
-    # a label under _key (a boolean, or a tuple holding one), or no element
-    miss = np.flatnonzero(mul < 0).tolist()
-    mul[miss] = [v if (type(v) is int or isinstance(v, np.integer)) and 0 <= v < n
-                 else pos.get(_key(v), -1) for v in (rows[k // n][k % n] for k in miss)]
+    # as True == 1, an entry found at a label holding a 0 or 1 may hold a boolean there; it and
+    # each entry not found (-1, the last place of reread) are read again: a label under _key,
+    # else an index (an int or numpy integer, never a bool; an int not found is no label)
+    reread = np.zeros(n + 1, dtype=bool)
+    reread[[-1, *(i for i, g in enumerate(elements) if _holds_01(g))]] = True
+    suspect = np.flatnonzero(reread[mul])
+    entries = (rows[k // n][k % n] for k in suspect.tolist())
+    mul[suspect] = [v if i < 0 and (type(v) is int or isinstance(v, np.integer)) and 0 <= v < n
+                    else pos.get(_key(v), -1) for i, v in zip(mul[suspect].tolist(), entries)]
     mul = mul.reshape(n, n)
     if (mul < 0).any():
         i, j = map(int, np.argwhere(mul < 0)[0])
         raise InvalidCayleyTable(f"entry {rows[i][j]!r} at ({i}, {j}) is no element")
+    return _group_from_indices(elements, mul)
 
+
+def _group_from_indices(elements: tuple, mul: np.ndarray) -> FiniteGroup:
+    """The checks of :func:`group_from_table` on distinct elements and a table of indices."""
+    n = len(elements)
     # a row (column) of n entries is a permutation when it hits all n elements
     idx = np.arange(n)
     hit = np.zeros((n, n), dtype=bool)
@@ -173,8 +178,7 @@ def check_subgroup(group: FiniteGroup, subgroup: Sequence) -> np.ndarray:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ParseError("order must be positive")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return group_from_table(tuple(range(n)), table)
+    return _group_from_indices(tuple(range(n)), np.add.outer(np.arange(n), np.arange(n)) % n)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -184,7 +188,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     arr = np.array(perms, dtype=np.int64).reshape(len(perms), n)
     w = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     table = np.searchsorted(arr @ w, arr @ w[np.argsort(arr, axis=1)].T)
-    return group_from_table(tuple(perms), table.tolist())
+    return _group_from_indices(tuple(perms), table)
 
 
 def _quotient(group: FiniteGroup, subgroup: Sequence) -> tuple:
@@ -221,9 +225,8 @@ def scheme_from_group_quotient(group: FiniteGroup, subgroup: Sequence) -> Scheme
     sub, _, dcoset_of, reps, dreps = _quotient(group, subgroup)
     points = tuple(f"{group.elements[r]}H" for r in reps.tolist())
     classes = tuple(_double_coset_label(group, g) for g in dreps)
-    for what, labels in (("class", classes), ("point", points)):
-        if len(set(labels)) != len(labels):
-            raise ParseError(f"duplicate {what} labels")
+    _label_index(classes, "class")
+    _label_index(points, "point")
     # (xH, yH) -> the double coset of x^{-1} y: class indices in class order
     rel = dcoset_of[group.mul[np.ix_(group.inverse[reps], reps)]]
     s = _verified_scheme(points, classes, rel, [])

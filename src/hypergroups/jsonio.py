@@ -18,7 +18,7 @@ from .errors import ParseError
 from .generalized import GeneralizedScheme, build_generalized, build_windowed
 from .groups import FiniteGroup, group_from_table
 from .hypergroup import FiniteHypergroup, _integer_form, make_hypergroup
-from .schemes import Scheme, _key, _relation_matrix, build_scheme
+from .schemes import _UNDEFINED, Scheme, _key, _label_index, _relation_matrix, build_scheme
 
 # ---------------------------------------------------------------------------
 # scalar formatting
@@ -38,30 +38,21 @@ _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _plain(value: Any) -> Any:
-    """The JSON form of a report value, converted recursively: numpy scalars
-    become Python ones, int, float and bool arrays lists, a Fraction 'p/q',
-    and a complex its real part when the imaginary part is 0, else 'a+bi'."""
+    """The JSON form of a report value, converted recursively: numpy arrays and
+    scalars go through one tolist(), a Fraction becomes 'p/q', and a complex its
+    real part when the imaginary part is 0, else 'a+bi'."""
     if type(value) in _JSON_SCALARS:
         return value
-    if isinstance(value, (complex, np.complexfloating)):
-        z = complex(value)
-        return z.real if z.imag == 0.0 else format_complex(z)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist() if value.dtype.kind in "biuf" else _plain(value.tolist())
+    if isinstance(value, complex):
+        return value.real if value.imag == 0.0 else format_complex(value)
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind in "biuf":
-            return value.tolist()
-        return [_plain(v) for v in value.tolist()]
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
     return value
 
 
@@ -142,54 +133,59 @@ _REQUIRED = {
 
 
 def _scheme_fields(doc: dict, kind: str) -> tuple:
-    """Points, classes, the 'relations' rows as {(x, y): class}, the asserted
-    identity and involution ({class: conjugate}) and, for a generalized document,
-    base point (None where absent): the fields that scheme and generalized
-    documents share, read alike for both.  A label in a row or an assertion
-    stands for the entry of 'points' or 'classes' that it names under _key, and
-    no ordered pair gets two classes."""
+    """Points, classes, the 'relations' rows as a table of class labels aligned
+    with the points (_UNDEFINED where no row names a pair), and the positions of
+    the asserted identity, of each class's asserted conjugate (None where absent)
+    and of a generalized document's base point (0 where absent), read alike for
+    scheme and generalized documents.  A label names the entry of 'points' or
+    'classes' with its _key, and no ordered pair gets two classes."""
     for key in _REQUIRED[kind]:
         if key not in doc:
             raise ParseError(f"{kind} document missing {key!r}")
     points = [_norm_label(p) for p in _list(doc, "points")]
     classes = [_norm_label(c) for c in _list(doc, "classes")]
-    point_of = {_key(p): p for p in points}
-    class_of = {_key(c): c for c in classes}
-    mapping = {}
+    class_at = _label_index(classes, "class")
+    point_at = _label_index(points, "point")
+    table = [[_UNDEFINED] * len(points) for _ in points]
     for row in _list(doc, "relations"):
         if not (isinstance(row, list) and len(row) == 3):
             raise ParseError(f"relation rows must be [x, y, class], got {row!r}")
-        x, y, c = map(_norm_label, row)
-        try:
-            x, y, c = point_of[_key(x)], point_of[_key(y)], class_of[_key(c)]
-        except KeyError:
-            raise ParseError(f"unknown label in relation row {row!r}") from None
-        if mapping.setdefault((x, y), c) is not c:
-            raise ParseError(f"pair {(x, y)!r} assigned two classes")
+        x, y, c = (_key(_norm_label(v)) for v in row)
+        if not (x in point_at and y in point_at and c in class_at):
+            raise ParseError(f"unknown label in relation row {row!r}")
+        a, b, c = point_at[x], point_at[y], classes[class_at[c]]
+        if table[a][b] is not _UNDEFINED and table[a][b] is not c:
+            raise ParseError(f"pair {(points[a], points[b])!r} assigned two classes")
+        table[a][b] = c
 
-    def named(table, label, unknown):
-        label = _norm_label(label)
-        if _key(label) not in table:
-            raise ParseError(unknown.format(label))
-        return table[_key(label)]
+    def at(index, label, unknown):
+        key = _key(_norm_label(label))
+        if key not in index:
+            raise ParseError(unknown.format(_norm_label(label)))
+        return index[key]
 
     unknown_class = "unknown class {!r} in " + kind + " document"
-    identity = named(class_of, doc["identity"], unknown_class) if "identity" in doc else None
+    identity = at(class_at, doc["identity"], unknown_class) if "identity" in doc else None
     involution = None
     if "involution" in doc:
-        conjugates = [named(class_of, c, unknown_class) for c in _list(doc, "involution")]
-        if len(conjugates) != len(classes):
+        involution = [at(class_at, c, unknown_class) for c in _list(doc, "involution")]
+        if len(involution) != len(classes):
             raise ParseError("involution must list one conjugate per class")
-        involution = dict(zip(classes, conjugates))
-    base_point = None
+    base_point = 0
     if kind != "scheme" and "base_point" in doc:
-        base_point = named(point_of, doc["base_point"], "unknown base point {!r}")
-    return points, classes, mapping, identity, involution, base_point
+        base_point = at(point_at, doc["base_point"], "unknown base point {!r}")
+    return points, classes, table, identity, involution, base_point
+
+
+def _base_scheme(points, classes, table, e, tau) -> Scheme:
+    """build_scheme of the fields, asserting the identity and involution read by position."""
+    return build_scheme(points, classes, table, identity=None if e is None else classes[e],
+                        involution=None if tau is None else [
+                            (c, classes[j]) for c, j in zip(classes, tau)])
 
 
 def scheme_from_json(doc: dict) -> Scheme:
-    points, classes, mapping, identity, involution, _ = _scheme_fields(doc, "scheme")
-    return build_scheme(points, classes, mapping, identity=identity, involution=involution)
+    return _base_scheme(*_scheme_fields(doc, "scheme")[:5])
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +327,11 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
     a window: it must hold every field :func:`generalized_to_json` writes, and
     its relation needs no scheme; any other is audited over its base scheme."""
     kind = "windowed" if "boundary_distance" in doc or "class_order" in doc else "generalized"
-    points, classes, mapping, identity, involution, base_point = _scheme_fields(doc, kind)
+    points, classes, table, identity, involution, base_point = _scheme_fields(doc, kind)
     if kind == "windowed":
-        relation = _relation_matrix(points, classes, mapping)
+        relation = _relation_matrix(points, classes, table)
     else:
-        base = build_scheme(points, classes, mapping, identity=identity, involution=involution)
+        base = _base_scheme(points, classes, table, identity, involution)
     n, d = len(points), len(classes)
     stoch = _float_array(doc, "stoch")
     if stoch.shape != (d, n, n):
@@ -347,11 +343,9 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
             raise ParseError(f"vertex_weight must have shape ({n},), got {weight.shape}")
 
     if kind == "generalized":
-        return build_generalized(base, stoch, vertex_weight=weight, base_point=base_point)
-    # _relation_matrix has found the labels distinct, so .index finds the entry itself
-    return build_windowed(points, classes, relation, classes.index(identity),
-                          [classes.index(involution[c]) for c in classes], stoch, weight,
-                          points.index(base_point), _int_array(doc, "boundary_distance", n),
+        return build_generalized(base, stoch, vertex_weight=weight, base_point=points[base_point])
+    return build_windowed(points, classes, relation, identity, involution, stoch, weight,
+                          base_point, _int_array(doc, "boundary_distance", n),
                           _int_array(doc, "class_order", d))
 
 

@@ -16,7 +16,8 @@ is checked by its adjacency row alone, which decides distance-regularity
 whose float32 products it reuses, and a group quotient by no row, as orbitals
 form a scheme (Bannai-Ito 1984, II.2).  Counts are at most n (n^2 in the
 audit), so the float products are exact; nothing is sampled.  ``_key`` is the
-label key of the document readers: under it, true and false name no number.
+key of a label, under which true and false name no number, and ``_label_index``
+the one map from labels to positions, built under it for every reader and check.
 """
 
 from __future__ import annotations
@@ -82,13 +83,18 @@ def _key(label):
     return label
 
 
+def _label_index(labels, what: str) -> dict:
+    """{_key(label): position}; a ParseError if two of the labels share a key."""
+    index = {_key(label): i for i, label in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ParseError(f"duplicate {what} labels")
+    return index
+
+
 def _relation_matrix(points, classes, relation_of) -> np.ndarray:
     n = len(points)
-    cls_index = {c: i for i, c in enumerate(classes)}
-    if len(cls_index) != len(classes):
-        raise ParseError("duplicate class labels")
-    if len(set(points)) != n:
-        raise ParseError("duplicate point labels")
+    cls_index = _label_index(classes, "class")
+    _label_index(points, "point")
 
     if callable(relation_of) or isinstance(relation_of, Mapping):
         def label(x, y):
@@ -107,9 +113,9 @@ def _relation_matrix(points, classes, relation_of) -> np.ndarray:
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iub":
         # integer array: look each distinct label up once
         values, inverse = np.unique(rows, return_inverse=True)
-        rel = np.array([cls_index.get(v, -1) for v in values.tolist()])[inverse].reshape(n, n)
+        rel = np.array([cls_index.get(_key(v), -1) for v in values.tolist()])[inverse].reshape(n, n)
     else:
-        rel = np.array([[cls_index.get(v, -1) for v in row] for row in rows], dtype=np.int64)
+        rel = np.array([[cls_index.get(_key(v), -1) for v in row] for row in rows], dtype=np.int64)
     if (rel < 0).any():
         a, b = map(int, np.argwhere(rel < 0)[0])
         x, y, c = points[a], points[b], rows[a][b]
@@ -155,12 +161,9 @@ def _involution_map(classes, rel) -> np.ndarray:
             f"{[classes[int(v)] for v in np.flatnonzero(meets[i])]}",
             witness=i,
         )
-    tau = meets.argmax(axis=1)
-    if sorted(tau) != list(range(d)):
-        raise NoInvolution("transpose map on classes is not a bijection", witness=tuple(tau))
-    if not (tau[tau] == np.arange(d)).all():
-        raise NoInvolution("transpose map on classes is not an involution", witness=tuple(tau))
-    return tau
+    # no class is empty, so each meets one: a bijection, as tau(i) = tau(i') would make
+    # tau(i) meet both, and an involution, as tau(i)'s transposes include i's pairs
+    return meets.argmax(axis=1)
 
 
 def _bad_count(points, classes, rel, p, rows) -> dict | None:
@@ -206,14 +209,15 @@ def build_scheme(
     classes: Sequence,
     relation_of: Callable | Mapping | Sequence,
     identity=None,
-    involution: Mapping | None = None,
+    involution: Mapping | Sequence | None = None,
 ) -> Scheme:
     """Construct and fully verify a scheme from relation data.
 
     ``relation_of`` may be a callable ``(x, y) -> class label``, a dict
     keyed by point pairs, or a nested sequence aligned with ``points``.
     The identity class and the involution are always inferred; passing
-    ``identity`` or ``involution`` merely asserts the inference matches.
+    ``identity`` or ``involution`` (a mapping or (class, conjugate) pairs)
+    merely asserts the inference matches.
     Every pair is checked against the representative counts for every
     (i, j) but those of the identity row i = e, which A_e = I decides.
 
@@ -275,8 +279,8 @@ def _verified_scheme(points, classes, rel, rows, identity=None, involution=None)
             f"inferred identity {classes[e]!r} does not match asserted {identity!r}"
         )
     if involution is not None:
-        class_of = {_key(c): i for i, c in enumerate(classes)}
-        for c, cbar in dict(involution).items():
+        class_of = _label_index(classes, "class")
+        for c, cbar in involution.items() if isinstance(involution, Mapping) else involution:
             if _key(c) not in class_of:
                 raise ParseError(f"unknown class {c!r}")
             i = class_of[_key(c)]
@@ -475,7 +479,7 @@ def _distances_and_first_bad_count(A: np.ndarray) -> tuple[np.ndarray, dict | No
 def _as_permutation(mapping, labels, what: str) -> np.ndarray:
     """Normalize a label map to an index permutation array."""
     n = len(labels)
-    pos = {x: i for i, x in enumerate(labels)}
+    pos = _label_index(labels, what)
     if callable(mapping):
         images = [mapping(x) for x in labels]
     elif isinstance(mapping, Mapping):
@@ -487,10 +491,9 @@ def _as_permutation(mapping, labels, what: str) -> np.ndarray:
         images = list(mapping)
         if len(images) != n:
             raise NotBijective(f"{what} map has {len(images)} images for {n} labels")
-    try:
-        perm = np.array([pos[y] for y in images], dtype=np.int64)
-    except KeyError as exc:
-        raise NotBijective(f"{what} map hits unknown label {exc.args[0]!r}") from None
+    perm = np.array([pos.get(_key(y), -1) for y in images], dtype=np.int64)
+    if (perm < 0).any():
+        raise NotBijective(f"{what} map hits unknown label {images[int(np.argmax(perm < 0))]!r}")
     if len(set(perm.tolist())) != n:
         raise NotBijective(f"{what} map is not injective", witness=images)
     return perm
@@ -514,7 +517,7 @@ def commutativity_by_involution_automorphism(s: Scheme, point_map) -> bool:
     transpose(relation(x, y)) then the scheme is commutative; returns
     whether the supplied phi works (and cross-checks the implication).
     """
-    ok = check_automorphism(s, point_map, s.involution)
+    ok = check_automorphism(s, point_map, [s.classes[t] for t in s.involution.tolist()])
     if ok:
         assert is_commutative(s)
     return ok

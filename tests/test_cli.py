@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hypergroups.catalog import pentagon_scheme
+from hypergroups.catalog import pentagon_scheme, petersen_scheme
 from hypergroups import cli
 from hypergroups.cli import main
 from hypergroups.families import cosh, gab
@@ -24,6 +24,7 @@ from hypergroups.jsonio import (
     hypergroup_to_json,
     scheme_to_json,
 )
+from hypergroups.schemes import build_scheme
 
 SCHEMA_PATH = "src/hypergroups/schemas/report.schema.json"
 
@@ -398,6 +399,67 @@ def test_scheme_fields_are_read_alike_for_both_kinds(capsys, docs, tmp_path, doc
         assert json.loads(captured.out)["status"] == "pass"
     else:
         assert captured.out == "" and captured.err == f"error: {message.format(kind=kind)}\n"
+
+
+def _z3_boolean_classes():
+    """Z3 on the classes 0, 1, true: (x, y) lies in class y - x mod 3."""
+    labels = [0, 1, True]
+    return build_scheme(range(3), labels, lambda x, y: labels[(y - x) % 3])
+
+
+def _window_with_true():
+    """The window of half-width 2 with its class 2 renamed true."""
+    doc = generalized_to_json(cosh.cosh_window_scheme(cosh.CoshFamily(1.0), 2))
+    _rename_classes(doc, lambda c: True if c == 2 else c)
+    return doc
+
+
+@pytest.mark.parametrize("make_doc", [
+    lambda: {"points": ["a", "b"], "classes": [0, False],
+             "relations": [["a", "a", 0], ["b", "b", 0], ["a", "b", False], ["b", "a", False]]},
+    lambda: {"points": [1, True], "classes": ["e", "x"],
+             "relations": [[1, 1, "e"], [True, True, "e"], [1, True, "x"], [True, 1, "x"]]},
+    lambda: {"elements": [1, True], "table": [[1, True], [True, 1]]},
+    lambda: scheme_to_json(_z3_boolean_classes()),
+    lambda: generalized_to_json(classical_embedding(_z3_boolean_classes())),
+    _window_with_true,
+], ids=["classes-0-false", "points-1-true", "elements-1-true", "z3-classes-0-1-true",
+        "z3-embedding", "window-class-true"])
+def test_true_and_false_are_labels_apart_from_1_and_0(capsys, tmp_path, make_doc):
+    """Every document kind matches labels under one key, for lookups and duplicate
+    checks alike: true and false are distinct from 1 and 0."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(make_doc()))
+    code, rep = run(capsys, "verify", str(path))
+    assert code == 0 and rep["status"] == "pass"
+
+
+def test_asserted_involution_on_boolean_classes(capsys, tmp_path):
+    doc = scheme_to_json(_z3_boolean_classes())
+    assert doc["involution"] == [0, True, 1]
+    doc["involution"] = [0, 1, True]
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: inferred involution sends 1 to True, not the asserted 1\n"
+
+
+@pytest.mark.parametrize("command", ["hypergroup", "chartable", "dualtable"])
+def test_generalized_documents_give_their_deformed_hypergroup(capsys, tmp_path, command):
+    """The hypergroup commands read a generalized scheme's deformed tensor; a window
+    that leaves class pairs undetermined has none."""
+    full = tmp_path / "petersen.json"
+    full.write_text(dump_report(generalized_to_json(classical_embedding(petersen_scheme()))))
+    code, rep = run(capsys, command, str(full))
+    assert code == 0 and rep["status"] == "pass"
+    window = tmp_path / "window.json"
+    window.write_text(dump_report(generalized_to_json(
+        cosh.cosh_window_scheme(cosh.CoshFamily(1.0), 4))))
+    assert main([command, str(window)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: only 15/81 class pairs are determined by this window\n"
 
 
 def test_decimal_strings_are_exact_values(capsys, tmp_path):

@@ -127,6 +127,16 @@ def test_table_errors_name_the_first_bad_entry_and_row():
         group_from_table(range(5), loop)
 
 
+def test_element_labels_are_distinct_under_one_key():
+    """1 and true are two elements; 1 and 1.0 are one label given twice."""
+    g = group_from_table([1, True], [[1, True], [True, 1]])
+    assert g.mul.tolist() == [[0, 1], [1, 0]] and g.index(True) == 1 and g.index(1) == 0
+    with pytest.raises(ParseError, match="^duplicate element labels$"):
+        group_from_table([1, 1.0], [[1, 1.0], [1.0, 1]])
+    with pytest.raises(ParseError, match="^empty element list$"):
+        group_from_table([], [])
+
+
 def test_symmetric_group_tables_accepted():
     for n in (4, 5):
         g = symmetric_group(n)

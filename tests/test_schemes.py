@@ -195,6 +195,14 @@ def test_identity_must_be_the_diagonal():
         build_scheme(list(range(3)), [0, 1], rel)
 
 
+def test_identity_must_be_one_class_on_the_diagonal():
+    # the diagonal is split between two classes: 'a' at the first point, 'c' at the second
+    rel = [["a", "b"], ["b", "c"]]
+    with pytest.raises(NoIdentityClass, match="split between classes 'a' and 'c'") as info:
+        build_scheme(["x", "y"], ["a", "b", "c"], rel)
+    assert info.value.witness == (0, 1)
+
+
 def test_transpose_must_be_a_class():
     # differences {1, 2} vs {3} on Z4: the transpose of {1, 2} is {3, 2}
     rel = {}
@@ -635,6 +643,30 @@ def test_broken_map_is_not_automorphism(petersen):
     swap[0], swap[1] = 1, 0  # transposing adjacent outer vertices breaks edges
     identity_classes = {c: c for c in petersen.classes}
     assert not check_automorphism(petersen, swap, identity_classes)
+
+
+def test_boolean_class_labels_are_their_own_classes():
+    """Z3 on classes 0, 1, true: three classes, matched as labels under one key."""
+    labels = [0, 1, True]
+    z3 = build_scheme(range(3), labels, lambda x, y: labels[(y - x) % 3])
+    assert [z3.classes[t] for t in z3.involution] == [0, True, 1]
+    assert check_automorphism(z3, range(3), [0, 1, True])
+    assert check_automorphism(z3, [0, 2, 1], [0, True, 1])  # x -> -x transposes the classes
+    assert not check_automorphism(z3, [0, 2, 1], [0, 1, True])
+    assert commutativity_by_involution_automorphism(z3, [0, 2, 1])
+
+
+def test_boolean_relation_array_names_the_boolean_classes():
+    """A numpy bool array names the classes false and true, as JSON booleans do, not 0 and 1."""
+    off = ~np.eye(3, dtype=bool)
+    assert build_scheme(range(3), [False, True], off).relation.tolist() == off.astype(int).tolist()
+    with pytest.raises(ParseError, match="maps to unknown class"):
+        build_scheme(range(3), [0, 1], off)
+
+
+def test_commutativity_certificate_on_string_classes(s4_mod_s3):
+    """The involution is handed to the automorphism check as class labels, not indices."""
+    assert commutativity_by_involution_automorphism(s4_mod_s3, {x: x for x in s4_mod_s3.points})
 
 
 def test_negation_automorphism_proves_commutativity(z5):
