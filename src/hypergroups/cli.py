@@ -217,8 +217,8 @@ def _gab_psd_report(args: argparse.Namespace, fam: GabFamily):
     x_min, x_max, x_step, radius = args.x_min, args.x_max, args.x_step, args.radius
     budget = args.vertex_budget if args.vertex_budget is not None else 5000
     tol = args.tol or 1e-8
-    if not x_step > 0:
-        raise ParameterOutOfRange(f"--x-step must be positive, got {x_step!r}")
+    if not 0 < x_step < math.inf:
+        raise ParameterOutOfRange(f"--x-step must be finite and positive, got {x_step!r}")
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise ParameterOutOfRange(f"--x-min and --x-max must be finite, got {x_min!r}, {x_max!r}")
     if x_max < x_min:
@@ -404,8 +404,10 @@ EXIT_CODES = (
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.tol is not None and not args.tol > 0:
-            raise ParameterOutOfRange("tolerance must be positive")
+        if args.tol is not None and not 0 < args.tol < math.inf:
+            raise ParameterOutOfRange(f"--tol must be finite and positive, got {args.tol!r}")
+        if args.seed < 0:
+            raise ParameterOutOfRange(f"--seed must be non-negative, got {args.seed}")
         results, csv_text, ok = HANDLERS[args.command](args)
         text = jsonio.dump_report({
             "schema": REPORT_SCHEMA,

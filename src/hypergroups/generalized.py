@@ -33,7 +33,7 @@ from .errors import (
 )
 from .harmonic import _hermitian_floor, _multiplicativity_gap, _real_times, dual_convolution
 from .hypergroup import FiniteHypergroup, hypergroup_from_scheme, make_hypergroup
-from .schemes import Scheme, _key, _label_index, _triple_counts
+from .schemes import _UNDEFINED, Scheme, _key, _label_index, _triple_counts
 
 STOCHASTIC_TOL = 1e-12
 BALANCE_TOL = 1e-10
@@ -91,19 +91,20 @@ class GeneralizedScheme:
 
 
 def build_generalized(base: Scheme, stoch, vertex_weight=None,
-                      base_point=None) -> GeneralizedScheme:
+                      base_point=_UNDEFINED) -> GeneralizedScheme:
     """Verify deformed transition data over a classical scheme: the audit of
     :func:`build_windowed` on a window without boundary, so every pair is checked.
 
     ``stoch`` is a (classes, points, points) stack; ``vertex_weight``
     defaults to the constant weight; ``base_point`` (a point label, where
-    true and false name no number) fixes the normalization.  Raises
-    ``ParseError`` for an unknown base point, what ``build_windowed``
-    raises, and ``SupportMismatch`` when the deformed tensor's support
-    differs from the base counts.
+    true and false name no number and None is a label; the first point
+    when left out) fixes the normalization.  Raises ``ParseError`` for an
+    unknown base point, what ``build_windowed`` raises, and
+    ``SupportMismatch`` when the deformed tensor's support differs from
+    the base counts.
     """
     n, d = base.n_points, base.n_classes
-    x = 0 if base_point is None else _label_index(base.points, "point").get(_key(base_point))
+    x = 0 if base_point is _UNDEFINED else _label_index(base.points, "point").get(_key(base_point))
     if x is None:
         raise ParseError(f"unknown point {base_point!r}")
     g = build_windowed(

@@ -1,8 +1,9 @@
 """File formats: scheme/group/hypergroup documents and deterministic reports.
 
-All emitters are byte-deterministic: JSON is dumped with sorted keys and
-fixed indentation, floats use shortest round-trip repr, CSV uses 17
-significant digits, and complex values are rendered as ``a+bi`` strings.
+``dump_report`` writes json.dumps(sort_keys=True, indent=2) of a report's JSON
+form in one walk, formatting a list of scalars with one ``map`` and a numeric
+array once per distinct value; CSV uses 17 significant digits.  Complex values
+are ``a+bi`` strings (JSON: the real part when the imaginary part is 0).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Any
 
 import numpy as np
@@ -25,40 +27,106 @@ from .schemes import _UNDEFINED, Scheme, _key, _label_index, _relation_matrix, b
 
 
 def format_complex(z: complex) -> str:
-    im = z.imag
-    return f"{z.real:.17g}{'-' if im < 0 else '+'}{abs(im):.17g}i"  # nan and -0.0 take +
+    """a+bi at 17 significant digits; a nan or -0.0 imaginary part takes +."""
+    return "%.17g%+.17gi" % (z.real, z.imag + 0.0)  # -0.0 + 0.0 is 0.0
 
 
 def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-# values that are already JSON-safe, matched by exact type before any ABC check
+# ---------------------------------------------------------------------------
+# report writer: json.dumps(sort_keys=True, indent=2, ensure_ascii=False) of the
+# report's JSON form, byte for byte, with the numeric leaves formatted in bulk
+
+# the JSON scalar types, matched by exact type before any ABC check
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "True": "true",
+          "False": "false", "None": "null"}
+_KIND = {"b": bool, "i": int, "u": int, "f": float}
 
 
-def _plain(value: Any) -> Any:
-    """The JSON form of a report value, converted recursively: numpy arrays and
-    scalars go through one tolist(), a Fraction becomes 'p/q', and a complex its
-    real part when the imaginary part is 0, else 'a+bi'."""
+def _scalars(values, kind: type) -> list:
+    """JSON texts of scalars of one exact type: repr, or json's word for it."""
+    texts = list(map(encode_basestring if kind is str else kind.__repr__, values))
+    if kind is not str and not _WORDS.keys().isdisjoint(texts):
+        texts = [_WORDS.get(t, t) for t in texts]
+    return texts
+
+
+def _nest(texts: list, shape: tuple, level: int) -> list:
+    """Texts of the arrays of ``shape`` at ``level`` whose entries read ``texts`` in C order."""
+    for depth in reversed(range(len(shape))):
+        n, inner = shape[depth], "\n" + "  " * (level + depth + 1)
+        head, sep, tail = "[" + inner, "," + inner, inner[:-2] + "]"
+        texts = [head + sep.join(texts[i:i + n]) + tail for i in range(0, len(texts), n)]
+    return texts
+
+
+def _distinct(flat: np.ndarray, text) -> np.ndarray:
+    """Object array of the texts of a 1-D array's entries, each distinct bit
+    pattern formatted once: by _scalars for a type, else by a %-format."""
+    bits, at = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
+    values = bits.view(flat.dtype).tolist()
+    texts = _scalars(values, text) if isinstance(text, type) else list(map(text.__mod__, values))
+    return np.array(texts, dtype=object)[at]
+
+
+def _items(values, level: int) -> list:
+    """Texts of a container's values at ``level``, in one pass for scalars of one
+    type and for nonempty numeric arrays of one dtype and shape.  A complex entry
+    is its real part when its imaginary part is 0, else 'a+bi'."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _JSON_SCALARS:
+        return _scalars(values, kind)
+    if not (kind is np.ndarray and len({(v.dtype, v.shape) for v in values}) == 1
+            and values[0].dtype.kind in "biufc" and values[0].size):
+        return [_text(v, level) for v in values]
+    flat = np.stack(values).ravel()
+    if flat.dtype.kind != "c":
+        texts = _distinct(flat, _KIND[flat.dtype.kind])
+    else:
+        zero, texts = flat.imag == 0.0, np.empty(flat.size, dtype=object)
+        texts[zero] = _distinct(flat.real[zero], float)
+        rest = flat[~zero]  # the two halves of '"' + format_complex(z) + '"'
+        texts[~zero] = _distinct(rest.real, '"%.17g') + _distinct(rest.imag, '%+.17gi"')
+    return _nest(texts.tolist(), values[0].shape, level)
+
+
+def _text(value: Any, level: int) -> str:
+    """JSON text of a report value that starts at indentation ``level``."""
     if type(value) in _JSON_SCALARS:
-        return value
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist() if value.dtype.kind in "biuf" else _plain(value.tolist())
-    if isinstance(value, complex):
-        return value.real if value.imag == 0.0 else format_complex(value)
+        return _scalars((value,), type(value))[0]
     if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        keys, values = zip(*sorted({str(k): v for k, v in value.items()}.items()))
+        inner = "\n" + "  " * (level + 1)
+        return "{" + inner + ("," + inner).join(map(
+            "{}: {}".format, _scalars(keys, str), _items(values, level + 1))) + inner[:-2] + "}"
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return _nest(_items(value, level + 1), (len(value),), level)[0] if value else "[]"
+    if isinstance(value, (np.ndarray, np.generic, complex)):
+        arr = np.asarray(value)
+        numeric = arr.dtype.kind in "biufc" and arr.size
+        return _items([arr], level)[0] if numeric else _text(arr.tolist(), level)
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return value
+        return f'"{value.numerator}/{value.denominator}"'
+    for kind in (str, int, float):  # subclasses, written as json writes them
+        if isinstance(value, kind):
+            return _scalars((value,), kind)[0]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def dump_report(obj: Any) -> str:
     """Canonical JSON text for a report object (trailing newline included)."""
-    return json.dumps(_plain(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return _text(obj, 0) + "\n"
+
+
+def _json_value(value: Any) -> Any:
+    """The JSON value that dump_report writes for ``value``."""
+    return json.loads(_text(value, 0))
 
 
 def load_document(path: str) -> dict:
@@ -94,8 +162,8 @@ def detect_kind(doc: dict) -> str:
 def scheme_to_json(s: Scheme) -> dict:
     """Points, classes, one [x, y, class] row per ordered pair, identity and
     involution: also the first fields of a generalized scheme's document."""
-    points = _plain(s.points)
-    classes = _plain(s.classes)
+    points = _json_value(s.points)
+    classes = _json_value(s.classes)
     return {
         "points": points,
         "classes": classes,
@@ -179,7 +247,7 @@ def _scheme_fields(doc: dict, kind: str) -> tuple:
 
 def _base_scheme(points, classes, table, e, tau) -> Scheme:
     """build_scheme of the fields, asserting the identity and involution read by position."""
-    return build_scheme(points, classes, table, identity=None if e is None else classes[e],
+    return build_scheme(points, classes, table, identity=_UNDEFINED if e is None else classes[e],
                         involution=None if tau is None else [
                             (c, classes[j]) for c, j in zip(classes, tau)])
 
@@ -222,11 +290,11 @@ def hypergroup_to_json(h: FiniteHypergroup) -> dict:
     else:
         cells = entries.tolist()
     return {
-        "classes": _plain(h.classes),
+        "classes": _json_value(h.classes),
         "identity": int(h.identity),
         "involution": h.involution.tolist(),
         "conv": [[i, j, k, v] for (i, j, k), v in zip(support.tolist(), cells)],
-        "haar": _plain(h.haar),
+        "haar": _json_value(h.haar),
     }
 
 

@@ -69,7 +69,7 @@ class Scheme:
 # together: 32 MiB of float64
 BLOCK = 2**22
 
-_UNDEFINED = object()  # label of a pair the relation data leaves out
+_UNDEFINED = object()  # no label: a pair the relation data leaves out, or no assertion
 
 _BOOL_KEYS = (object(), object())  # the keys of false and true, equal to no other key
 
@@ -208,7 +208,7 @@ def build_scheme(
     points: Sequence,
     classes: Sequence,
     relation_of: Callable | Mapping | Sequence,
-    identity=None,
+    identity=_UNDEFINED,
     involution: Mapping | Sequence | None = None,
 ) -> Scheme:
     """Construct and fully verify a scheme from relation data.
@@ -216,8 +216,8 @@ def build_scheme(
     ``relation_of`` may be a callable ``(x, y) -> class label``, a dict
     keyed by point pairs, or a nested sequence aligned with ``points``.
     The identity class and the involution are always inferred; passing
-    ``identity`` or ``involution`` (a mapping or (class, conjugate) pairs)
-    merely asserts the inference matches.
+    ``identity`` (any label, None included) or ``involution`` (a mapping or
+    (class, conjugate) pairs) merely asserts the inference matches.
     Every pair is checked against the representative counts for every
     (i, j) but those of the identity row i = e, which A_e = I decides.
 
@@ -236,7 +236,7 @@ def build_scheme(
     return _verified_scheme(points, classes, rel, range(len(classes)), identity, involution)
 
 
-def _verified_scheme(points, classes, rel, rows, identity=None, involution=None) -> Scheme:
+def _verified_scheme(points, classes, rel, rows, identity=_UNDEFINED, involution=None) -> Scheme:
     """The scheme on the class-index matrix ``rel``, checking the counts of the
     rows i in ``rows`` only; the identity row never fails, so it is skipped."""
     n, d = len(points), len(classes)
@@ -274,7 +274,7 @@ def _verified_scheme(points, classes, rel, rows, identity=None, involution=None)
         valencies=omega,
     )
 
-    if identity is not None and _key(classes[e]) != _key(identity):
+    if identity is not _UNDEFINED and _key(classes[e]) != _key(identity):
         raise NoIdentityClass(
             f"inferred identity {classes[e]!r} does not match asserted {identity!r}"
         )

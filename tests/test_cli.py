@@ -20,6 +20,7 @@ from hypergroups.harmonic import character_table
 from hypergroups.hypergroup import hypergroup_from_scheme, make_hypergroup
 from hypergroups.jsonio import (
     dump_report,
+    generalized_from_json,
     generalized_to_json,
     hypergroup_to_json,
     scheme_to_json,
@@ -443,6 +444,42 @@ def test_asserted_involution_on_boolean_classes(capsys, tmp_path):
     assert main(["verify", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: inferred involution sends 1 to True, not the asserted 1\n"
+
+
+def test_null_labels_can_be_asserted(capsys, tmp_path):
+    """A null label names a class or point like any other label: asserted as the
+    identity of a scheme whose identity is 0, or as a generalized base point."""
+    labels = [0, 1, None]
+    doc = scheme_to_json(build_scheme(range(3), labels, lambda x, y: labels[(y - x) % 3]))
+    doc["identity"] = None
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: inferred identity 0 does not match asserted None\n"
+
+    points = ["a", None, "c"]
+    doc = generalized_to_json(classical_embedding(
+        build_scheme(points, range(3), lambda x, y: (points.index(y) - points.index(x)) % 3)))
+    doc["base_point"] = None
+    assert generalized_from_json(doc).base_point == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chartable", "{doc}", "--seed", "-1"], "--seed must be non-negative, got -1"),
+    (["dualtable", "{doc}", "--seed=-0x10"], "--seed must be non-negative, got -16"),
+    (["dualtable", "{doc}", "--tol", "inf"], "--tol must be finite and positive, got inf"),
+    (["verify", "{doc}", "--tol", "nan"], "--tol must be finite and positive, got nan"),
+    (["family", "gab", "--a", "3", "--b", "3", "--report", "psd-sweep", "--x-step", "1e400"],
+     "--x-step must be finite and positive, got inf"),
+])
+def test_seed_tolerance_and_step_bounds(capsys, docs, argv, message):
+    code = main([docs["pentagon.json"] if token == "{doc}" else token for token in argv])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["hypergroup", "chartable", "dualtable"])
