@@ -247,10 +247,17 @@ def gab_orthogonality_measure(fam: GabFamily) -> GabMeasure:
     return GabMeasure(fam, atom_location=None, atom_mass=0.0)
 
 
-def _ball_size(a: int, b: int, radius: int) -> int:
-    """1 + a(b-1)(1 + q + ... + q^(radius-1)) vertices, q = (a-1)(b-1)."""
-    q = (a - 1) * (b - 1)
-    return 1 + a * (b - 1) * (radius if q == 1 else (q ** radius - 1) // (q - 1))
+def _ball_size(a: int, b: int, radius: int, budget: int) -> int:
+    """1 + a(b-1)(1 + q + ... + q^(radius-1)) vertices, q = (a-1)(b-1), counted
+    level by level until the count passes ``budget``."""
+    q, size, level = (a - 1) * (b - 1), 1, a * (b - 1)
+    if q == 1:
+        return 1 + level * radius
+    for _ in range(radius):
+        size, level = size + level, level * q
+        if size > budget:
+            break
+    return size
 
 
 def gab_ball(fam: GabFamily, radius: int, vertex_budget: int = 5000):
@@ -272,11 +279,9 @@ def gab_ball(fam: GabFamily, radius: int, vertex_budget: int = 5000):
     if radius < 0:
         raise ParameterOutOfRange(f"radius must be nonnegative, got {radius}")
     a, b = int(fam.a), int(fam.b)
-    if 2 * radius >= vertex_budget:  # every level adds at least two vertices
+    if (2 * radius >= vertex_budget  # every level adds at least two vertices
+            or (size := _ball_size(a, b, radius, vertex_budget)) > vertex_budget):
         raise BallTooLarge(f"a ball of radius {radius} has more than {vertex_budget} vertices")
-    size = _ball_size(a, b, radius)
-    if size > vertex_budget:
-        raise BallTooLarge(f"ball has {size} vertices, budget is {vertex_budget}")
 
     dist = np.zeros((size, size), dtype=np.int64)
     depth = np.zeros(size, dtype=np.int64)

@@ -39,13 +39,19 @@ class FiniteGroup:
 
     def index(self, g) -> int:
         """Index of an element given by label, or by index when no label matches."""
-        try:
-            return self._positions[_key(g)]
-        except (KeyError, TypeError):  # TypeError: an unhashable g, which is no label
-            # an int or numpy integer; a JSON true or false is no index
-            if (type(g) is int or isinstance(g, np.integer)) and 0 <= int(g) < self.order:
-                return int(g)
-            raise ParseError(f"unknown group element {g!r}") from None
+        i = _element(self._positions, self.order, g)
+        if i < 0:
+            raise ParseError(f"unknown group element {g!r}")
+        return i
+
+
+def _element(positions: dict, n: int, g) -> int:
+    """Position of g among n elements: its label under _key, else an index (an int or
+    numpy integer below n, never a bool), else -1; an unhashable g is no label."""
+    try:
+        return positions[_key(g)]
+    except (KeyError, TypeError):  # TypeError: an unhashable g, which is no label
+        return int(g) if (type(g) is int or isinstance(g, np.integer)) and 0 <= g < n else -1
 
 
 def group_from_table(elements: Sequence, table) -> FiniteGroup:
@@ -71,17 +77,17 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
     rows = list(table)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InvalidCayleyTable("table is not |G| x |G|")
-    mul = np.fromiter(map(pos.get, itertools.chain.from_iterable(rows), itertools.repeat(-1)),
-                      dtype=np.int64, count=n * n)
+    try:
+        mul = np.fromiter(map(pos.get, itertools.chain.from_iterable(rows), itertools.repeat(-1)),
+                          dtype=np.int64, count=n * n)
+    except TypeError:  # an unhashable entry: every entry is read again
+        mul = np.full(n * n, -1, dtype=np.int64)
     # as True == 1, an entry found at a label holding a 0 or 1 may hold a boolean there; it and
-    # each entry not found (-1, the last place of reread) are read again: a label under _key,
-    # else an index (an int or numpy integer, never a bool; an int not found is no label)
+    # each entry not found (-1, the last place of reread) are read again by _element
     reread = np.zeros(n + 1, dtype=bool)
     reread[[-1, *(i for i, g in enumerate(elements) if _holds_01(g))]] = True
     suspect = np.flatnonzero(reread[mul])
-    entries = (rows[k // n][k % n] for k in suspect.tolist())
-    mul[suspect] = [v if i < 0 and (type(v) is int or isinstance(v, np.integer)) and 0 <= v < n
-                    else pos.get(_key(v), -1) for i, v in zip(mul[suspect].tolist(), entries)]
+    mul[suspect] = [_element(pos, n, rows[k // n][k % n]) for k in suspect.tolist()]
     mul = mul.reshape(n, n)
     if (mul < 0).any():
         i, j = map(int, np.argwhere(mul < 0)[0])

@@ -2,14 +2,15 @@
 
 ``dump_report`` writes json.dumps(sort_keys=True, indent=2) of a report's JSON
 form in one walk, formatting a list of scalars with one ``map`` and a numeric
-array once per distinct value; CSV uses 17 significant digits.  Complex values
-are ``a+bi`` strings (JSON: the real part when the imaginary part is 0).
+array (and a dual table's CSV weights) once per distinct value; CSV uses 17
+significant digits.  Complex values are ``a+bi`` strings (JSON: the real part
+when the imaginary part is 0); exact hypergroup values are read by
+``make_hypergroup``'s reader and written by the ``Fraction`` rule.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import Any
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ParseError
 from .generalized import GeneralizedScheme, build_generalized, build_windowed
 from .groups import FiniteGroup, group_from_table
-from .hypergroup import FiniteHypergroup, _integer_form, make_hypergroup
+from .hypergroup import FiniteHypergroup, _fractions, _stored, make_hypergroup
 from .schemes import _UNDEFINED, Scheme, _key, _label_index, _relation_matrix, build_scheme
 
 # ---------------------------------------------------------------------------
@@ -283,12 +284,7 @@ def cayley_from_json(doc: dict) -> tuple[FiniteGroup, list]:
 def hypergroup_to_json(h: FiniteHypergroup) -> dict:
     support = np.argwhere(h.values != 0)
     entries = h.values[tuple(support.T)]
-    if h.exact:  # 'p/q' in lowest terms
-        common = np.gcd(entries, h.scale)
-        cells = list(map("{}/{}".format, (entries // common).tolist(),
-                         (h.scale // common).tolist()))
-    else:
-        cells = entries.tolist()
+    cells = _json_value(_fractions(entries, h.scale)) if h.exact else entries.tolist()
     return {
         "classes": _json_value(h.classes),
         "identity": int(h.identity),
@@ -298,24 +294,10 @@ def hypergroup_to_json(h: FiniteHypergroup) -> dict:
     }
 
 
-# an integer, or a ratio of integers with a nonzero denominator; other strings,
-# "1/0" among them, are read by Fraction()
-_RATIO = re.compile(r"\s*([-+]?\d+)(?:/(\d*[1-9]\d*))?\s*")
-
-
-def _parse_ratio(text: str) -> tuple:
-    """(p, q) with p / q the value of Fraction(text), q > 0."""
-    match = _RATIO.fullmatch(text)
-    try:
-        return (int(match[1]), int(match[2] or 1)) if match else Fraction(text).as_integer_ratio()
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad fraction {text!r}") from exc
-
-
 def hypergroup_from_json(doc: dict) -> FiniteHypergroup:
-    """Exact when every value is an int or a 'p/q' string, read into integer
-    numerators over one denominator; float otherwise.  A repeated [i, j, k]
-    keeps its last value."""
+    """Exact unless some row holds a JSON float: ints and the strings Fraction
+    reads become integer numerators over one denominator; float otherwise.  A
+    repeated [i, j, k] keeps its last value."""
     for key in ("classes", "conv"):
         if key not in doc:
             raise ParseError(f"hypergroup document missing {key!r}")
@@ -323,7 +305,7 @@ def hypergroup_from_json(doc: dict) -> FiniteHypergroup:
     d = len(classes)
     if d == 0:
         raise ParseError("hypergroup document has no classes")
-    entries = {}  # flat index -> (p, q)
+    entries = {}  # flat index -> int, float or Fraction
     exact = True
     for row in _list(doc, "conv"):
         if not (isinstance(row, list) and len(row) == 4):
@@ -332,22 +314,23 @@ def hypergroup_from_json(doc: dict) -> FiniteHypergroup:
         if not all(type(t) is int and 0 <= t < d for t in (i, j, k)):  # true is no index
             raise ParseError(f"conv indices out of range in {row!r}")
         if isinstance(v, str):
-            entries[(i * d + j) * d + k] = _parse_ratio(v)
-        elif type(v) in (int, float):
-            entries[(i * d + j) * d + k] = (v, 1)
-            exact = exact and type(v) is int
-        else:
+            try:
+                v = Fraction(v)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad fraction {v!r}") from exc
+        elif type(v) not in (int, float):
             raise ParseError(f"conv value must be number or 'p/q', got {v!r}")
+        exact = exact and type(v) is not float
+        entries[(i * d + j) * d + k] = v
     flat = np.fromiter(entries, dtype=np.int64, count=len(entries))
-    nums, dens = np.array(list(entries.values()), dtype=object).reshape(-1, 2).T
-    if not exact:
-        conv = np.zeros((d, d, d))
+    kept = np.array(list(entries.values()), dtype=object)
+    if exact:
+        values, scale = _stored(kept, None)
+    else:
         try:
-            conv.flat[flat] = (nums / dens).astype(np.float64)  # int / int rounds as float(Fraction)
+            values, scale = kept.astype(np.float64), None
         except OverflowError as exc:
             raise ParseError("conv value outside the float range") from exc
-        return make_hypergroup(classes, conv)
-    values, scale = _integer_form(nums, dens)
     conv = np.zeros((d, d, d), dtype=values.dtype)
     conv.flat[flat] = values
     return make_hypergroup(classes, conv, scale=scale)
@@ -440,7 +423,10 @@ def chartable_to_csv(tbl) -> str:
 
 
 def dualtable_to_csv(labels, weights) -> str:
-    """weights: mapping (a, b) -> vector of dual coefficients."""
-    pairs = [(a, b) for a in range(len(labels)) for b in range(len(labels))]
+    """weights: mapping (a, b) -> vector of real dual coefficients, each distinct
+    value formatted once, as _csv formats a float."""
+    d = len(labels)
+    block = np.array([weights[a, b] for a in range(d) for b in range(d)], dtype=np.float64)
+    cells = _distinct(block.ravel(), "%.17g").reshape(block.shape).tolist()
     return _csv(["left", "right", *labels], (
-        [labels[a], labels[b], *np.asarray(weights[a, b]).tolist()] for a, b in pairs))
+        [labels[k // d], labels[k % d], *row] for k, row in enumerate(cells)))

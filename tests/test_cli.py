@@ -785,6 +785,18 @@ def test_unbounded_sizes_are_refused_up_front(monkeypatch, capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("radius", ["7000", "8000"])
+def test_huge_balls_are_refused_in_one_short_line(capsys, radius):
+    """The refusal names the radius and the budget; the ball's size has thousands of digits."""
+    code = main(["family", "gab", "--a", "3", "--b", "3", "--report", "psd-sweep",
+                 "--radius", radius, "--vertex-budget", "20000"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err) < 200
+
+
 def test_family_cosh_window_audit(capsys, schema):
     code, rep = run(capsys, "family", "cosh", "--r", "1.0", "--window", "6")
     assert code == 0

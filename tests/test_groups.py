@@ -1,6 +1,7 @@
 """Cayley tables, subgroup checks, double-coset schemes, and coset convolution."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,29 @@ def test_element_labels_are_distinct_under_one_key():
         group_from_table([1, 1.0], [[1, 1.0], [1.0, 1]])
     with pytest.raises(ParseError, match="^empty element list$"):
         group_from_table([], [])
+
+
+@pytest.mark.parametrize("elements, value, position", [
+    (("e", "a"), "a", 1),                # a label
+    (("e", "a"), 1, 1),                  # an int index
+    (("e", "a"), np.int64(1), 1),        # a numpy integer index
+    (("e", 0), 0, 1),                    # a label wins over an index
+    ((0, 1), True, None),                # true is neither the label 1 nor an index
+    (((0, 0), (0, 1)), (0, True), None),  # nor inside a tuple label
+    (("e", "a"), ["a"], None),           # an unhashable value is no element
+])
+def test_one_element_rule_for_tables_and_lookups(elements, value, position):
+    """Z_2 with ``value`` as the product of elements 0 and 1, and ``value`` looked up."""
+    e, a = elements
+    if position is None:
+        with pytest.raises(InvalidCayleyTable,
+                           match=rf"^entry {re.escape(repr(value))} at \(0, 1\) is no element$"):
+            group_from_table(elements, [[e, value], [a, e]])
+        with pytest.raises(ParseError, match=rf"^unknown group element {re.escape(repr(value))}$"):
+            group_from_table(elements, [[e, a], [a, e]]).index(value)
+    else:
+        g = group_from_table(elements, [[e, value], [a, e]])
+        assert g.mul.tolist() == [[0, 1], [1, 0]] and g.index(value) == position
 
 
 def test_symmetric_group_tables_accepted():

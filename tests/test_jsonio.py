@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypergroups.catalog import cyclic_scheme, s3_group, z4_group
 from hypergroups.errors import ParseError
@@ -14,6 +16,7 @@ from hypergroups.generalized import classical_embedding
 from hypergroups.harmonic import character_table
 from hypergroups.hypergroup import hypergroup_from_scheme
 from hypergroups.jsonio import (
+    _csv,
     cayley_from_json,
     chartable_to_csv,
     detect_kind,
@@ -29,6 +32,7 @@ from hypergroups.jsonio import (
     scheme_from_json,
     scheme_to_json,
 )
+from ratio_oracle import parse_ratio
 
 
 def test_format_float_17_digits():
@@ -74,11 +78,56 @@ def test_hypergroup_roundtrip_exact(pentagon):
     ("1e-2", Fraction(1, 100)), ("+4/6 ", Fraction(2, 3)), ("7", Fraction(7)),
 ])
 def test_value_strings_follow_the_fraction_grammar(text, value):
-    doc = {"classes": ["e", "a"], "conv": [
-        [0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"], [1, 1, 1, text]]}
-    h = hypergroup_from_json(doc)
+    h = hypergroup_from_json(_z2_with(text))
     assert h.exact
     assert h.conv[1, 1, 1] == value and h.conv[1, 1, 0] == 1
+
+
+def _z2_with(*values) -> dict:
+    """Two classes, e the identity and a * a = e + each of ``values`` at a, in turn."""
+    return {"classes": ["e", "a"], "conv": [
+        [0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"],
+        *([1, 1, 1, v] for v in values)]}
+
+
+_spaces = st.sampled_from(["", " ", "\t", "\n ", "\u3000"])
+_digits = st.text(st.sampled_from("0123456789\u0663\uff17"), max_size=6)  # Arabic 3, wide 7
+ratio_texts = st.one_of(
+    st.builds("{}{}{}{}{}".format, _spaces, st.sampled_from(["", "+", "-", "+-"]), _digits,
+              st.one_of(_digits.map("/{}".format),
+                        st.sampled_from(["", "/0", "/00", "/-2", "/", ".5", "e3", "E-2", "_0"])),
+              _spaces),
+    st.text(st.sampled_from("0123456789/ +-.eE_"), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ratio_texts)
+@example("3/0")
+@example("2/4")
+@example("-0004/0006")
+@example("1e3")
+@example(" \u0663/\uff17 ")
+@example("1" * 4400)
+@example("1" * 4400 + "/3")
+def test_ratio_strings_read_as_the_oracle_reads_them(text):
+    """A value string reads to the oracle's p / q as N over L, or to its error."""
+    try:
+        p, q = parse_ratio(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            hypergroup_from_json(_z2_with(text))
+        assert str(got.value) == str(exc)
+        return
+    h = hypergroup_from_json(_z2_with(text))
+    value = Fraction(p, q)
+    assert (int(h.values[1, 1, 1]), h.scale) == (value.numerator, value.denominator)
+
+
+def test_one_float_row_makes_a_float_document():
+    """Overwritten rows count: the last value of [1, 1, 1] is '1/2', read as a float."""
+    h = hypergroup_from_json(_z2_with(0.5, "1/2"))
+    assert not h.exact and h.values.dtype == np.float64 and h.conv[1, 1, 1] == 0.5
 
 
 def test_hypergroup_roundtrip_float(pentagon):
@@ -230,6 +279,19 @@ def test_csv_cells_match_recorded_text():
         "chi0,chi1,0.5,0.25\n"
         "chi1,chi0,nan,1.2345678901234567e+300\n"
         "chi1,chi1,0.10000000000000001,8.6736173798840355e-19\n")
+
+
+def test_dualtable_csv_equals_the_per_cell_table():
+    """Each distinct weight is formatted once; the text is _csv's, cell by cell."""
+    values = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 1 / 3, 0.1, 1.2345678901234567e300,
+              0.30000000000000004, float("nan"), 1.0]
+    labels = ["chi0", "chi1", "chi2"]
+    weights = np.resize(values, (3, 3, 3))  # each value two or three times
+    per_cell = _csv(["left", "right", *labels], (
+        [labels[a], labels[b], *weights[a, b].tolist()] for a in range(3) for b in range(3)))
+    assert dualtable_to_csv(labels, weights) == per_cell
+    assert dualtable_to_csv(labels, {(a, b): weights[a, b] for a in range(3) for b in range(3)}
+                            ) == per_cell
 
 
 def test_s3_cayley_roundtrip_via_json(tmp_path):
