@@ -134,6 +134,11 @@ def cosh_window_scheme(fam: CoshFamily, m: int) -> GeneralizedScheme:
         stoch[k] = np.eye(n, k=k) * up[k - 1] + np.eye(n, k=-k) * down[k - 1]
 
     boundary = m - np.abs(xs)
+    # the undeformed product of the classes 0..m, whose sums stay inside the window
+    base_conv = np.zeros((m + 1, m + 1, d))
+    for k, l in np.ndindex(m + 1, m + 1):
+        for idx, w in cosh_base_product(k, l).items():
+            base_conv[k, l, idx] = w
 
     return build_windowed(
         points=points,
@@ -146,7 +151,7 @@ def cosh_window_scheme(fam: CoshFamily, m: int) -> GeneralizedScheme:
         base_point=m,
         boundary_distance=boundary,
         class_order=np.arange(d),
-        base_product=cosh_base_product,
+        base_conv=base_conv,
     )
 
 

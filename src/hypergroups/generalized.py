@@ -10,13 +10,17 @@ form a deformed convolution tensor.
 Infinite examples enter through centered windows: boundary rows are
 sub-stochastic and every product check is restricted to rows far enough
 from the boundary, tracked per class pair.
+
+The positive-connection certificate reads the base hypergroup from one
+tensor, ``base_conv``: the scheme hypergroup over a base scheme, or the
+undeformed block a window's builder passes in.  A window read from a
+document has none, and its certificate raises ``SchemeError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .errors import (
     SupportMismatch,
 )
 from .harmonic import _hermitian_floor, _multiplicativity_gap, _real_times, dual_convolution
-from .hypergroup import FiniteHypergroup, hypergroup_from_scheme, make_hypergroup
+from .hypergroup import FiniteHypergroup, _scheme_ratio, make_hypergroup
 from .schemes import _UNDEFINED, Scheme, _key, _label_index, _triple_counts
 
 STOCHASTIC_TOL = 1e-12
@@ -56,14 +60,13 @@ class GeneralizedScheme:
     class_order: np.ndarray       # (d,) int weights for the window policy
     report: dict
     base_scheme: Scheme | None = None
-    base_product: Callable | None = None
-    # hypergroup_from_scheme(base_scheme), set by classical_embedding, which builds it anyway
-    _base_hypergroup: FiniteHypergroup | None = field(default=None, init=False, repr=False)
+    base_conv: np.ndarray | None = None  # (k, k, d) float, base tensor on classes < k
 
     def __post_init__(self):
         for arr in (self.stoch, self.vertex_weight, self.p_tilde, self.pair_checked,
-                    self.boundary_distance, self.class_order):
-            arr.setflags(write=False)
+                    self.boundary_distance, self.class_order, self.base_conv):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def n_points(self) -> int:
@@ -79,14 +82,15 @@ class GeneralizedScheme:
 
     @cached_property
     def _base_algebra(self) -> tuple:
-        """Base-scheme tensors for positive_connection_check, built once: the base
-        hypergroup's conv[i, jbar, k] as (d*d, d), and the (d, d*d) map from class
-        coefficients c to the matrix sqrt(valency_k) (sum_i c_i p[i, j, k]) / sqrt(valency_j)."""
-        s = self.base_scheme
-        h0 = self._base_hypergroup or hypergroup_from_scheme(s)
+        """Tensors for positive_connection_check, built once: base_conv[i, jbar, l] as
+        (k*k, d), and over a base scheme the (d, d*d) map from class coefficients c to
+        the matrix sqrt(valency_l) (sum_i c_i p[i, j, l]) / sqrt(valency_j), else None."""
+        k, s = len(self.base_conv), self.base_scheme
+        pairing = self.base_conv[:, self.involution[:k], :].reshape(k * k, -1)
+        if s is None:
+            return pairing, None
         root = np.sqrt(s.valencies.astype(np.float64))
         regular = s.p.transpose(0, 2, 1) * (root[:, None] / root[None, :])
-        pairing = h0.conv_float[:, h0.involution, :].reshape(-1, s.n_classes)
         return pairing, regular.reshape(s.n_classes, -1)
 
 
@@ -113,12 +117,12 @@ def build_generalized(base: Scheme, stoch, vertex_weight=None,
         np.full(n, n + max(1, d)), np.zeros(d))
     if not g.report["deformed_support_matches"]:
         raise SupportMismatch("deformed tensor support differs from the base counts")
-    return replace(g, base_scheme=base)
+    return replace(g, base_scheme=base, base_conv=np.divide(*_scheme_ratio(base)))
 
 
 def build_windowed(points, classes, relation, identity, involution, stoch,
                    vertex_weight, base_point, boundary_distance, class_order,
-                   base_product=None) -> GeneralizedScheme:
+                   base_conv=None) -> GeneralizedScheme:
     """Verify deformed transition data on a window of a relation partition.
 
     The relation partition need not be a scheme on the window; closure
@@ -128,7 +132,7 @@ def build_windowed(points, classes, relation, identity, involution, stoch,
     triple counts of the relation at the witness pairs its coefficients
     are read at.  Raises ``NonSquare``, ``NotStochastic``,
     ``SupportMismatch``, ``DetailedBalanceViolation`` or
-    ``ClosureResidual`` with witnesses.
+    ``ClosureResidual`` with witnesses.  ``base_conv`` is kept as the field.
     """
     points, classes = tuple(points), tuple(classes)
     n, d = len(points), len(classes)
@@ -288,7 +292,7 @@ def build_windowed(points, classes, relation, identity, involution, stoch,
         identity=identity, involution=involution, stoch=stoch,
         vertex_weight=weight, base_point=base_point, p_tilde=p_tilde,
         pair_checked=pair_checked, boundary_distance=bd, class_order=order,
-        report=report, base_scheme=None, base_product=base_product,
+        report=report, base_conv=base_conv,
     )
 
 
@@ -299,13 +303,12 @@ def classical_embedding(s: Scheme) -> GeneralizedScheme:
     in integers, so each S_i is doubly stochastic (operator norm 1),
     reversible for the constant weight, and closed with the deformed
     tensor valency_k p[i, j, k] / (valency_i valency_j), which is the
-    scheme hypergroup; ``p_tilde`` is its ``conv_float``, correctly
-    rounded.  The report says ``"route": "scheme"``.
+    scheme hypergroup; ``p_tilde`` and ``base_conv`` are its ``conv_float``,
+    the quotient rounded once.  The report says ``"route": "scheme"``.
     """
     n, d = s.n_points, s.n_classes
     stoch = (s.relation == np.arange(d)[:, None, None]) / s.valencies[:, None, None].astype(float)
-    h0 = hypergroup_from_scheme(s)
-    p_tilde = h0.conv_float
+    p_tilde = np.divide(*_scheme_ratio(s))
     report = {
         "route": "scheme", "stochastic_rows_checked": d * n,
         "detailed_balance_residual": 0.0, "adjoint_residual": 0.0,
@@ -314,16 +317,15 @@ def classical_embedding(s: Scheme) -> GeneralizedScheme:
         "deformed_support_matches": True, "pairs_checked": d * d, "pairs_total": d * d,
         "window_size": n, "interior_fraction": 1.0,
     }
-    g = GeneralizedScheme(
+    return GeneralizedScheme(
         points=s.points, classes=s.classes, relation=s.relation,
         identity=s.identity, involution=s.involution, stoch=stoch,
         vertex_weight=np.ones(n), base_point=0, p_tilde=p_tilde,
         pair_checked=np.ones((d, d), dtype=bool),
         boundary_distance=np.full(n, n + max(1, d), dtype=np.int64),
         class_order=np.zeros(d, dtype=np.int64), report=report, base_scheme=s,
+        base_conv=p_tilde,
     )
-    object.__setattr__(g, "_base_hypergroup", h0)
-    return g
 
 
 def _deformed_valency(g: GeneralizedScheme, i: int) -> float:
@@ -385,58 +387,45 @@ def kernel_F_f(g: GeneralizedScheme, f) -> np.ndarray:
     return f[g.relation]
 
 
-def _deformed_char_residual(g: GeneralizedScheme, alpha: np.ndarray) -> float:
-    gap = _multiplicativity_gap(g.p_tilde, alpha)
-    return float(gap[g.pair_checked].max(initial=0.0))
-
-
 def positive_connection_check(g: GeneralizedScheme, alpha, tol: float = 1e-9,
                               character_tol: float = 1e-8):
     """Certificate that a deformed character connects the two structures.
 
     Verifies alpha is multiplicative for the deformed tensor (over the
     checked pairs), then tests (a) positive definiteness of alpha on the
-    base class hypergroup and (b) plain positive semidefiniteness of the
-    point kernel F_alpha = sum_i alpha(i) A_i.  Over a base scheme (b)
-    runs in its d-dimensional Bose-Mesner algebra: the hermitian part
-    sum_i c_i A_i, c = (alpha + conj alpha[ibar]) / 2, has the eigenvalues
-    of its left action on the algebra (C^X and the regular module of a
-    semisimple algebra hold the same simple modules), written in the
-    orthonormal basis A_j / sqrt(n valency_j).  On windowed objects (a)
-    runs on the class sub-block whose products stay inside the window,
-    (b) on the dense n x n kernel, and the certificate is flagged as
-    truncated.
+    base class hypergroup, read from ``base_conv``, and (b) plain positive
+    semidefiniteness of the point kernel F_alpha = sum_i alpha(i) A_i.
+    Over a base scheme (b) runs in its d-dimensional Bose-Mesner algebra:
+    the hermitian part sum_i c_i A_i, c = (alpha + conj alpha[ibar]) / 2,
+    has the eigenvalues of its left action on the algebra (C^X and the
+    regular module of a semisimple algebra hold the same simple modules),
+    written in the orthonormal basis A_j / sqrt(n valency_j).  A window
+    carries the base tensor on the classes whose products stay inside it
+    (one read from a document carries none: ``SchemeError``), runs (b) on
+    the dense n x n kernel, and the certificate is flagged as truncated.
     """
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (g.n_classes,):
         raise NotACharacter(f"class function of shape {alpha.shape} on {g.n_classes} classes")
-    char_residual = _deformed_char_residual(g, alpha)
+    char_residual = float(_multiplicativity_gap(g.p_tilde, alpha)[g.pair_checked].max(initial=0.0))
     if not char_residual <= character_tol:  # a nan residual is no character either
         raise NotACharacter(
             f"multiplicativity residual {char_residual:.3e} over checked pairs"
         )
 
-    d = g.n_classes
-    truncated = g.base_scheme is None
-    if not truncated:
-        pairing, regular = g._base_algebra
-        M = _real_times(pairing, alpha).reshape(d, d)
+    if g.base_conv is None:
+        raise SchemeError("windowed object carries no base tensor (none is read from a document)")
+    d, k = g.n_classes, len(g.base_conv)
+    pairing, regular = g._base_algebra
+    herm, base_min = _hermitian_floor(_real_times(pairing, alpha).reshape(k, k))
+    if regular is None:
+        kherm, kernel_min = _hermitian_floor(kernel_F_f(g, alpha))
+    else:
         adjoint = np.conjugate(alpha[g.involution])
         # F_alpha^H = F_(conj alpha[ibar]), so the kernel is hermitian as far as alpha is
         kherm = float(np.abs(alpha - adjoint).max())
         kernel_min = _hermitian_floor(
             _real_times(regular.T, (alpha + adjoint) / 2.0).reshape(d, d))[1]
-    else:
-        if g.base_product is None:
-            raise SchemeError("windowed object lacks a base product rule")
-        K = (d - 1) // 2
-        M = np.empty((K + 1, K + 1), dtype=complex)
-        for i in range(K + 1):
-            for j in range(K + 1):
-                prod = g.base_product(i, int(g.involution[j]))
-                M[i, j] = sum(w * alpha[k] for k, w in prod.items())
-        kherm, kernel_min = _hermitian_floor(kernel_F_f(g, alpha))
-    herm, base_min = _hermitian_floor(M)
 
     ok = (herm <= tol and base_min >= -tol and kherm <= tol and kernel_min >= -tol)
     return ok, {
@@ -445,7 +434,7 @@ def positive_connection_check(g: GeneralizedScheme, alpha, tol: float = 1e-9,
         "base_min_eigenvalue": base_min,
         "kernel_hermiticity_residual": kherm,
         "kernel_min_eigenvalue": kernel_min,
-        "truncated": truncated,
+        "truncated": regular is None,
     }
 
 

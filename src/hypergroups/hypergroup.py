@@ -171,23 +171,26 @@ def make_hypergroup(classes, conv, tol: float = DEFAULT_TOL,
     return FiniteHypergroup(classes, conv, e, tau, scale)
 
 
-def hypergroup_from_scheme(s: Scheme) -> FiniteHypergroup:
-    """Exact hypergroup on the classes of a scheme.
-
-    (delta_i * delta_j)({k}) = valency_k p[i,j,k] / (valency_i valency_j);
-    the left Haar weights then reproduce the valencies.  Both sides are at
-    most n^2, so numerators and denominators are int64 arrays.
-    """
+def _scheme_ratio(s: Scheme) -> tuple:
+    """(num, den) with (delta_i * delta_j)({k}) = num / den = valency_k p[i,j,k] /
+    (valency_i valency_j).  Both are int64 and at most n^2, so float64 division
+    rounds the quotient once, as ``conv_float`` of the scheme hypergroup does."""
     omega = s.valencies.astype(np.int64)
     num = omega * s.p.astype(np.int64)
-    den = np.broadcast_to(np.multiply.outer(omega, omega)[:, :, None], num.shape)
-    values, scale = _integer_form(num, den)
+    return num, np.broadcast_to(np.multiply.outer(omega, omega)[:, :, None], num.shape)
+
+
+def hypergroup_from_scheme(s: Scheme) -> FiniteHypergroup:
+    """Exact hypergroup on the classes of a scheme, with the entries of
+    :func:`_scheme_ratio`; the left Haar weights then reproduce the valencies."""
+    values, scale = _integer_form(*_scheme_ratio(s))
     h = FiniteHypergroup(s.classes, values, s.identity, s.involution.copy(), scale)
     # the Haar weight of class i is L / N[ibar, i, e]
-    assert all(w * n == scale for w, n in zip(omega.tolist(), h._at_identity.tolist()))
+    assert all(w * n == scale for w, n in zip(s.valencies.tolist(), h._at_identity.tolist()))
     return h
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing float tensor fails, quietly
 def verify_hypergroup(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> dict:
     """Axiom-by-axiom report for a convolution tensor.
 

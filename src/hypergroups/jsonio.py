@@ -331,6 +331,8 @@ def hypergroup_from_json(doc: dict) -> FiniteHypergroup:
             values, scale = kept.astype(np.float64), None
         except OverflowError as exc:
             raise ParseError("conv value outside the float range") from exc
+        if not np.isfinite(values).all():
+            raise ParseError("conv value is not a finite number")
     conv = np.zeros((d, d, d), dtype=values.dtype)
     conv.flat[flat] = values
     return make_hypergroup(classes, conv, scale=scale)
@@ -357,7 +359,7 @@ def _float_array(doc: dict, key: str) -> np.ndarray:
     try:
         raw = np.asarray(doc[key])
         values = raw.astype(float) if raw.dtype.kind in "biufO" else None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         values = None
     if values is None or not np.isfinite(values).all():
         raise ParseError(f"{key!r} must be a rectangular array of finite numbers")

@@ -394,12 +394,11 @@ def audit_intersection_identities(s: Scheme) -> dict:
     witness = _associativity_scan(p)[1]
     add("associativity", witness is None, witness)
 
-    # positivity of a triple forces compatibility of the valency ratios
-    i, j, k = np.meshgrid(np.arange(d), np.arange(d), np.arange(d), indexing="ij")
-    pos = p > 0
-    ratio_ok = (omega[k] * omega[tau][i] * omega[tau][j]
-                == omega[tau][k] * omega[i] * omega[j])
-    add("support_modularity", ~pos | ratio_ok)
+    # positivity of a triple (i, j, k) forces compatibility of the valency ratios
+    wt = omega[tau]
+    ratio_ok = (omega[None, None, :] * wt[:, None, None] * wt[None, :, None]
+                == wt[None, None, :] * omega[:, None, None] * omega[None, :, None])
+    add("support_modularity", ~(p > 0) | ratio_ok)
 
     report["all_hold"] = all(v["holds"] for v in report.values())
     return report

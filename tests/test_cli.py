@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -227,6 +228,26 @@ def test_non_numeric_generalized_arrays_are_parse_errors(capsys, docs, tmp_path,
     assert captured.err.startswith(f"error: {key!r}") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key, index", [("vertex_weight", (0,)), ("stoch", (1, 0, 0))],
+                         ids=["vertex_weight", "stoch"])
+def test_generalized_integers_past_the_float_range_are_parse_errors(capsys, docs, tmp_path,
+                                                                    key, index):
+    """An integer too large for a float (the reader keeps JSON integers exact)
+    is a parse error, not an OverflowError traceback."""
+    with open(docs["gen.json"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    cell = doc[key]
+    for i in index[:-1]:
+        cell = cell[i]
+    cell[index[-1]] = 10**400
+    path = tmp_path / "big_gen.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {key!r} must be a rectangular array of finite numbers\n"
+
+
 Z2_TABLE = {"elements": [0, 1], "table": [[0, 1], [1, 0]]}
 TWO_POINTS = {"points": [0, 1], "classes": ["e", "a"],
               "relations": [[0, 0, "e"], [0, 1, "a"], [1, 0, "a"], [1, 1, "e"]]}
@@ -274,6 +295,37 @@ def test_malformed_hypergroup_documents_are_parse_errors(capsys, tmp_path, doc, 
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: {message}\n"
+
+
+def _z2_hypergroup(v10, v11):
+    """Z_2 with (delta_1 * delta_1) = v10 delta_0 + v11 delta_1 (a group at 1.0, 0)."""
+    return {"classes": [0, 1], "conv": [[0, 0, 0, 1.0], [0, 1, 1, 1.0], [1, 0, 1, 1.0],
+                                        [1, 1, 0, v10], [1, 1, 1, v11]]}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+def test_non_finite_hypergroup_values_are_parse_errors(capsys, tmp_path, value):
+    """JSON's NaN, Infinity and -Infinity, which Python's reader accepts, are no
+    convolution values, for every command that reads a hypergroup."""
+    path = tmp_path / "hg.json"
+    path.write_text(json.dumps(_z2_hypergroup(value, 0.5)))
+    for command in ("verify", "hypergroup", "chartable", "dualtable"):
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 1, command
+        assert captured.err == "error: conv value is not a finite number\n", command
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_hypergroup_fails_without_warnings(capsys, tmp_path):
+    """Row sums and associativity overflow past the float range: the tensor
+    fails its axioms, with nothing on stderr."""
+    path = tmp_path / "hg.json"
+    path.write_text(json.dumps(_z2_hypergroup(1e308, 1e308)))
+    for command in ("verify", "hypergroup"):
+        code, rep = run(capsys, command, str(path))
+        assert code == 2 and rep["status"] == "fail", command
+        assert capsys.readouterr().err == "", command
 
 
 def test_cayley_booleans_are_labels_or_nothing(capsys, tmp_path):

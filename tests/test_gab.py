@@ -204,15 +204,27 @@ def test_orthogonality_against_independent_quadrature(a, b):
 
 
 def test_measure_object_integrates_consistently():
-    fam = GabFamily(3, 3)  # s0 = -1 sits on the support edge
-    mu = gab_orthogonality_measure(fam)
-    assert mu.total_mass() == pytest.approx(1.0, abs=1e-10)
-    for n in range(1, 6):
-        assert mu.integrate(lambda x: gab_eval(fam, n, x)) == pytest.approx(
-            0.0, abs=1e-10)
-    for n in range(4):
-        val = mu.integrate(lambda x: gab_eval(fam, n, x) ** 2)
-        assert val == pytest.approx(1.0 / gab_haar(fam, n), rel=1e-9)
+    """Mass one and the Gram matrix of P_0..P_5 diag(1 / haar(n)), atom at s0
+    included (b > a; (3, 3) has s0 = -1 on the support edge), and the density
+    alone, by its own rule in theta, carries all but the atom's mass."""
+    t, w = np.polynomial.legendre.leggauss(200)
+    theta = math.pi * (t + 1.0) / 2.0
+    for a, b in [(3, 3), (2, 3), (2, 5), (3, 5)]:
+        fam = GabFamily(a, b)
+        mu = gab_orthogonality_measure(fam)
+        assert (mu.atom_location is not None) == (b > a)
+        total = mu.total_mass()
+        assert total == pytest.approx(1.0, abs=1e-10), (a, b)
+        for n in range(1, 6):
+            assert mu.integrate(lambda x: gab_eval(fam, n, x)) == pytest.approx(
+                0.0, abs=1e-10), (a, b, n)
+        gram = [[mu.integrate(lambda x: gab_eval(fam, m, x) * gab_eval(fam, n, x))
+                 for n in range(6)] for m in range(6)]
+        np.testing.assert_allclose(gram, np.diag([1.0 / gab_haar(fam, n) for n in range(6)]),
+                                   rtol=1e-9, atol=1e-12, err_msg=str((a, b)))
+        density_mass = (math.pi / 2.0) * float(np.sum(w * mu.density(np.cos(theta))
+                                                      * np.sin(theta)))
+        assert density_mass == pytest.approx(total - mu.atom_mass, abs=1e-10), (a, b)
 
 
 def test_ball_sphere_sizes_match_haar_weights():

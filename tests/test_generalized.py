@@ -17,9 +17,9 @@ from hypergroups.errors import (
     SchemeError,
     SupportMismatch,
 )
-from hypergroups import generalized
 from hypergroups.families.cosh import (
     CoshFamily,
+    cosh_base_product,
     cosh_character,
     cosh_window_scheme,
     window_character,
@@ -37,7 +37,8 @@ from hypergroups.generalized import (
     s_tilde_f,
 )
 from hypergroups.harmonic import character_table, dual_convolution
-from hypergroups.hypergroup import hypergroup_from_scheme, verify_hypergroup
+from hypergroups.hypergroup import FiniteHypergroup, hypergroup_from_scheme, verify_hypergroup
+from hypergroups.jsonio import generalized_from_json, generalized_to_json
 from hypergroups import catalog
 from hypergroups.schemes import build_scheme, scheme_from_distance_regular_graph
 
@@ -243,7 +244,7 @@ def test_build_windowed_rejections(field, corrupt, error, witness):
     g = cosh_window_scheme(CoshFamily(1.0), 3)
     inputs = {name: getattr(g, name) for name in (
         "points", "classes", "relation", "identity", "involution", "stoch", "vertex_weight",
-        "base_point", "boundary_distance", "class_order", "base_product")}
+        "base_point", "boundary_distance", "class_order", "base_conv")}
     assert build_windowed(**inputs).windowed
     inputs[field] = corrupt(inputs[field])
     with pytest.raises(error) as failure:
@@ -386,21 +387,68 @@ def test_classical_route_solves_nothing_larger_than_d(monkeypatch):
     assert sizes and max(sizes) <= s.n_classes, sizes
 
 
-def test_classical_embedding_builds_one_base_hypergroup(algebra_schemes, monkeypatch, rng):
-    """The checks reuse the embedding's hypergroup, and read the same base_*
-    fields as an object that builds its own."""
+def test_classical_embedding_builds_no_hypergroup(algebra_schemes, monkeypatch, rng):
+    """The embedding and its certificates read base_conv and construct no
+    hypergroup, and a dataclasses.replace copy certifies alike."""
     built = []
-    real = generalized.hypergroup_from_scheme
-    monkeypatch.setattr(generalized, "hypergroup_from_scheme",
-                        lambda s: built.append(s) or real(s))
+    real = FiniteHypergroup.__init__
+    monkeypatch.setattr(FiniteHypergroup, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
     for name, s in algebra_schemes.items():
-        built.clear()
         d = s.n_classes
         alphas = (np.ones(d), rng.standard_normal(d) + 1j * rng.standard_normal(d))
         g = classical_embedding(s)
         certs = [positive_connection_check(g, a, character_tol=np.inf)[1] for a in alphas]
-        assert len(built) == 1, name
-        own = dataclasses.replace(g)  # drops the hypergroup the embedding built
+        own = dataclasses.replace(g)
         assert certs == [positive_connection_check(own, a, character_tol=np.inf)[1]
                          for a in alphas], name
-        assert len(built) == 2, name
+        assert built == [], name
+
+
+def test_base_conv_is_the_scheme_hypergroup_bit_for_bit(algebra_schemes):
+    """Over a scheme base_conv is conv_float of hypergroup_from_scheme, compared
+    as uint64 bit patterns, on both routes in, and read-only."""
+    for name, s in algebra_schemes.items():
+        expected = hypergroup_from_scheme(s).conv_float.view(np.uint64)
+        g = classical_embedding(s)
+        for base_conv in (g.base_conv, build_generalized(s, g.stoch).base_conv):
+            assert np.array_equal(base_conv.view(np.uint64), expected), name
+            assert not base_conv.flags.writeable, name
+
+
+def _base_product_floor(g, alpha):
+    """(hermiticity residual, eigenvalue floor) of the window's base matrix,
+    built entry by entry from the product rule cosh_base_product."""
+    k = (g.n_classes - 1) // 2 + 1
+    M = np.empty((k, k), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            prod = cosh_base_product(i, int(g.involution[j]))
+            M[i, j] = sum(w * alpha[l] for l, w in prod.items())
+    adjoint = np.conjugate(M.T)
+    return float(np.abs(M - adjoint).max()), float(np.linalg.eigvalsh((M + adjoint) / 2.0).min())
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_window_base_matrix_matches_the_product_rule(m):
+    """The window's base half reads the undeformed block of base_conv; it equals,
+    bit for bit, the matrix the product rule gives, for real and complex lambda."""
+    fam = CoshFamily(0.5)
+    g = cosh_window_scheme(fam, m)
+    assert g.base_conv.shape == (m + 1, m + 1, 2 * m + 1)
+    assert not g.base_conv.flags.writeable
+    for lam in (0.0, 0.7, np.pi, 0.3 + 0.2j, 1j * 0.4, np.pi + 0.1j):
+        alpha = np.asarray(cosh_character(fam, lam, np.arange(2 * m + 1)), dtype=complex)
+        _, cert = positive_connection_check(g, alpha)
+        assert (cert["base_hermiticity_residual"], cert["base_min_eigenvalue"]) \
+            == _base_product_floor(g, alpha), lam
+        assert cert["truncated"]
+
+
+def test_window_read_from_a_document_has_no_base_tensor():
+    fam = CoshFamily(1.0)
+    g = generalized_from_json(generalized_to_json(cosh_window_scheme(fam, 3)))
+    assert g.windowed and g.base_conv is None
+    with pytest.raises(SchemeError, match=r"^windowed object carries no base tensor "
+                       r"\(none is read from a document\)$"):
+        positive_connection_check(g, cosh_character(fam, 0.5, np.arange(7)))
