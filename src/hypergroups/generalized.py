@@ -138,9 +138,10 @@ def build_windowed(points, classes, relation, identity, involution, stoch,
     n, d = len(points), len(classes)
     relation = np.asarray(relation, dtype=np.int64)
     involution = np.asarray(involution, dtype=np.int64)
-    bd = np.asarray(boundary_distance, dtype=np.int64)
-    order = np.asarray(class_order, dtype=np.int64)
-    stoch = np.asarray(stoch, dtype=np.float64)
+    # copies, as the fields are made read-only; the weight is copied by its normalization
+    bd = np.array(boundary_distance, dtype=np.int64)
+    order = np.array(class_order, dtype=np.int64)
+    stoch = np.array(stoch, dtype=np.float64)
     weight = np.asarray(vertex_weight, dtype=np.float64)
     report: dict = {}
 
@@ -203,8 +204,11 @@ def build_windowed(points, classes, relation, identity, involution, stoch,
     rhs = lhs[involution].transpose(0, 2, 1)
     # residual is relative where entries are large: the weight can span many
     # orders of magnitude, and an absolute tolerance on entries of size 1/eps
-    # would demand sub-ulp agreement
-    balance = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    # would demand sub-ulp agreement (computed in place, to bound the peak)
+    balance = np.abs(lhs - rhs)
+    np.maximum(np.abs(lhs, out=lhs), np.abs(rhs), out=lhs)
+    balance /= np.maximum(1.0, lhs, out=lhs)
+    del lhs, rhs
     bal_dev = float(balance.max())
     report["detailed_balance_residual"] = bal_dev
     if bal_dev > BALANCE_TOL:

@@ -82,10 +82,13 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
                           dtype=np.int64, count=n * n)
     except TypeError:  # an unhashable entry: every entry is read again
         mul = np.full(n * n, -1, dtype=np.int64)
-    # as True == 1, an entry found at a label holding a 0 or 1 may hold a boolean there; it and
-    # each entry not found (-1, the last place of reread) are read again by _element
+    # as True == 1, an entry found at a label holding a 0 or 1 may hold a boolean there; if
+    # some entry holds one, those are read again by _element, as is each entry not found (-1)
     reread = np.zeros(n + 1, dtype=bool)
-    reread[[-1, *(i for i, g in enumerate(elements) if _holds_01(g))]] = True
+    reread[-1] = True
+    at01 = [i for i, g in enumerate(elements) if _holds_01(g)]
+    if at01 and _holds_bool(list(itertools.chain.from_iterable(rows))):
+        reread[at01] = True
     suspect = np.flatnonzero(reread[mul])
     mul[suspect] = [_element(pos, n, rows[k // n][k % n]) for k in suspect.tolist()]
     mul = mul.reshape(n, n)
@@ -131,6 +134,18 @@ def _group_from_indices(elements: tuple, mul: np.ndarray) -> FiniteGroup:
     mul.setflags(write=False)
     inverse.setflags(write=False)
     return FiniteGroup(elements=elements, mul=mul, identity=e, inverse=inverse)
+
+
+def _holds_bool(values: list) -> bool:
+    """Whether a boolean is among the values or inside their tuples, as _key reads them,
+    by one pass over the types of each level."""
+    types = set(map(type, values))
+    while tuple in types and bool not in types:
+        if types != {tuple}:
+            values = [v for v in values if type(v) is tuple]
+        values = list(itertools.chain.from_iterable(values))
+        types = set(map(type, values))
+    return bool in types
 
 
 def _holds_01(label) -> bool:

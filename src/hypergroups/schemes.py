@@ -9,15 +9,17 @@ satisfy.
 
 ``p[:, :, k]`` is a histogram of (rel[x, z], rel[z, y]) over z at the first
 pair (x, y) of class k; every pair is then checked for every (i, j) by
-float64 products of A_i with a one-hot class stack, in blocks of j.  The
-identity row is skipped, as A_e = I is proved before.  A distance partition
-is checked by its adjacency row alone, which decides distance-regularity
-(Brouwer-Cohen-Neumaier 1989, section 4.1), inside the breadth-first search
-whose float32 products it reuses, and a group quotient by no row, as orbitals
-form a scheme (Bannai-Ito 1984, II.2).  Counts are at most n (n^2 in the
-audit), so the float products are exact; nothing is sampled.  ``_key`` is the
-key of a label, under which true and false name no number, and ``_label_index``
-the one map from labels to positions, built under it for every reader and check.
+float64 products of A_i with a one-hot class stack, in blocks of j, for the
+rows i of greedy generators when their words span (Light's test, as for
+associativity).  The identity row is skipped, as A_e = I is proved before.
+A distance partition is checked by its adjacency row alone, which decides
+distance-regularity (Brouwer-Cohen-Neumaier 1989, section 4.1), inside the
+breadth-first search whose float32 products it reuses, and a group quotient
+by no row, as orbitals form a scheme (Bannai-Ito 1984, II.2).  Counts are at
+most n (n^2 in the audit), so the float products are exact; nothing is
+sampled.  ``_key`` is the key of a label, under which true and false name no
+number, and ``_label_index`` the one map from labels to positions, built
+under it for every reader and check.
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ class Scheme:
 # entries that the two largest arrays of one block of a contraction hold
 # together: 32 MiB of float64
 BLOCK = 2**22
+
+# a prime below 2**23: the int64 products of a span mod P stay below d P^2 < 2**63 for
+# every d below 2**17, and the float64 tensors of the exact scans (entries below 2**26.5
+# past one block) may hold multiples of P
+PRIME = 2**23 - 15
 
 _UNDEFINED = object()  # no label: a pair the relation data leaves out, or no assertion
 
@@ -198,6 +205,45 @@ def _bad_count(points, classes, rel, p, rows) -> dict | None:
     return None
 
 
+def _spanning_generators(t: np.ndarray, start: list) -> list:
+    """Greedy generators of the product with integer structure tensor t (indexed i j k):
+    each is the smallest class outside the span over F_P of the classes in ``start`` and
+    the words s_1 (s_2 (... s_k)) in the earlier ones, s v being v @ t[s].  Rank mod P is
+    at most rank over Q, so once every class is inside, the words span over Q."""
+    d = len(t)
+    basis = np.zeros((d, d), dtype=np.int64)  # row c: the reduced row with pivot c, or 0
+    grown: list = []  # the rows added, which span; done[s] of them are multiplied by s
+    done, left = {}, {}  # left[s]: t[s] mod P
+
+    def extend(rows):
+        for v in rows:
+            hit = np.flatnonzero(basis.diagonal() * v)  # pivots where v is nonzero
+            v = np.mod(v - v[hit] @ basis[hit], PRIME)
+            if v.any():
+                c = int(np.argmax(v != 0))
+                v = v * pow(int(v[c]), -1, PRIME) % PRIME
+                hit = np.flatnonzero(basis[:, c])
+                basis[hit] = np.mod(basis[hit] - np.outer(basis[hit, c], v), PRIME)
+                basis[c] = v
+                grown.append(v)
+
+    gens: list = []
+    extend(np.eye(d, dtype=np.int64)[start])
+    while True:
+        while any(n < len(grown) for n in done.values()):
+            for s, n in done.items():
+                if n < len(grown):
+                    done[s] = len(grown)
+                    extend(np.stack(grown[n:]) @ left[s] % PRIME)
+        inside = (basis != 0).sum(axis=1) == 1  # unit rows: the classes in the span
+        if inside.all():
+            return gens
+        s = int(np.argmin(inside))
+        gens.append(s)
+        left[s], done[s] = np.mod(t[s], PRIME).astype(np.int64), 0
+        extend(np.eye(d, dtype=np.int64)[[s]])
+
+
 def _inconsistency(w: dict) -> InconsistentIntersection:
     return InconsistentIntersection(
         f"count for classes ({w['i']!r}, {w['j']!r}) over a {w['k']!r}-pair is {w['count']} "
@@ -218,8 +264,12 @@ def build_scheme(
     The identity class and the involution are always inferred; passing
     ``identity`` (any label, None included) or ``involution`` (a mapping or
     (class, conjugate) pairs) merely asserts the inference matches.
-    Every pair is checked against the representative counts for every
-    (i, j) but those of the identity row i = e, which A_e = I decides.
+    Every pair is checked against the representative counts for every j
+    and the rows i of greedy generators whose words span the algebra mod
+    PRIME: A_s V in V for each generator s gives every row.  A failing
+    row, or generators that are every row but the identity's (A_e = I is
+    proved first), run the full check, whose witness is the first in row
+    order.
 
     Raises one of ``ParseError``, ``EmptyClass``, ``NoIdentityClass``,
     ``NoInvolution``, ``InconsistentIntersection`` (with a witness
@@ -233,12 +283,14 @@ def build_scheme(
         raise ParseError("empty class list")
 
     rel = _relation_matrix(points, classes, relation_of)
-    return _verified_scheme(points, classes, rel, range(len(classes)), identity, involution)
+    return _verified_scheme(points, classes, rel, None, identity, involution)
 
 
 def _verified_scheme(points, classes, rel, rows, identity=_UNDEFINED, involution=None) -> Scheme:
     """The scheme on the class-index matrix ``rel``, checking the counts of the
-    rows i in ``rows`` only; the identity row never fails, so it is skipped."""
+    rows i in ``rows`` only, or if it is None of every row, through the rows of
+    greedy generators as :func:`build_scheme` says; the identity row never fails,
+    so it is skipped."""
     n, d = len(points), len(classes)
 
     empty = np.flatnonzero(np.bincount(rel.ravel(), minlength=d) == 0)
@@ -256,6 +308,11 @@ def _verified_scheme(points, classes, rel, rows, identity=_UNDEFINED, involution
     p = np.empty((d, d, d), dtype=np.int64)
     for k, (x, y) in enumerate(zip(*np.unravel_index(first, (n, n)))):
         p[:, :, k] = _triple_counts(rel, x, y, d)
+    if rows is None:  # A_s V in V for generators s whose words span V
+        gens = _spanning_generators(p, [e])
+        if len(gens) < d - 1 and _bad_count(points, classes, rel, p, gens) is None:
+            rows = []
+    rows = range(d) if rows is None else rows
     w = _bad_count(points, classes, rel, p, [i for i in rows if i != e])
     if w is not None:
         raise _inconsistency(w)
@@ -321,6 +378,18 @@ def _witness(bad: np.ndarray, cut, first: bool):
     return tuple(map(int, np.unravel_index(k, bad.shape))) if bad.flat[k] > cut else None
 
 
+def _associates_with(t: np.ndarray, s: int) -> bool:
+    """Whether (x*s)*y == x*(s*y) for all classes x, y: two (d, d) by (d, d^2) products,
+    in blocks of x whose two products hold about BLOCK entries together."""
+    d = len(t)
+    step = max(1, BLOCK // (2 * d * d))
+    for x0 in range(0, d, step):
+        left = t[x0:x0 + step, s] @ t.reshape(d, -1)  # [x, (y, m)]
+        if not np.array_equal(left.reshape(-1, d, d), t[s] @ t[x0:x0 + step]):
+            return False
+    return True
+
+
 def _associativity_scan(t: np.ndarray, tol: float | None = None) -> tuple:
     """(peak, witness) of |(i*j)*k - i*(j*k)| over the structure tensor t, indexed i j k m,
     in blocks of i whose two products hold about BLOCK entries together.
@@ -329,12 +398,24 @@ def _associativity_scan(t: np.ndarray, tol: float | None = None) -> tuple:
     2**53 (every partial sum is then an integer float64 holds, so BLAS stays exact)
     and in Python ints otherwise; the witness is the first nonzero entry in C order,
     and the scan stops at its block.  Otherwise it is the largest entry above tol.
+    Past one block, an exact float64 t is first put to Light's test: the u with
+    (x*u)*y == x*(u*y) for all x, y form a subspace closed under the product, so
+    greedy generators that pass and whose words span prove t associative; if one
+    fails, or they are every class, the scan runs as before.
     """
     d, exact, cut = len(t), tol is None, tol or 0
     if exact:
         top = int(np.abs(t).max(initial=0))
         t = t.astype(np.float64 if d * top * top < 2**53 else object)
     step = max(1, BLOCK // (2 * d**3))
+    if exact and step < d and t.dtype == np.float64:
+        # e with e*x == x*e == c x for all x is in that subspace untested, and starts the span
+        eye, c = np.eye(d), np.einsum("iii->i", t)
+        units = [e for e in np.flatnonzero(c).tolist()
+                 if (t[e] == c[e] * eye).all() and (t[:, e] == c[e] * eye).all()]
+        gens = _spanning_generators(t, units)
+        if len(units + gens) < d and all(_associates_with(t, s) for s in gens):
+            return 0.0, None
     peaks = []
     for start in range(0, d, step):
         # a failing block is computed again rather than kept, so one block is live at a time
@@ -374,17 +455,17 @@ def audit_intersection_identities(s: Scheme) -> dict:
     kron = omega[:, None] * (np.arange(d)[None, :] == tau[:, None]).astype(np.int64)
     add("pair_count", p[:, :, e] == kron)
 
-    q = p[np.ix_(tau, tau, tau)].transpose(1, 0, 2)
+    # take, not fancy indexing, gathers along one axis at a time
+    q = p.take(tau, axis=0).take(tau, axis=1).take(tau, axis=2).transpose(1, 0, 2)
     add("transpose_symmetry", p == q)
 
     add("row_sum", p.sum(axis=1) == omega[:, None])
 
-    lhs = omega[None, None, :] * p
-    rhs = omega[:, None, None] * p[:, tau, :].transpose(2, 1, 0)
-    add("valency_exchange_left", lhs == rhs)
-    lhs2 = omega[tau][None, :, None] * p[tau][:, :, :].transpose(0, 2, 1)
-    rhs2 = omega[tau][None, None, :] * p
-    add("valency_exchange_right", lhs2 == rhs2)
+    wt = omega[tau]
+    op = omega * p  # omega_k p[i, j, k], against omega_i p[k, tau j, i]
+    add("valency_exchange_left", op == op.take(tau, axis=1).transpose(2, 1, 0))
+    wp = wt * p  # wt_k p[i, j, k], against wt_j p[tau i, k, j]
+    add("valency_exchange_right", wp[tau].transpose(0, 2, 1) == wp)
 
     add("weighted_sum", np.tensordot(p, omega, axes=([2], [0]))
         == omega[:, None] * omega[None, :])
@@ -395,10 +476,9 @@ def audit_intersection_identities(s: Scheme) -> dict:
     add("associativity", witness is None, witness)
 
     # positivity of a triple (i, j, k) forces compatibility of the valency ratios
-    wt = omega[tau]
-    ratio_ok = (omega[None, None, :] * wt[:, None, None] * wt[None, :, None]
-                == wt[None, None, :] * omega[:, None, None] * omega[None, :, None])
-    add("support_modularity", ~(p > 0) | ratio_ok)
+    ratio_ok = (np.multiply.outer(wt[:, None] * wt, omega)
+                == np.multiply.outer(omega[:, None] * omega, wt))
+    add("support_modularity", (p <= 0) | ratio_ok)
 
     report["all_hold"] = all(v["holds"] for v in report.values())
     return report

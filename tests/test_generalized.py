@@ -95,6 +95,21 @@ def test_base_point_is_a_label_matched_by_type(pentagon):
         build_generalized(pentagon, g.stoch, base_point=True)
 
 
+def test_build_windowed_freezes_copies_not_the_callers_arrays(pentagon):
+    """The returned fields are read-only; the stack, weights, boundary distances
+    and class orders the caller passed stay writeable."""
+    n, d = pentagon.n_points, pentagon.n_classes
+    args = {"stoch": classical_embedding(pentagon).stoch.copy(), "vertex_weight": np.ones(n),
+            "boundary_distance": np.full(n, n + d), "class_order": np.zeros(d, dtype=np.int64)}
+    g = build_windowed(pentagon.points, pentagon.classes, pentagon.relation, pentagon.identity,
+                       pentagon.involution, base_point=0, **args)
+    assert all(arr.flags.writeable for arr in args.values())
+    assert not any(getattr(g, name).flags.writeable for name in args)
+    stoch = args["stoch"]
+    assert not build_generalized(pentagon, stoch).stoch.flags.writeable
+    assert stoch.flags.writeable
+
+
 def test_rejects_non_stochastic_rows(pentagon):
     g = classical_embedding(pentagon)
     stoch = g.stoch.copy()

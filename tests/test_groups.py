@@ -145,6 +145,7 @@ def test_element_labels_are_distinct_under_one_key():
     (("e", 0), 0, 1),                    # a label wins over an index
     ((0, 1), True, None),                # true is neither the label 1 nor an index
     (((0, 0), (0, 1)), (0, True), None),  # nor inside a tuple label
+    (((0, (0, 0)), (0, (0, 1))), (0, (0, True)), None),  # at any depth
     (("e", "a"), ["a"], None),           # an unhashable value is no element
 ])
 def test_one_element_rule_for_tables_and_lookups(elements, value, position):
