@@ -1,16 +1,18 @@
 """Finite groups given by Cayley tables, and the schemes their quotients induce.
 
-The point of entry is a multiplication table over opaque element labels.
-From a group G and a subgroup H we build the double-coset scheme on G/H
-and the double-coset convolution computed directly from coset products,
-so the two routes to the same measure can be compared exactly.  The
-orbitals of a transitive action form a scheme (Bannai-Ito 1984, II.2), so
-once the table and H are checked, the quotient's counts are not rechecked.
+A multiplication table over opaque element labels is proved a group from its axioms, and
+scanned for latin rows and columns only to name a fault.  From a group G and a subgroup H
+we build the double-coset scheme on G/H and the double-coset convolution computed directly
+from coset products, so the two routes to the same measure can be compared exactly.  The
+orbitals of a transitive action form a scheme (Bannai-Ito 1984, II.2), so once the table
+and H are checked, the quotient's counts are not rechecked.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -19,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidCayleyTable, NotASubgroup, ParseError
-from .schemes import Scheme, _key, _label_index, _verified_scheme
+from .schemes import Scheme, _int_dtype, _key, _label_index, _verified_scheme
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,16 +59,16 @@ def _element(positions: dict, n: int, g) -> int:
 def group_from_table(elements: Sequence, table) -> FiniteGroup:
     """Validate a Cayley table and wrap it.
 
-    ``table[i][j]`` may hold either the element label or its index; a label
-    wins over an index, and true and false name boolean labels only.
-    Checks: latin square, two-sided identity, inverses, associativity.
-    Associativity uses Light's test: generators are picked greedily (the
-    smallest element not yet a left-nested product of earlier ones, at
-    most log2(n) of them in a group) and ``(x a) y == x (a y)`` is checked
-    for every x, y and generator a only.  The elements passing that test
-    are closed under products, so this proves the whole table
-    associative.  When a generator fails, a full per-row scan names the
-    first failing row.  Violations raise ``InvalidCayleyTable``.
+    ``table[i][j]`` may hold either the element label or its index; a label wins over an
+    index, and true and false name boolean labels only.  A row is looked up at once, and
+    entry by entry when it holds no label or a boolean meets a label holding a 0 or 1.
+
+    Three checks prove a group: the element taking 0 to 0 in column 0 is a two-sided
+    identity, each element has a right inverse, and ``(x a) y == x (a y)`` for all x, y
+    and each greedy generator a (Light's test).  Each generator passing it at least
+    doubles the subgroup reached, so the search stops at floor(log2 n) + 1.  A failed
+    proof runs the checks that name the fault: latin square, identity, inverses,
+    associativity (the first failing row of a full scan), raising ``InvalidCayleyTable``.
     """
     elements = tuple(elements)
     n = len(elements)
@@ -77,21 +79,17 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
     rows = list(table)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InvalidCayleyTable("table is not |G| x |G|")
-    try:
-        mul = np.fromiter(map(pos.get, itertools.chain.from_iterable(rows), itertools.repeat(-1)),
-                          dtype=np.int64, count=n * n)
-    except TypeError:  # an unhashable entry: every entry is read again
-        mul = np.full(n * n, -1, dtype=np.int64)
-    # as True == 1, an entry found at a label holding a 0 or 1 may hold a boolean there; if
-    # some entry holds one, those are read again by _element, as is each entry not found (-1)
-    reread = np.zeros(n + 1, dtype=bool)
-    reread[-1] = True
-    at01 = [i for i, g in enumerate(elements) if _holds_01(g)]
-    if at01 and _holds_bool(list(itertools.chain.from_iterable(rows))):
-        reread[at01] = True
-    suspect = np.flatnonzero(reread[mul])
-    mul[suspect] = [_element(pos, n, rows[k // n][k % n]) for k in suspect.tolist()]
-    mul = mul.reshape(n, n)
+    # as True == 1, a boolean may match a label holding a 0 or 1: then read entry by entry
+    bools = any(map(_holds_01, elements)) and _holds_bool(rows)
+    dtype = _int_dtype(n).newbyteorder("<")
+    code = {} if bools else {k: i.to_bytes(dtype.itemsize, "little") for k, i in pos.items()}
+
+    def read(row) -> bytes:  # entry by entry after a KeyError, a TypeError or when n = 1
+        with contextlib.suppress(KeyError, TypeError):
+            return b"".join(operator.itemgetter(*row)(code))
+        return np.array([_element(pos, n, g) for g in row], dtype).tobytes()
+
+    mul = np.frombuffer(b"".join(map(read, rows)), dtype).reshape(n, n)
     if (mul < 0).any():
         i, j = map(int, np.argwhere(mul < 0)[0])
         raise InvalidCayleyTable(f"entry {rows[i][j]!r} at ({i}, {j}) is no element")
@@ -101,51 +99,46 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
 def _group_from_indices(elements: tuple, mul: np.ndarray) -> FiniteGroup:
     """The checks of :func:`group_from_table` on distinct elements and a table of indices."""
     n = len(elements)
-    # a row (column) of n entries is a permutation when it hits all n elements
+    m = np.asarray(mul, dtype=_int_dtype(n))  # narrow, so the gathers below move less memory
     idx = np.arange(n)
-    hit = np.zeros((n, n), dtype=bool)
-    hit[idx[:, None], mul] = True
-    latin = hit.all(axis=1)
-    hit[...] = False
-    hit[mul, idx] = True
-    latin &= hit.all(axis=0)
-    if not latin.all():
-        raise InvalidCayleyTable("table is not a latin square", witness=int(np.argmin(latin)))
-
-    unit = (mul == idx).all(axis=1) & (mul == idx[:, None]).all(axis=0)
-    id_candidates = np.flatnonzero(unit)
-    if len(id_candidates) != 1:
-        raise InvalidCayleyTable("no unique two-sided identity")
-    e = int(id_candidates[0])
-
-    inverse = np.argmax(mul == e, axis=1)  # the one right inverse in each latin row
-    one_sided = mul[inverse, idx] != e
-    if one_sided.any():
-        i = int(np.argmax(one_sided))
-        raise InvalidCayleyTable(f"element {elements[i]!r} has no two-sided inverse")
-
-    m32 = mul.astype(np.int32)  # halves the memory the gathers below move
-    if not all(np.array_equal(m32[m32[:, a], :], m32[:, m32[a]]) for a in _generators(m32, e)):
-        # mul[mul[i, j], k] == mul[i, mul[j, k]], vectorized over (j, k) per i
-        for i in range(n):
-            if not np.array_equal(m32[m32[i], :], m32[i, m32]):
+    e = int(np.argmax(m[:, 0] == 0))  # e * 0 == 0 for the identity e, alone in a latin square
+    unit = (m[e] == idx).all() and (m[:, e] == idx).all()
+    inverse = np.argmax(m == e, axis=1)  # the first right inverse in each row
+    if not (unit and (m[idx, inverse] == e).all() and all(
+            np.array_equal(m.take(m[:, a], axis=0), m.take(m[a], axis=1))
+            for a in _generators(m, e))):
+        latin = _latin(m)  # no group: name the first fault
+        if not latin.all():
+            raise InvalidCayleyTable("table is not a latin square", witness=int(np.argmin(latin)))
+        if not unit:
+            raise InvalidCayleyTable("no unique two-sided identity")
+        one_sided = m[inverse, idx] != e
+        if one_sided.any():
+            i = int(np.argmax(one_sided))
+            raise InvalidCayleyTable(f"element {elements[i]!r} has no two-sided inverse")
+        for i in range(n):  # m[m[i, j], k] == m[i, m[j, k]], vectorized over (j, k) per i
+            if not np.array_equal(m[m[i], :], m[i, m]):
                 raise InvalidCayleyTable("multiplication is not associative", witness=i)
-
+    mul = np.asarray(mul, dtype=np.int64)
     mul.setflags(write=False)
     inverse.setflags(write=False)
     return FiniteGroup(elements=elements, mul=mul, identity=e, inverse=inverse)
 
 
-def _holds_bool(values: list) -> bool:
-    """Whether a boolean is among the values or inside their tuples, as _key reads them,
-    by one pass over the types of each level."""
+def _latin(mul: np.ndarray) -> np.ndarray:
+    """Whether row i and column i both hold every element once, for each i."""
+    idx = np.arange(len(mul))
+    return (np.sort(mul, axis=1) == idx).all(axis=1) & (np.sort(mul.T, axis=1) == idx).all(axis=1)
+
+
+def _holds_bool(rows) -> bool:
+    """Whether a boolean is among the entries of the rows or inside their tuples, as _key
+    reads them, by one pass over the types of each level."""
+    values = list(itertools.chain.from_iterable(rows))
     types = set(map(type, values))
-    while tuple in types and bool not in types:
-        if types != {tuple}:
-            values = [v for v in values if type(v) is tuple]
-        values = list(itertools.chain.from_iterable(values))
-        types = set(map(type, values))
-    return bool in types
+    if bool in types or tuple not in types:
+        return bool in types
+    return _holds_bool(values if types == {tuple} else [v for v in values if type(v) is tuple])
 
 
 def _holds_01(label) -> bool:
@@ -156,12 +149,12 @@ def _holds_01(label) -> bool:
 
 
 def _generators(mul: np.ndarray, e: int) -> list:
-    """Greedy generators: each is the smallest element not yet reached by
-    left-nested products of the earlier ones (the identity counts as reached)."""
+    """Greedy generators: each is the smallest element not yet reached by left-nested
+    products of the earlier ones (the identity counts as reached); floor(log2 n) + 1 at most."""
     reached = np.zeros(len(mul), dtype=bool)
     reached[e] = True
     gens: list = []
-    while not reached.all():
+    while len(gens) < len(mul).bit_length() and not reached.all():
         gens.append(int(np.argmin(reached)))
         reached[gens[-1]] = True
         frontier = np.flatnonzero(reached)

@@ -177,8 +177,13 @@ def scheme_to_json(s: Scheme) -> dict:
 
 def _norm_label(v: Any) -> Any:
     """Hashable form of a JSON label: lists, nested to any depth, become tuples."""
-    if isinstance(v, list):
-        return tuple(_norm_label(x) for x in v)
+    if isinstance(v, list):  # in one pass when v holds scalars, or lists of scalars
+        flat = tuple(map(tuple, v)) if set(map(type, v)) == {list} else tuple(v)
+        try:
+            hash(flat)
+        except TypeError:  # a list or dict below: converted, or named, one entry at a time
+            return tuple(map(_norm_label, v))
+        return flat
     if isinstance(v, dict):
         raise ParseError(f"labels must be numbers, strings or lists, got {v!r}")
     return v

@@ -90,6 +90,11 @@ def _key(label):
     return label
 
 
+def _int_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype holding -bound to bound; int64 past its range."""
+    return np.min_scalar_type(-max(bound, 1)) if bound < 2**63 else np.dtype(np.int64)
+
+
 def _label_index(labels, what: str) -> dict:
     """{_key(label): position}; a ParseError if two of the labels share a key."""
     index = {_key(label): i for i, label in enumerate(labels)}
@@ -442,43 +447,40 @@ def audit_intersection_identities(s: Scheme) -> dict:
     eye = np.eye(d, dtype=np.int64)
     report = {}
 
-    def add(name, mask_or_bool, witness=None):
-        if isinstance(mask_or_bool, np.ndarray):
-            ok = bool(mask_or_bool.all())
-            witness = None if ok else _witness(~mask_or_bool, 0, True)
-        else:
-            ok = bool(mask_or_bool)
-        report[name] = {"holds": ok, "witness": witness}
+    def add(name, mask):
+        ok = bool(mask.all())
+        report[name] = {"holds": ok, "witness": None if ok else _witness(~mask, 0, True)}
 
     add("identity_left", p[e] == eye)
     add("identity_right", p[:, e, :] == eye)
-    kron = omega[:, None] * (np.arange(d)[None, :] == tau[:, None]).astype(np.int64)
-    add("pair_count", p[:, :, e] == kron)
+    add("pair_count", p[:, :, e] == omega[:, None] * (np.arange(d) == tau[:, None]))
 
-    # take, not fancy indexing, gathers along one axis at a time
-    q = p.take(tau, axis=0).take(tau, axis=1).take(tau, axis=2).transpose(1, 0, 2)
-    add("transpose_symmetry", p == q)
+    # the d^3 identities compare in the narrowest integer type holding their products
+    big_p, big_w = (max(int(a.max()), -int(a.min()), 1) for a in (p, omega))
+    dt = _int_dtype(max(big_p, big_w * big_w) * big_w)
+    q, om, wt = p.astype(dt), omega.astype(dt), omega[tau].astype(dt)
+    add("transpose_symmetry",
+        q == q.take(tau, axis=0).take(tau, axis=1).take(tau, axis=2).transpose(1, 0, 2))
 
     add("row_sum", p.sum(axis=1) == omega[:, None])
 
-    wt = omega[tau]
-    op = omega * p  # omega_k p[i, j, k], against omega_i p[k, tau j, i]
-    add("valency_exchange_left", op == op.take(tau, axis=1).transpose(2, 1, 0))
-    wp = wt * p  # wt_k p[i, j, k], against wt_j p[tau i, k, j]
-    add("valency_exchange_right", wp[tau].transpose(0, 2, 1) == wp)
+    # omega_k p[i, j, k] against omega_i p[k, tau j, i], (j, i, k) slabs against transposes
+    op = np.ascontiguousarray((q * om).transpose(1, 0, 2))
+    left = op == op.take(tau, axis=0).transpose(0, 2, 1)
+    add("valency_exchange_left", left.transpose(1, 0, 2))
+    wp = np.multiply(q, wt, out=op)  # wt_k p[i, j, k], against wt_j p[tau i, k, j]
+    add("valency_exchange_right", wp.take(tau, axis=0).transpose(0, 2, 1) == wp)
 
-    add("weighted_sum", np.tensordot(p, omega, axes=([2], [0]))
-        == omega[:, None] * omega[None, :])
-    add("weighted_sum_transposed", np.tensordot(p, omega[tau], axes=([2], [0]))
-        == omega[tau][:, None] * omega[tau][None, :])
+    add("weighted_sum", p @ omega == np.outer(omega, omega))
+    add("weighted_sum_transposed", p @ omega[tau] == np.outer(omega[tau], omega[tau]))
 
     witness = _associativity_scan(p)[1]
-    add("associativity", witness is None, witness)
+    report["associativity"] = {"holds": witness is None, "witness": witness}
 
     # positivity of a triple (i, j, k) forces compatibility of the valency ratios
-    ratio_ok = (np.multiply.outer(wt[:, None] * wt, omega)
-                == np.multiply.outer(omega[:, None] * omega, wt))
-    add("support_modularity", (p <= 0) | ratio_ok)
+    ratio_ok = (np.multiply.outer(np.outer(wt, wt), om)
+                == np.multiply.outer(np.outer(om, om), wt))
+    add("support_modularity", ratio_ok | (p <= 0))
 
     report["all_hold"] = all(v["holds"] for v in report.values())
     return report

@@ -6,7 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from group_oracle import group_from_indices as oracle_group
+from hypergroups import groups
 from hypergroups.errors import InvalidCayleyTable, NotASubgroup, ParseError
 from hypergroups.groups import (
     check_subgroup,
@@ -456,3 +460,122 @@ def test_quotient_equals_the_full_recount(build_group, subgroup):
     assert (s.points, s.classes, s.identity) == (ref.points, ref.classes, ref.identity)
     for name in ("relation", "p", "valencies", "involution"):
         np.testing.assert_array_equal(getattr(s, name), getattr(ref, name), err_msg=name)
+
+
+def _product_table(a, b):
+    """Z_a x Z_b, (x, y) numbered x b + y."""
+    x, y = np.divmod(np.arange(a * b), b)
+    return (np.add.outer(x, x) % a) * b + np.add.outer(y, y) % b
+
+
+BASE_TABLES = [np.add.outer(np.arange(n), np.arange(n)) % n for n in range(1, 13)] + [
+    _product_table(2, 2), _product_table(2, 4), _product_table(3, 3), _product_table(2, 6),
+    np.array(symmetric_group(3).mul), np.array(symmetric_group(4).mul),
+    # loops that are no group: in the first 2 * 3 = 0 but 3 * 2 = 1, the second has
+    # two-sided inverses and is not associative
+    np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]),
+    np.array([[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1], [3, 2, 5, 4, 1, 0],
+              [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]),
+]
+
+
+@st.composite
+def cayley_cases(draw):
+    """(elements, labelled table, index table): a relabelled group table, the same with
+    one entry moved or two rows swapped, a random isotope of it (a quasigroup), that
+    isotope normalized (a loop), a table with an identity and inverses drawn at random
+    elsewhere (rarely latin), or an associative one with an identity and no inverses."""
+    t = draw(st.sampled_from(BASE_TABLES))
+    n = len(t)
+    perm = np.array(draw(st.permutations(range(n))))
+    t = np.argsort(perm)[t[np.ix_(perm, perm)]]
+    kinds = ["group", "moved", "swapped", "quasigroup", "loop", "unit", "monoid"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "moved" and n > 1:
+        i, j, shift = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(
+            st.integers(1, n - 1))
+        t[i, j] = (t[i, j] + shift) % n
+    elif kind == "swapped" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        t[[i, j]] = t[[j, i]]
+    elif kind in ("quasigroup", "loop"):
+        # switch an intercalate (a b / b a in rows r, s), if the rows hold one, then take
+        # an isotope: away from the group's isotopy class, whose loops are groups
+        r = draw(st.integers(0, n - 1))
+        cols = np.argsort(t[r])[t]  # cols[s, c]: the column of row r holding t[s, c]
+        hits = np.argwhere((np.take_along_axis(t, cols, 1) == t[r]) & (cols != np.arange(n)))
+        if hits.size:
+            s, c = hits[draw(st.integers(0, len(hits) - 1))]
+            rows, at = [r, r, s, s], [c, cols[s, c], c, cols[s, c]]
+            t[rows, at] = t[rows[::-1], at]
+        a, b, c = (np.array(draw(st.permutations(range(n)))) for _ in range(3))
+        t = c[t[np.ix_(a, b)]]
+        if kind == "loop":  # row 0 and column 0 in order: 0 is the identity
+            t = t[:, np.argsort(t[0])]
+            t = t[np.argsort(t[:, 0])]
+    elif kind == "monoid":  # x y = max(x, y): associative, with identity 0, no inverses
+        t = np.argsort(perm)[np.maximum.outer(perm, perm)]
+    elif kind == "unit":
+        t = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)))
+        t = t.reshape(n, n)
+        t[0], t[:, 0] = np.arange(n), np.arange(n)
+        pairs = np.array(draw(st.permutations(range(1, n))), dtype=np.int64)
+        inv = np.arange(n)
+        inv[pairs[0:-1:2]], inv[pairs[1::2]] = pairs[1::2], pairs[0:-1:2]
+        t[np.arange(n), inv] = 0
+    if draw(st.booleans()):
+        names = [f"g{v}" for v in draw(st.permutations(range(n)))]
+    else:  # integer labels that are not their indices: a label wins
+        names = draw(st.permutations(range(n)))
+    return names, [[names[v] for v in row] for row in t.tolist()], t
+
+
+def _outcome(build):
+    try:
+        mul, e, inverse = build()
+    except InvalidCayleyTable as exc:
+        return str(exc), exc.witness
+    return np.asarray(mul).tolist(), e, np.asarray(inverse).tolist()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(cayley_cases())
+def test_checks_match_the_oracle(case):
+    """The same group, or the same first failure and witness, as every check run in
+    order: latin square, identity, inverses, associativity."""
+    elements, table, index_table = case
+
+    def build():
+        g = group_from_table(elements, table)
+        return g.mul, g.identity, g.inverse
+
+    assert _outcome(build) == _outcome(lambda: oracle_group(tuple(elements), index_table))
+
+
+def test_a_group_table_never_runs_the_latin_scan(monkeypatch):
+    def scan(mul):
+        raise AssertionError("the latin scan ran on a group table")
+
+    monkeypatch.setattr(groups, "_latin", scan)
+    for g in (cyclic_group(1), cyclic_group(12), symmetric_group(4), symmetric_group(5)):
+        names = [str(x) for x in g.elements]
+        table = [[names[v] for v in row] for row in g.mul.tolist()]
+        assert np.array_equal(group_from_table(names, table).mul, g.mul)
+        assert np.array_equal(group_from_table(g.elements, g.mul).mul, g.mul)
+
+
+def test_generator_search_stops_on_a_degenerate_table(monkeypatch):
+    """x y = e for all non-identity x, y: identity and inverses hold, and each greedy
+    generator reaches one more element; the search stops at floor(log2 720) + 1 = 10."""
+    n = 720
+    t = np.zeros((n, n), dtype=np.int64)
+    t[0], t[:, 0] = np.arange(n), np.arange(n)
+    found = []
+    search = groups._generators
+    monkeypatch.setattr(groups, "_generators", lambda mul, e: found.append(search(mul, e))
+                        or found[-1])
+    with pytest.raises(InvalidCayleyTable, match="^table is not a latin square$") as info:
+        group_from_table(range(n), t)
+    assert info.value.witness == 1
+    assert len(found) == 1 and len(found[0]) == 10 == n.bit_length()
+    assert _outcome(lambda: oracle_group(tuple(range(n)), t)) == (str(info.value), 1)

@@ -17,6 +17,7 @@ from hypergroups.harmonic import character_table
 from hypergroups.hypergroup import hypergroup_from_scheme
 from hypergroups.jsonio import (
     _csv,
+    _norm_label,
     cayley_from_json,
     chartable_to_csv,
     detect_kind,
@@ -182,6 +183,42 @@ def test_cayley_document(tmp_path):
     doc.pop("subgroup")
     grp2, sub2 = cayley_from_json(doc)
     assert [int(i) for i in sub2] == [grp2.identity]
+
+
+def _recursive_label(v):
+    """The reference conversion: each list, at any depth, a tuple; a dict a ParseError."""
+    if isinstance(v, list):
+        return tuple(_recursive_label(x) for x in v)
+    if isinstance(v, dict):
+        raise ParseError(f"labels must be numbers, strings or lists, got {v!r}")
+    return v
+
+
+json_scalars = st.one_of(st.integers(-3, 3), st.booleans(), st.none(), st.text(max_size=2),
+                         st.floats(allow_nan=False))
+json_labels = st.recursive(json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=1), inner, max_size=1)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(json_labels, max_size=5))
+@example([[0, 1], [1, 0]])
+@example([[0, [1]], [1, 0]])
+@example([[0, 1], [1, {"a": 0}]])
+@example([[0, 1], 2, [{"a": 0}]])
+def test_labels_convert_as_the_recursion_converts_them(v):
+    """Lists of scalars and lists of flat lists convert in one pass; anything deeper by
+    recursion: the same tuples, or the same ParseError for the first dict."""
+    try:
+        want = _recursive_label(v)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            _norm_label(v)
+        assert str(got.value) == str(exc)
+    else:
+        got = _norm_label(v)
+        assert got == want and repr(got) == repr(want)
 
 
 def test_detect_kind_priority_and_failure():
