@@ -24,7 +24,7 @@ from ..errors import ParameterOutOfRange, QuadratureNotConverged
 from ..generalized import GeneralizedScheme, build_windowed
 from ..harmonic import _multiplicativity_gap
 
-# largest window half-width m: the window holds 2m + 1 dense (2m + 1)^2 step matrices
+# largest window half-width m: the audit multiplies about m^2 / 2 pairs of (2m + 1)^2 matrices
 WINDOW_MAX_HALF_WIDTH = 64
 
 
@@ -128,10 +128,10 @@ def cosh_window_scheme(fam: CoshFamily, m: int) -> GeneralizedScheme:
             f"(r = {fam.r!r}, window half-width {m})"
         )
 
-    stoch = np.zeros((d, n, n))
-    stoch[0] = np.eye(n)
-    for k in range(1, d):
-        stoch[k] = np.eye(n, k=k) * up[k - 1] + np.eye(n, k=-k) * down[k - 1]
+    # the step matrix: up[k - 1] from x to x + k, down[k - 1] from x + k to x
+    step = np.eye(n)
+    upper = np.triu_indices(n, 1)
+    step[upper], step[upper[::-1]] = up[relation[upper] - 1], down[relation[upper] - 1]
 
     boundary = m - np.abs(xs)
     # the undeformed product of the classes 0..m, whose sums stay inside the window
@@ -146,7 +146,7 @@ def cosh_window_scheme(fam: CoshFamily, m: int) -> GeneralizedScheme:
         relation=relation,
         identity=0,
         involution=np.arange(d),
-        stoch=stoch,
+        step=step,
         vertex_weight=weight,
         base_point=m,
         boundary_distance=boundary,

@@ -7,6 +7,10 @@ products stay inside the linear span of the family.  The coefficients of
 those products (extracted at witness entries, then verified globally)
 form a deformed convolution tensor.
 
+The classes partition the pairs of points, so the d matrices are held as one
+step matrix, step[x, y] = S_i(x, y) for the class i of (x, y); a (d, n, n)
+stack is folded into it where it enters (``GeneralizedScheme.stoch`` rebuilds one).
+
 Infinite examples enter through centered windows: boundary rows are
 sub-stochastic and every product check is restricted to rows far enough
 from the boundary, tracked per class pair.
@@ -27,6 +31,7 @@ import numpy as np
 from .errors import (
     ClosureResidual,
     DetailedBalanceViolation,
+    NoInvolution,
     NotACharacter,
     NotAHypergroup,
     NonSquare,
@@ -51,7 +56,7 @@ class GeneralizedScheme:
     relation: np.ndarray          # (n, n) class indices
     identity: int
     involution: np.ndarray
-    stoch: np.ndarray             # (d, n, n) float
+    step: np.ndarray              # (n, n) float, S_i(x, y) for the class i of (x, y)
     vertex_weight: np.ndarray     # (n,) float, 1 at base_point
     base_point: int
     p_tilde: np.ndarray           # (d, d, d) float, deformed tensor
@@ -63,7 +68,7 @@ class GeneralizedScheme:
     base_conv: np.ndarray | None = None  # (k, k, d) float, base tensor on classes < k
 
     def __post_init__(self):
-        for arr in (self.stoch, self.vertex_weight, self.p_tilde, self.pair_checked,
+        for arr in (self.step, self.vertex_weight, self.p_tilde, self.pair_checked,
                     self.boundary_distance, self.class_order, self.base_conv):
             if arr is not None:
                 arr.setflags(write=False)
@@ -81,6 +86,14 @@ class GeneralizedScheme:
         return not bool(self.pair_checked.all())
 
     @cached_property
+    def stoch(self) -> np.ndarray:
+        """The (d, n, n) stack of transition matrices, read-only, built on first use."""
+        stack = np.zeros((self.n_classes, *self.step.shape))
+        np.put_along_axis(stack, self.relation[None], self.step[None], axis=0)
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
     def _base_algebra(self) -> tuple:
         """Tensors for positive_connection_check, built once: base_conv[i, jbar, l] as
         (k*k, d), and over a base scheme the (d, d*d) map from class coefficients c to
@@ -94,25 +107,48 @@ class GeneralizedScheme:
         return pairing, regular.reshape(s.n_classes, -1)
 
 
+def _fold(stoch, relation, classes) -> np.ndarray:
+    """The step matrix of a (classes, points, points) stack.  Raises ``NonSquare`` for
+    another shape and ``SupportMismatch`` for a nonzero entry outside its class."""
+    stoch, shape = np.asarray(stoch, dtype=np.float64), (len(classes), *relation.shape)
+    if stoch.shape != shape:
+        raise NonSquare(f"transition stack has shape {stoch.shape}, expected {shape}")
+    stray = stoch != 0.0
+    np.put_along_axis(stray, relation[None], False, axis=0)
+    if stray.any():
+        i, x, y = map(int, np.unravel_index(stray.argmax(), shape))
+        raise SupportMismatch(f"class {classes[i]!r} transition is nonzero outside its "
+                              f"relation", witness=(i, x, y))
+    return np.take_along_axis(stoch, relation[None], axis=0)[0]
+
+
+def _first(mask, relation) -> tuple:
+    """(class, x, y) of the first cell of ``mask`` in that order, the C order of the stack."""
+    cells = np.flatnonzero(mask)
+    c = int(cells[np.argmin(relation.ravel()[cells])])
+    return (int(relation.flat[c]), *divmod(c, relation.shape[1]))
+
+
 def build_generalized(base: Scheme, stoch, vertex_weight=None,
                       base_point=_UNDEFINED) -> GeneralizedScheme:
     """Verify deformed transition data over a classical scheme: the audit of
     :func:`build_windowed` on a window without boundary, so every pair is checked.
 
-    ``stoch`` is a (classes, points, points) stack; ``vertex_weight``
-    defaults to the constant weight; ``base_point`` (a point label, where
-    true and false name no number and None is a label; the first point
-    when left out) fixes the normalization.  Raises ``ParseError`` for an
-    unknown base point, what ``build_windowed`` raises, and
-    ``SupportMismatch`` when the deformed tensor's support differs from
-    the base counts.
+    ``stoch`` is a (classes, points, points) stack, folded into the step
+    matrix; ``vertex_weight`` defaults to the constant weight;
+    ``base_point`` (a point label, where true and false name no number and
+    None is a label; the first point when left out) fixes the
+    normalization.  Raises ``ParseError`` for an unknown base point, what
+    the fold and ``build_windowed`` raise, and ``SupportMismatch`` when the
+    deformed tensor's support differs from the base counts.
     """
     n, d = base.n_points, base.n_classes
     x = 0 if base_point is _UNDEFINED else _label_index(base.points, "point").get(_key(base_point))
     if x is None:
         raise ParseError(f"unknown point {base_point!r}")
     g = build_windowed(
-        base.points, base.classes, base.relation, base.identity, base.involution, stoch,
+        base.points, base.classes, base.relation, base.identity, base.involution,
+        _fold(stoch, base.relation, base.classes),
         np.ones(n) if vertex_weight is None else vertex_weight, x,
         np.full(n, n + max(1, d)), np.zeros(d))
     if not g.report["deformed_support_matches"]:
@@ -120,19 +156,21 @@ def build_generalized(base: Scheme, stoch, vertex_weight=None,
     return replace(g, base_scheme=base, base_conv=np.divide(*_scheme_ratio(base)))
 
 
-def build_windowed(points, classes, relation, identity, involution, stoch,
+def build_windowed(points, classes, relation, identity, involution, step,
                    vertex_weight, base_point, boundary_distance, class_order,
                    base_conv=None) -> GeneralizedScheme:
     """Verify deformed transition data on a window of a relation partition.
 
-    The relation partition need not be a scheme on the window; closure
-    of the pair (i, j) is verified on rows whose boundary distance is at
-    least class_order[i] + class_order[j], and pairs with no such row
-    stay unchecked.  The deformed tensor's support is compared with the
-    triple counts of the relation at the witness pairs its coefficients
-    are read at.  Raises ``NonSquare``, ``NotStochastic``,
-    ``SupportMismatch``, ``DetailedBalanceViolation`` or
-    ``ClosureResidual`` with witnesses.  ``base_conv`` is kept as the field.
+    ``step[x, y]`` is S_i(x, y) for the class i = relation[x, y], and no
+    (d, n, n) array is built; the involution must send the class of (x, y) to
+    that of (y, x).  The relation partition need not be a scheme on the window;
+    closure of the pair (i, j) is verified on rows whose boundary distance is at
+    least class_order[i] + class_order[j], and pairs with no such row stay
+    unchecked.  The deformed tensor's support is compared with the triple counts
+    of the relation at the witness pairs its coefficients are read at.  Raises
+    ``NonSquare``, ``NotStochastic``, ``SupportMismatch``, ``NoInvolution``,
+    ``DetailedBalanceViolation`` or ``ClosureResidual`` with witnesses, (class,
+    x, y) for an entry.  ``base_conv`` is kept as the field.
     """
     points, classes = tuple(points), tuple(classes)
     n, d = len(points), len(classes)
@@ -141,30 +179,30 @@ def build_windowed(points, classes, relation, identity, involution, stoch,
     # copies, as the fields are made read-only; the weight is copied by its normalization
     bd = np.array(boundary_distance, dtype=np.int64)
     order = np.array(class_order, dtype=np.int64)
-    stoch = np.array(stoch, dtype=np.float64)
+    step = np.array(step, dtype=np.float64)
     weight = np.asarray(vertex_weight, dtype=np.float64)
     report: dict = {}
 
-    if stoch.shape != (d, n, n):
-        raise NonSquare(f"transition stack has shape {stoch.shape}, expected {(d, n, n)}")
+    if step.shape != (n, n):
+        raise NonSquare(f"step matrix has shape {step.shape}, expected {(n, n)}")
     if (weight <= 0).any():
         x = int(np.flatnonzero(weight <= 0)[0])
         raise DetailedBalanceViolation(f"vertex weight at {points[x]!r} is not positive",
                                        witness=x)
     weight = weight / weight[base_point]
 
-    eye_dev = float(np.abs(stoch[identity] - np.eye(n)).max())
+    eye_dev = float(np.abs(np.where(relation == identity, step, 0.0) - np.eye(n)).max())
     if eye_dev > STOCHASTIC_TOL:
         raise SupportMismatch(f"identity transition deviates from I by {eye_dev:.3e}")
 
-    if float(stoch.min()) < 0.0:
-        i, x, y = map(int, np.unravel_index(stoch.argmin(), stoch.shape))
-        raise NotStochastic(
-            f"negative entry {stoch.min():.3e} in class {classes[i]!r}",
-            witness=(i, x, y),
-        )
+    low = float(step.min())
+    if low < 0.0:
+        i, x, y = _first(step == low, relation)
+        raise NotStochastic(f"negative entry {low:.3e} in class {classes[i]!r}",
+                            witness=(i, x, y))
 
-    row_sums = stoch.sum(axis=2)
+    row_sums = np.bincount((np.arange(n)[:, None] * d + relation).ravel(), step.ravel(),
+                           n * d).reshape(n, d).T  # [i, x]: the mass of class i on row x
     full_rows = bd >= order[:, None]  # (d, n): rows on which class i keeps mass one
     for i in range(d):
         full = np.flatnonzero(full_rows[i])
@@ -173,59 +211,49 @@ def build_windowed(points, classes, relation, identity, involution, stoch,
             x = int(full[dev_full.argmax()])
             raise NotStochastic(
                 f"row {points[x]!r} of class {classes[i]!r} sums to {row_sums[i, x]!r}",
-                witness=(i, x),
-            )
+                witness=(i, x))
         over = row_sums[i] - 1.0
         if float(over.max()) > STOCHASTIC_TOL:
             x = int(over.argmax())
-            raise NotStochastic(
-                f"row {points[x]!r} of class {classes[i]!r} exceeds mass one",
-                witness=(i, x),
-            )
+            raise NotStochastic(f"row {points[x]!r} of class {classes[i]!r} exceeds mass one",
+                                witness=(i, x))
     report["stochastic_rows_checked"] = int(full_rows.sum())
 
-    for i in range(d):
-        on_class = relation == i
-        positive = stoch[i] > 0.0
-        if (positive & ~on_class).any():
-            x, y = map(int, np.argwhere(positive & ~on_class)[0])
-            raise SupportMismatch(
-                f"class {classes[i]!r} transition is positive outside its relation",
-                witness=(i, x, y),
-            )
-        if (on_class & ~positive).any():
-            x, y = map(int, np.argwhere(on_class & ~positive)[0])
-            raise SupportMismatch(
-                f"class {classes[i]!r} transition vanishes on its relation",
-                witness=(i, x, y),
-            )
+    if not (step > 0.0).all():
+        i, x, y = _first(~(step > 0.0), relation)
+        raise SupportMismatch(
+            f"class {classes[i]!r} transition vanishes on its relation", witness=(i, x, y))
 
-    lhs = weight[None, :, None] * stoch
-    rhs = lhs[involution].transpose(0, 2, 1)
+    # balance and adjointness compare each entry with its transpose, in the conjugate class
+    wrong = np.bincount(relation[involution[relation] != relation.T], minlength=d) > 0
+    wrong |= involution[involution] != np.arange(d)
+    if wrong.any():
+        i = int(wrong.argmax())
+        raise NoInvolution(f"involution sends class {classes[i]!r} to "
+                           f"{classes[involution[i]]!r}, which is not its transpose", witness=i)
+
     # residual is relative where entries are large: the weight can span many
     # orders of magnitude, and an absolute tolerance on entries of size 1/eps
-    # would demand sub-ulp agreement (computed in place, to bound the peak)
-    balance = np.abs(lhs - rhs)
-    np.maximum(np.abs(lhs, out=lhs), np.abs(rhs), out=lhs)
-    balance /= np.maximum(1.0, lhs, out=lhs)
-    del lhs, rhs
+    # would demand sub-ulp agreement
+    lhs = weight[:, None] * step
+    balance = np.abs(lhs - lhs.T)
+    lhs = np.abs(lhs)
+    balance /= np.maximum(1.0, np.maximum(lhs, lhs.T))
     bal_dev = float(balance.max())
     report["detailed_balance_residual"] = bal_dev
     if bal_dev > BALANCE_TOL:
-        i, x, y = map(int, np.unravel_index(balance.argmax(), balance.shape))
+        i, x, y = _first(balance == bal_dev, relation)
         raise DetailedBalanceViolation(
-            f"reversibility off by {bal_dev:.3e} on class {classes[i]!r}",
-            witness=(i, x, y),
-        )
+            f"reversibility off by {bal_dev:.3e} on class {classes[i]!r}", witness=(i, x, y))
 
     # weighted operator picture: conjugated matrices are mutual adjoints
     # and contractions; meaningful on full (non-window) data, advisory on windows
     sq = np.sqrt(weight)
-    conj_ops = sq[None, :, None] * stoch / sq[None, None, :]
-    report["adjoint_residual"] = float(
-        np.abs(conj_ops - conj_ops[involution].transpose(0, 2, 1)).max()
-    )
-    report["operator_norms"] = [float(np.linalg.norm(conj_ops[i], 2)) for i in range(d)]
+    conj = sq[:, None] * step / sq
+    report["adjoint_residual"] = float(np.abs(conj - conj.T).max())
+    report["operator_norms"] = [float(np.linalg.norm(np.where(relation == i, conj, 0.0), 2))
+                                for i in range(d)]
+    del lhs, balance, conj  # n x n each, freed before the closure products
 
     p_tilde = np.zeros((d, d, d), dtype=np.float64)
     pair_checked = np.zeros((d, d), dtype=bool)
@@ -234,6 +262,7 @@ def build_windowed(points, classes, relation, identity, involution, stoch,
     # witnesses depend on (i, j) only through the rows they may use
     witnesses: dict = {}
     for i in range(d):
+        left = np.where(relation == i, step, 0.0)
         for j in range(d):
             needed = int(order[i]) + int(order[j])
             rows = np.flatnonzero(bd >= needed)
@@ -241,31 +270,26 @@ def build_windowed(points, classes, relation, identity, involution, stoch,
                 continue
             if needed not in witnesses:
                 # per class k met on these rows, its largest entry (first in C order)
-                cells = relation[rows]
+                cells, values = relation[rows], step[rows]
                 ks = np.flatnonzero(np.bincount(cells.ravel(), minlength=d))
-                flat = [np.where(cells == k, stoch[k][rows], -1.0).argmax() for k in ks]
+                flat = [np.where(cells == k, values, -1.0).argmax() for k in ks]
                 rloc, ys = np.unravel_index(flat, cells.shape)
                 witnesses[needed] = ks, rows[rloc], ys
             ks, xs, ys = witnesses[needed]
-            prod = stoch[i] @ stoch[j]
-            p_tilde[i, j, ks] = prod[xs, ys] / stoch[ks, xs, ys]
-            approx = np.tensordot(p_tilde[i, j], stoch, axes=([0], [0]))
-            dev = float(np.abs(prod[rows] - approx[rows]).max())
+            prod = left @ np.where(relation == j, step, 0.0)
+            p_tilde[i, j, ks] = prod[xs, ys] / step[xs, ys]
+            # against the span's member sum_k p_tilde[i, j, k] S_k on these rows
+            dev = float(np.abs(prod[rows] - p_tilde[i, j][relation[rows]] * step[rows]).max())
             closure_dev = max(closure_dev, dev)
             if dev > CLOSURE_TOL:
                 raise ClosureResidual(
                     f"product of classes ({classes[i]!r}, {classes[j]!r}) leaves the "
-                    f"span by {dev:.3e}",
-                    witness=(i, j),
-                )
+                    f"span by {dev:.3e}", witness=(i, j))
             srow = float(p_tilde[i, j].sum())
             rowsum_dev = max(rowsum_dev, abs(srow - 1.0))
             if abs(srow - 1.0) > BALANCE_TOL:
-                raise ClosureResidual(
-                    f"deformed coefficients of ({classes[i]!r}, {classes[j]!r}) "
-                    f"sum to {srow!r}",
-                    witness=(i, j),
-                )
+                raise ClosureResidual(f"deformed coefficients of ({classes[i]!r}, "
+                                      f"{classes[j]!r}) sum to {srow!r}", witness=(i, j))
             pair_checked[i, j] = True
 
     # expected[i, j, k]: the relation's triple count is positive at the witness
@@ -293,7 +317,7 @@ def build_windowed(points, classes, relation, identity, involution, stoch,
 
     return GeneralizedScheme(
         points=points, classes=classes, relation=relation,
-        identity=identity, involution=involution, stoch=stoch,
+        identity=identity, involution=involution, step=step,
         vertex_weight=weight, base_point=base_point, p_tilde=p_tilde,
         pair_checked=pair_checked, boundary_distance=bd, class_order=order,
         report=report, base_conv=base_conv,
@@ -311,7 +335,7 @@ def classical_embedding(s: Scheme) -> GeneralizedScheme:
     the quotient rounded once.  The report says ``"route": "scheme"``.
     """
     n, d = s.n_points, s.n_classes
-    stoch = (s.relation == np.arange(d)[:, None, None]) / s.valencies[:, None, None].astype(float)
+    step = (1.0 / s.valencies)[s.relation]
     p_tilde = np.divide(*_scheme_ratio(s))
     report = {
         "route": "scheme", "stochastic_rows_checked": d * n,
@@ -323,7 +347,7 @@ def classical_embedding(s: Scheme) -> GeneralizedScheme:
     }
     return GeneralizedScheme(
         points=s.points, classes=s.classes, relation=s.relation,
-        identity=s.identity, involution=s.involution, stoch=stoch,
+        identity=s.identity, involution=s.involution, step=step,
         vertex_weight=np.ones(n), base_point=0, p_tilde=p_tilde,
         pair_checked=np.ones((d, d), dtype=bool),
         boundary_distance=np.full(n, n + max(1, d), dtype=np.int64),
@@ -382,7 +406,7 @@ def s_tilde_f(g: GeneralizedScheme, f) -> np.ndarray:
     omega = np.zeros(d)
     for i in np.flatnonzero(f):
         omega[i] = _deformed_valency(g, i)
-    return np.tensordot(f * omega, g.stoch.astype(complex), axes=([0], [0]))
+    return (f * omega)[g.relation] * g.step
 
 
 def kernel_F_f(g: GeneralizedScheme, f) -> np.ndarray:

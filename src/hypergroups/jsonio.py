@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ParseError
-from .generalized import GeneralizedScheme, build_generalized, build_windowed
+from .generalized import GeneralizedScheme, _fold, build_generalized, build_windowed
 from .groups import FiniteGroup, group_from_table
 from .hypergroup import FiniteHypergroup, _fractions, _stored, make_hypergroup
 from .schemes import _UNDEFINED, Scheme, _key, _label_index, _relation_matrix, build_scheme
@@ -380,10 +380,10 @@ def _int_array(doc: dict, key: str, length: int) -> np.ndarray:
 
 
 def generalized_from_json(doc: dict) -> GeneralizedScheme:
-    """The scheme fields, read as :func:`scheme_from_json` reads them, and the
-    transition stack.  A document with 'boundary_distance' or 'class_order' is
-    a window: it must hold every field :func:`generalized_to_json` writes, and
-    its relation needs no scheme; any other is audited over its base scheme."""
+    """The scheme fields, read as :func:`scheme_from_json` reads them, and the stack,
+    folded into the step matrix.  A document with 'boundary_distance' or 'class_order'
+    is a window: it must hold every field :func:`generalized_to_json` writes, and its
+    relation needs no scheme; any other is audited over its base scheme."""
     kind = "windowed" if "boundary_distance" in doc or "class_order" in doc else "generalized"
     points, classes, table, identity, involution, base_point = _scheme_fields(doc, kind)
     if kind == "windowed":
@@ -402,8 +402,9 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
 
     if kind == "generalized":
         return build_generalized(base, stoch, vertex_weight=weight, base_point=points[base_point])
-    return build_windowed(points, classes, relation, identity, involution, stoch, weight,
-                          base_point, _int_array(doc, "boundary_distance", n),
+    return build_windowed(points, classes, relation, identity, involution,
+                          _fold(stoch, relation, classes), weight, base_point,
+                          _int_array(doc, "boundary_distance", n),
                           _int_array(doc, "class_order", d))
 
 

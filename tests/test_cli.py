@@ -15,6 +15,7 @@ import pytest
 from hypergroups.catalog import pentagon_scheme, petersen_scheme
 from hypergroups import cli
 from hypergroups.cli import main
+from hypergroups.errors import NoInvolution, SupportMismatch
 from hypergroups.families import cosh, gab
 from hypergroups.generalized import classical_embedding
 from hypergroups.harmonic import character_table
@@ -589,6 +590,43 @@ def test_malformed_windowed_documents_are_parse_errors(capsys, tmp_path, key, va
     code = main(["verify", str(path)])
     captured = capsys.readouterr()
     assert code == 1
+    assert captured.err == f"error: {message}\n"
+
+
+def _swap_involution(doc):
+    doc["involution"][1:3] = doc["involution"][2:0:-1]
+
+
+def _move_entry(doc):
+    stoch = doc["stoch"][1][0]  # class 1 of point -3: its entry at -2 goes to -1, class 2
+    stoch[2], stoch[1] = stoch[1], 0.0
+
+
+def _negative_outside(doc):
+    doc["stoch"][3][0][1] = -0.01  # (-3, -2) is a class-1 pair
+
+
+@pytest.mark.parametrize("edit, error, witness, message", [
+    (_swap_involution, NoInvolution, 1, "involution sends class 1 to 2, which is not its transpose"),
+    (_move_entry, SupportMismatch, (1, 0, 2), "class 1 transition is nonzero outside its relation"),
+    (_negative_outside, SupportMismatch, (3, 0, 1),
+     "class 3 transition is nonzero outside its relation"),
+], ids=["swapped-involution", "entry-moved-to-another-class", "negative-outside-its-class"])
+def test_windowed_documents_check_the_involution_and_fold_the_stack(capsys, tmp_path, edit,
+                                                                    error, witness, message):
+    """The reader folds the stack into one step matrix, so an entry off its class is
+    named, also a negative one; the involution must send each class to its transpose."""
+    doc = generalized_to_json(cosh.cosh_window_scheme(cosh.CoshFamily(1.0), 3))
+    edit(doc)
+    with pytest.raises(error) as failure:
+        generalized_from_json(doc)
+    assert failure.value.witness == witness
+    path = tmp_path / "window.json"
+    path.write_text(dump_report(doc))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
     assert captured.err == f"error: {message}\n"
 
 

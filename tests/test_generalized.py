@@ -96,16 +96,16 @@ def test_base_point_is_a_label_matched_by_type(pentagon):
 
 
 def test_build_windowed_freezes_copies_not_the_callers_arrays(pentagon):
-    """The returned fields are read-only; the stack, weights, boundary distances
-    and class orders the caller passed stay writeable."""
+    """The returned fields are read-only; the step matrix, weights, boundary distances
+    and class orders the caller passed stay writeable, and so does the stack."""
     n, d = pentagon.n_points, pentagon.n_classes
-    args = {"stoch": classical_embedding(pentagon).stoch.copy(), "vertex_weight": np.ones(n),
+    args = {"step": classical_embedding(pentagon).step.copy(), "vertex_weight": np.ones(n),
             "boundary_distance": np.full(n, n + d), "class_order": np.zeros(d, dtype=np.int64)}
     g = build_windowed(pentagon.points, pentagon.classes, pentagon.relation, pentagon.identity,
                        pentagon.involution, base_point=0, **args)
     assert all(arr.flags.writeable for arr in args.values())
     assert not any(getattr(g, name).flags.writeable for name in args)
-    stoch = args["stoch"]
+    stoch = classical_embedding(pentagon).stoch.copy()
     assert not build_generalized(pentagon, stoch).stoch.flags.writeable
     assert stoch.flags.writeable
 
@@ -245,12 +245,12 @@ def _set(index, value):
 
 
 @pytest.mark.parametrize("field, corrupt, error, witness", [
-    ("stoch", lambda stoch: stoch[:, :-1], NonSquare, None),
+    ("step", lambda step: step[:, :-1], NonSquare, None),
     ("vertex_weight", _set(1, -1.0), DetailedBalanceViolation, 1),
-    ("stoch", _set((0, 0, 1), 0.5), SupportMismatch, None),
-    ("stoch", _set((2, 1, 3), -0.1), NotStochastic, (2, 1, 3)),
-    ("stoch", _set((2, 0, 2), 1.5), NotStochastic, (2, 0)),
-    ("stoch", _set((2, 0, 2), 0.0), SupportMismatch, (2, 0, 2)),
+    ("step", _set((0, 0), 0.5), SupportMismatch, None),
+    ("step", _set((1, 3), -0.1), NotStochastic, (2, 1, 3)),
+    ("step", _set((0, 2), 1.5), NotStochastic, (2, 0)),
+    ("step", _set((0, 2), 0.0), SupportMismatch, (2, 0, 2)),
 ], ids=["stack-shape", "weight-not-positive", "identity-not-I", "negative-entry",
         "boundary-row-above-one", "vanishes-on-relation"])
 def test_build_windowed_rejections(field, corrupt, error, witness):
@@ -258,7 +258,7 @@ def test_build_windowed_rejections(field, corrupt, error, witness):
     is a boundary row of class 2, which may lose mass but not exceed one."""
     g = cosh_window_scheme(CoshFamily(1.0), 3)
     inputs = {name: getattr(g, name) for name in (
-        "points", "classes", "relation", "identity", "involution", "stoch", "vertex_weight",
+        "points", "classes", "relation", "identity", "involution", "step", "vertex_weight",
         "base_point", "boundary_distance", "class_order", "base_conv")}
     assert build_windowed(**inputs).windowed
     inputs[field] = corrupt(inputs[field])
