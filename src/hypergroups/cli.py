@@ -8,7 +8,7 @@ parsed ``argparse.Namespace``.  ``--tol``, ``--moment-order`` and
 ``--vertex-budget`` default to None there, so a report lists them only
 when given; the command that reads one supplies its own value otherwise.
 Each ``cmd_*`` handler returns ``(results, csv_text or None, ok)``, numpy
-values unconverted; ``main`` alone builds the report, writes it to stdout
+values unconverted; ``main`` alone builds the report, streams it to stdout
 or ``--out`` and maps ``ok`` to exit 0 or 2.  Reports are byte-deterministic
 for a fixed command line (fixed seed, sorted keys, fixed orderings).
 """
@@ -409,14 +409,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed < 0:
             raise ParameterOutOfRange(f"--seed must be non-negative, got {args.seed}")
         results, csv_text, ok = HANDLERS[args.command](args)
-        text = jsonio.dump_report({
+        report = {
             "schema": REPORT_SCHEMA,
             "tool": "hypergroups",
             "command": args.command,
             "parameters": _parameters(args),
             "results": results,
             "status": "pass" if ok else "fail",
-        })
+        }
     except SchemeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
@@ -425,13 +425,14 @@ def main(argv: list[str] | None = None) -> int:
         stem = f"family_{args.family}_{args.report.replace('-', '_')}"
     try:
         if args.out is None:
-            sys.stdout.write(text)
+            jsonio.dump_report(report, sys.stdout)
         else:
             os.makedirs(args.out, exist_ok=True)
-            for suffix, body in ((".json", text), (".csv", csv_text)):
-                if body is not None:
-                    with open(os.path.join(args.out, stem + suffix), "w", encoding="utf-8") as fh:
-                        fh.write(body)
+            with open(os.path.join(args.out, stem + ".json"), "w", encoding="utf-8") as fh:
+                jsonio.dump_report(report, fh)
+            if csv_text is not None:
+                with open(os.path.join(args.out, stem + ".csv"), "w", encoding="utf-8") as fh:
+                    fh.write(csv_text)
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -210,7 +210,7 @@ def build_windowed(points, classes, relation, identity, involution, step,
         if dev_full.size and float(dev_full.max()) > STOCHASTIC_TOL:
             x = int(full[dev_full.argmax()])
             raise NotStochastic(
-                f"row {points[x]!r} of class {classes[i]!r} sums to {row_sums[i, x]!r}",
+                f"row {points[x]!r} of class {classes[i]!r} sums to {float(row_sums[i, x])!r}",
                 witness=(i, x))
         over = row_sums[i] - 1.0
         if float(over.max()) > STOCHASTIC_TOL:

@@ -92,7 +92,9 @@ def group_from_table(elements: Sequence, table) -> FiniteGroup:
     mul = np.frombuffer(b"".join(map(read, rows)), dtype).reshape(n, n)
     if (mul < 0).any():
         i, j = map(int, np.argwhere(mul < 0)[0])
-        raise InvalidCayleyTable(f"entry {rows[i][j]!r} at ({i}, {j}) is no element")
+        entry = rows[i][j]  # a numpy scalar of an array table prints as its Python value
+        entry = entry.item() if isinstance(entry, np.generic) else entry
+        raise InvalidCayleyTable(f"entry {entry!r} at ({i}, {j}) is no element")
     return _group_from_indices(elements, mul)
 
 

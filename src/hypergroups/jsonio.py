@@ -1,16 +1,19 @@
 """File formats: scheme/group/hypergroup documents and deterministic reports.
 
-``dump_report`` writes json.dumps(sort_keys=True, indent=2) of a report's JSON
-form in one walk, formatting a list of scalars with one ``map`` and a numeric
-array (and a dual table's CSV weights) once per distinct value; CSV uses 17
-significant digits.  Complex values are ``a+bi`` strings (JSON: the real part
-when the imaginary part is 0); exact hypergroup values are read by
+``dump_report`` streams json.dumps(sort_keys=True, indent=2) of a report's JSON
+form to a file in chunks of 1 MiB: a container's numeric arrays (stacked into
+one; a dual table's CSV weights too) are formatted once per distinct value, a
+block of at most 2^13 entries at a time, each text dropped after its last block.
+CSV uses 17 significant digits.  Complex values are ``a+bi`` strings (JSON: the
+real part when the imaginary part is 0); exact hypergroup values are read by
 ``make_hypergroup``'s reader and written by the ``Fraction`` rule.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import Any
@@ -38,21 +41,63 @@ def format_float(x: float) -> str:
 
 # ---------------------------------------------------------------------------
 # report writer: json.dumps(sort_keys=True, indent=2, ensure_ascii=False) of the
-# report's JSON form, byte for byte, with the numeric leaves formatted in bulk
+# report's JSON form, byte for byte, in pieces
+
+CHUNK = 1 << 20  # characters handed to the file at once
+BLOCK = 1 << 13  # entries of a container formatted and nested at once
 
 # the JSON scalar types, matched by exact type before any ABC check
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 _WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "True": "true",
           "False": "false", "None": "null"}
-_KIND = {"b": bool, "i": int, "u": int, "f": float}
 
 
-def _scalars(values, kind: type) -> list:
-    """JSON texts of scalars of one exact type: repr, or json's word for it."""
+def _scalars(values, kind: type | None) -> list:
+    """JSON texts of scalars of one exact type, or of mixed ones for None: repr, or
+    json's word for it."""
+    if kind is None:
+        return [_scalars((v,), type(v))[0] for v in values]
     texts = list(map(encode_basestring if kind is str else kind.__repr__, values))
     if kind is not str and not _WORDS.keys().isdisjoint(texts):
         texts = [_WORDS.get(t, t) for t in texts]
     return texts
+
+
+def _distinct(flat: np.ndarray, text):
+    """take(a, b): the texts of a 1-D array's entries a to b, taken in consecutive runs.
+    A distinct bit pattern is formatted once (by _scalars for a type, else by a %-format)
+    in the first run that uses it, and dropped after the last.  A complex entry is its
+    real part when its imaginary part is 0, else '"a+bi"'."""
+    index = np.arange(len(flat), dtype=np.int32 if len(flat) < 2**31 else np.int64)
+    if flat.dtype.kind == "c":
+        zero = flat.imag == 0.0
+        below = np.cumsum(np.r_[False, zero], dtype=index.dtype)  # imaginary part 0 before
+        real = _distinct(flat.real[zero], float)  # and the halves of '"a+bi"':
+        re, im = _distinct(flat.real[~zero], '"%.17g'), _distinct(flat.imag[~zero], '%+.17gi"')
+
+        def halves(a: int, b: int) -> np.ndarray:
+            z, out, za, zb = zero[a:b], np.empty(b - a, dtype=object), below[a], below[b]
+            out[z], out[~z] = real(za, zb), re(a - za, b - zb) + im(a - za, b - zb)
+            return out
+
+        return halves
+    bits, at = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
+    at = at.astype(index.dtype)
+    first, last = np.full(len(bits), len(flat), index.dtype), np.zeros(len(bits), index.dtype)
+    np.minimum.at(first, at, index)
+    np.maximum.at(last, at, index)
+    values, texts = bits.view(flat.dtype), np.empty(len(bits), dtype=object)
+
+    def take(a: int, b: int) -> np.ndarray:
+        ids, here = at[a:b], index[a:b]
+        new = ids[first[ids] == here]
+        fresh = values[new].tolist()
+        texts[new] = _scalars(fresh, text) if isinstance(text, type) else [text % v for v in fresh]
+        out = texts[ids]
+        texts[ids[last[ids] == here]] = None
+        return out
+
+    return take
 
 
 def _nest(texts: list, shape: tuple, level: int) -> list:
@@ -64,70 +109,88 @@ def _nest(texts: list, shape: tuple, level: int) -> list:
     return texts
 
 
-def _distinct(flat: np.ndarray, text) -> np.ndarray:
-    """Object array of the texts of a 1-D array's entries, each distinct bit
-    pattern formatted once: by _scalars for a type, else by a %-format."""
-    bits, at = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
-    values = bits.view(flat.dtype).tolist()
-    texts = _scalars(values, text) if isinstance(text, type) else list(map(text.__mod__, values))
-    return np.array(texts, dtype=object)[at]
-
-
-def _items(values, level: int) -> list:
-    """Texts of a container's values at ``level``, in one pass for scalars of one
-    type and for nonempty numeric arrays of one dtype and shape.  A complex entry
-    is its real part when its imaginary part is 0, else 'a+bi'."""
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind in _JSON_SCALARS:
-        return _scalars(values, kind)
-    if not (kind is np.ndarray and len({(v.dtype, v.shape) for v in values}) == 1
+def _items(values, level: int, brackets: str, keys=None):
+    """Pieces of a nonempty container's values at ``level`` inside ``brackets``, each
+    after its key when ``keys`` are given.  Rows of one shape form a table: numeric arrays
+    of one dtype (stacked into one, or an array's own rows), or lists of JSON scalars of
+    one length.  JSON scalars, and a table whose rows hold at most BLOCK entries, are
+    formatted and nested a block of at most BLOCK entries at a time; other values one by one."""
+    inner, n, shape = "\n" + "  " * level, len(values), ()
+    values = np.asarray(values) if isinstance(values, np.ndarray) else values  # no subclass
+    kinds = set() if isinstance(values, np.ndarray) else set(map(type, values))
+    if (kinds == {np.ndarray} and len({(v.dtype, v.shape) for v in values}) == 1
             and values[0].dtype.kind in "biufc" and values[0].size):
-        return [_text(v, level) for v in values]
-    flat = np.stack(values).ravel()
-    if flat.dtype.kind != "c":
-        texts = _distinct(flat, _KIND[flat.dtype.kind])
-    else:
-        zero, texts = flat.imag == 0.0, np.empty(flat.size, dtype=object)
-        texts[zero] = _distinct(flat.real[zero], float)
-        rest = flat[~zero]  # the two halves of '"' + format_complex(z) + '"'
-        texts[~zero] = _distinct(rest.real, '"%.17g') + _distinct(rest.imag, '%+.17gi"')
-    return _nest(texts.tolist(), values[0].shape, level)
+        values = np.stack(values)
+    elif (kinds and kinds <= {list, tuple} and len({len(v) for v in values}) == 1
+          and 0 < len(values[0]) <= BLOCK):
+        flat = [x for row in values for x in row]
+        if (types := set(map(type, flat))) <= _JSON_SCALARS:
+            values, shape, kinds = flat, (len(values[0]),), types
+    shape = values.shape[1:] if isinstance(values, np.ndarray) else shape
+    size = math.prod(shape)
+    step, take = max(1, BLOCK // size), None
+    if isinstance(values, np.ndarray) and size <= BLOCK:
+        take = _distinct(values.ravel(), type(values.flat[0].item()))
+    elif kinds and kinds <= _JSON_SCALARS:
+        kind = next(iter(kinds)) if len(kinds) == 1 else None
+        take = lambda a, b: _scalars(values[a:b], kind)
+    for i in range(0, n, step):
+        before = [("," if r else brackets[0]) + inner + (keys[r] if keys else "")
+                  for r in range(i, min(i + step, n))]
+        if take is None:  # one by one
+            for prefix, value in zip(before, values[i:i + step]):
+                yield prefix
+                yield from _texts(value, level)
+        else:
+            texts = take(i * size, (i + len(before)) * size)
+            yield "".join(map(str.__add__, before, _nest(list(texts), shape, level)))
+    yield inner[:-2] + brackets[1]
 
 
-def _text(value: Any, level: int) -> str:
-    """JSON text of a report value that starts at indentation ``level``."""
+def _texts(value: Any, level: int):
+    """Pieces of the JSON text of a report value that starts at indentation ``level``."""
     if type(value) in _JSON_SCALARS:
-        return _scalars((value,), type(value))[0]
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
+        yield _scalars((value,), type(value))[0]
+    elif isinstance(value, (np.ndarray, np.generic)) and (
+            value.ndim == 0 or value.dtype.kind not in "biufc" or not value.size):
+        yield from _texts(value.tolist(), level)
+    elif isinstance(value, dict) and value:
         keys, values = zip(*sorted({str(k): v for k, v in value.items()}.items()))
-        inner = "\n" + "  " * (level + 1)
-        return "{" + inner + ("," + inner).join(map(
-            "{}: {}".format, _scalars(keys, str), _items(values, level + 1))) + inner[:-2] + "}"
-    if isinstance(value, (list, tuple)):
-        return _nest(_items(value, level + 1), (len(value),), level)[0] if value else "[]"
-    if isinstance(value, (np.ndarray, np.generic, complex)):
-        arr = np.asarray(value)
-        numeric = arr.dtype.kind in "biufc" and arr.size
-        return _items([arr], level)[0] if numeric else _text(arr.tolist(), level)
-    if isinstance(value, Fraction):
-        return f'"{value.numerator}/{value.denominator}"'
-    for kind in (str, int, float):  # subclasses, written as json writes them
-        if isinstance(value, kind):
-            return _scalars((value,), kind)[0]
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        yield from _items(values, level + 1, "{}", [k + ": " for k in _scalars(keys, str)])
+    elif isinstance(value, (list, tuple, np.ndarray)) and len(value):
+        yield from _items(value, level + 1, "[]")
+    elif isinstance(value, (dict, list, tuple)):
+        yield "{}" if isinstance(value, dict) else "[]"
+    elif isinstance(value, complex):
+        yield f'"{format_complex(value)}"' if value.imag else _scalars((value.real,), float)[0]
+    elif isinstance(value, Fraction):
+        yield f'"{value.numerator}/{value.denominator}"'
+    elif isinstance(value, (str, int, float)):  # subclasses, written as json writes them
+        yield _scalars((value,), next(k for k in (str, int, float) if isinstance(value, k)))[0]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def dump_report(obj: Any) -> str:
-    """Canonical JSON text for a report object (trailing newline included)."""
-    return _text(obj, 0) + "\n"
+def dump_report(obj: Any, file=None) -> str | None:
+    """Canonical JSON text for a report object (trailing newline included), handed to
+    ``file.write`` in chunks of CHUNK characters (the last shorter), or their join."""
+    chunks, held, size = [], [], 0
+    write = chunks.append if file is None else file.write
+    for piece in itertools.chain(_texts(obj, 0), "\n"):
+        start = 0
+        while size + len(piece) - start > CHUNK:  # fill a chunk from the piece
+            stop = start + CHUNK - size
+            write("".join([*held, piece[start:stop]]))
+            held, size, start = [], 0, stop
+        held.append(piece[start:])
+        size += len(piece) - start
+    write("".join(held))
+    return "".join(chunks) if file is None else None
 
 
 def _json_value(value: Any) -> Any:
     """The JSON value that dump_report writes for ``value``."""
-    return json.loads(_text(value, 0))
+    return json.loads(dump_report(value))
 
 
 def load_document(path: str) -> dict:
@@ -435,6 +498,6 @@ def dualtable_to_csv(labels, weights) -> str:
     value formatted once, as _csv formats a float."""
     d = len(labels)
     block = np.array([weights[a, b] for a in range(d) for b in range(d)], dtype=np.float64)
-    cells = _distinct(block.ravel(), "%.17g").reshape(block.shape).tolist()
+    cells = _distinct(block.ravel(), "%.17g")(0, block.size).reshape(block.shape).tolist()
     return _csv(["left", "right", *labels], (
         [labels[k // d], labels[k % d], *row] for k, row in enumerate(cells)))

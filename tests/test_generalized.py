@@ -118,6 +118,13 @@ def test_rejects_non_stochastic_rows(pentagon):
         build_generalized(pentagon, stoch)
 
 
+def test_row_mass_error_prints_a_plain_number(pentagon):
+    stoch = classical_embedding(pentagon).stoch.copy()
+    stoch[1] *= 1.5
+    with pytest.raises(NotStochastic, match=r"^row 0 of class 1 sums to 1\.5$"):
+        build_generalized(pentagon, stoch)
+
+
 def test_rejects_support_mismatch(pentagon):
     g = classical_embedding(pentagon)
     stoch = g.stoch.copy()

@@ -4,12 +4,18 @@
 ``json.dumps(plain(obj), sort_keys=True, indent=2, ensure_ascii=False)``
 for every report value: nested containers, numpy arrays of every shape
 (0-d and empty ones included), complex arrays with and without imaginary
-parts, non-finite floats, big integers, unicode and non-str dict keys.
+parts, non-finite floats, big integers, unicode and non-str dict keys.  The
+chunks it hands to a file join to the same text, whether or not a container
+crosses a block, and hold ``jsonio.CHUNK`` characters each but the last, even
+where one scalar is longer.
 """
 
 import contextlib
 import io
+import json
 import math
+import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +89,82 @@ def test_writer_matches_the_reference_encoder(obj):
     assert dump_report(obj) == reference_report(obj)
 
 
+def _chunks(obj) -> list:
+    """The chunks dump_report hands to a file for ``obj``."""
+    chunks = []
+    assert dump_report(obj, types.SimpleNamespace(write=chunks.append)) is None
+    return chunks
+
+
+def _check_chunks(chunks: list, text: str):
+    """The chunks join to ``text``, each CHUNK characters long but the last."""
+    assert "".join(chunks) == text
+    assert all(len(chunk) == jsonio.CHUNK for chunk in chunks[:-1])
+    assert 0 < len(chunks[-1]) <= jsonio.CHUNK
+
+
+# entries drawn from pools with repeats, so each block meets both new and seen values
+POOLS = {
+    "i": lambda rng, n: np.where(rng.random(n) < 0.5, rng.integers(-3, 4, n),
+                                 rng.integers(-2**63, 2**63, n, dtype=np.int64)),
+    "b": lambda rng, n: rng.random(n) < 0.5,
+    "f": lambda rng, n: np.where(rng.random(n) < 0.3, rng.choice(EDGE_FLOATS, n),
+                                 rng.normal(size=n).round(rng.integers(1, 18))),
+    "c": lambda rng, n: POOLS["f"](rng, n) + 1j * np.where(
+        rng.random(n) < 0.5, rng.choice([0.0, -0.0, math.nan, 1.0, -2.5], n), rng.normal(size=n)),
+}
+BLOCK = jsonio.BLOCK
+# the item shapes of containers whose entries cross a block: leading axes of 1
+# and of more than one block, and rows that a block boundary cuts
+LONG_SHAPES = [(BLOCK + 7,), (1, BLOCK + 3), (BLOCK + 1, 2), (1, 1, BLOCK + 2),
+               (BLOCK + 2, 1, 1), (2, 3, BLOCK // 5), (3, BLOCK // 2 + 1, 1)]
+ITEM_SHAPES = [(), (48,), (2, 3), (5, 1, 7)]
+
+
+@st.composite
+def long_values(draw):
+    """An array, a dict or list of same-shape arrays, or a list of rows of Python
+    scalars of one length (as a hypergroup's 'conv' rows), whose entries cross BLOCK."""
+    kind = draw(st.sampled_from(sorted(POOLS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    form = draw(st.sampled_from(["array", "dict", "list", "rows"]))
+    if form == "array":
+        shape = draw(st.sampled_from(LONG_SHAPES))
+        return POOLS[kind](rng, math.prod(shape)).reshape(shape)
+    shape = draw(st.sampled_from(ITEM_SHAPES))
+    count = BLOCK // math.prod(shape) + draw(st.integers(1, 40))
+    values = POOLS[kind](rng, count * math.prod(shape)).reshape((count, *shape))
+    if form == "rows":
+        return [[*values[k].ravel().tolist(), f"{k}/7"] for k in range(count)]
+    items = [values[k, ...] for k in range(count)]  # 0-d arrays, not numpy scalars
+    return dict(zip(map(str, range(count)), items)) if form == "dict" else items
+
+
+huge_string = st.just("é" * (jsonio.CHUNK + 5))
+streamed = st.one_of(long_values(), reports,
+                     st.lists(st.one_of(long_values(), reports, huge_string), max_size=3),
+                     st.dictionaries(st.text(max_size=3), st.one_of(long_values(), reports),
+                                     max_size=3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(streamed)
+def test_streamed_report_matches_the_reference_in_bounded_chunks(obj):
+    text = reference_report(obj)
+    assert dump_report(obj) == text
+    _check_chunks(_chunks(obj), text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(reports, st.integers(1, 9), st.integers(1, 4000))
+def test_every_block_and_chunk_seam_keeps_the_bytes(obj, block, chunk):
+    """Blocks of a few entries cut rows, complex runs and a value's uses at every place."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonio, "BLOCK", block)
+        mp.setattr(jsonio, "CHUNK", chunk)
+        _check_chunks(_chunks(obj), reference_report(obj))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(complexes)
 def test_format_complex_matches_the_reference(z):
@@ -99,13 +181,15 @@ def test_unknown_types_are_refused():
 
 def test_fixed_cases():
     """Key collisions after str(), 0.0 next to -0.0 (equal, but printed apart),
-    and small integer types whose range exceeds their own maximum."""
+    small integer types whose range exceeds their own maximum, and masked arrays,
+    an ndarray subclass written as its base array."""
     obj = {1: [Fraction(-3, 4), 2.5 + 0j], "1.0": np.zeros((2, 0)), (0, "a"): "é\u0001\"",
            True: np.array(1 - 0j), None: np.array([[math.nan, -0.0]]), "big": 2**64,
            "1": "kept", "int8": np.tile(np.array([-128, 100], dtype=np.int8), 150),
            "int16": np.arange(-2**15, 2**15 - 100, dtype=np.int16),
            "zeros": [np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.0, 1.0])],
-           "complex zeros": np.array([0.0 - 0.0j, -0.0 + 1j, 0.0 - 1j, -0.0 - 0.0j])}
+           "complex zeros": np.array([0.0 - 0.0j, -0.0 + 1j, 0.0 - 1j, -0.0 - 0.0j]),
+           "masked": [np.ma.array(np.arange(4.0).reshape(2, 2)), [np.ma.array([1, 2])] * 2]}
     assert dump_report(obj) == reference_report(obj)
 
 
@@ -113,9 +197,9 @@ def _report_of(argv):
     """The report object ``cli.main`` hands to dump_report, and the text it wrote."""
     seen = []
 
-    def capture(obj):
+    def capture(obj, file=None):
         seen.append(obj)
-        return dump_report(obj)
+        return dump_report(obj, file)
 
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
@@ -139,3 +223,22 @@ def test_large_reports_match_the_reference(tmp_path):
     raw = np.stack(list(obj["results"]["raw_coefficients"].values()))
     assert raw.dtype.kind == "c" and (raw.imag != 0).any()
     assert text == reference_report(obj)
+
+
+def test_z48_dual_table_streams_in_bounded_memory(tmp_path):
+    """The dual table of Z_48 (an 8.9 MB report, nearly every value distinct) is
+    written to a file that keeps nothing with a tracemalloc peak of at most 16 MiB."""
+    order = np.random.default_rng(1).permutation(48)
+    labels = [f"{g}.0" for g in order.tolist()]
+    z48 = tmp_path / "z48.json"
+    z48.write_text(json.dumps({"elements": labels, "table": [
+        [f"{(g + h) % 48}.0" for h in order.tolist()] for g in order.tolist()]}))
+    obj, _ = _report_of(["dualtable", str(z48)])
+    sink = types.SimpleNamespace(write=lambda chunk: None)
+    tracemalloc.start()
+    try:
+        dump_report(obj, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
