@@ -31,7 +31,13 @@ from .errors import (
 )
 from .generalized import hypergroup_from_generalized
 from .groups import scheme_from_group_quotient
-from .harmonic import SEED, character_table, dual_convolution, orthogonality_residual
+from .harmonic import (
+    CHARACTER_RESIDUAL_TOL,
+    SEED,
+    character_table,
+    dual_convolution,
+    orthogonality_residual,
+)
 from .hypergroup import hypergroup_from_scheme, verify_hypergroup
 from .schemes import (
     audit_intersection_identities,
@@ -154,7 +160,9 @@ def cmd_chartable(args: argparse.Namespace) -> tuple:
         "residual": tbl.residual,
         "orthogonality_residual": orthogonality_residual(tbl),
     }
-    return results, jsonio.chartable_to_csv(tbl), True
+    # pass: the Gram matrix is diag(1/plancherel) to the tolerance, relative to its largest entry
+    ok = results["orthogonality_residual"] <= CHARACTER_RESIDUAL_TOL / tbl.plancherel.min()
+    return results, jsonio.chartable_to_csv(tbl), ok
 
 
 def cmd_dualtable(args: argparse.Namespace) -> tuple:

@@ -2,8 +2,8 @@
 
 ``dump_report`` streams json.dumps(sort_keys=True, indent=2) of a report's JSON
 form to a file in chunks of 1 MiB: a container's numeric arrays (stacked into
-one; a dual table's CSV weights too) are formatted once per distinct value, a
-block of at most 2^13 entries at a time, each text dropped after its last block.
+one; a dual table's CSV weights too) are formatted once per distinct value, up
+front, and nested into text a block of at most 2^13 entries at a time.
 CSV uses 17 significant digits.  Complex values are ``a+bi`` strings (JSON: the
 real part when the imaginary part is 0); exact hypergroup values are read by
 ``make_hypergroup``'s reader and written by the ``Fraction`` rule.
@@ -64,40 +64,20 @@ def _scalars(values, kind: type | None) -> list:
 
 
 def _distinct(flat: np.ndarray, text):
-    """take(a, b): the texts of a 1-D array's entries a to b, taken in consecutive runs.
-    A distinct bit pattern is formatted once (by _scalars for a type, else by a %-format)
-    in the first run that uses it, and dropped after the last.  A complex entry is its
-    real part when its imaginary part is 0, else '"a+bi"'."""
-    index = np.arange(len(flat), dtype=np.int32 if len(flat) < 2**31 else np.int64)
+    """take(a, b): the texts of a 1-D array's entries a to b, each distinct bit pattern
+    formatted once, up front (by _scalars for a type, else by a %-format).  A complex entry
+    is its real part where its imaginary part is 0, else '"a+bi"'."""
     if flat.dtype.kind == "c":
         zero = flat.imag == 0.0
-        below = np.cumsum(np.r_[False, zero], dtype=index.dtype)  # imaginary part 0 before
-        real = _distinct(flat.real[zero], float)  # and the halves of '"a+bi"':
-        re, im = _distinct(flat.real[~zero], '"%.17g'), _distinct(flat.imag[~zero], '%+.17gi"')
-
-        def halves(a: int, b: int) -> np.ndarray:
-            z, out, za, zb = zero[a:b], np.empty(b - a, dtype=object), below[a], below[b]
-            out[z], out[~z] = real(za, zb), re(a - za, b - zb) + im(a - za, b - zb)
-            return out
-
-        return halves
+        real = _distinct(np.where(zero, flat.real, 0.0), float)  # unused: one value, 0.0
+        re = _distinct(np.where(zero, 0.0, flat.real), '"%.17g')
+        im = _distinct(flat.imag, '%+.17gi"')
+        return lambda a, b: np.where(zero[a:b], real(a, b), re(a, b) + im(a, b))
     bits, at = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
-    at = at.astype(index.dtype)
-    first, last = np.full(len(bits), len(flat), index.dtype), np.zeros(len(bits), index.dtype)
-    np.minimum.at(first, at, index)
-    np.maximum.at(last, at, index)
-    values, texts = bits.view(flat.dtype), np.empty(len(bits), dtype=object)
-
-    def take(a: int, b: int) -> np.ndarray:
-        ids, here = at[a:b], index[a:b]
-        new = ids[first[ids] == here]
-        fresh = values[new].tolist()
-        texts[new] = _scalars(fresh, text) if isinstance(text, type) else [text % v for v in fresh]
-        out = texts[ids]
-        texts[ids[last[ids] == here]] = None
-        return out
-
-    return take
+    values = bits.view(flat.dtype).tolist()
+    texts = np.array(_scalars(values, text) if isinstance(text, type)
+                     else [text % v for v in values], dtype=object)
+    return lambda a, b: texts[at[a:b]]
 
 
 def _nest(texts: list, shape: tuple, level: int) -> list:

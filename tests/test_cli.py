@@ -723,6 +723,17 @@ def test_chartable_stdout_and_files(capsys, schema, docs, tmp_path):
     assert len(csv.strip().split("\n")) == 4
 
 
+def test_chartable_fails_when_the_characters_are_not_orthogonal(capsys, schema, docs,
+                                                                 monkeypatch):
+    # the pentagon's Gram matrix has largest entry 5, so the bound is 5e-8: 1.0 fails
+    monkeypatch.setattr(cli, "orthogonality_residual", lambda tbl: 1.0)
+    code, rep = run(capsys, "chartable", docs["pentagon.json"])
+    assert code == 2
+    check_envelope(schema, rep, "chartable")
+    assert rep["status"] == "fail"
+    assert rep["results"]["orthogonality_residual"] == 1.0
+
+
 def test_dualtable_pass_and_fail(capsys, schema, docs):
     code, rep = run(capsys, "dualtable", docs["pentagon.json"])
     assert code == 0
@@ -919,7 +930,9 @@ def test_reports_are_byte_identical_across_runs(capsys, docs, tmp_path):
 # documents whose verify and hypergroup reports involve no LAPACK or libm
 # rounding: exact integer and fraction arithmetic, and the gab family at
 # a = b = 3, where every power is a power of 2.  Their chartable and
-# dualtable reports go through LAPACK's eig, so those digests hold for the
+# dualtable reports go through LAPACK's eig, the generalized pentagon's verify
+# report through LAPACK's SVD (its operator norms), and the cosh window's report
+# through libm's cosh and exp and LAPACK's SVD, so those digests hold for the
 # numpy and OpenBLAS build they were recorded with (numpy 2.4, OpenBLAS 0.3.31).
 PINNED_DOCS = {
     "pentagon.json": {
@@ -943,6 +956,13 @@ PINNED_DOCS = {
     "z5.json": {
         "elements": ["g2", "g0", "g4", "g1", "g3"],
         "table": [[f"g{(a + b) % 5}" for b in (2, 0, 4, 1, 3)] for a in (2, 0, 4, 1, 3)],
+    },
+    # the pentagon as a generalized scheme, S_i = A_i / k_i: verified only
+    "pentagon-gen.json": {
+        "points": [0, 1, 2, 3, 4], "classes": [0, 1, 2],
+        "relations": [[x, y, min((x - y) % 5, (y - x) % 5)] for x in range(5) for y in range(5)],
+        "stoch": [[[(min((x - y) % 5, (y - x) % 5) == i) / (1, 2, 2)[i] for y in range(5)]
+                   for x in range(5)] for i in range(3)],
     },
 }
 
@@ -1001,6 +1021,11 @@ PINNED_DIGESTS = {
         "e788e50ea41de88f1b143ee0e15c9dcf5a5d2177511536184cc3f420152c36a0",
     "dualtable z5.json -> dualtable.json":
         "558772ce0b9f6e37cc616700e301c6a736f2cf2c8bc4b50e49d10db1642e5260",
+    # recorded before the report writer formatted each container's values up front
+    "family cosh --r 0.5 --window 4 -> family_cosh_window_audit.json":
+        "a18249ad48b4c9e1dce61f114d4413cd71e64f57a5bd0351164b1d8b2ab6b52e",
+    "verify pentagon-gen.json -> verify.json":
+        "e4ae2cbaa8ccbbbc8ac36656538eb5a59aa89ee2b584f8060f537512f4b06a21",
 }
 
 
@@ -1008,9 +1033,11 @@ def test_reports_match_recorded_bytes(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, doc in PINNED_DOCS.items():
         (tmp_path / name).write_text(json.dumps(doc))
-    runs = [[command, name] for name in PINNED_DOCS
+    runs = [[command, name] for name in PINNED_DOCS if name != "pentagon-gen.json"
             for command in ("verify", "hypergroup", "chartable", "dualtable")]
     runs.append(["family", "gab", "--a", "3", "--b", "3", "--max-degree", "3"])
+    runs.append(["family", "cosh", "--r", "0.5", "--window", "4"])
+    runs.append(["verify", "pentagon-gen.json"])
     found = {}
     for argv in runs:
         assert main(argv) == 0, argv

@@ -214,6 +214,24 @@ def test_an_involution_off_an_empty_class_is_named():
         audit_window(**{k: v for k, v in inputs.items() if k != "step"}, stoch=stoch)
 
 
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda r=r, m=m: cosh_window_scheme(CoshFamily(r), m), id=f"cosh-{r}-{m}")
+      for r in (0.5, 1.0, 1.5) for m in (1, 2, 4, 8, 16)),
+    pytest.param(lambda: build_windowed(**clique_window(3, 3, 3)), id="clique-3-3-3"),
+])
+def test_window_operator_norms_match_the_largest_gram_eigenvalue(build):
+    """The norm of each masked conjugated class matrix M is sqrt of the largest
+    eigenvalue of M^T M, a route that takes no SVD."""
+    g = build()
+    sq = np.sqrt(g.vertex_weight)
+    conj = sq[:, None] * g.step / sq
+    expected = []
+    for i in range(len(g.classes)):
+        m = np.where(g.relation == i, conj, 0.0)
+        expected.append(np.sqrt(max(np.linalg.eigvalsh(m.T @ m).max(), 0.0)))
+    np.testing.assert_allclose(g.report["operator_norms"], expected, rtol=1e-12, atol=0)
+
+
 def test_clique_window_audit_peak_memory():
     """The a = b = 3, radius-4 clique-tree window (n = 511, d = 9) audits within
     16 n x n float64 arrays, as no (d, n, n) array is built."""
