@@ -8,8 +8,8 @@ those products (extracted at witness entries, then verified globally)
 form a deformed convolution tensor.
 
 The classes partition the pairs of points, so the d matrices are held as one
-step matrix, step[x, y] = S_i(x, y) for the class i of (x, y); a (d, n, n)
-stack is folded into it where it enters (``GeneralizedScheme.stoch`` rebuilds one).
+step matrix, step[x, y] = S_i(x, y) for the class i of (x, y); a legacy
+document's (d, n, n) stack is folded into it where it is read.
 
 Infinite examples enter through centered windows: boundary rows are
 sub-stochastic and every product check is restricted to rows far enough
@@ -86,14 +86,6 @@ class GeneralizedScheme:
         return not bool(self.pair_checked.all())
 
     @cached_property
-    def stoch(self) -> np.ndarray:
-        """The (d, n, n) stack of transition matrices, read-only, built on first use."""
-        stack = np.zeros((self.n_classes, *self.step.shape))
-        np.put_along_axis(stack, self.relation[None], self.step[None], axis=0)
-        stack.setflags(write=False)
-        return stack
-
-    @cached_property
     def _base_algebra(self) -> tuple:
         """Tensors for positive_connection_check, built once: base_conv[i, jbar, l] as
         (k*k, d), and over a base scheme the (d, d*d) map from class coefficients c to
@@ -107,16 +99,13 @@ class GeneralizedScheme:
         return pairing, regular.reshape(s.n_classes, -1)
 
 
-def _fold(stoch, relation, classes) -> np.ndarray:
-    """The step matrix of a (classes, points, points) stack.  Raises ``NonSquare`` for
-    another shape and ``SupportMismatch`` for a nonzero entry outside its class."""
-    stoch, shape = np.asarray(stoch, dtype=np.float64), (len(classes), *relation.shape)
-    if stoch.shape != shape:
-        raise NonSquare(f"transition stack has shape {stoch.shape}, expected {shape}")
+def _fold(stoch: np.ndarray, relation, classes) -> np.ndarray:
+    """The step matrix of a (classes, points, points) stack of that shape.  Raises
+    ``SupportMismatch`` for a nonzero entry outside its class."""
     stray = stoch != 0.0
     np.put_along_axis(stray, relation[None], False, axis=0)
     if stray.any():
-        i, x, y = map(int, np.unravel_index(stray.argmax(), shape))
+        i, x, y = map(int, np.unravel_index(stray.argmax(), stray.shape))
         raise SupportMismatch(f"class {classes[i]!r} transition is nonzero outside its "
                               f"relation", witness=(i, x, y))
     return np.take_along_axis(stoch, relation[None], axis=0)[0]
@@ -129,26 +118,25 @@ def _first(mask, relation) -> tuple:
     return (int(relation.flat[c]), *divmod(c, relation.shape[1]))
 
 
-def build_generalized(base: Scheme, stoch, vertex_weight=None,
+def build_generalized(base: Scheme, step, vertex_weight=None,
                       base_point=_UNDEFINED) -> GeneralizedScheme:
     """Verify deformed transition data over a classical scheme: the audit of
     :func:`build_windowed` on a window without boundary, so every pair is checked.
 
-    ``stoch`` is a (classes, points, points) stack, folded into the step
-    matrix; ``vertex_weight`` defaults to the constant weight;
+    ``step`` is the (points, points) step matrix, S_i(x, y) for the class i
+    of (x, y); ``vertex_weight`` defaults to the constant weight;
     ``base_point`` (a point label, where true and false name no number and
     None is a label; the first point when left out) fixes the
     normalization.  Raises ``ParseError`` for an unknown base point, what
-    the fold and ``build_windowed`` raise, and ``SupportMismatch`` when the
-    deformed tensor's support differs from the base counts.
+    ``build_windowed`` raises, and ``SupportMismatch`` when the deformed
+    tensor's support differs from the base counts.
     """
     n, d = base.n_points, base.n_classes
     x = 0 if base_point is _UNDEFINED else _label_index(base.points, "point").get(_key(base_point))
     if x is None:
         raise ParseError(f"unknown point {base_point!r}")
     g = build_windowed(
-        base.points, base.classes, base.relation, base.identity, base.involution,
-        _fold(stoch, base.relation, base.classes),
+        base.points, base.classes, base.relation, base.identity, base.involution, step,
         np.ones(n) if vertex_weight is None else vertex_weight, x,
         np.full(n, n + max(1, d)), np.zeros(d))
     if not g.report["deformed_support_matches"]:

@@ -187,7 +187,7 @@ def load_document(path: str) -> dict:
 def detect_kind(doc: dict) -> str:
     if "table" in doc:
         return "cayley"
-    if "stoch" in doc:
+    if "step" in doc or "stoch" in doc:
         return "generalized"
     if "conv" in doc:
         return "hypergroup"
@@ -195,7 +195,7 @@ def detect_kind(doc: dict) -> str:
         return "scheme"
     raise ParseError(
         "document is none of: scheme (relations), cayley (table), "
-        "hypergroup (conv), generalized (stoch)"
+        "hypergroup (conv), generalized (step)"
     )
 
 
@@ -243,8 +243,8 @@ def _list(doc: dict, key: str) -> list:
 # the keys of each document kind read by _scheme_fields, in the order they are checked
 _REQUIRED = {
     "scheme": ("points", "classes", "relations"),
-    "generalized": ("points", "classes", "relations", "stoch"),
-    "windowed": ("points", "classes", "relations", "stoch", "identity", "involution",
+    "generalized": ("points", "classes", "relations"),
+    "windowed": ("points", "classes", "relations", "identity", "involution",
                  "boundary_distance", "class_order", "vertex_weight", "base_point"),
 }
 
@@ -392,7 +392,7 @@ def hypergroup_from_json(doc: dict) -> FiniteHypergroup:
 
 def generalized_to_json(g: GeneralizedScheme) -> dict:
     doc = scheme_to_json(g)
-    doc["stoch"] = g.stoch.tolist()
+    doc["step"] = g.step.tolist()
     doc["vertex_weight"] = g.vertex_weight.tolist()
     doc["base_point"] = doc["points"][g.base_point]
     if g.windowed:
@@ -423,31 +423,37 @@ def _int_array(doc: dict, key: str, length: int) -> np.ndarray:
 
 
 def generalized_from_json(doc: dict) -> GeneralizedScheme:
-    """The scheme fields, read as :func:`scheme_from_json` reads them, and the stack,
-    folded into the step matrix.  A document with 'boundary_distance' or 'class_order'
-    is a window: it must hold every field :func:`generalized_to_json` writes, and its
-    relation needs no scheme; any other is audited over its base scheme."""
+    """The scheme fields, read as :func:`scheme_from_json` reads them, and the (n, n)
+    'step' matrix, or without it a legacy (d, n, n) 'stoch' stack, folded into one.  A
+    document with 'boundary_distance' or 'class_order' is a window: it must hold every
+    field :func:`generalized_to_json` writes, and its relation needs no scheme; any
+    other is audited over its base scheme."""
     kind = "windowed" if "boundary_distance" in doc or "class_order" in doc else "generalized"
     points, classes, table, identity, involution, base_point = _scheme_fields(doc, kind)
     if kind == "windowed":
         relation = _relation_matrix(points, classes, table)
     else:
         base = _base_scheme(points, classes, table, identity, involution)
+        relation = base.relation
     n, d = len(points), len(classes)
-    stoch = _float_array(doc, "stoch")
-    if stoch.shape != (d, n, n):
-        raise ParseError(f"stoch must have shape ({d}, {n}, {n}), got {stoch.shape}")
+    key = "stoch" if "stoch" in doc and "step" not in doc else "step"
+    if key not in doc:
+        raise ParseError(f"{kind} document missing 'step'")
+    step, shape = _float_array(doc, key), (n, n) if key == "step" else (d, n, n)
+    if step.shape != shape:
+        raise ParseError(f"{key} must have shape {shape}, got {step.shape}")
     weight = None
     if "vertex_weight" in doc:
         weight = _float_array(doc, "vertex_weight")
         if weight.shape != (n,):
             raise ParseError(f"vertex_weight must have shape ({n},), got {weight.shape}")
+    if key == "stoch":
+        step = _fold(step, relation, classes)
 
     if kind == "generalized":
-        return build_generalized(base, stoch, vertex_weight=weight, base_point=points[base_point])
-    return build_windowed(points, classes, relation, identity, involution,
-                          _fold(stoch, relation, classes), weight, base_point,
-                          _int_array(doc, "boundary_distance", n),
+        return build_generalized(base, step, vertex_weight=weight, base_point=points[base_point])
+    return build_windowed(points, classes, relation, identity, involution, step, weight,
+                          base_point, _int_array(doc, "boundary_distance", n),
                           _int_array(doc, "class_order", d))
 
 

@@ -403,7 +403,7 @@ def _associativity_scan(t: np.ndarray, tol: float | None = None) -> tuple:
     2**53 (every partial sum is then an integer float64 holds, so BLAS stays exact)
     and in Python ints otherwise; the witness is the first nonzero entry in C order,
     and the scan stops at its block.  Otherwise it is the largest entry above tol.
-    Past one block, an exact float64 t is first put to Light's test: the u with
+    Past one block, an exact t is first put to Light's test: the u with
     (x*u)*y == x*(u*y) for all x, y form a subspace closed under the product, so
     greedy generators that pass and whose words span prove t associative; if one
     fails, or they are every class, the scan runs as before.
@@ -413,7 +413,7 @@ def _associativity_scan(t: np.ndarray, tol: float | None = None) -> tuple:
         top = int(np.abs(t).max(initial=0))
         t = t.astype(np.float64 if d * top * top < 2**53 else object)
     step = max(1, BLOCK // (2 * d**3))
-    if exact and step < d and t.dtype == np.float64:
+    if exact and step < d:
         # e with e*x == x*e == c x for all x is in that subspace untested, and starts the span
         eye, c = np.eye(d), np.einsum("iii->i", t)
         units = [e for e in np.flatnonzero(c).tolist()

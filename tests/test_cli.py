@@ -28,6 +28,7 @@ from hypergroups.jsonio import (
     scheme_to_json,
 )
 from hypergroups.schemes import build_scheme
+from legacy_stack import stack_document
 
 SCHEMA_PATH = "src/hypergroups/schemas/report.schema.json"
 
@@ -52,6 +53,7 @@ def docs(tmp_path):
     put("pentagon.json", scheme_to_json(s))
     put("hg.json", hypergroup_to_json(hypergroup_from_scheme(s)))
     put("gen.json", generalized_to_json(classical_embedding(s)))
+    put("gen-stoch.json", stack_document(classical_embedding(s)))
     put("cayley.json", {
         "elements": [0, 1, 2, 3],
         "table": [[(i + j) % 4 for j in range(4)] for i in range(4)],
@@ -105,7 +107,7 @@ def test_verify_scheme_passes(capsys, schema, docs):
 
 
 def test_verify_each_input_kind(capsys, schema, docs):
-    for name in ("pentagon.json", "hg.json", "gen.json", "cayley.json"):
+    for name in ("pentagon.json", "hg.json", "gen.json", "gen-stoch.json", "cayley.json"):
         code, rep = run(capsys, "verify", docs[name])
         assert code == 0, name
         check_envelope(schema, rep, "verify")
@@ -216,9 +218,11 @@ def test_cosh_large_rate_passes_or_names_the_float64_limit(capsys, r):
 
 @pytest.mark.parametrize("key, value", [
     ("vertex_weight", "heavy"), ("vertex_weight", [None]), ("stoch", "x"), ("stoch", [[["p"]]]),
+    ("step", "x"), ("step", [["p"]]),
 ])
 def test_non_numeric_generalized_arrays_are_parse_errors(capsys, docs, tmp_path, key, value):
-    with open(docs["gen.json"], encoding="utf-8") as fh:
+    """'stoch' is edited in the legacy stack document, the rest in the step document."""
+    with open(docs["gen-stoch.json" if key == "stoch" else "gen.json"], encoding="utf-8") as fh:
         doc = json.load(fh)
     doc[key] = [value] + doc[key][1:]
     path = tmp_path / "bad_gen.json"
@@ -229,13 +233,15 @@ def test_non_numeric_generalized_arrays_are_parse_errors(capsys, docs, tmp_path,
     assert captured.err.startswith(f"error: {key!r}") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("key, index", [("vertex_weight", (0,)), ("stoch", (1, 0, 0))],
-                         ids=["vertex_weight", "stoch"])
+@pytest.mark.parametrize("key, index", [("vertex_weight", (0,)), ("stoch", (1, 0, 0)),
+                                        ("step", (1, 0))],
+                         ids=["vertex_weight", "stoch", "step"])
 def test_generalized_integers_past_the_float_range_are_parse_errors(capsys, docs, tmp_path,
                                                                     key, index):
     """An integer too large for a float (the reader keeps JSON integers exact)
-    is a parse error, not an OverflowError traceback."""
-    with open(docs["gen.json"], encoding="utf-8") as fh:
+    is a parse error, not an OverflowError traceback; 'stoch' is edited in the
+    legacy stack document."""
+    with open(docs["gen-stoch.json" if key == "stoch" else "gen.json"], encoding="utf-8") as fh:
         doc = json.load(fh)
     cell = doc[key]
     for i in index[:-1]:
@@ -247,6 +253,25 @@ def test_generalized_integers_past_the_float_range_are_parse_errors(capsys, docs
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: {key!r} must be a rectangular array of finite numbers\n"
+
+
+@pytest.mark.parametrize("name, key, edit, message", [
+    ("gen.json", "step", lambda v: v[:-1], "step must have shape (5, 5), got (4, 5)"),
+    ("gen.json", "step", lambda v: [v], "step must have shape (5, 5), got (1, 5, 5)"),
+    ("gen-stoch.json", "stoch", lambda v: v[:-1], "stoch must have shape (3, 5, 5), got (2, 5, 5)"),
+    ("gen-stoch.json", "stoch", lambda v: v[0], "stoch must have shape (3, 5, 5), got (5, 5)"),
+], ids=["step-short", "step-stacked", "stoch-short", "stoch-one-matrix"])
+def test_transition_data_of_the_wrong_shape_is_a_parse_error(capsys, docs, tmp_path, name, key,
+                                                             edit, message):
+    with open(docs[name], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[key] = edit(doc[key])
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 Z2_TABLE = {"elements": [0, 1], "table": [[0, 1], [1, 0]]}
@@ -265,6 +290,7 @@ TWO_POINTS = {"points": [0, 1], "classes": ["e", "a"],
     ("verify", {"classes": ["e", "a"], "conv": 3}, "'conv' must be a list, got int"),
     ("verify", {"classes": {"e": 0}, "conv": []}, "'classes' must be a list, got dict"),
     ("verify", {**TWO_POINTS, "relations": 4, "stoch": []}, "'relations' must be a list, got int"),
+    ("verify", {**TWO_POINTS, "relations": 4, "step": []}, "'relations' must be a list, got int"),
 ])
 def test_fields_that_are_not_lists_are_parse_errors(capsys, tmp_path, command, doc, message):
     path = tmp_path / "doc.json"
@@ -287,6 +313,8 @@ def test_fields_that_are_not_lists_are_parse_errors(capsys, tmp_path, command, d
     ({"classes": [0], "conv": [[0, 0, 0, True]]}, "conv value must be number or 'p/q', got True"),
     ({"classes": [0], "conv": [[0, 0, 0, 1], [0, 0, 0, False]]},
      "conv value must be number or 'p/q', got False"),
+    ({"classes": [0], "conv": [[0, 0, 1]]}, "conv rows must be [i, j, k, value], got [0, 0, 1]"),
+    ({"classes": [0], "conv": [5]}, "conv rows must be [i, j, k, value], got 5"),
 ])
 def test_malformed_hypergroup_documents_are_parse_errors(capsys, tmp_path, doc, message):
     path = tmp_path / "hg.json"
@@ -417,7 +445,8 @@ def _booleans(label):
 
 
 @pytest.mark.parametrize("doc_name, kind", [("pentagon.json", "scheme"),
-                                            ("gen.json", "generalized")])
+                                            ("gen.json", "generalized"),
+                                            ("gen-stoch.json", "generalized")])
 @pytest.mark.parametrize("edit, code, message", [
     (lambda doc: _rename_classes(doc, "c{}".format), 0, None),
     (_reverse_classes, 0, None),
@@ -606,17 +635,50 @@ def _negative_outside(doc):
     doc["stoch"][3][0][1] = -0.01  # (-3, -2) is a class-1 pair
 
 
-@pytest.mark.parametrize("edit, error, witness, message", [
-    (_swap_involution, NoInvolution, 1, "involution sends class 1 to 2, which is not its transpose"),
-    (_move_entry, SupportMismatch, (1, 0, 2), "class 1 transition is nonzero outside its relation"),
-    (_negative_outside, SupportMismatch, (3, 0, 1),
+def _move_pentagon_entry(doc):
+    stoch = doc["stoch"][1][0]  # class 1 of point 0: its mass at 1 goes to 2, class 2
+    stoch[2], stoch[1] = stoch[2] + stoch[1], 0.0
+
+
+def _negative_pentagon_outside(doc):
+    doc["stoch"][2][0][1] = -0.01  # (0, 1) is a class-1 pair
+
+
+def _window():
+    return cosh.cosh_window_scheme(cosh.CoshFamily(1.0), 3)
+
+
+def _window_stack():
+    return stack_document(_window())
+
+
+def _pentagon_stack():
+    return stack_document(classical_embedding(pentagon_scheme()))
+
+
+@pytest.mark.parametrize("source, edit, error, witness, message", [
+    (_window_stack, _swap_involution, NoInvolution, 1,
+     "involution sends class 1 to 2, which is not its transpose"),
+    (_window_stack, _move_entry, SupportMismatch, (1, 0, 2),
+     "class 1 transition is nonzero outside its relation"),
+    (_window_stack, _negative_outside, SupportMismatch, (3, 0, 1),
      "class 3 transition is nonzero outside its relation"),
-], ids=["swapped-involution", "entry-moved-to-another-class", "negative-outside-its-class"])
-def test_windowed_documents_check_the_involution_and_fold_the_stack(capsys, tmp_path, edit,
-                                                                    error, witness, message):
-    """The reader folds the stack into one step matrix, so an entry off its class is
-    named, also a negative one; the involution must send each class to its transpose."""
-    doc = generalized_to_json(cosh.cosh_window_scheme(cosh.CoshFamily(1.0), 3))
+    (lambda: generalized_to_json(_window()), _swap_involution, NoInvolution, 1,
+     "involution sends class 1 to 2, which is not its transpose"),
+    (_pentagon_stack, _move_pentagon_entry, SupportMismatch, (1, 0, 2),
+     "class 1 transition is nonzero outside its relation"),
+    (_pentagon_stack, _negative_pentagon_outside, SupportMismatch, (2, 0, 1),
+     "class 2 transition is nonzero outside its relation"),
+], ids=["swapped-involution", "entry-moved-to-another-class", "negative-outside-its-class",
+        "step-swapped-involution", "scheme-entry-moved-to-another-class",
+        "scheme-negative-outside-its-class"])
+def test_windowed_documents_check_the_involution_and_fold_the_stack(capsys, tmp_path, source,
+                                                                    edit, error, witness,
+                                                                    message):
+    """The reader folds a legacy stack into one step matrix, so an entry off its class
+    is named, also a negative one, in a window and over a scheme alike; a window's
+    involution must send each class to its transpose, whichever format holds it."""
+    doc = source()
     edit(doc)
     with pytest.raises(error) as failure:
         generalized_from_json(doc)
@@ -628,6 +690,25 @@ def test_windowed_documents_check_the_involution_and_fold_the_stack(capsys, tmp_
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: classical_embedding(pentagon_scheme()),
+    lambda: cosh.cosh_window_scheme(cosh.CoshFamily(1.0), 4),
+    lambda: cosh.cosh_window_scheme(cosh.CoshFamily(1.0), 32),
+], ids=["pentagon", "cosh-window-4", "cosh-window-32"])
+def test_step_and_stack_documents_give_the_same_report_bytes(capsys, tmp_path, build):
+    """A generalized scheme written with 'step' and as a legacy 'stoch' stack, under
+    one path (the report echoes it), gives each command's exit code and bytes alike;
+    a window is no finite hypergroup, so only verify passes on it."""
+    g = build()
+    commands = ("verify", "hypergroup", "chartable", "dualtable")
+    path, runs = tmp_path / "gen.json", []
+    for doc in (generalized_to_json(g), stack_document(g)):
+        path.write_text(dump_report(doc))
+        runs.append([(main([c, str(path)]), *capsys.readouterr()) for c in commands])
+    assert [code for code, _, _ in runs[0]] == [0] + [2 if g.windowed else 0] * 3
+    assert runs[0] == runs[1]
 
 
 def _package_env():

@@ -202,7 +202,7 @@ def test_largest_window_audit_peak_memory():
     finally:
         tracemalloc.stop()
     assert g.report["deformed_support_matches"]
-    assert peak <= 8 * g.stoch.nbytes, (peak, g.stoch.nbytes)
+    assert peak <= 8 * g.n_classes * g.step.nbytes, (peak, g.n_classes * g.step.nbytes)
 
 
 def test_quadrature_reproduces_characters():
@@ -230,5 +230,6 @@ def test_window_keeps_the_small_step_mass(r):
     """1 - p rounds to 0 here; the down-step mass must not."""
     g = cosh_window_scheme(CoshFamily(r), 8)
     k = np.arange(1, 17)
-    np.testing.assert_allclose(g.stoch[k, k, 0], 1.0 / (1.0 + np.exp(2 * r * k)), rtol=1e-15)
-    np.testing.assert_allclose(g.stoch[k, 0, k], 1.0 / (1.0 + np.exp(-2 * r * k)), rtol=1e-15)
+    assert (g.relation[k, 0] == k).all() and (g.relation[0, k] == k).all()
+    np.testing.assert_allclose(g.step[k, 0], 1.0 / (1.0 + np.exp(2 * r * k)), rtol=1e-15)
+    np.testing.assert_allclose(g.step[0, k], 1.0 / (1.0 + np.exp(-2 * r * k)), rtol=1e-15)

@@ -41,6 +41,7 @@ from hypergroups.hypergroup import FiniteHypergroup, hypergroup_from_scheme, ver
 from hypergroups.jsonio import generalized_from_json, generalized_to_json
 from hypergroups import catalog
 from hypergroups.schemes import build_scheme, scheme_from_distance_regular_graph
+from legacy_stack import stack, stack_document
 
 
 def symmetrized_z8():
@@ -90,14 +91,14 @@ def test_uniform_weight_is_reversible(pentagon):
 
 def test_base_point_is_a_label_matched_by_type(pentagon):
     g = classical_embedding(pentagon)
-    assert build_generalized(pentagon, g.stoch, base_point=1).base_point == 1
+    assert build_generalized(pentagon, g.step, base_point=1).base_point == 1
     with pytest.raises(ParseError, match="unknown point True"):
-        build_generalized(pentagon, g.stoch, base_point=True)
+        build_generalized(pentagon, g.step, base_point=True)
 
 
 def test_build_windowed_freezes_copies_not_the_callers_arrays(pentagon):
     """The returned fields are read-only; the step matrix, weights, boundary distances
-    and class orders the caller passed stay writeable, and so does the stack."""
+    and class orders the caller passed stay writeable, also through build_generalized."""
     n, d = pentagon.n_points, pentagon.n_classes
     args = {"step": classical_embedding(pentagon).step.copy(), "vertex_weight": np.ones(n),
             "boundary_distance": np.full(n, n + d), "class_order": np.zeros(d, dtype=np.int64)}
@@ -105,65 +106,63 @@ def test_build_windowed_freezes_copies_not_the_callers_arrays(pentagon):
                        pentagon.involution, base_point=0, **args)
     assert all(arr.flags.writeable for arr in args.values())
     assert not any(getattr(g, name).flags.writeable for name in args)
-    stoch = classical_embedding(pentagon).stoch.copy()
-    assert not build_generalized(pentagon, stoch).stoch.flags.writeable
-    assert stoch.flags.writeable
+    step = classical_embedding(pentagon).step.copy()
+    assert not build_generalized(pentagon, step).step.flags.writeable
+    assert step.flags.writeable
 
 
 def test_rejects_non_stochastic_rows(pentagon):
-    g = classical_embedding(pentagon)
-    stoch = g.stoch.copy()
-    stoch[1] *= 1.5
+    step = classical_embedding(pentagon).step.copy()
+    step[pentagon.relation == 1] *= 1.5
     with pytest.raises(NotStochastic):
-        build_generalized(pentagon, stoch)
+        build_generalized(pentagon, step)
 
 
 def test_row_mass_error_prints_a_plain_number(pentagon):
-    stoch = classical_embedding(pentagon).stoch.copy()
-    stoch[1] *= 1.5
+    step = classical_embedding(pentagon).step.copy()
+    step[pentagon.relation == 1] *= 1.5
     with pytest.raises(NotStochastic, match=r"^row 0 of class 1 sums to 1\.5$"):
-        build_generalized(pentagon, stoch)
+        build_generalized(pentagon, step)
 
 
 def test_rejects_support_mismatch(pentagon):
-    g = classical_embedding(pentagon)
-    stoch = g.stoch.copy()
+    """Only a stack can put mass outside its class: read from a legacy document."""
+    doc = stack_document(classical_embedding(pentagon))
+    stoch = doc["stoch"][1][0]
     # move the mass of (0 -> 1) onto (0 -> 2): rows stay stochastic but
     # the matrix for class 1 now touches a class-2 pair
     assert pentagon.relation[0, 1] == 1 and pentagon.relation[0, 2] == 2
-    stoch[1, 0, 2] += stoch[1, 0, 1]
-    stoch[1, 0, 1] = 0.0
+    stoch[2] += stoch[1]
+    stoch[1] = 0.0
     with pytest.raises(SupportMismatch):
-        build_generalized(pentagon, stoch)
+        generalized_from_json(doc)
 
 
 def test_rejects_detailed_balance_violation(pentagon):
-    stoch = np.zeros((3, 5, 5))
-    stoch[0] = np.eye(5)
+    step = np.eye(5)
     for x in range(5):
-        stoch[1, x, (x + 1) % 5] = 0.6   # drift breaks reversibility at weight 1
-        stoch[1, x, (x - 1) % 5] = 0.4
-        stoch[2, x, (x + 2) % 5] = 0.5
-        stoch[2, x, (x - 2) % 5] = 0.5
+        step[x, (x + 1) % 5] = 0.6   # drift breaks reversibility at weight 1
+        step[x, (x - 1) % 5] = 0.4
+        step[x, (x + 2) % 5] = 0.5
+        step[x, (x - 2) % 5] = 0.5
     with pytest.raises(DetailedBalanceViolation):
-        build_generalized(pentagon, stoch)
+        build_generalized(pentagon, step)
 
 
 def test_rejects_closure_failure():
     """Alternating nearest-neighbour weights on the 8-cycle stay stochastic,
     supported, and reversible, but their products leave the class algebra."""
     s = symmetrized_z8()
-    g = classical_embedding(s)
-    stoch = g.stoch.copy()
+    step = classical_embedding(s).step.copy()
     t = 0.7
-    cls1 = 1  # class of the +-1 differences
-    stoch[cls1] = 0.0
+    cls1 = 1  # class of the +-1 differences, every pair of which is set below
+    assert (s.relation == cls1).sum() == 2 * 8
     for x in range(8):
         a, b = (t, 1 - t) if x % 2 == 0 else (1 - t, t)
-        stoch[cls1, x, (x + 1) % 8] = a
-        stoch[cls1, x, (x - 1) % 8] = b
+        step[x, (x + 1) % 8] = a
+        step[x, (x - 1) % 8] = b
     with pytest.raises(ClosureResidual):
-        build_generalized(s, stoch)
+        build_generalized(s, step)
 
 
 def test_windowed_object_refuses_global_structure():
@@ -372,14 +371,14 @@ def test_kernel_floor_rejects_what_the_dense_kernel_rejects(pentagon):
 
 
 def test_classical_route_matches_the_audit(algebra_schemes):
-    """The audited build of the same stochastic stack is the oracle for
+    """The audited build of the same step matrix is the oracle for
     every field the scheme route reads off the verified counts."""
     for name, s in algebra_schemes.items():
         g = classical_embedding(s)
         assert np.array_equal(g.p_tilde, hypergroup_from_scheme(s).conv_float), name
-        norms = [np.linalg.norm(m, 2) for m in g.stoch]
+        norms = [np.linalg.norm(m, 2) for m in stack(g.step, g.relation, s.n_classes)]
         np.testing.assert_allclose(g.report["operator_norms"], norms, rtol=0, atol=1e-12)
-        audited = build_generalized(s, g.stoch)
+        audited = build_generalized(s, g.step)
         np.testing.assert_allclose(g.p_tilde, audited.p_tilde, rtol=0, atol=1e-12,
                                    err_msg=name)
         assert g.report.pop("route") == "scheme"
@@ -387,7 +386,7 @@ def test_classical_route_matches_the_audit(algebra_schemes):
         for key, value in audited.report.items():
             np.testing.assert_allclose(g.report[key], value, rtol=0, atol=1e-12,
                                        err_msg=(name, key))
-        for field in ("stoch", "vertex_weight", "pair_checked", "boundary_distance",
+        for field in ("step", "vertex_weight", "pair_checked", "boundary_distance",
                       "class_order"):
             assert np.array_equal(getattr(g, field), getattr(audited, field)), (name, field)
             assert not getattr(g, field).flags.writeable, (name, field)
@@ -433,7 +432,7 @@ def test_base_conv_is_the_scheme_hypergroup_bit_for_bit(algebra_schemes):
     for name, s in algebra_schemes.items():
         expected = hypergroup_from_scheme(s).conv_float.view(np.uint64)
         g = classical_embedding(s)
-        for base_conv in (g.base_conv, build_generalized(s, g.stoch).base_conv):
+        for base_conv in (g.base_conv, build_generalized(s, g.step).base_conv):
             assert np.array_equal(base_conv.view(np.uint64), expected), name
             assert not base_conv.flags.writeable, name
 

@@ -27,10 +27,9 @@ GROUPS = [cyclic_group(m).mul for m in (2, 3, 5, 8, 12, 17)] + [
 
 def first_gap(t: np.ndarray):
     """The first (i, j, k, m) in C order with (i*j)*k != i*(j*k), or None: the
-    full scan, one row i at a time, in float64, which is exact here."""
+    full scan, one row i at a time, in float64 where it is exact, else in Python ints."""
     d, top = len(t), int(np.abs(t).max())
-    assert d * top * top < 2**53
-    t = t.astype(np.float64)
+    t = t.astype(np.float64 if d * top * top < 2**53 else object)
     for i in range(d):
         gap = np.tensordot(t[i], t, axes=([1], [0])) - np.tensordot(t, t[i], axes=([2], [0]))
         if gap.any():
@@ -145,6 +144,27 @@ def test_multiples_of_the_prime_leave_the_span_short(monkeypatch):
     bad[7, 9, 16] = 0
     assert schemes._associativity_scan(bad)[1] == first_gap(bad) is not None
     assert checked == []
+
+
+def test_tensors_held_as_python_ints_take_the_generator_path(monkeypatch):
+    """2^40 Z_n is held as Python ints (n 2^80 >= 2^53) and decided by its
+    generator with no full scan, at Z_48 at the real block size; a corrupted entry
+    still runs the full scan and gets its first witness."""
+    scans = []
+    gap = schemes.associativity_gap
+    monkeypatch.setattr(schemes, "associativity_gap", lambda *a: scans.append(a) or gap(*a))
+    t = group_algebra(cyclic_group(48).mul, np.arange(48), 1).astype(object) * 2**40
+    assert 2 * 48**4 > schemes.BLOCK
+    assert schemes._associativity_scan(t) == (0, None) and scans == []
+
+    monkeypatch.setattr(schemes, "BLOCK", 2 * 12**3)  # a block of one row at Z_12
+    t = group_algebra(cyclic_group(12).mul, np.arange(12), 1).astype(object) * 2**40
+    assert schemes._associativity_scan(t) == (0, None) and scans == []
+    for at in ((1, 2, 3), (5, 8, 1), (11, 0, 11)):
+        bad = t.copy()
+        bad[at] += 1
+        assert schemes._associativity_scan(bad)[1] == first_gap(bad) is not None
+    assert scans
 
 
 def test_z128_relation_and_tensor_take_the_generator_path(monkeypatch):

@@ -209,6 +209,13 @@ def test_check_subgroup_accepts_and_rejects():
         check_subgroup(g, [(9, 9, 9)])
 
 
+def test_empty_subgroup_and_order_zero_are_refused():
+    with pytest.raises(NotASubgroup, match="^subgroup must be nonempty$"):
+        check_subgroup(symmetric_group(3), [])
+    with pytest.raises(ParseError, match="^order must be positive$"):
+        cyclic_group(0)
+
+
 def test_quotient_scheme_against_brute_force():
     """Double-coset partition recomputed with raw set algebra."""
     g = symmetric_group(3)

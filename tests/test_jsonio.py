@@ -33,6 +33,7 @@ from hypergroups.jsonio import (
     scheme_from_json,
     scheme_to_json,
 )
+from legacy_stack import stack_document
 from ratio_oracle import parse_ratio
 
 
@@ -152,7 +153,9 @@ def test_generalized_roundtrip_embedding(pentagon, petersen, s3_mod_h, s4_mod_s3
         assert not g2.windowed
         assert g2.classes == g.classes and g2.points == g.points
         np.testing.assert_array_equal(g2.relation, g.relation)
-        np.testing.assert_allclose(g2.stoch, g.stoch, rtol=0, atol=0)
+        np.testing.assert_allclose(g2.step, g.step, rtol=0, atol=0)
+        g3 = generalized_from_json(json.loads(dump_report(stack_document(g))))
+        np.testing.assert_allclose(g3.step, g.step, rtol=0, atol=0)
         np.testing.assert_allclose(g2.p_tilde, g.p_tilde, rtol=0, atol=1e-12)
 
 
@@ -166,6 +169,16 @@ def test_generalized_roundtrip_windowed():
     np.testing.assert_allclose(g2.vertex_weight, g.vertex_weight, rtol=1e-15)
     np.testing.assert_allclose(
         g2.p_tilde[g2.pair_checked], g.p_tilde[g.pair_checked], rtol=0, atol=1e-12)
+
+
+def test_documents_missing_their_data_are_parse_errors():
+    """The CLI detects neither document without its data key; the readers name it."""
+    with pytest.raises(ParseError, match="^cayley document missing 'table'$"):
+        cayley_from_json({"elements": [0, 1]})
+    doc = generalized_to_json(classical_embedding(cyclic_scheme(3)))
+    del doc["step"]
+    with pytest.raises(ParseError, match="^generalized document missing 'step'$"):
+        generalized_from_json(doc)
 
 
 def test_cayley_document(tmp_path):
@@ -224,6 +237,7 @@ def test_labels_convert_as_the_recursion_converts_them(v):
 def test_detect_kind_priority_and_failure():
     assert detect_kind({"conv": [], "classes": []}) == "hypergroup"
     assert detect_kind({"stoch": [], "relations": []}) == "generalized"
+    assert detect_kind({"step": [], "relations": []}) == "generalized"
     with pytest.raises(ParseError):
         detect_kind({"something": 1})
 

@@ -14,6 +14,7 @@ from hypergroups.errors import (
     InconsistentIntersection,
     NoIdentityClass,
     NoInvolution,
+    NotBijective,
     NotDistanceRegular,
     ParseError,
     SchemeError,
@@ -301,6 +302,25 @@ def test_relation_table_as_array_and_unknown_labels():
     strs[2][0] = "z"
     with pytest.raises(ParseError, match=r"^pair \(2, 0\) maps to unknown class 'z'$"):
         build_scheme(range(3), "abc", strs)
+
+
+@pytest.mark.parametrize("points, classes, relation, message", [
+    ([], [0], [], "empty point set"),
+    (range(2), [], [[0, 0], [0, 0]], "empty class list"),
+    (range(2), [0, 1], [[0, 1], [1]], "relation table is not |X| x |X|"),
+    (range(2), [0, 1], [[0, 1]], "relation table is not |X| x |X|"),
+    (range(2), [0, 1], {(0, 0): 0, (0, 1): 1, (1, 0): 1}, "relation undefined for pair (1, 1)"),
+], ids=["no-points", "no-classes", "ragged", "short", "mapping-lacks-a-pair"])
+def test_relation_data_that_gives_no_table_is_a_parse_error(points, classes, relation, message):
+    with pytest.raises(ParseError) as err:
+        build_scheme(points, classes, relation)
+    assert str(err.value) == message
+
+
+def test_asserted_involution_of_an_unknown_class_is_a_parse_error():
+    table = [[(y - x) % 3 for y in range(3)] for x in range(3)]
+    with pytest.raises(ParseError, match="^unknown class 7$"):
+        build_scheme(range(3), [0, 1, 2], table, involution=[(0, 0), (7, 1)])
 
 
 def test_asserted_identity_and_involution_checked(z4):
@@ -643,6 +663,18 @@ def test_broken_map_is_not_automorphism(petersen):
     swap[0], swap[1] = 1, 0  # transposing adjacent outer vertices breaks edges
     identity_classes = {c: c for c in petersen.classes}
     assert not check_automorphism(petersen, swap, identity_classes)
+
+
+@pytest.mark.parametrize("point_map, class_map, message", [
+    ({0: 0}, range(3), "point map misses label 1"),
+    ([0, 1], range(3), "point map has 2 images for 5 labels"),
+    (range(5), [0, 1, 7], "class map hits unknown label 7"),
+    ([0, 0, 1, 2, 3], range(3), "point map is not injective"),
+], ids=["misses-a-label", "too-few-images", "unknown-image", "not-injective"])
+def test_maps_that_are_no_bijection_are_refused(pentagon, point_map, class_map, message):
+    with pytest.raises(NotBijective) as err:
+        check_automorphism(pentagon, point_map, class_map)
+    assert str(err.value) == message
 
 
 def test_boolean_class_labels_are_their_own_classes():

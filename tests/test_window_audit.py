@@ -20,6 +20,7 @@ from hypergroups.errors import (
 from hypergroups.families.cosh import CoshFamily, cosh_window_scheme
 from hypergroups.families.gab import GabFamily, gab_ball, gab_haar
 from hypergroups.generalized import build_generalized, build_windowed, classical_embedding
+from legacy_stack import stack
 from window_oracle import audit_scheme, audit_window
 
 FIELDS = ("points", "classes", "relation", "identity", "involution", "step", "vertex_weight",
@@ -59,13 +60,6 @@ def _scheme(s) -> dict:
     return {"scheme": s, "classes": s.classes, "relation": s.relation, "identity": s.identity,
             "step": classical_embedding(s).step, "vertex_weight": np.ones(n),
             "boundary_distance": np.full(n, n + d), "class_order": np.zeros(d, dtype=np.int64)}
-
-
-def _stack(step, relation, d):
-    n = len(step)
-    stack = np.zeros((d, n, n))
-    stack[relation, np.arange(n)[:, None], np.arange(n)] = step
-    return stack
 
 
 def _four_cycle(relation, identity, pick):
@@ -143,14 +137,14 @@ def _outcome(audit):
 
 def _audit(inputs, step):
     """(build, oracle) outcomes of one case: the step matrix audited as a window, or
-    over its catalog scheme as the stack build_generalized folds."""
+    over its catalog scheme; the oracle audits its (d, n, n) stack."""
     def fields(g):
         return g.report, g.p_tilde, g.pair_checked
 
-    stoch = _stack(step, inputs["relation"], len(inputs["classes"]))
+    stoch = stack(step, inputs["relation"], len(inputs["classes"]))
     if "scheme" in inputs:
         s = inputs["scheme"]
-        return (_outcome(lambda: fields(build_generalized(s, stoch))),
+        return (_outcome(lambda: fields(build_generalized(s, step))),
                 _outcome(lambda: audit_scheme(s, stoch)))
     others = {name: value for name, value in inputs.items() if name != "step"}
     return (_outcome(lambda: fields(build_windowed(**others, step=step))),
@@ -209,7 +203,7 @@ def test_an_involution_off_an_empty_class_is_named():
     with pytest.raises(NoInvolution, match="^involution sends class 'empty' to 1, ") as failure:
         build_windowed(**inputs)
     assert failure.value.witness == d
-    stoch = _stack(inputs["step"], inputs["relation"], d + 1)
+    stoch = stack(inputs["step"], inputs["relation"], d + 1)
     with pytest.raises(DetailedBalanceViolation):
         audit_window(**{k: v for k, v in inputs.items() if k != "step"}, stoch=stoch)
 
