@@ -60,7 +60,6 @@ from .hypergroup import (
     convolve_measures,
     hypergroup_from_scheme,
     involute,
-    is_hermitian,
     is_probability,
     make_hypergroup,
     modular_function,
@@ -113,7 +112,7 @@ __all__ = [
     "FiniteGroup", "check_subgroup", "cyclic_group", "group_from_table",
     "hecke_convolution", "scheme_from_group_quotient", "symmetric_group",
     "FiniteHypergroup", "convolve_functions", "convolve_measures",
-    "hypergroup_from_scheme", "involute", "is_hermitian", "is_probability",
+    "hypergroup_from_scheme", "involute", "is_probability",
     "make_hypergroup", "modular_function", "translate", "verify_hypergroup",
     "CharacterTable", "DualCoefficients", "DualMeasure", "character_table",
     "conjugate_index", "dual_convolution", "dual_hypergroup", "fourier",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import FiniteGroup, cyclic_group, scheme_from_group_quotient, symmetric_group
+from .groups import scheme_from_group_quotient, symmetric_group
 from .schemes import Scheme, build_scheme, scheme_from_distance_regular_graph
 
 
@@ -77,11 +77,3 @@ def s3_regular() -> Scheme:
     """Group scheme of S3 itself (trivial subgroup): not commutative."""
     g = symmetric_group(3)
     return scheme_from_group_quotient(g, [g.identity])
-
-
-def s3_group() -> FiniteGroup:
-    return symmetric_group(3)
-
-
-def z4_group() -> FiniteGroup:
-    return cyclic_group(4)

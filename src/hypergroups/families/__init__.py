@@ -5,7 +5,6 @@ from .gab import (  # noqa: F401
     MomentResult,
     gab_ball,
     gab_dual_measure,
-    gab_eval,
     gab_eval_all,
     gab_eval_closed_form,
     gab_haar,

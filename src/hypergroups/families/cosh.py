@@ -16,7 +16,7 @@ trapezoid evaluation of it, and the centered-window construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,19 +140,9 @@ def cosh_window_scheme(fam: CoshFamily, m: int) -> GeneralizedScheme:
         for idx, w in cosh_base_product(k, l).items():
             base_conv[k, l, idx] = w
 
-    return build_windowed(
-        points=points,
-        classes=classes,
-        relation=relation,
-        identity=0,
-        involution=np.arange(d),
-        step=step,
-        vertex_weight=weight,
-        base_point=m,
-        boundary_distance=boundary,
-        class_order=np.arange(d),
-        base_conv=base_conv,
-    )
+    g = build_windowed(points, classes, relation, 0, np.arange(d), step, weight, m, boundary,
+                       np.arange(d))
+    return replace(g, base_conv=base_conv)
 
 
 def window_character(g: GeneralizedScheme, alpha1: complex):

@@ -117,6 +117,8 @@ def gab_linearization(fam: GabFamily, m: int, n: int) -> dict:
 
 def gab_eval_all(fam: GabFamily, nmax: int, x) -> np.ndarray:
     """P_0..P_nmax at x via the three-term recurrence; shape (nmax+1,) + x.shape."""
+    if nmax < 0:
+        raise ParameterOutOfRange("degree must be nonnegative")
     a, b = fam.a, fam.b
     x = np.asarray(x, dtype=np.float64)
     out = np.empty((nmax + 1,) + x.shape, dtype=np.float64)
@@ -131,14 +133,6 @@ def gab_eval_all(fam: GabFamily, nmax: int, x) -> np.ndarray:
     for n in range(1, nmax):
         out[n + 1] = lift * (p1 * out[n] - c_prev * out[n - 1] - c_same * out[n])
     return out
-
-
-def gab_eval(fam: GabFamily, n: int, x):
-    """P_n(x) by recurrence (the reference route)."""
-    if n < 0:
-        raise ParameterOutOfRange("degree must be nonnegative")
-    vals = gab_eval_all(fam, n, x)
-    return vals[n]
 
 
 def gab_left_endpoint_values(fam: GabFamily, nmax: int) -> np.ndarray:

@@ -17,8 +17,8 @@ from the boundary, tracked per class pair.
 
 The positive-connection certificate reads the base hypergroup from one
 tensor, ``base_conv``: the scheme hypergroup over a base scheme, or the
-undeformed block a window's builder passes in.  A window read from a
-document has none, and its certificate raises ``SchemeError``.
+undeformed block a window's builder attaches with ``replace``.  A window
+read from a document has none, and its certificate raises ``SchemeError``.
 """
 
 from __future__ import annotations
@@ -144,9 +144,8 @@ def build_generalized(base: Scheme, step, vertex_weight=None,
     return replace(g, base_scheme=base, base_conv=np.divide(*_scheme_ratio(base)))
 
 
-def build_windowed(points, classes, relation, identity, involution, step,
-                   vertex_weight, base_point, boundary_distance, class_order,
-                   base_conv=None) -> GeneralizedScheme:
+def build_windowed(points, classes, relation, identity, involution, step, vertex_weight,
+                   base_point, boundary_distance, class_order) -> GeneralizedScheme:
     """Verify deformed transition data on a window of a relation partition.
 
     ``step[x, y]`` is S_i(x, y) for the class i = relation[x, y], and no
@@ -158,7 +157,7 @@ def build_windowed(points, classes, relation, identity, involution, step,
     of the relation at the witness pairs its coefficients are read at.  Raises
     ``NonSquare``, ``NotStochastic``, ``SupportMismatch``, ``NoInvolution``,
     ``DetailedBalanceViolation`` or ``ClosureResidual`` with witnesses, (class,
-    x, y) for an entry.  ``base_conv`` is kept as the field.
+    x, y) for an entry.
     """
     points, classes = tuple(points), tuple(classes)
     n, d = len(points), len(classes)
@@ -307,8 +306,7 @@ def build_windowed(points, classes, relation, identity, involution, step,
         points=points, classes=classes, relation=relation,
         identity=identity, involution=involution, step=step,
         vertex_weight=weight, base_point=base_point, p_tilde=p_tilde,
-        pair_checked=pair_checked, boundary_distance=bd, class_order=order,
-        report=report, base_conv=base_conv,
+        pair_checked=pair_checked, boundary_distance=bd, class_order=order, report=report,
     )
 
 

@@ -117,8 +117,8 @@ def character_table(h: FiniteHypergroup, gap: float = CLUSTER_GAP,
     One seeded combination T = sum_i mu_i M_i is diagonalized once.  Raises
     ``NotCommutative`` for noncommutative input and ``DegenerateSplitFailure``
     when two eigenvalues of T lie within ``gap`` (the draw does not separate
-    the characters; witness: the index pair; another ``seed`` redraws it) or
-    the result fails the multiplicativity validation.
+    the characters; witness: the index pair; another ``seed`` redraws it), when
+    T overflows float64, or when the result fails the multiplicativity validation.
     """
     if not is_commutative(h):
         raise NotCommutative("character theory here needs a commutative hypergroup")
@@ -127,7 +127,11 @@ def character_table(h: FiniteHypergroup, gap: float = CLUSTER_GAP,
 
     rng = np.random.default_rng(seed)
     mu = rng.uniform(0.5, 1.5, size=d)
-    T = np.tensordot(mu, conv, axes=([0], [0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = np.tensordot(mu, conv, axes=([0], [0]))
+    if not np.isfinite(T).all():
+        raise DegenerateSplitFailure(
+            f"the combination drawn with seed {seed} overflows float64; redraw with another seed")
 
     w, V = np.linalg.eig(T)
     close = np.argwhere(np.triu(np.abs(w[:, None] - w[None, :]) <= gap, 1))

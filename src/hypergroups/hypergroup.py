@@ -260,11 +260,6 @@ def is_commutative(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> bool:
     return bool(gap <= (0 if h.exact else tol))
 
 
-def is_hermitian(h: FiniteHypergroup) -> bool:
-    """Involution is the identity map."""
-    return bool((h.involution == np.arange(h.n_classes)).all())
-
-
 def is_probability(vec, tol: float = DEFAULT_TOL) -> bool:
     """Nonnegative with total 1: exactly for ints and Fractions, within tol for floats."""
     arr = np.asarray(vec)

@@ -362,6 +362,7 @@ def is_commutative(s: Scheme) -> bool:
 
 
 def is_symmetric(s: Scheme) -> bool:
+    """Whether the involution is the identity map, of a scheme or a hypergroup alike."""
     return bool((s.involution == np.arange(s.n_classes)).all())
 
 
@@ -421,18 +422,18 @@ def _associativity_scan(t: np.ndarray, tol: float | None = None) -> tuple:
         gens = _spanning_generators(t, units)
         if len(units + gens) < d and all(_associates_with(t, s) for s in gens):
             return 0.0, None
-    peaks = []
+    peak = witness = None
     for start in range(0, d, step):
-        # a failing block is computed again rather than kept, so one block is live at a time
-        peaks.append(associativity_gap(t, start, step).max())
-        if exact and peaks[-1] > 0:
+        gap = associativity_gap(t, start, step)
+        top = gap.max()
+        # the witness comes from the first block holding the peak; a nan peak has none
+        if peak is None or top > peak or top != top and peak == peak:
+            at = _witness(gap, cut, exact) if top > cut else None
+            peak, witness = top, at and (start + at[0], *at[1:])
+        del gap  # one block is live at a time
+        if exact and top > 0:
             break
-    peaks = np.array(peaks)
-    block = _witness(peaks, cut, exact)
-    if block is None:
-        return peaks.max(), None
-    i, *jkm = _witness(associativity_gap(t, block[0] * step, step), cut, exact)
-    return peaks.max(), (block[0] * step + i, *jkm)
+    return peak, witness
 
 
 def audit_intersection_identities(s: Scheme) -> dict:

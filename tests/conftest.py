@@ -1,7 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hypergroups import catalog
+
+# Hypothesis imports libcst, where installed, to report a failing example; libcst's
+# import raises a DeprecationWarning (mypy_extensions.TypedDict) that ``-W error``
+# turns into an INTERNALERROR ending the session.  Importing it here first, with that
+# warning ignored, keeps failures reported under ``-W error``.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 SEED = 0xC0FFEE
 

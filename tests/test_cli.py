@@ -357,6 +357,32 @@ def test_overflowing_hypergroup_fails_without_warnings(capsys, tmp_path):
         assert capsys.readouterr().err == "", command
 
 
+@pytest.mark.filterwarnings("error")
+def test_character_tables_of_overflowing_hypergroups_fail_in_one_line(capsys, tmp_path):
+    """Z_2's T = sum_i mu_i M_i stays finite and its eigenvector for the identity class
+    vanishes there; with x * y = y * y = 1e308 x + ... the draws of seeds 1 and 2 make T
+    overflow float64 before it is diagonalized, and the error names the seed."""
+    z2 = tmp_path / "z2.json"
+    z2.write_text(json.dumps(_z2_hypergroup(1e308, 1e308)))
+    three = tmp_path / "three.json"
+    three.write_text(json.dumps({"classes": [0, 1, 2], "conv": [
+        [0, 0, 0, 1.0], [0, 1, 1, 1.0], [0, 2, 2, 1.0], [1, 0, 1, 1.0], [2, 0, 2, 1.0],
+        [1, 1, 0, 1.0], [2, 2, 0, 1.0], [1, 2, 1, 1e308], [2, 1, 1, 1e308], [2, 2, 1, 1e308]]}))
+    for command in ("chartable", "dualtable"):
+        for argv, message in (
+            ([str(z2)], "candidate character vanishes at the identity class"),
+            ([str(three), "--seed", "1"], "the combination drawn with seed 1 overflows "
+                                          "float64; redraw with another seed"),
+            ([str(three), "--seed", "2"], "the combination drawn with seed 2 overflows "
+                                          "float64; redraw with another seed"),
+        ):
+            code = main([command, *argv])
+            captured = capsys.readouterr()
+            assert code == 2, (command, argv)
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n", (command, argv)
+
+
 def test_cayley_booleans_are_labels_or_nothing(capsys, tmp_path):
     """JSON true and false are no element indices and match no number label; they
     count only as boolean labels.  Labels that print alike give duplicate classes."""

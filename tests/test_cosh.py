@@ -91,6 +91,12 @@ def test_base_product_is_the_undeformed_limit():
         cosh_base_product(-1, 2)
 
 
+@pytest.mark.parametrize("k, l", [(-1, 2), (2, -1)])
+def test_deformed_product_rejects_negative_classes(k, l):
+    with pytest.raises(ParameterOutOfRange, match="^classes are nonnegative integers$"):
+        cosh_convolution(CoshFamily(1.0), k, l)
+
+
 def test_characters_multiplicative_exactly():
     """a(k) a(l) = sum of convolution weights times a: holds pointwise for
     every dual parameter, not just on a grid."""

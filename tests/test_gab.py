@@ -16,13 +16,13 @@ from hypergroups.errors import (
     BallTooLarge,
     ClosedFormSingular,
     ParameterOutOfRange,
+    QuadratureNotConverged,
 )
 from hypergroups.families import gab
 from hypergroups.families.gab import (
     GabFamily,
     gab_ball,
     gab_dual_measure,
-    gab_eval,
     gab_eval_all,
     gab_eval_closed_form,
     gab_haar,
@@ -161,7 +161,7 @@ def test_closed_form_singular_points_still_evaluate():
     for x in (1.0, -1.0):
         with pytest.raises(ClosedFormSingular):
             gab_eval_closed_form(fam, 5, x)
-        assert np.isfinite(gab_eval(fam, 5, x))
+        assert np.isfinite(gab_eval_all(fam, 5, x)[5])
 
 
 def test_bounded_by_one_on_the_interval():
@@ -216,9 +216,9 @@ def test_measure_object_integrates_consistently():
         total = mu.total_mass()
         assert total == pytest.approx(1.0, abs=1e-10), (a, b)
         for n in range(1, 6):
-            assert mu.integrate(lambda x: gab_eval(fam, n, x)) == pytest.approx(
+            assert mu.integrate(lambda x: gab_eval_all(fam, n, x)[n]) == pytest.approx(
                 0.0, abs=1e-10), (a, b, n)
-        gram = [[mu.integrate(lambda x: gab_eval(fam, m, x) * gab_eval(fam, n, x))
+        gram = [[mu.integrate(lambda x: gab_eval_all(fam, m, x)[m] * gab_eval_all(fam, n, x)[n])
                  for n in range(6)] for m in range(6)]
         np.testing.assert_allclose(gram, np.diag([1.0 / gab_haar(fam, n) for n in range(6)]),
                                    rtol=1e-9, atol=1e-12, err_msg=str((a, b)))
@@ -566,3 +566,29 @@ def test_left_endpoint_values_are_geometric():
 def test_left_endpoint_values_rejects_negative_degree():
     with pytest.raises(ParameterOutOfRange):
         gab_left_endpoint_values(GabFamily(3, 3), -1)
+
+
+def test_left_endpoint_values_survive_a_rescaled_backward_pass():
+    """At (3, 7) the backward pass from degree 340 grows by about b - 1 = 6 a step,
+    past 1e250 before degree zero, so it is rescaled on the way down."""
+    np.testing.assert_allclose(gab_left_endpoint_values(GabFamily(3, 7), 300),
+                               (1.0 - 7.0) ** -np.arange(301.0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda fam: gab_haar(fam, -1), "degree must be nonnegative"),
+    (lambda fam: gab_linearization(fam, -1, 2), "degrees must be nonnegative"),
+    (lambda fam: gab_linearization(fam, 2, -1), "degrees must be nonnegative"),
+    (lambda fam: gab_eval_all(fam, -1, 0.5), "degree must be nonnegative"),
+], ids=["haar", "linearization-left", "linearization-right", "eval-all"])
+def test_negative_degrees_rejected(call, message):
+    with pytest.raises(ParameterOutOfRange) as err:
+        call(GabFamily(3, 3))
+    assert str(err.value) == message
+
+
+def test_measure_integration_refuses_a_rule_that_does_not_settle():
+    """cos(300 x) oscillates faster than 100 Gauss nodes resolve: the two rules disagree."""
+    mu = gab_orthogonality_measure(GabFamily(3, 3))
+    with pytest.raises(QuadratureNotConverged, match="^doubling the rule moved the value by "):
+        mu.integrate(lambda x: np.cos(300 * x))

@@ -265,12 +265,23 @@ def test_build_windowed_rejections(field, corrupt, error, witness):
     g = cosh_window_scheme(CoshFamily(1.0), 3)
     inputs = {name: getattr(g, name) for name in (
         "points", "classes", "relation", "identity", "involution", "step", "vertex_weight",
-        "base_point", "boundary_distance", "class_order", "base_conv")}
+        "base_point", "boundary_distance", "class_order")}
     assert build_windowed(**inputs).windowed
     inputs[field] = corrupt(inputs[field])
     with pytest.raises(error) as failure:
         build_windowed(**inputs)
     assert failure.value.witness == witness
+
+
+def test_deformed_coefficients_that_lose_mass_are_refused():
+    """Two points a, b; b is a boundary row of class 1, which keeps 0.5 of its mass.
+    Row a may check (1, 1): S_1 S_1 there is 0.5 S_0, inside the span, but its
+    coefficients sum to 0.5."""
+    with pytest.raises(ClosureResidual) as failure:
+        build_windowed(("a", "b"), (0, 1), [[0, 1], [1, 0]], 0, [0, 1],
+                       [[1.0, 1.0], [0.5, 1.0]], [1.0, 2.0], 0, [2, 0], [0, 1])
+    assert str(failure.value) == "deformed coefficients of (1, 1) sum to 0.5"
+    assert failure.value.witness == (1, 1)
 
 
 def test_dual_product_matches_dual_convolution(commutative_schemes):

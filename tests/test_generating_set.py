@@ -167,6 +167,36 @@ def test_tensors_held_as_python_ints_take_the_generator_path(monkeypatch):
     assert scans
 
 
+def test_each_block_of_the_scan_is_computed_once(monkeypatch):
+    """Z_12 on classes 4..15 of 16, one entry corrupted, in blocks of two rows: rows
+    0..3 are zero and associate, so the first gap lies past two blocks.  The exact
+    scan, in float64 and in Python ints, computes the blocks up to the one holding
+    the first gap once each and takes the witness from it.  Read as floats, every
+    block is computed once, the peak is the largest gap and the witness the first
+    entry holding it in C order (the largest entry of the first block holding it)."""
+    starts = []
+    gap = schemes.associativity_gap
+    monkeypatch.setattr(schemes, "associativity_gap",
+                        lambda t, start, step: starts.append(start) or gap(t, start, step))
+    monkeypatch.setattr(schemes, "BLOCK", 2 * 2 * 16**3)  # two rows per block at d = 16
+    t = np.zeros((16, 16, 16), dtype=np.int64)
+    t[4:, 4:, 4:] = group_algebra(cyclic_group(12).mul, np.arange(12), 1)
+    t[9, 12, 5] += 1
+    for bad in (t, t.astype(object) * 2**40):
+        starts.clear()
+        peak, witness = schemes._associativity_scan(bad)
+        assert witness == first_gap(bad) and peak > 0
+        assert witness[0] >= 4 and starts == list(range(0, witness[0] + 1, 2))
+
+    floats = t / 3.0
+    full = gap(floats, 0, 16)
+    starts.clear()
+    peak, witness = schemes._associativity_scan(floats, 1e-9)
+    assert starts == list(range(0, 16, 2))
+    assert peak == full.max() > 1e-9
+    assert witness == np.unravel_index(full.argmax(), full.shape)
+
+
 def test_z128_relation_and_tensor_take_the_generator_path(monkeypatch):
     """The Z_128 relation is decided by count row 1 alone, and its tensor by the
     generator 1; a moved pair and a corrupted count are caught with the full

@@ -1,5 +1,7 @@
 """Character tables, Fourier transforms, positive definiteness, and duals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,62 @@ def test_absurd_cluster_gap_fails_loudly(pentagon):
             character_table(hypergroup_from_scheme(pentagon), gap=10.0, seed=seed)
         assert failure.value.witness == (0, 1)
         assert f"seed {seed} " in str(failure.value) and "\n" not in str(failure.value)
+
+
+def _two_class_table(square):
+    """The character table of classes e, g with g * g = square[0] e + square[1] g."""
+    conv = np.zeros((2, 2, 2))
+    conv[0] = conv[:, 0] = np.eye(2)
+    conv[1, 1] = square
+    return character_table(make_hypergroup((0, 1), conv))
+
+
+@pytest.mark.parametrize("square, count, witness", [
+    ([-0.5, 1.5], 2, [0, 1]),  # chi(g) = 1 and 0.5, the roots of x^2 = 1.5 x - 0.5
+    ([-2.0, -3.0], 0, []),     # chi(g) = -1 and -2: no positive character
+], ids=["two", "none"])
+def test_a_table_needs_exactly_one_positive_character(square, count, witness):
+    with pytest.raises(DegenerateSplitFailure) as failure:
+        _two_class_table(square)
+    assert str(failure.value) == (
+        f"{count} strictly positive characters found, expected exactly one")
+    assert failure.value.witness == witness
+
+
+def test_eigenvectors_of_a_nonassociative_tensor_are_no_characters():
+    conv = np.zeros((3, 3, 3))
+    conv[0] = conv[:, 0] = np.eye(3)
+    conv[1, 1] = [0.5, 0.5, 0.0]
+    conv[1, 2] = conv[2, 1] = [0.0, 0.3, 0.7]
+    conv[2, 2] = [0.4, 0.2, 0.4]
+    with pytest.raises(DegenerateSplitFailure,
+                       match=r"^multiplicativity residual \S+ exceeds 1\.0e-08$"):
+        character_table(make_hypergroup((0, 1, 2), conv))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_an_overflowing_combination_names_its_seed(seed):
+    """With x * y = y * y = 1e308 x + ..., entry (y, x) of T = sum_i mu_i M_i is
+    (mu_x + mu_y) 1e308, past float64 for the draws of seeds 1 and 2."""
+    conv = np.zeros((3, 3, 3))
+    conv[0] = conv[:, 0] = np.eye(3)
+    conv[1, 1, 0] = conv[2, 2, 0] = 1.0
+    conv[1, 2, 1] = conv[2, 1, 1] = conv[2, 2, 1] = 1e308
+    with pytest.raises(DegenerateSplitFailure) as failure:
+        character_table(make_hypergroup((0, 1, 2), conv), seed=seed)
+    assert str(failure.value) == (
+        f"the combination drawn with seed {seed} overflows float64; redraw with another seed")
+
+
+def test_conjugate_index_without_a_match(z4):
+    """Z_4 with chi3 replaced by chi1: nothing is left to match the conjugate of chi1."""
+    tbl = character_table(hypergroup_from_scheme(z4))
+    a = next(r for r in range(4) if np.abs(tbl.chars[r].imag).max() > 0.5)
+    chars = tbl.chars.copy()
+    chars[conjugate_index(tbl, a)] = chars[a]
+    with pytest.raises(DegenerateSplitFailure,
+                       match=rf"^no character matches the conjugate of chi{a} \(residual "):
+        conjugate_index(replace(tbl, chars=chars), a)
 
 
 def test_fourier_roundtrip_and_parseval(commutative_schemes, rng):

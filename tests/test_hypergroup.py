@@ -16,7 +16,6 @@ from hypergroups.hypergroup import (
     hypergroup_from_scheme,
     involute,
     is_commutative,
-    is_hermitian,
     is_probability,
     is_unimodular,
     make_hypergroup,
@@ -24,7 +23,11 @@ from hypergroups.hypergroup import (
     translate,
     verify_hypergroup,
 )
-from hypergroups.schemes import audit_intersection_identities, scheme_from_distance_regular_graph
+from hypergroups.schemes import (
+    audit_intersection_identities,
+    is_symmetric,
+    scheme_from_distance_regular_graph,
+)
 
 F = Fraction
 
@@ -85,6 +88,18 @@ def test_make_hypergroup_requires_identity():
     conv[:, :, 0] = 1.0  # every product collapses to class 0; no unit
     with pytest.raises(NotAHypergroup, match="identity"):
         make_hypergroup((0, 1), conv)
+
+
+def test_make_hypergroup_rejects_several_identities():
+    """Z_2's class 1 is within 1 of the unit matrix on both sides: at tol 1 it is an
+    identity as well."""
+    conv = np.zeros((2, 2, 2))
+    conv[0] = conv[:, 0] = np.eye(2)
+    conv[1, 1, 0] = 1.0
+    with pytest.raises(NotAHypergroup) as err:
+        make_hypergroup(("e", "g"), conv, tol=1.0)
+    assert str(err.value) == "classes ['e', 'g'] all act as identities"
+    assert err.value.witness == [0, 1]
 
 
 def test_make_hypergroup_rejects_ambiguous_adjoint():
@@ -233,10 +248,10 @@ def test_modular_function_trivial_on_scheme_tensors(commutative_schemes, s3_regu
 
 def test_commutativity_and_hermitian_flags(pentagon, z4, s3_regular):
     assert is_commutative(hypergroup_from_scheme(pentagon))
-    assert is_hermitian(hypergroup_from_scheme(pentagon))
+    assert is_symmetric(hypergroup_from_scheme(pentagon))
     h4 = hypergroup_from_scheme(z4)
     assert is_commutative(h4)
-    assert not is_hermitian(h4)
+    assert not is_symmetric(h4)
     assert not is_commutative(hypergroup_from_scheme(s3_regular))
 
 

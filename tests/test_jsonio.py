@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypergroups.catalog import cyclic_scheme, s3_group, z4_group
+from hypergroups.catalog import cyclic_scheme
 from hypergroups.errors import ParseError
 from hypergroups.families.cosh import CoshFamily, cosh_window_scheme
 from hypergroups.generalized import classical_embedding
+from hypergroups.groups import cyclic_group, symmetric_group
 from hypergroups.harmonic import character_table
 from hypergroups.hypergroup import hypergroup_from_scheme
 from hypergroups.jsonio import (
@@ -191,7 +192,7 @@ def test_cayley_document(tmp_path):
     grp, sub = cayley_from_json(doc)
     assert grp.order == 4
     assert sorted(int(i) for i in sub) == [0, 2]
-    ref = z4_group()
+    ref = cyclic_group(4)
     np.testing.assert_array_equal(grp.mul, ref.mul)
     doc.pop("subgroup")
     grp2, sub2 = cayley_from_json(doc)
@@ -346,7 +347,7 @@ def test_dualtable_csv_equals_the_per_cell_table():
 
 
 def test_s3_cayley_roundtrip_via_json(tmp_path):
-    g = s3_group()
+    g = symmetric_group(3)
     doc = {
         "elements": [list(e) for e in g.elements],
         "table": g.mul.tolist(),

@@ -11,6 +11,7 @@ where one scalar is longer.
 """
 
 import contextlib
+import enum
 import io
 import json
 import math
@@ -191,6 +192,31 @@ def test_fixed_cases():
            "complex zeros": np.array([0.0 - 0.0j, -0.0 + 1j, 0.0 - 1j, -0.0 - 0.0j]),
            "masked": [np.ma.array(np.arange(4.0).reshape(2, 2)), [np.ma.array([1, 2])] * 2]}
     assert dump_report(obj) == reference_report(obj)
+
+
+class _Label(str):
+    def __repr__(self):
+        return "_Label()"
+
+
+class _Weight(float):
+    def __repr__(self):
+        return "_Weight()"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+def test_str_int_and_float_subclasses_are_written_as_their_values():
+    """As json writes them: a str, int or float subclass by its base value, whatever its
+    own repr says, alone or among plain values."""
+    obj = {"label": _Label('é"'), "level": _Level.HIGH, "weight": _Weight(0.1),
+           "labels": ["a", _Label("b")], "levels": [_Level.HIGH, 7, 2**70],
+           "weights": [_Weight(2.5), -0.0, _Weight(math.inf)]}
+    text = dump_report(obj)
+    assert text == reference_report(obj)
+    assert "_Label()" not in text and "_Weight()" not in text and "HIGH" not in text
 
 
 def _report_of(argv):

@@ -658,6 +658,12 @@ def test_rotation_is_automorphism(pentagon):
     assert check_automorphism(pentagon, rotate, identity_classes)
 
 
+def test_callable_maps_are_applied_to_each_label(pentagon):
+    """x -> 2x mod 5 sends neighbours to distance 2, so it swaps classes 1 and 2."""
+    assert check_automorphism(pentagon, lambda x: 2 * x % 5, lambda c: (0, 2, 1)[c])
+    assert not check_automorphism(pentagon, lambda x: 2 * x % 5, lambda c: c)
+
+
 def test_broken_map_is_not_automorphism(petersen):
     swap = {x: x for x in range(10)}
     swap[0], swap[1] = 1, 0  # transposing adjacent outer vertices breaks edges
