@@ -42,7 +42,7 @@ from .errors import (
 )
 from .harmonic import _hermitian_floor, _multiplicativity_gap, _real_times, dual_convolution
 from .hypergroup import FiniteHypergroup, _scheme_ratio, make_hypergroup
-from .schemes import _UNDEFINED, Scheme, _key, _label_index, _triple_counts
+from .schemes import _UNDEFINED, Scheme, _key, _label_index
 
 STOCHASTIC_TOL = 1e-12
 BALANCE_TOL = 1e-10
@@ -118,6 +118,16 @@ def _first(mask, relation) -> tuple:
     return (int(relation.flat[c]), *divmod(c, relation.shape[1]))
 
 
+def _row_set(relation, step, rows) -> tuple:
+    """(rows, their classes, their steps, ks, xs, ys): each class k met on ``rows`` is
+    read at (x, y), its largest entry there, the first in C order on ties."""
+    cells, values = relation[rows], step[rows]
+    flat = np.lexsort((-values.ravel(), cells.ravel()))  # by class, then decreasing entry
+    firsts = flat[np.flatnonzero(np.diff(cells.ravel()[flat], prepend=-1))]
+    rloc, ys = np.divmod(firsts, cells.shape[1])
+    return rows, cells, values, cells.ravel()[firsts], rows[rloc], ys
+
+
 def build_generalized(base: Scheme, step, vertex_weight=None,
                       base_point=_UNDEFINED) -> GeneralizedScheme:
     """Verify deformed transition data over a classical scheme: the audit of
@@ -153,11 +163,11 @@ def build_windowed(points, classes, relation, identity, involution, step, vertex
     that of (y, x).  The relation partition need not be a scheme on the window;
     closure of the pair (i, j) is verified on rows whose boundary distance is at
     least class_order[i] + class_order[j], and pairs with no such row stay
-    unchecked.  The deformed tensor's support is compared with the triple counts
-    of the relation at the witness pairs its coefficients are read at.  Raises
-    ``NonSquare``, ``NotStochastic``, ``SupportMismatch``, ``NoInvolution``,
+    unchecked.  A coefficient must be positive where the relation has a path
+    through its pair at the witness it is read at.  Raises ``NonSquare``,
+    ``NotStochastic``, ``SupportMismatch``, ``NoInvolution``,
     ``DetailedBalanceViolation`` or ``ClosureResidual`` with witnesses, (class,
-    x, y) for an entry.
+    x, y) for an entry; a nan residual fails its tolerance.
     """
     points, classes = tuple(points), tuple(classes)
     n, d = len(points), len(classes)
@@ -176,10 +186,16 @@ def build_windowed(points, classes, relation, identity, involution, step, vertex
         x = int(np.flatnonzero(weight <= 0)[0])
         raise DetailedBalanceViolation(f"vertex weight at {points[x]!r} is not positive",
                                        witness=x)
-    weight = weight / weight[base_point]
+    with np.errstate(over="ignore"):  # a weight past float64 is refused just below
+        weight = weight / weight[base_point]
+    off = ~(np.isfinite(weight) & (weight > 0.0))
+    if off.any():
+        x = int(off.argmax())
+        raise DetailedBalanceViolation(f"normalized vertex weight at {points[x]!r} leaves "
+                                       "float64", witness=x)
 
     eye_dev = float(np.abs(np.where(relation == identity, step, 0.0) - np.eye(n)).max())
-    if eye_dev > STOCHASTIC_TOL:
+    if not eye_dev <= STOCHASTIC_TOL:
         raise SupportMismatch(f"identity transition deviates from I by {eye_dev:.3e}")
 
     low = float(step.min())
@@ -194,13 +210,13 @@ def build_windowed(points, classes, relation, identity, involution, step, vertex
     for i in range(d):
         full = np.flatnonzero(full_rows[i])
         dev_full = np.abs(row_sums[i, full] - 1.0)
-        if dev_full.size and float(dev_full.max()) > STOCHASTIC_TOL:
+        if dev_full.size and not float(dev_full.max()) <= STOCHASTIC_TOL:
             x = int(full[dev_full.argmax()])
             raise NotStochastic(
                 f"row {points[x]!r} of class {classes[i]!r} sums to {float(row_sums[i, x])!r}",
                 witness=(i, x))
         over = row_sums[i] - 1.0
-        if float(over.max()) > STOCHASTIC_TOL:
+        if not float(over.max()) <= STOCHASTIC_TOL:
             x = int(over.argmax())
             raise NotStochastic(f"row {points[x]!r} of class {classes[i]!r} exceeds mass one",
                                 witness=(i, x))
@@ -228,7 +244,7 @@ def build_windowed(points, classes, relation, identity, involution, step, vertex
     balance /= np.maximum(1.0, np.maximum(lhs, lhs.T))
     bal_dev = float(balance.max())
     report["detailed_balance_residual"] = bal_dev
-    if bal_dev > BALANCE_TOL:
+    if not bal_dev <= BALANCE_TOL:
         i, x, y = _first(balance == bal_dev, relation)
         raise DetailedBalanceViolation(
             f"reversibility off by {bal_dev:.3e} on class {classes[i]!r}", witness=(i, x, y))
@@ -244,55 +260,36 @@ def build_windowed(points, classes, relation, identity, involution, step, vertex
 
     p_tilde = np.zeros((d, d, d), dtype=np.float64)
     pair_checked = np.zeros((d, d), dtype=bool)
-    closure_dev = 0.0
-    rowsum_dev = 0.0
-    # witnesses depend on (i, j) only through the rows they may use
-    witnesses: dict = {}
+    closure_dev, rowsum_dev, support_ok = 0.0, 0.0, True
+    # (i, j) reads its rows and witnesses only through needed = order[i] + order[j]
+    row_sets = {needed: _row_set(relation, step, np.flatnonzero(bd >= needed))
+                for needed in set((order[:, None] + order[None, :]).ravel().tolist())}
     for i in range(d):
         left = np.where(relation == i, step, 0.0)
         for j in range(d):
-            needed = int(order[i]) + int(order[j])
-            rows = np.flatnonzero(bd >= needed)
+            rows, cells, values, ks, xs, ys = row_sets[int(order[i] + order[j])]
             if rows.size == 0:
                 continue
-            if needed not in witnesses:
-                # per class k met on these rows, its largest entry (first in C order)
-                cells, values = relation[rows], step[rows]
-                ks = np.flatnonzero(np.bincount(cells.ravel(), minlength=d))
-                flat = [np.where(cells == k, values, -1.0).argmax() for k in ks]
-                rloc, ys = np.unravel_index(flat, cells.shape)
-                witnesses[needed] = ks, rows[rloc], ys
-            ks, xs, ys = witnesses[needed]
-            prod = left @ np.where(relation == j, step, 0.0)
+            right = np.where(relation == j, step, 0.0)
+            prod = left @ right
             p_tilde[i, j, ks] = prod[xs, ys] / step[xs, ys]
             # against the span's member sum_k p_tilde[i, j, k] S_k on these rows
-            dev = float(np.abs(prod[rows] - p_tilde[i, j][relation[rows]] * step[rows]).max())
+            dev = float(np.abs(prod[rows] - p_tilde[i, j][cells] * values).max())
             closure_dev = max(closure_dev, dev)
-            if dev > CLOSURE_TOL:
+            if not dev <= CLOSURE_TOL:
                 raise ClosureResidual(
                     f"product of classes ({classes[i]!r}, {classes[j]!r}) leaves the "
                     f"span by {dev:.3e}", witness=(i, j))
             srow = float(p_tilde[i, j].sum())
             rowsum_dev = max(rowsum_dev, abs(srow - 1.0))
-            if abs(srow - 1.0) > BALANCE_TOL:
+            if not abs(srow - 1.0) <= BALANCE_TOL:
                 raise ClosureResidual(f"deformed coefficients of ({classes[i]!r}, "
                                       f"{classes[j]!r}) sum to {srow!r}", witness=(i, j))
+            # every step is positive, so a path x -> z -> y through classes i and j exists
+            # where the masks meet: there the coefficient must be positive (elsewhere it is 0.0)
+            path = ((left[xs] > 0.0) & (right[:, ys].T > 0.0)).any(axis=1)
+            support_ok &= bool((p_tilde[i, j, ks] > 0.0)[path].all())
             pair_checked[i, j] = True
-
-    # expected[i, j, k]: the relation's triple count is positive at the witness
-    # p_tilde[i, j, k] was read at (unchecked pairs read none and stay False);
-    # built as [k, i, j], one witness's (d, d) counts at a time
-    expected = np.zeros((d, d, d), dtype=bool)
-    for needed, (ks, xs, ys) in witnesses.items():
-        read_here = order[:, None] + order[None, :] == needed
-        for k, x, y in zip(ks, xs, ys):
-            expected[k] |= read_here & (_triple_counts(relation, x, y, d) > 0)
-    expected = expected.transpose(1, 2, 0)
-    # where the count vanishes the coefficient must be noise;
-    # where it is positive the extracted value must be strictly positive
-    zero_ok = (np.abs(p_tilde) <= np.sqrt(CLOSURE_TOL)) | expected
-    pos_ok = (p_tilde > 0.0) | ~expected
-    support_ok = bool((zero_ok & pos_ok).all())
 
     report["closure_residual"] = closure_dev
     report["deformed_row_sum_residual"] = rowsum_dev

@@ -14,12 +14,13 @@ with tol.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NotAHypergroup
+from .errors import DegenerateSplitFailure, NotAHypergroup
 from .schemes import Scheme, _associativity_scan, _witness
 
 DEFAULT_TOL = 1e-12
@@ -59,7 +60,7 @@ class FiniteHypergroup:
 
     @cached_property
     def conv_float(self) -> np.ndarray:
-        return _quotient(self.values, self.scale) if self.exact else self.values
+        return _quotient(self.values, self.scale, "conv value") if self.exact else self.values
 
     @cached_property
     def _at_identity(self) -> np.ndarray:
@@ -75,7 +76,7 @@ class FiniteHypergroup:
 
     @cached_property
     def haar_float(self) -> np.ndarray:
-        return _quotient(self.scale, self._at_identity) if self.exact else self.haar
+        return _quotient(self.scale, self._at_identity, "Haar weight") if self.exact else self.haar
 
 
 def _integer_form(num, den) -> tuple:
@@ -100,13 +101,17 @@ def _stored(conv, scale) -> tuple:
     return _integer_form(parts[..., 0], parts[..., 1])
 
 
-def _quotient(num, den) -> np.ndarray:
+def _quotient(num, den, what: str) -> np.ndarray:
     """Integer num / den in float64, rounded once as float(Fraction(num, den)): float64
-    division is, on integers up to 2**53; past that, Python's int true division is."""
+    division is, on integers up to 2**53; past that, Python's int true division is,
+    and a quotient past float64 raises ``DegenerateSplitFailure`` naming ``what``."""
     num, den = np.asarray(num), np.asarray(den)
     if all(a.dtype != object and np.abs(a).max(initial=0) <= 2**53 for a in (num, den)):
         return num / den
-    return (num.astype(object) / den.astype(object)).astype(np.float64)
+    try:
+        return (num.astype(object) / den.astype(object)).astype(np.float64)
+    except OverflowError:
+        raise DegenerateSplitFailure(f"a {what} overflows float64") from None
 
 
 def _fractions(num, den) -> np.ndarray:
@@ -212,19 +217,24 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> dict:
     report: dict = {"exact": exact, "tol": tol}
 
     def entry(name, holds, witness=None, residual=None):
-        report[name] = {"holds": bool(holds), "witness": witness, "residual": residual}
+        # a residual over the scale is written where it is a finite float64, else as None
+        with contextlib.suppress(OverflowError):  # a Python int quotient past float64
+            residual = None if residual is None else float(residual / scale)
+        finite = isinstance(residual, float) and math.isfinite(residual)
+        report[name] = {"holds": bool(holds), "witness": witness,
+                        "residual": residual if finite else None}
 
     imag_max = float(np.abs(np.imag(vals)).max()) if np.iscomplexobj(vals) else 0.0
     below = -reals
     neg = _witness(below, cut, exact)
     lowest = reals[neg] if neg is not None else min(reals.min(), 0.0)
-    entry("nonnegative", below.max() <= cut and imag_max <= cut, neg, float(lowest / scale))
+    entry("nonnegative", below.max() <= cut and imag_max <= cut, neg, lowest)
 
     dev = reals.sum(axis=2) - scale
     gap = np.abs(dev)
     off = _witness(gap, cut, exact)
     worst = dev[off] if exact and off is not None else gap.max()  # exact: signed, first
-    entry("row_sums", gap.max() <= cut, off, float(worst / scale))
+    entry("row_sums", gap.max() <= cut, off, worst)
 
     ids = _identity_candidates(reals, scale, cut)
     entry("identity_unique", ids == [e], witness=ids if ids != [e] else None)
@@ -238,11 +248,11 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> dict:
     # involution antihomomorphism: conv[i, j, tau k] == conv[tau j, tau i, k]
     bad = np.abs(vals.take(tau, axis=2) - vals[np.ix_(tau, tau)].transpose(1, 0, 2))
     entry("involution_antihomomorphism", bad.max() <= cut, _witness(bad, cut, exact),
-          None if exact and bad.max() > 0 else float(bad.max() / scale))
+          None if exact and bad.max() > 0 else bad.max())
 
     # (delta_i*delta_j)*delta_k against delta_i*(delta_j*delta_k), on the stored tensor
     peak, witness = _associativity_scan(h.values, None if exact else tol)
-    entry("associativity", peak <= cut, witness, None if exact else float(peak))
+    entry("associativity", peak <= cut, witness, None if exact else peak)
 
     # left Haar weight of i is 1 / (delta_ibar * delta_i)({e})
     pair = reals[tau, np.arange(d), e]

@@ -1,7 +1,7 @@
 """File formats: scheme/group/hypergroup documents and deterministic reports.
 
 ``dump_report`` streams json.dumps(sort_keys=True, indent=2) of a report's JSON
-form to a file in chunks of 1 MiB: a container's numeric arrays (stacked into
+form to a file piece by piece: a container's numeric arrays (stacked into
 one; a dual table's CSV weights too) are formatted once per distinct value, up
 front, and nested into text a block of at most 2^13 entries at a time.
 CSV uses 17 significant digits.  Complex values are ``a+bi`` strings (JSON: the
@@ -43,7 +43,6 @@ def format_float(x: float) -> str:
 # report writer: json.dumps(sort_keys=True, indent=2, ensure_ascii=False) of the
 # report's JSON form, byte for byte, in pieces
 
-CHUNK = 1 << 20  # characters handed to the file at once
 BLOCK = 1 << 13  # entries of a container formatted and nested at once
 
 # the JSON scalar types, matched by exact type before any ABC check
@@ -153,19 +152,13 @@ def _texts(value: Any, level: int):
 
 def dump_report(obj: Any, file=None) -> str | None:
     """Canonical JSON text for a report object (trailing newline included), handed to
-    ``file.write`` in chunks of CHUNK characters (the last shorter), or their join."""
-    chunks, held, size = [], [], 0
-    write = chunks.append if file is None else file.write
-    for piece in itertools.chain(_texts(obj, 0), "\n"):
-        start = 0
-        while size + len(piece) - start > CHUNK:  # fill a chunk from the piece
-            stop = start + CHUNK - size
-            write("".join([*held, piece[start:stop]]))
-            held, size, start = [], 0, stop
-        held.append(piece[start:])
-        size += len(piece) - start
-    write("".join(held))
-    return "".join(chunks) if file is None else None
+    ``file.write`` piece by piece (each holds at most a block of BLOCK entries or one
+    scalar), or their join."""
+    pieces = itertools.chain(_texts(obj, 0), "\n")
+    if file is None:
+        return "".join(pieces)
+    for piece in pieces:
+        file.write(piece)
 
 
 def _json_value(value: Any) -> Any:

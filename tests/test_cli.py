@@ -383,6 +383,83 @@ def test_character_tables_of_overflowing_hypergroups_fail_in_one_line(capsys, tm
             assert captured.err == f"error: {message}\n", (command, argv)
 
 
+BIG = 10**400  # an exact integer past float64
+
+
+def _strict(text: str):
+    """The report, read by a JSON reader that refuses NaN and Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_float_residuals_are_written_as_null(capsys, tmp_path):
+    """The associativity residual of x * y = y * y = 1e308 x + ... is nan and its row-sum
+    residual infinite: both are null, and the report is strict JSON."""
+    path = tmp_path / "z2-overflow.json"
+    path.write_text(json.dumps(_z2_hypergroup(1e308, 1e308)))
+    for command in ("verify", "hypergroup"):
+        assert main([command, str(path)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.err == "", command
+        audit = _strict(captured.out)["results"]["audit"]
+        for name in ("associativity", "row_sums"):
+            assert audit[name]["holds"] is False and audit[name]["residual"] is None, name
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_residuals_past_float64_are_written_as_null(capsys, tmp_path):
+    """An exact integer entry of 10^400 makes the row-sum residual leave float64: it is
+    null, with exit 2 and nothing on stderr; the character table needs the tensor in
+    float64 and names the value that overflows."""
+    path = tmp_path / "z2-big.json"
+    path.write_text('{"classes": [0, 1], "conv": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], '
+                    f'[1, 1, 0, {BIG}], [1, 1, 1, {BIG}]]}}')
+    for command in ("verify", "hypergroup"):
+        assert main([command, str(path)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.err == "", command
+        row_sums = _strict(captured.out)["results"]["audit"]["row_sums"]
+        assert row_sums["holds"] is False and row_sums["residual"] is None, command
+    for command in ("chartable", "dualtable"):
+        assert main([command, str(path)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a conv value overflows float64\n", command
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_haar_weight_past_float64_fails_in_one_line(capsys, tmp_path):
+    """x * x = 10^-400 e + (1 - 10^-400) x is an exact hypergroup whose Haar weight of x,
+    10^400, leaves float64: it verifies, and its tables end in one error line."""
+    path = tmp_path / "z2-tiny.json"
+    path.write_text('{"classes": [0, 1], "conv": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], '
+                    f'[1, 1, 0, "1/{BIG}"], [1, 1, 1, "{BIG - 1}/{BIG}"]]}}')
+    assert main(["verify", str(path)]) == 0
+    assert _strict(capsys.readouterr().out)["status"] == "pass"
+    for command in ("chartable", "dualtable"):
+        assert main([command, str(path)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a Haar weight overflows float64\n", command
+
+
+@pytest.mark.filterwarnings("error")
+def test_vertex_weights_leaving_float64_are_refused(capsys, tmp_path):
+    """Normalized at the first point, 5e-324, the weight 1e308 is infinite: every command
+    on the pentagon's generalized document ends in one error line, with no warning."""
+    doc = generalized_to_json(classical_embedding(pentagon_scheme()))
+    doc["vertex_weight"] = [5e-324, 1e308, 1.0, 1.0, 1.0]
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "hypergroup", "chartable", "dualtable"):
+        assert main([command, str(path)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: normalized vertex weight at 1 leaves float64\n", command
+
+
 def test_cayley_booleans_are_labels_or_nothing(capsys, tmp_path):
     """JSON true and false are no element indices and match no number label; they
     count only as boolean labels.  Labels that print alike give duplicate classes."""

@@ -5,9 +5,8 @@
 for every report value: nested containers, numpy arrays of every shape
 (0-d and empty ones included), complex arrays with and without imaginary
 parts, non-finite floats, big integers, unicode and non-str dict keys.  The
-chunks it hands to a file join to the same text, whether or not a container
-crosses a block, and hold ``jsonio.CHUNK`` characters each but the last, even
-where one scalar is longer.
+pieces it hands to a file join to the same text, whether or not a container
+crosses a block, and none is empty, even where one scalar is long.
 """
 
 import contextlib
@@ -91,17 +90,16 @@ def test_writer_matches_the_reference_encoder(obj):
 
 
 def _chunks(obj) -> list:
-    """The chunks dump_report hands to a file for ``obj``."""
+    """The pieces dump_report hands to a file for ``obj``."""
     chunks = []
     assert dump_report(obj, types.SimpleNamespace(write=chunks.append)) is None
     return chunks
 
 
 def _check_chunks(chunks: list, text: str):
-    """The chunks join to ``text``, each CHUNK characters long but the last."""
+    """The pieces join to ``text``, and none is empty."""
     assert "".join(chunks) == text
-    assert all(len(chunk) == jsonio.CHUNK for chunk in chunks[:-1])
-    assert 0 < len(chunks[-1]) <= jsonio.CHUNK
+    assert all(chunks)
 
 
 # entries drawn from pools with repeats, so each block meets both new and seen values
@@ -141,7 +139,7 @@ def long_values(draw):
     return dict(zip(map(str, range(count)), items)) if form == "dict" else items
 
 
-huge_string = st.just("é" * (jsonio.CHUNK + 5))
+huge_string = st.just("é" * (2**20 + 5))
 streamed = st.one_of(long_values(), reports,
                      st.lists(st.one_of(long_values(), reports, huge_string), max_size=3),
                      st.dictionaries(st.text(max_size=3), st.one_of(long_values(), reports),
@@ -157,12 +155,11 @@ def test_streamed_report_matches_the_reference_in_bounded_chunks(obj):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(reports, st.integers(1, 9), st.integers(1, 4000))
-def test_every_block_and_chunk_seam_keeps_the_bytes(obj, block, chunk):
+@given(reports, st.integers(1, 9))
+def test_every_block_and_chunk_seam_keeps_the_bytes(obj, block):
     """Blocks of a few entries cut rows, complex runs and a value's uses at every place."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jsonio, "BLOCK", block)
-        mp.setattr(jsonio, "CHUNK", chunk)
         _check_chunks(_chunks(obj), reference_report(obj))
 
 
