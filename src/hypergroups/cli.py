@@ -7,10 +7,11 @@ Option defaults live only in ``build_parser``, and handlers read the
 parsed ``argparse.Namespace``.  ``--tol``, ``--moment-order`` and
 ``--vertex-budget`` default to None there, so a report lists them only
 when given; the command that reads one supplies its own value otherwise.
-Each ``cmd_*`` handler returns ``(results, csv_text or None, ok)``, numpy
-values unconverted; ``main`` alone builds the report, streams it to stdout
-or ``--out`` and maps ``ok`` to exit 0 or 2.  Reports are byte-deterministic
-for a fixed command line (fixed seed, sorted keys, fixed orderings).
+Each ``cmd_*`` handler returns ``(results, (CSV header, lazy rows) or None, ok)``,
+numpy values unconverted; ``main`` alone builds the report, streams it to stdout
+or ``--out``, formats the CSV rows only into an ``--out`` file and maps ``ok`` to
+exit 0 or 2.  Reports are byte-deterministic for a fixed command line (fixed
+seed, sorted keys, fixed orderings).
 """
 
 from __future__ import annotations
@@ -162,7 +163,9 @@ def cmd_chartable(args: argparse.Namespace) -> tuple:
     }
     # pass: the Gram matrix is diag(1/plancherel) to the tolerance, relative to its largest entry
     ok = results["orthogonality_residual"] <= CHARACTER_RESIDUAL_TOL / tbl.plancherel.min()
-    return results, jsonio.chartable_to_csv(tbl), ok
+    header = ["character", *(f"class_{i}" for i in range(len(tbl.classes))), "plancherel"]
+    rows = zip(tbl.labels, results["characters"], tbl.plancherel.tolist())
+    return results, (header, ([label, *texts, w] for label, texts, w in rows)), ok
 
 
 def cmd_dualtable(args: argparse.Namespace) -> tuple:
@@ -187,7 +190,16 @@ def cmd_dualtable(args: argparse.Namespace) -> tuple:
         "max_sum_deviation": max(0.0, *(abs(z - 1.0) for z in duals.sum_raw.ravel().tolist())),
         "nonnegative": min_raw >= -tol,
     }
-    return results, jsonio.dualtable_to_csv(tbl.labels, duals.weights), results["nonnegative"]
+    rows = _dual_rows(tbl.labels, duals.weights)
+    return results, (["left", "right", *tbl.labels], rows), results["nonnegative"]
+
+
+def _dual_rows(labels, weights):
+    """The dualtable CSV rows, a pair's weights each; the distinct weights are formatted
+    once, as _csv formats a float, when the first row is read."""
+    m, take = len(labels), jsonio._distinct(weights.ravel(), "%.17g")
+    for k in range(m * m):
+        yield [labels[k // m], labels[k % m], *take(k * m, (k + 1) * m)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +230,7 @@ def _gab_linearization_report(args: argparse.Namespace, fam: GabFamily):
         "nonnegative": min_coeff >= -1e-15,
     }
     ok = results["nonnegative"] and worst <= 1e-10
-    return results, jsonio._csv(("m", "n", "k", "g"), rows), ok
+    return results, (("m", "n", "k", "g"), rows), ok
 
 
 def _gab_psd_report(args: argparse.Namespace, fam: GabFamily):
@@ -241,7 +253,6 @@ def _gab_psd_report(args: argparse.Namespace, fam: GabFamily):
     xs = [x_min + i * x_step for i in range(count) if x_min + i * x_step <= x_max + 1e-12]
     rows = _psd_rows(fam, xs, radius, budget, tol)
     columns = ("x", "radius", "n_vertices", "min_eigenvalue", "psd")
-    csv_text = jsonio._csv(columns, ([r[c] for c in columns] for r in rows))
     results = {
         "s0": fam.s0,
         "s1": fam.s1,
@@ -252,7 +263,7 @@ def _gab_psd_report(args: argparse.Namespace, fam: GabFamily):
     }
     # the kernel is psd on [s0, s1] and need not be outside it: inside points decide
     ok = all(r["psd"] for r in rows if fam.s0 - 1e-12 <= r["x"] <= fam.s1 + 1e-12)
-    return results, csv_text, ok
+    return results, (columns, ([r[c] for c in columns] for r in rows)), ok
 
 
 def _gab_lp_report(args: argparse.Namespace, fam: GabFamily):
@@ -268,7 +279,7 @@ def _gab_lp_report(args: argparse.Namespace, fam: GabFamily):
             res = gab_dual_measure(fam, x, y, order=order, slack=slack)
             rows.append({"x": x, "y": y, "feasible": res.feasible,
                          "max_violation": res.max_violation})
-    csv_text = jsonio._csv(("x", "y", "order", "feasible", "max_violation"), (
+    table = (("x", "y", "order", "feasible", "max_violation"), (
         (r["x"], r["y"], order, r["feasible"], r["max_violation"]) for r in rows))
     results = {
         "s0": fam.s0,
@@ -278,7 +289,7 @@ def _gab_lp_report(args: argparse.Namespace, fam: GabFamily):
         "feasible_count": sum(1 for r in rows if r["feasible"]),
         "rows": rows,
     }
-    return results, csv_text, results["feasible_count"] == len(rows)
+    return results, table, results["feasible_count"] == len(rows)
 
 
 def _cosh_window_report(args: argparse.Namespace, fam: CoshFamily):
@@ -416,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ParameterOutOfRange(f"--tol must be finite and positive, got {args.tol!r}")
         if args.seed < 0:
             raise ParameterOutOfRange(f"--seed must be non-negative, got {args.seed}")
-        results, csv_text, ok = HANDLERS[args.command](args)
+        results, table, ok = HANDLERS[args.command](args)
         report = {
             "schema": REPORT_SCHEMA,
             "tool": "hypergroups",
@@ -438,9 +449,9 @@ def main(argv: list[str] | None = None) -> int:
             os.makedirs(args.out, exist_ok=True)
             with open(os.path.join(args.out, stem + ".json"), "w", encoding="utf-8") as fh:
                 jsonio.dump_report(report, fh)
-            if csv_text is not None:
+            if table is not None:
                 with open(os.path.join(args.out, stem + ".csv"), "w", encoding="utf-8") as fh:
-                    fh.write(csv_text)
+                    fh.writelines(jsonio._csv(*table))
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -219,8 +219,8 @@ class GabMeasure:
         def rule(count: int) -> float:
             t, w = np.polynomial.legendre.leggauss(count)
             x = np.cos(math.pi * (t + 1.0) / 2.0)  # d theta = (pi / 2) dt
-            one_minus = 1.0 if f.s1 == 1.0 else (1.0 - x) / (f.s1 - x)
-            one_plus = 1.0 if f.s0 == -1.0 else (1.0 + x) / (x - f.s0)
+            # no node reaches +-1, so at s1 = 1 or s0 = -1 its ratio is exactly 1.0
+            one_minus, one_plus = (1.0 - x) / (f.s1 - x), (1.0 + x) / (x - f.s0)
             return (f.a / 4.0) * float(np.sum(w * func(x) * one_minus * one_plus))
 
         rough, val = rule(100), rule(200)

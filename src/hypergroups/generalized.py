@@ -261,13 +261,15 @@ def build_windowed(points, classes, relation, identity, involution, step, vertex
     p_tilde = np.zeros((d, d, d), dtype=np.float64)
     pair_checked = np.zeros((d, d), dtype=bool)
     closure_dev, rowsum_dev, support_ok = 0.0, 0.0, True
-    # (i, j) reads its rows and witnesses only through needed = order[i] + order[j]
+    # (i, j) reads its rows and witnesses only through needed = order[i] + order[j],
+    # a Python int, as the sum of two int64 orders may wrap
+    orders = order.tolist()
     row_sets = {needed: _row_set(relation, step, np.flatnonzero(bd >= needed))
-                for needed in set((order[:, None] + order[None, :]).ravel().tolist())}
+                for needed in {a + b for a in orders for b in orders}}
     for i in range(d):
         left = np.where(relation == i, step, 0.0)
         for j in range(d):
-            rows, cells, values, ks, xs, ys = row_sets[int(order[i] + order[j])]
+            rows, cells, values, ks, xs, ys = row_sets[orders[i] + orders[j]]
             if rows.size == 0:
                 continue
             right = np.where(relation == j, step, 0.0)

@@ -2,9 +2,9 @@
 
 ``dump_report`` streams json.dumps(sort_keys=True, indent=2) of a report's JSON
 form to a file piece by piece: a container's numeric arrays (stacked into
-one; a dual table's CSV weights too) are formatted once per distinct value, up
-front, and nested into text a block of at most 2^13 entries at a time.
-CSV uses 17 significant digits.  Complex values are ``a+bi`` strings (JSON: the
+one) are formatted once per distinct value, up front, and nested into text a
+block of at most 2^13 entries at a time.  ``_csv`` yields a CSV table line by
+line, at 17 significant digits.  Complex values are ``a+bi`` strings (JSON: the
 real part when the imaginary part is 0); exact hypergroup values are read by
 ``make_hypergroup``'s reader and written by the ``Fraction`` rule.
 """
@@ -455,28 +455,12 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
 
 
 # text of a CSV cell by its exact type (callers pass Python scalars, so numpy
-# arrays go in as .tolist()); anything else (labels, ints) prints with str
+# arrays go in as .tolist()); anything else (labels, ints, texts) prints with str
 _CELL = {float: "%.17g".__mod__, complex: format_complex, bool: "%d".__mod__}
 
 
-def _csv(header, rows) -> str:
-    """A CSV table: the header names, then one line per row of cells."""
-    lines = [",".join(header)]
-    lines += [",".join([_CELL.get(type(v), str)(v) for v in row]) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def chartable_to_csv(tbl) -> str:
-    header = ["character", *(f"class_{i}" for i in range(len(tbl.classes))), "plancherel"]
-    rows = zip(tbl.labels, tbl.chars.tolist(), tbl.plancherel.tolist())
-    return _csv(header, ([label, *chars, w] for label, chars, w in rows))
-
-
-def dualtable_to_csv(labels, weights) -> str:
-    """weights: mapping (a, b) -> vector of real dual coefficients, each distinct
-    value formatted once, as _csv formats a float."""
-    d = len(labels)
-    block = np.array([weights[a, b] for a in range(d) for b in range(d)], dtype=np.float64)
-    cells = _distinct(block.ravel(), "%.17g")(0, block.size).reshape(block.shape).tolist()
-    return _csv(["left", "right", *labels], (
-        [labels[k // d], labels[k % d], *row] for k, row in enumerate(cells)))
+def _csv(header, rows):
+    """A CSV table, one line at a time: the header names, then one line per row of cells."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join([_CELL.get(type(v), str)(v) for v in row]) + "\n"

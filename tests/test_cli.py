@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hypergroups.catalog import pentagon_scheme, petersen_scheme
-from hypergroups import cli
+from hypergroups import cli, jsonio
 from hypergroups.cli import main
 from hypergroups.errors import NoInvolution, SupportMismatch
 from hypergroups.families import cosh, gab
@@ -458,6 +458,29 @@ def test_vertex_weights_leaving_float64_are_refused(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: normalized vertex weight at 1 leaves float64\n", command
+
+
+@pytest.mark.filterwarnings("error")
+def test_window_class_orders_past_int64_do_not_wrap(capsys, tmp_path):
+    """A pair whose class orders sum past 2^63 needs more boundary distance than any row
+    has, so it stays unchecked, with no overflow warning and no check on rows of the
+    window that do not determine it; a class order of -2^63 leaves a row without mass."""
+    doc = generalized_to_json(cosh.cosh_window_scheme(cosh.CoshFamily(1.0), 3))
+    path = tmp_path / "window.json"
+    for order, code, checked in (
+        (doc["class_order"], 0, 10),
+        ([0, 1, 2, 3, 4, 5, 2**62], 0, 10),
+        ([0] + [2**62] * 6, 0, 1),
+        ([0, 1, 2, 3, 4, 5, -2**63], 2, None),
+    ):
+        path.write_text(json.dumps({**doc, "class_order": order}))
+        assert main(["verify", str(path)]) == code, order
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == "error: row -2 of class 6 sums to 0.0\n"
+        else:
+            assert captured.err == ""
+            assert json.loads(captured.out)["results"]["pairs_checked"] == checked, order
 
 
 def test_cayley_booleans_are_labels_or_nothing(capsys, tmp_path):
@@ -916,6 +939,26 @@ def test_chartable_fails_when_the_characters_are_not_orthogonal(capsys, schema, 
     check_envelope(schema, rep, "chartable")
     assert rep["status"] == "fail"
     assert rep["results"]["orthogonality_residual"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["chartable", "pentagon.json"],
+    ["dualtable", "cayley.json"],
+    ["family", "gab", "--a", "3", "--b", "3", "--report", "psd-sweep"],
+])
+def test_stdout_runs_format_no_csv(capsys, docs, monkeypatch, argv):
+    """A CSV table is formatted only into an --out file: without --out the report on
+    stdout is the same when formatting one fails."""
+    argv = [docs.get(arg, arg) for arg in argv]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+
+    def refuse(header, rows):
+        raise AssertionError("a CSV table was formatted")
+
+    monkeypatch.setattr(jsonio, "_csv", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_dualtable_pass_and_fail(capsys, schema, docs):

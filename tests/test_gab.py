@@ -205,11 +205,12 @@ def test_orthogonality_against_independent_quadrature(a, b):
 
 def test_measure_object_integrates_consistently():
     """Mass one and the Gram matrix of P_0..P_5 diag(1 / haar(n)), atom at s0
-    included (b > a; (3, 3) has s0 = -1 on the support edge), and the density
-    alone, by its own rule in theta, carries all but the atom's mass."""
+    included (b > a; (3, 3) has s0 = -1 on the support edge, and (2, 2) s0 = -1
+    and s1 = 1 on both), and the density alone, by its own rule in theta, carries
+    all but the atom's mass."""
     t, w = np.polynomial.legendre.leggauss(200)
     theta = math.pi * (t + 1.0) / 2.0
-    for a, b in [(3, 3), (2, 3), (2, 5), (3, 5)]:
+    for a, b in [(3, 3), (2, 3), (2, 5), (3, 5), (2, 2)]:
         fam = GabFamily(a, b)
         mu = gab_orthogonality_measure(fam)
         assert (mu.atom_location is not None) == (b > a)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypergroups import cli
 from hypergroups.catalog import cyclic_scheme
+from hypergroups.cli import _dual_rows
 from hypergroups.errors import ParseError
 from hypergroups.families.cosh import CoshFamily, cosh_window_scheme
 from hypergroups.generalized import classical_embedding
@@ -20,9 +22,7 @@ from hypergroups.jsonio import (
     _csv,
     _norm_label,
     cayley_from_json,
-    chartable_to_csv,
     detect_kind,
-    dualtable_to_csv,
     dump_report,
     format_complex,
     format_float,
@@ -281,10 +281,11 @@ def test_dump_report_sanitizes_numpy_and_fractions():
     assert obj["flag"] is True
 
 
-def test_chartable_csv_shape(pentagon):
-    tbl = character_table(hypergroup_from_scheme(pentagon))
-    csv = chartable_to_csv(tbl)
-    lines = csv.strip().split("\n")
+def test_chartable_csv_shape(pentagon, tmp_path):
+    doc = tmp_path / "pentagon.json"
+    doc.write_text(json.dumps(scheme_to_json(pentagon)))
+    assert cli.main(["chartable", str(doc), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "chartable.csv").read_text().strip().split("\n")
     assert lines[0].startswith("character,")
     assert lines[0].endswith(",plancherel")
     assert len(lines) == 1 + 3
@@ -294,38 +295,40 @@ def test_chartable_csv_shape(pentagon):
 
 
 def test_dualtable_csv_shape():
-    weights = {
-        (0, 0): np.array([1.0, 0.0]),
-        (0, 1): np.array([0.25, 0.75]),
-        (1, 0): np.array([0.25, 0.75]),
-        (1, 1): np.array([0.5, 0.5]),
-    }
-    csv = dualtable_to_csv(["u", "v"], weights)
-    lines = csv.strip().split("\n")
-    assert lines == [
-        "left,right,u,v",
-        "u,u,1,0",
-        "u,v,0.25,0.75",
-        "v,u,0.25,0.75",
-        "v,v,0.5,0.5",
+    weights = np.array([[[1.0, 0.0], [0.25, 0.75]], [[0.25, 0.75], [0.5, 0.5]]])
+    assert list(_csv(["left", "right", "u", "v"], _dual_rows(["u", "v"], weights))) == [
+        "left,right,u,v\n",
+        "u,u,1,0\n",
+        "u,v,0.25,0.75\n",
+        "v,u,0.25,0.75\n",
+        "v,v,0.5,0.5\n",
     ]
 
 
-def test_csv_cells_match_recorded_text():
+def test_csv_cells_match_recorded_text(monkeypatch, tmp_path):
     """Cell text recorded before the CSV writer was shared: -0.0, nan and a
-    large float in both tables, complex cells as a+bi."""
+    large float in both tables, complex cells as a+bi, the chartable's read
+    from the report's character texts."""
     nan = float("nan")
     tbl = SimpleNamespace(
         classes=(0, 1), labels=("chi0", "chi1"),
         chars=np.array([[1 + 0j, 0.5 - 0.25j], [complex(-0.0, -0.0), complex(nan, 0.0)]]),
-        plancherel=np.array([1.2345678901234567e300, nan]))
-    assert chartable_to_csv(tbl) == (
+        plancherel=np.array([1.2345678901234567e300, nan]), haar=np.ones(2),
+        positive_index=0, residual=0.0)
+    monkeypatch.setattr(cli, "character_table", lambda h, seed: tbl)
+    doc = tmp_path / "z2.json"
+    doc.write_text(json.dumps(scheme_to_json(cyclic_scheme(2))))
+    assert cli.main(["chartable", str(doc), "--out", str(tmp_path)]) == 2  # nan fails
+    assert (tmp_path / "chartable.csv").read_text() == (
         "character,class_0,class_1,plancherel\n"
         "chi0,1+0i,0.5-0.25i,1.2345678901234567e+300\n"
         "chi1,-0+0i,nan+0i,nan\n")
+    report = json.loads((tmp_path / "chartable.json").read_text())
+    assert report["results"]["characters"] == [["1+0i", "0.5-0.25i"], ["-0+0i", "nan+0i"]]
     weights = np.array([[[1.0, -0.0], [0.5, 0.25]],
                         [[nan, 1.2345678901234567e300], [0.1, 2.0 ** -60]]])
-    assert dualtable_to_csv(["chi0", "chi1"], weights) == (
+    labels = ["chi0", "chi1"]
+    assert "".join(_csv(["left", "right", *labels], _dual_rows(labels, weights))) == (
         "left,right,chi0,chi1\n"
         "chi0,chi0,1,-0\n"
         "chi0,chi1,0.5,0.25\n"
@@ -341,9 +344,7 @@ def test_dualtable_csv_equals_the_per_cell_table():
     weights = np.resize(values, (3, 3, 3))  # each value two or three times
     per_cell = _csv(["left", "right", *labels], (
         [labels[a], labels[b], *weights[a, b].tolist()] for a in range(3) for b in range(3)))
-    assert dualtable_to_csv(labels, weights) == per_cell
-    assert dualtable_to_csv(labels, {(a, b): weights[a, b] for a in range(3) for b in range(3)}
-                            ) == per_cell
+    assert list(_csv(["left", "right", *labels], _dual_rows(labels, weights))) == list(per_cell)
 
 
 def test_s3_cayley_roundtrip_via_json(tmp_path):
