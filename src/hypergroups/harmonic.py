@@ -31,8 +31,8 @@ class CharacterTable:
     """Characters (rows) of a commutative finite hypergroup.
 
     ``chars[r, i]`` is the r-th character at class i, normalized to 1 at
-    the identity, ordered descending by real part over the class order
-    (ties on the 1e-9-rounded value vectors).  ``plancherel[r]`` is the
+    the identity; rows descend by their 1e-9-rounded values, compared class
+    by class, the real part before the imaginary.  ``plancherel[r]`` is the
     dual weight, ``positive_index`` points at the unique strictly
     positive character, and ``residual`` is the worst multiplicativity
     defect of the table.
@@ -83,12 +83,6 @@ class DualCoefficients:
     min_raw_real: np.ndarray  # (m, m)
     max_abs_imag: np.ndarray  # (m, m)
     sum_raw: np.ndarray       # (m, m) complex
-
-
-def _sort_key(row: np.ndarray):
-    re = np.round(row.real, 9)
-    im = np.round(row.imag, 9)
-    return tuple(x for pair in zip(-re, -im) for x in pair)
 
 
 def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -143,14 +137,12 @@ def character_table(h: FiniteHypergroup, gap: float = CLUSTER_GAP,
             witness=(i, j))
 
     e = h.identity
-    chars = np.empty((d, d), dtype=complex)
-    for r in range(d):
-        v = np.linalg.qr(V[:, [r]])[0][:, 0]
-        if abs(v[e]) < 1e-12 * np.linalg.norm(v):
-            raise DegenerateSplitFailure(
-                "candidate character vanishes at the identity class", witness=r
-            )
-        chars[r] = v / v[e]
+    v = np.linalg.qr(V.T[:, :, None])[0][:, :, 0]  # row r: column r of V, normalized
+    vanish = np.abs(v[:, e]) < 1e-12 * np.linalg.norm(v, axis=1)
+    if vanish.any():
+        raise DegenerateSplitFailure("candidate character vanishes at the identity class",
+                                     witness=int(vanish.argmax()))
+    chars = v / v[:, [e]]
 
     # validation: a(i) a(j) = sum_k conv[i,j,k] a(k), and a(ibar) = conj a(i)
     residual = float(_multiplicativity_gap(h.conv_float, chars.T).max())
@@ -161,14 +153,15 @@ def character_table(h: FiniteHypergroup, gap: float = CLUSTER_GAP,
             f"multiplicativity residual {residual:.3e} exceeds {CHARACTER_RESIDUAL_TOL:.1e}"
         )
 
-    order = sorted(range(d), key=lambda r: _sort_key(chars[r]))
-    chars = chars[order]
+    # the keys (-re_0, -im_0, -re_1, ...) of each row, reversed: lexsort's primary key is its last
+    keys = np.stack((-np.round(chars.real, 9), -np.round(chars.imag, 9)), axis=2)
+    chars = chars[np.lexsort(keys.reshape(d, 2 * d).T[::-1])]
 
     haar = h.haar_float
     plancherel = 1.0 / ((np.abs(chars) ** 2) @ haar).real
 
-    positive = [r for r in range(d)
-                if chars[r].real.min() > 1e-10 and np.abs(chars[r].imag).max() < 1e-10]
+    positive = np.flatnonzero((chars.real.min(axis=1) > 1e-10)
+                              & (np.abs(chars.imag).max(axis=1) < 1e-10)).tolist()
     if len(positive) != 1:
         raise DegenerateSplitFailure(
             f"{len(positive)} strictly positive characters found, expected exactly one",

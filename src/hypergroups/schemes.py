@@ -505,57 +505,64 @@ def scheme_from_distance_regular_graph(adjacency) -> Scheme:
         raise ParseError("adjacency matrix must be square") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ParseError("adjacency matrix must be square and nonempty")
+    # past the 0/1 check, everything reads a narrow copy
     if (A.dtype.kind not in "biuf" or not ((A == 0) | (A == 1)).all()
-            or not np.array_equal(A, A.T) or np.diagonal(A).any()):
+            or not np.array_equal(A := A.astype(np.int8), A.T) or np.diagonal(A).any()):
         raise ParseError("adjacency must be symmetric 0/1 with empty diagonal")
     n = A.shape[0]
 
     dist, w = _distances_and_first_bad_count(A)
-    if (dist < 0).any():
-        a, b = map(int, np.argwhere(dist < 0)[0])
-        raise NotDistanceRegular("graph is not connected", witness=(a, b))
-    if w is not None:
+    if dist is None:  # a count failed or pairs are unreached: search from vertex 0
+        seen = front = np.arange(n) == 0
+        while front.any():
+            front = A[front].any(axis=0) > seen
+            seen = seen | front
+        if not seen.all():  # the first unreached pair in C order
+            raise NotDistanceRegular("graph is not connected", witness=(0, int(seen.argmin())))
         exc = _inconsistency(w)
         raise NotDistanceRegular(f"distance counts are not constant: {exc}", witness=w) from exc
     return _verified_scheme(tuple(range(n)), tuple(range(int(dist.max()) + 1)), dist, [])
 
 
-def _distances_and_first_bad_count(A: np.ndarray) -> tuple[np.ndarray, dict | None]:
-    """Distances of a 0/1 adjacency matrix (-1 where unreachable) and the
-    witness of the adjacency row's first failing count, or None.
+def _distances_and_first_bad_count(A: np.ndarray) -> tuple[np.ndarray | None, dict | None]:
+    """Distances of a connected 0/1 adjacency matrix whose counts pass, else
+    None, and the witness of the adjacency row's first failing count, or None.
 
     Breadth-first search from every vertex at once.  The level-r product P =
     A_r A marks the pairs at distance r + 1; P.T = A A_r is block j = r of the
-    row, zero past distance r + 1 as p[1, r, k] is, so the block is checked
-    whole against P.T at each class's first pair in C order, p's
-    representative, and the first failure is the full scan's.  The returned
-    witness keeps no float scratch alive.
+    row, which lives on the distances r - 1, r and r + 1, so each of those
+    bands is checked against P.T at its first pair in C order, p's
+    representative, and the search stops at the first level that fails, on
+    the full scan's first failure.  The witness keeps no float scratch alive.
     """
     n = A.shape[0]
-    dist = np.where(np.eye(n, dtype=bool), 0, -1)
     # counts are at most n; float32 is exact below 2**24, past any n x n array that fits
     edges = A.astype(np.float32)
     frontier = np.eye(n, dtype=np.float32)
-    first, witness = [0], None  # flat index of the first pair of each distance
+    unreached = ~np.eye(n, dtype=bool)
+    dist = unreached.astype(_int_dtype(n))  # each level adds the pairs past it
+    bands, first = [~unreached], [0]  # pairs at the last distances; first pair of each
     for r in range(n):  # the diameter is below n
         prod = np.matmul(frontier, edges)
-        reached = (prod > 0) & (dist < 0)
+        reached = (prod > 0) & unreached
         if reached.any():
-            np.putmask(dist, reached, r + 1)
             first.append(int(reached.argmax()))
-        if witness is None:
-            x, y = np.divmod(first, n)
-            ref = np.append(prod[y, x], 0)  # ref[-1] = 0 at pairs not reached
-            bad = prod != ref[dist]  # the check of P.T, transposed, as dist is symmetric
-            if bad.any():
-                a, b = map(int, np.argwhere(bad.T)[0])
-                k = int(dist[a, b])
-                witness = {"i": 1, "j": r, "k": k, "pair": (a, b),
-                           "count": int(prod[b, a]), "reference_count": int(ref[k])}
+            unreached ^= reached
+            dist += unreached
+        bands.append(reached)
+        bad = np.zeros((n, n), dtype=bool)  # the check of P.T, transposed, as bands are symmetric
+        for k in range(max(r - 1, 0), len(first)):
+            bad |= (prod != prod.T.flat[first[k]]) & bands[k - r - 2]
+        if bad.any():
+            a, b = map(int, np.argwhere(bad.T)[0])
+            k = int(dist[a, b])
+            return None, {"i": 1, "j": r, "k": k, "pair": (a, b), "count": int(prod[b, a]),
+                          "reference_count": int(prod.T.flat[first[k]])}
         if len(first) == r + 1:  # nothing reached at this level
             break
-        frontier = reached.astype(np.float32)
-    return dist, witness
+        np.copyto(frontier, reached)
+        bands, prod = bands[-2:], None  # the next product reuses prod's memory
+    return (None if unreached.any() else dist.astype(np.int64)), None
 
 
 def _as_permutation(mapping, labels, what: str) -> np.ndarray:

@@ -1191,6 +1191,13 @@ PINNED_DOCS = {
         "stoch": [[[(min((x - y) % 5, (y - x) % 5) == i) / (1, 2, 2)[i] for y in range(5)]
                    for x in range(5)] for i in range(3)],
     },
+    # the same scheme in the step format: step[x][y] = S_i(x, y) for the class i of (x, y)
+    "pentagon-gen-step.json": {
+        "points": [0, 1, 2, 3, 4], "classes": [0, 1, 2],
+        "relations": [[x, y, min((x - y) % 5, (y - x) % 5)] for x in range(5) for y in range(5)],
+        "step": [[1 / (1, 2, 2)[min((x - y) % 5, (y - x) % 5)] for y in range(5)]
+                 for x in range(5)],
+    },
 }
 
 # sha256 of each report file, recorded before the report writer was reworked
@@ -1253,6 +1260,9 @@ PINNED_DIGESTS = {
         "a18249ad48b4c9e1dce61f114d4413cd71e64f57a5bd0351164b1d8b2ab6b52e",
     "verify pentagon-gen.json -> verify.json":
         "e4ae2cbaa8ccbbbc8ac36656538eb5a59aa89ee2b584f8060f537512f4b06a21",
+    # recorded with the step reader; the report is the stack's but for the file name
+    "verify pentagon-gen-step.json -> verify.json":
+        "9a6b6f5f0e393d7186a25403e1588bc3a732d8b291b9fecb4476b124715d85bb",
 }
 
 
@@ -1260,11 +1270,11 @@ def test_reports_match_recorded_bytes(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, doc in PINNED_DOCS.items():
         (tmp_path / name).write_text(json.dumps(doc))
-    runs = [[command, name] for name in PINNED_DOCS if name != "pentagon-gen.json"
+    runs = [[command, name] for name in PINNED_DOCS if "-gen" not in name
             for command in ("verify", "hypergroup", "chartable", "dualtable")]
     runs.append(["family", "gab", "--a", "3", "--b", "3", "--max-degree", "3"])
     runs.append(["family", "cosh", "--r", "0.5", "--window", "4"])
-    runs.append(["verify", "pentagon-gen.json"])
+    runs += [["verify", name] for name in PINNED_DOCS if "-gen" in name]
     found = {}
     for argv in runs:
         assert main(argv) == 0, argv

@@ -1,5 +1,6 @@
 """Character tables, Fourier transforms, positive definiteness, and duals."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypergroups import catalog
 from hypergroups.catalog import cyclic_scheme
 from hypergroups.errors import DegenerateSplitFailure, DualNotPositive, NotCommutative
 from hypergroups.harmonic import (
+    SEED,
     CharacterTable,
     character_table,
     conjugate_index,
@@ -26,7 +28,7 @@ from hypergroups.hypergroup import (
     make_hypergroup,
     verify_hypergroup,
 )
-from hypergroups.schemes import scheme_from_distance_regular_graph
+from hypergroups.schemes import build_scheme, scheme_from_distance_regular_graph
 
 COS72 = (np.sqrt(5) - 1) / 4  # = cos(2 pi / 5)
 COS144 = -(np.sqrt(5) + 1) / 4
@@ -83,6 +85,39 @@ def test_character_table_deterministic_across_calls(petersen):
     t2 = character_table(h)
     np.testing.assert_array_equal(t1.chars, t2.chars)
     np.testing.assert_array_equal(t1.plancherel, t2.plancherel)
+
+
+def per_row_characters(h, seed):
+    """The characters built one row at a time, the reference: each
+    eigenvector normalized through its own QR call and divided by its value at
+    the identity, then sorted by the tuples (-re_0, -im_0, -re_1, ...) of its
+    1e-9-rounded values, against the stacked normalization and the lexsort."""
+    mu = np.random.default_rng(seed).uniform(0.5, 1.5, size=h.n_classes)
+    V = np.linalg.eig(np.tensordot(mu, h.conv_float.astype(complex), axes=([0], [0])))[1]
+    rows = []
+    for r in range(h.n_classes):
+        v = np.linalg.qr(V[:, [r]])[0][:, 0]
+        rows.append(v / v[h.identity])
+
+    def sort_key(row):
+        re, im = np.round(row.real, 9), np.round(row.imag, 9)
+        return tuple(x for pair in zip(-re, -im) for x in pair)
+
+    return np.array(sorted(rows, key=sort_key))
+
+
+@pytest.mark.parametrize("orders", [(12,), (2, 6)], ids=["Z12", "Z2xZ6"])
+@pytest.mark.parametrize("seed", [SEED, 1])
+def test_character_rows_match_the_per_row_reference_bitwise(orders, seed):
+    elements = list(itertools.product(*map(range, orders)))
+    s = build_scheme(elements, elements,
+                     lambda x, y: tuple((b - a) % m for a, b, m in zip(x, y, orders)))
+    h = hypergroup_from_scheme(s)
+    tbl, want = character_table(h, seed=seed), per_row_characters(h, seed)
+    assert tbl.chars.tobytes() == want.tobytes()
+    # some neighbouring rows first differ in an imaginary part: a tie on a real part
+    keys = np.stack((tbl.chars.real, tbl.chars.imag), axis=2).round(9).reshape(len(want), -1)
+    assert any(np.argmax(keys[r] != keys[r + 1]) % 2 for r in range(len(keys) - 1))
 
 
 def test_noncommutative_rejected(s3_regular):
@@ -264,8 +299,6 @@ def test_cyclic_dual_is_the_group_again(z4):
 
 
 def test_dual_of_dual_is_isomorphic_to_original(pentagon):
-    import itertools
-
     h = hypergroup_from_scheme(pentagon)
     tbl = character_table(h)
     dd = dual_hypergroup(dual_hypergroup(h, tbl), character_table(dual_hypergroup(h, tbl)))

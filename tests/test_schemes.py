@@ -373,12 +373,25 @@ def test_drg_rejects_irregular_but_connected():
         scheme_from_distance_regular_graph(adj)
 
 
-def test_drg_switched_hamming_witness():
-    # H(4,2) with edges {0, 1}, {2, 3} switched to {0, 3}, {2, 1}
+def test_drg_switched_hamming_witness(monkeypatch):
+    # H(4,2) with edges {0, 1}, {2, 3} switched to {0, 3}, {2, 1}: the count of
+    # level 1 fails, and the search stops there, after two n x n products
     v = np.arange(16)
     adj = (np.bitwise_count(v[:, None] ^ v[None, :]) == 1).astype(np.int64)
     adj[0, 1] = adj[1, 0] = adj[2, 3] = adj[3, 2] = 0
     adj[0, 3] = adj[3, 0] = adj[2, 1] = adj[1, 2] = 1
+    products = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b):
+            products.append((a.shape, b.shape))
+            return np.matmul(a, b)
+
+    monkeypatch.setattr(schemes, "np", CountingNumpy())
     with pytest.raises(NotDistanceRegular) as err:
         scheme_from_distance_regular_graph(adj)
     assert str(err.value) == (
@@ -388,6 +401,15 @@ def test_drg_switched_hamming_witness():
     assert err.value.witness == {
         "i": 1, "j": 1, "k": 2, "pair": (0, 5), "count": 1, "reference_count": 2,
     }
+    assert products == [((16, 16), (16, 16))] * 2
+    # beside a disjoint edge, the failing count gives way to the first unreached pair
+    split = np.zeros((18, 18), dtype=np.int64)
+    split[:16, :16] = adj
+    split[16, 17] = split[17, 16] = 1
+    with pytest.raises(NotDistanceRegular) as err:
+        scheme_from_distance_regular_graph(split)
+    assert str(err.value) == "graph is not connected"
+    assert err.value.witness == (0, 16)
 
 
 def test_drg_rejection_does_not_pin_scratch_arrays():
