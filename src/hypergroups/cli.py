@@ -10,7 +10,8 @@ when given; the command that reads one supplies its own value otherwise.
 Each ``cmd_*`` handler returns ``(results, (CSV header, lazy rows) or None, ok)``,
 numpy values unconverted; ``main`` alone builds the report, streams it to stdout
 or ``--out``, formats the CSV rows only into an ``--out`` file and maps ``ok`` to
-exit 0 or 2.  Reports are byte-deterministic for a fixed command line (fixed
+exit 0 or 2.  Each handler imports the modules it runs, so a command loads
+only those.  Reports are byte-deterministic for a fixed command line (fixed
 seed, sorted keys, fixed orderings).
 """
 
@@ -20,40 +21,22 @@ import argparse
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import jsonio
-from .errors import (
-    NotCommutative,
-    ParameterOutOfRange,
-    ParseError,
-    SchemeError,
-)
-from .generalized import hypergroup_from_generalized
-from .groups import scheme_from_group_quotient
-from .harmonic import (
-    CHARACTER_RESIDUAL_TOL,
-    SEED,
-    character_table,
-    dual_convolution,
-    orthogonality_residual,
-)
-from .hypergroup import hypergroup_from_scheme, verify_hypergroup
+from .errors import SEED, NotCommutative, ParameterOutOfRange, ParseError, SchemeError
 from .schemes import (
     audit_intersection_identities,
     is_commutative,
     is_symmetric,
     is_unimodular,
 )
-from .families.gab import GabFamily, _psd_rows, gab_dual_measure, gab_linearization
-from .families.cosh import (
-    CoshFamily,
-    cosh_character,
-    cosh_convolution,
-    cosh_window_scheme,
-    window_character,
-)
+
+if TYPE_CHECKING:
+    from .families.cosh import CoshFamily
+    from .families.gab import GabFamily
 
 REPORT_SCHEMA = "hypergroups-report/1"
 
@@ -95,6 +78,8 @@ def _load_any(path: str):
     if kind == "scheme":
         return kind, jsonio.scheme_from_json(doc)
     if kind == "cayley":
+        from .groups import scheme_from_group_quotient
+
         group, sub = jsonio.cayley_from_json(doc)
         return kind, scheme_from_group_quotient(group, sub)
     if kind == "hypergroup":
@@ -104,8 +89,12 @@ def _load_any(path: str):
 
 def _hypergroup_of(kind: str, obj):
     if kind in ("scheme", "cayley"):
+        from .hypergroup import hypergroup_from_scheme
+
         return hypergroup_from_scheme(obj)
     if kind == "generalized":
+        from .generalized import hypergroup_from_generalized
+
         return hypergroup_from_generalized(obj)
     return obj
 
@@ -131,6 +120,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
         }
         return results, None, audit["all_hold"]
     if kind == "hypergroup":
+        from .hypergroup import verify_hypergroup
+
         audit = verify_hypergroup(obj, tol=args.tol or 1e-12)
         return {"kind": kind, "audit": audit}, None, audit["all_hold"]
     results = {"kind": kind, "audit": obj.report, "windowed": obj.windowed,
@@ -139,6 +130,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
 
 
 def cmd_hypergroup(args: argparse.Namespace) -> tuple:
+    from .hypergroup import verify_hypergroup
+
     kind, obj = _load_any(args.input)
     h = _hypergroup_of(kind, obj)
     audit = verify_hypergroup(h, tol=args.tol or 1e-12)
@@ -147,6 +140,8 @@ def cmd_hypergroup(args: argparse.Namespace) -> tuple:
 
 
 def cmd_chartable(args: argparse.Namespace) -> tuple:
+    from .harmonic import CHARACTER_RESIDUAL_TOL, character_table, orthogonality_residual
+
     kind, obj = _load_any(args.input)
     h = _hypergroup_of(kind, obj)
     tbl = character_table(h, seed=args.seed)
@@ -169,6 +164,8 @@ def cmd_chartable(args: argparse.Namespace) -> tuple:
 
 
 def cmd_dualtable(args: argparse.Namespace) -> tuple:
+    from .harmonic import character_table, dual_convolution
+
     kind, obj = _load_any(args.input)
     h = _hypergroup_of(kind, obj)
     tol = args.tol or 1e-9
@@ -207,6 +204,8 @@ def _dual_rows(labels, weights):
 
 
 def _gab_linearization_report(args: argparse.Namespace, fam: GabFamily):
+    from .families.gab import gab_linearization
+
     nmax = args.max_degree
     if not 0 <= nmax <= LINEARIZATION_MAX_DEGREE:
         raise ParameterOutOfRange(f"--max-degree {nmax} not in [0, {LINEARIZATION_MAX_DEGREE}]")
@@ -234,6 +233,8 @@ def _gab_linearization_report(args: argparse.Namespace, fam: GabFamily):
 
 
 def _gab_psd_report(args: argparse.Namespace, fam: GabFamily):
+    from .families.gab import _psd_rows
+
     x_min, x_max, x_step, radius = args.x_min, args.x_max, args.x_step, args.radius
     budget = args.vertex_budget if args.vertex_budget is not None else 5000
     tol = args.tol or 1e-8
@@ -267,6 +268,8 @@ def _gab_psd_report(args: argparse.Namespace, fam: GabFamily):
 
 
 def _gab_lp_report(args: argparse.Namespace, fam: GabFamily):
+    from .families.gab import gab_dual_measure
+
     order = args.moment_order if args.moment_order is not None else 8
     pts = args.sweep_points
     slack = args.tol or 1e-8
@@ -293,6 +296,13 @@ def _gab_lp_report(args: argparse.Namespace, fam: GabFamily):
 
 
 def _cosh_window_report(args: argparse.Namespace, fam: CoshFamily):
+    from .families.cosh import (
+        cosh_character,
+        cosh_convolution,
+        cosh_window_scheme,
+        window_character,
+    )
+
     m = args.window
     g = cosh_window_scheme(fam, m)
     closed_dev = 0.0
@@ -337,7 +347,14 @@ REPORTS = {
 
 
 def cmd_family(args: argparse.Namespace) -> tuple:
-    fam = GabFamily(args.a, args.b) if args.family == "gab" else CoshFamily(args.r)
+    if args.family == "gab":
+        from .families.gab import GabFamily
+
+        fam = GabFamily(args.a, args.b)
+    else:
+        from .families.cosh import CoshFamily
+
+        fam = CoshFamily(args.r)
     return REPORTS[args.report][0](args, fam)
 
 

@@ -2,10 +2,14 @@
 
 Every exception carries a human-readable message and, where a finite
 counterexample exists, a ``witness`` attribute with the offending indices
-so callers (and the CLI) can report exactly what failed.
+so callers (and the CLI) can report exactly what failed.  ``SEED`` is the
+default seed of the one random draw, which ``DegenerateSplitFailure`` asks to
+redraw; it lives here, where every command finds it loaded.
 """
 
 from __future__ import annotations
+
+SEED = 0xC0FFEE
 
 
 class SchemeError(Exception):

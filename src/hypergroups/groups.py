@@ -15,7 +15,6 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -259,6 +258,8 @@ def hecke_convolution(group: FiniteGroup, subgroup: Sequence, a, b) -> dict:
     normalized by the coset indices, a probability measure on the
     double-coset space.
     """
+    from fractions import Fraction
+
     _, coset_of, dcoset_of, reps, dreps = _quotient(group, subgroup)
     dcoset_of_rep = dcoset_of[reps]
     a_reps = reps[dcoset_of_rep == dcoset_of[group.index(a)]]

@@ -17,11 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateSplitFailure, DualNotPositive, NotCommutative
+from .errors import SEED, DegenerateSplitFailure, DualNotPositive, NotCommutative
 from .hypergroup import FiniteHypergroup, is_commutative, make_hypergroup
 from .schemes import Scheme
 
-SEED = 0xC0FFEE
 CLUSTER_GAP = 1e-8
 CHARACTER_RESIDUAL_TOL = 1e-8
 

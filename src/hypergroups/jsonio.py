@@ -14,17 +14,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from fractions import Fraction
+import numbers
 from json.encoder import encode_basestring
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .errors import ParseError
-from .generalized import GeneralizedScheme, _fold, build_generalized, build_windowed
-from .groups import FiniteGroup, group_from_table
-from .hypergroup import FiniteHypergroup, _fractions, _stored, make_hypergroup
 from .schemes import _UNDEFINED, Scheme, _key, _label_index, _relation_matrix, build_scheme
+
+if TYPE_CHECKING:
+    from .generalized import GeneralizedScheme
+    from .groups import FiniteGroup
+    from .hypergroup import FiniteHypergroup
 
 # ---------------------------------------------------------------------------
 # scalar formatting
@@ -142,10 +144,10 @@ def _texts(value: Any, level: int):
         yield "{}" if isinstance(value, dict) else "[]"
     elif isinstance(value, complex):
         yield f'"{format_complex(value)}"' if value.imag else _scalars((value.real,), float)[0]
-    elif isinstance(value, Fraction):
-        yield f'"{value.numerator}/{value.denominator}"'
     elif isinstance(value, (str, int, float)):  # subclasses, written as json writes them
         yield _scalars((value,), next(k for k in (str, int, float) if isinstance(value, k)))[0]
+    elif isinstance(value, numbers.Rational):  # a Fraction: ints are caught above
+        yield f'"{value.numerator}/{value.denominator}"'
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -305,6 +307,8 @@ def scheme_from_json(doc: dict) -> Scheme:
 def cayley_from_json(doc: dict) -> tuple[FiniteGroup, list]:
     """The group and the subgroup's labels as the document names them (the
     identity's label when it names none), left for the quotient to check."""
+    from .groups import group_from_table
+
     for key in ("elements", "table"):
         if key not in doc:
             raise ParseError(f"cayley document missing {key!r}")
@@ -323,6 +327,8 @@ def cayley_from_json(doc: dict) -> tuple[FiniteGroup, list]:
 
 
 def hypergroup_to_json(h: FiniteHypergroup) -> dict:
+    from .hypergroup import _fractions
+
     support = np.argwhere(h.values != 0)
     entries = h.values[tuple(support.T)]
     cells = _json_value(_fractions(entries, h.scale)) if h.exact else entries.tolist()
@@ -339,6 +345,10 @@ def hypergroup_from_json(doc: dict) -> FiniteHypergroup:
     """Exact unless some row holds a JSON float: ints and the strings Fraction
     reads become integer numerators over one denominator; float otherwise.  A
     repeated [i, j, k] keeps its last value."""
+    from fractions import Fraction
+
+    from .hypergroup import _stored, make_hypergroup
+
     for key in ("classes", "conv"):
         if key not in doc:
             raise ParseError(f"hypergroup document missing {key!r}")
@@ -421,6 +431,8 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
     document with 'boundary_distance' or 'class_order' is a window: it must hold every
     field :func:`generalized_to_json` writes, and its relation needs no scheme; any
     other is audited over its base scheme."""
+    from .generalized import _fold, build_generalized, build_windowed
+
     kind = "windowed" if "boundary_distance" in doc or "class_order" in doc else "generalized"
     points, classes, table, identity, involution, base_point = _scheme_fields(doc, kind)
     if kind == "windowed":

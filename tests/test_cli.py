@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hypergroups.catalog import pentagon_scheme, petersen_scheme
-from hypergroups import cli, jsonio
+from hypergroups import cli, harmonic, jsonio
 from hypergroups.cli import main
 from hypergroups.errors import NoInvolution, SupportMismatch
 from hypergroups.families import cosh, gab
@@ -874,6 +874,40 @@ def test_no_module_imports_scipy(docs):
         assert "scipy" not in done.stderr, argv
 
 
+# run in a fresh interpreter: the modules that a bare ``import hypergroups`` (no
+# arguments) or ``cli.main`` of the JSON argument list loads, printed as JSON
+LOADED_SNIPPET = (
+    "import json, sys\n"
+    "before = set(sys.modules)\n"
+    "argv = json.loads(sys.argv[1])\n"
+    "if argv:\n"
+    "    from hypergroups.cli import main\n"
+    "    assert main(argv) == 0\n"
+    "else:\n"
+    "    import hypergroups\n"
+    "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+)
+
+
+def _loaded(*argv) -> set:
+    """The package modules, fractions and decimal among the modules that argv loads."""
+    done = subprocess.run([sys.executable, "-c", LOADED_SNIPPET, json.dumps(argv)],
+                          env=_package_env(), capture_output=True, text=True, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    return {m for m in loaded if m.startswith("hypergroups.") or m in ("fractions", "decimal")}
+
+
+def test_each_command_loads_only_the_modules_it_runs(docs, tmp_path):
+    assert _loaded() == {"hypergroups.errors"}
+    assert _loaded("verify", docs["pentagon.json"], "--out", str(tmp_path)) == {
+        "hypergroups.cli", "hypergroups.errors", "hypergroups.jsonio", "hypergroups.schemes"}
+    family = _loaded("family", "gab", "--a", "3", "--b", "3", "--report", "linearization",
+                     "--out", str(tmp_path))
+    assert "hypergroups.families.gab" in family
+    assert not family & {"hypergroups.generalized", "hypergroups.harmonic",
+                         "hypergroups.hypergroup", "hypergroups.groups"}
+
+
 def test_nested_point_labels(capsys, schema, tmp_path):
     pts = [[[0]], [[1]], [[2]]]
     doc = {"points": pts, "classes": [0, 1, 2],
@@ -933,7 +967,7 @@ def test_chartable_stdout_and_files(capsys, schema, docs, tmp_path):
 def test_chartable_fails_when_the_characters_are_not_orthogonal(capsys, schema, docs,
                                                                  monkeypatch):
     # the pentagon's Gram matrix has largest entry 5, so the bound is 5e-8: 1.0 fails
-    monkeypatch.setattr(cli, "orthogonality_residual", lambda tbl: 1.0)
+    monkeypatch.setattr(harmonic, "orthogonality_residual", lambda tbl: 1.0)
     code, rep = run(capsys, "chartable", docs["pentagon.json"])
     assert code == 2
     check_envelope(schema, rep, "chartable")
@@ -1059,7 +1093,7 @@ def test_family_gab_psd_sweep_fails_on_an_inside_point(capsys, schema, monkeypat
         return [{"x": float(x), "radius": radius, "n_vertices": 1,
                  "min_eigenvalue": -1.0 if x == 0 else 1.0, "psd": x != 0} for x in xs]
 
-    monkeypatch.setattr(cli, "_psd_rows", rows)
+    monkeypatch.setattr(gab, "_psd_rows", rows)
     code, rep = run(capsys, "family", "gab", "--a", "3", "--b", "3", "--report", "psd-sweep",
                     "--x-min", "-0.5", "--x-max", "0.5", "--x-step", "0.5")
     assert code == 2
@@ -1103,7 +1137,7 @@ def test_unbounded_sizes_are_refused_up_front(monkeypatch, capsys, argv):
         raise AssertionError("the size check must come before any work")
 
     monkeypatch.setattr(gab, "_ball_size", no_work)
-    monkeypatch.setattr(cli, "gab_linearization", no_work)
+    monkeypatch.setattr(gab, "gab_linearization", no_work)
     monkeypatch.setattr(cosh, "build_windowed", no_work)
     code = main(["family", *argv])
     captured = capsys.readouterr()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypergroups import cli
+from hypergroups import cli, harmonic
 from hypergroups.catalog import cyclic_scheme
 from hypergroups.cli import _dual_rows
 from hypergroups.errors import ParseError
@@ -315,7 +315,7 @@ def test_csv_cells_match_recorded_text(monkeypatch, tmp_path):
         chars=np.array([[1 + 0j, 0.5 - 0.25j], [complex(-0.0, -0.0), complex(nan, 0.0)]]),
         plancherel=np.array([1.2345678901234567e300, nan]), haar=np.ones(2),
         positive_index=0, residual=0.0)
-    monkeypatch.setattr(cli, "character_table", lambda h, seed: tbl)
+    monkeypatch.setattr(harmonic, "character_table", lambda h, seed: tbl)
     doc = tmp_path / "z2.json"
     doc.write_text(json.dumps(scheme_to_json(cyclic_scheme(2))))
     assert cli.main(["chartable", str(doc), "--out", str(tmp_path)]) == 2  # nan fails
