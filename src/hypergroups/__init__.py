@@ -19,34 +19,31 @@ from . import errors  # noqa: F401  (loaded with the package; its names bind on 
 # the public names of each defining module; "" lists the modules themselves
 _EXPORTS = {
     "errors": (
-        "BallTooLarge", "ClosedFormSingular", "ClosureResidual",
-        "DegenerateSplitFailure", "DetailedBalanceViolation", "DualNotPositive",
-        "EmptyClass", "InconsistentIntersection", "InvalidCayleyTable",
-        "NoIdentityClass", "NoInvolution", "NonSquare", "NotACharacter",
-        "NotAHypergroup", "NotASubgroup", "NotBijective", "NotCommutative",
-        "NotDistanceRegular", "NotStochastic", "ParameterOutOfRange",
-        "ParseError", "QuadratureNotConverged", "SchemeError", "SupportMismatch",
+        "BallTooLarge", "ClosureResidual", "DegenerateSplitFailure",
+        "DetailedBalanceViolation", "DualNotPositive", "EmptyClass",
+        "InconsistentIntersection", "InvalidCayleyTable", "NoIdentityClass",
+        "NoInvolution", "NonSquare", "NotACharacter", "NotAHypergroup",
+        "NotASubgroup", "NotBijective", "NotCommutative", "NotDistanceRegular",
+        "NotStochastic", "ParameterOutOfRange", "ParseError", "SchemeError",
+        "SupportMismatch",
     ),
     "schemes": (
         "Scheme", "audit_intersection_identities", "build_scheme",
-        "check_automorphism", "commutativity_by_involution_automorphism",
-        "is_commutative", "is_symmetric", "is_unimodular",
+        "check_automorphism", "is_commutative", "is_symmetric", "is_unimodular",
         "scheme_from_distance_regular_graph",
     ),
     "groups": (
         "FiniteGroup", "check_subgroup", "cyclic_group", "group_from_table",
-        "hecke_convolution", "scheme_from_group_quotient", "symmetric_group",
+        "scheme_from_group_quotient", "symmetric_group",
     ),
     "hypergroup": (
-        "FiniteHypergroup", "convolve_functions", "convolve_measures",
-        "hypergroup_from_scheme", "involute", "is_probability",
-        "make_hypergroup", "modular_function", "translate", "verify_hypergroup",
+        "FiniteHypergroup", "hypergroup_from_scheme", "make_hypergroup",
+        "verify_hypergroup",
     ),
     "harmonic": (
         "CharacterTable", "DualCoefficients", "DualMeasure", "character_table",
-        "conjugate_index", "dual_convolution", "dual_hypergroup", "fourier",
-        "inverse_fourier", "is_positive_definite", "orthogonality_residual",
-        "scheme_eigenvector_residual",
+        "dual_convolution", "dual_hypergroup", "fourier", "is_positive_definite",
+        "orthogonality_residual",
     ),
     "generalized": (
         "GeneralizedScheme", "build_generalized", "build_windowed",

@@ -27,12 +27,6 @@ import numpy as np
 
 from . import jsonio
 from .errors import SEED, NotCommutative, ParameterOutOfRange, ParseError, SchemeError
-from .schemes import (
-    audit_intersection_identities,
-    is_commutative,
-    is_symmetric,
-    is_unimodular,
-)
 
 if TYPE_CHECKING:
     from .families.cosh import CoshFamily
@@ -106,6 +100,13 @@ def _hypergroup_of(kind: str, obj):
 def cmd_verify(args: argparse.Namespace) -> tuple:
     kind, obj = _load_any(args.input)
     if kind in ("scheme", "cayley"):
+        from .schemes import (
+            audit_intersection_identities,
+            is_commutative,
+            is_symmetric,
+            is_unimodular,
+        )
+
         audit = audit_intersection_identities(obj)
         results = {
             "kind": kind,

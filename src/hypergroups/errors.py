@@ -103,10 +103,3 @@ class ParameterOutOfRange(SchemeError):
 class BallTooLarge(ParameterOutOfRange):
     """Graph ball would exceed the vertex budget."""
 
-
-class ClosedFormSingular(SchemeError):
-    """Closed-form evaluation point hits a removable singularity."""
-
-
-class QuadratureNotConverged(SchemeError):
-    """Refining the quadrature still moves the result."""

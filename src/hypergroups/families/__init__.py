@@ -9,13 +9,11 @@ import importlib
 _EXPORTS = {
     "gab": (
         "GabFamily", "MomentResult", "gab_ball", "gab_dual_measure", "gab_eval_all",
-        "gab_eval_closed_form", "gab_haar", "gab_kernel_psd", "gab_linearization",
-        "gab_orthogonality_measure",
+        "gab_haar", "gab_kernel_psd", "gab_linearization",
     ),
     "cosh": (
-        "CoshFamily", "cosh_base_product", "cosh_character", "cosh_connection_quadrature",
-        "cosh_convolution", "cosh_parameter_in_dual", "cosh_window_scheme",
-        "window_character",
+        "CoshFamily", "cosh_base_product", "cosh_character", "cosh_convolution",
+        "cosh_parameter_in_dual", "cosh_window_scheme", "window_character",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -9,8 +9,8 @@ distance partition of Z whose deformed convolution has the closed form
             + cosh((k-l)r)/(2 cosh(kr) cosh(lr)) S_{|k-l|}.
 
 The characters are cos(lambda n)/cosh(rn); the module also carries the
-integral representation of those characters against the base family, a
-trapezoid evaluation of it, and the centered-window construction.
+bounded-character parameter set, the Plancherel support, and the
+centered-window construction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import ParameterOutOfRange, QuadratureNotConverged
+from ..errors import ParameterOutOfRange
 from ..generalized import GeneralizedScheme, build_windowed
 from ..harmonic import _multiplicativity_gap
 
@@ -169,28 +169,3 @@ def window_character(g: GeneralizedScheme, alpha1: complex):
     inside = np.add.outer(np.arange(m + 1), np.arange(m + 1)) <= m
     return alpha, float(gap[inside & g.pair_checked[: m + 1, : m + 1]].max(initial=0.0))
 
-
-def cosh_connection_quadrature(fam: CoshFamily, lam: float, n: int,
-                               step: float = 0.1, cutoff: float = 40.0,
-                               tol: float = 1e-8) -> float:
-    """Trapezoid evaluation of the positive integral representation.
-
-    Computes (1/2) * integral of cos(t r n) / cosh((t + lambda/r) pi/2)
-    over the line, which reproduces cos(lambda n)/cosh(rn) for real
-    lambda.  The estimate is refined once (half step, double cutoff);
-    disagreement beyond tol raises ``QuadratureNotConverged``.
-    """
-    lam = float(lam)
-
-    def estimate(h: float, c: float) -> float:
-        t = np.arange(-c, c + h / 2, h)
-        vals = np.cos(t * fam.r * n) / np.cosh((t + lam / fam.r) * math.pi / 2.0)
-        return 0.5 * float(np.trapezoid(vals, dx=h))
-
-    rough = estimate(step, cutoff)
-    fine = estimate(step / 2.0, cutoff * 2.0)
-    if abs(rough - fine) > tol:
-        raise QuadratureNotConverged(
-            f"refinement moved the value by {abs(rough - fine):.3e}"
-        )
-    return fine

@@ -4,9 +4,10 @@ For real a, b >= 2 this is the orthogonal polynomial sequence whose
 three-term recurrence has constant coefficients from (a, b); for integer
 parameters the polynomials evaluate distance kernels on the graph whose
 vertices sit in a cliques of size b each (a tree of b-cliques).  The
-module carries the linearization coefficients, the Haar weights, two
-independent evaluation routes, the orthogonality measure, finite-ball
-kernel tests, and the truncated moment test for dual product formulas.
+module carries the linearization coefficients, the Haar weights, the
+three-term recurrence with a backward pass at the left endpoint s0,
+finite-ball kernel tests, and the truncated moment test for dual product
+formulas.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import (
-    BallTooLarge,
-    ClosedFormSingular,
-    ParameterOutOfRange,
-    QuadratureNotConverged,
-)
+from ..errors import BallTooLarge, ParameterOutOfRange
 
 # largest moment order of gab_dual_measure: its Gram matrices take about order^2 / 4
 # linearizations of O(order) Python work each (about 28 ms a pair at 64)
@@ -166,79 +162,6 @@ def gab_left_endpoint_values(fam: GabFamily, nmax: int) -> np.ndarray:
         if abs(q[n - 1]) > 1e250:
             q[n - 1:] /= 1e250
     return q[: nmax + 1] / q[0]
-
-
-def gab_eval_closed_form(fam: GabFamily, n: int, x: complex) -> complex:
-    """P_n(x) via the substitution x = (z + 1/z)/2.
-
-    Valid away from x = +-1 where z degenerates; there
-    ``ClosedFormSingular`` is raised and the recurrence route applies.
-    """
-    a, b = fam.a, fam.b
-    xc = complex(x)
-    z = xc + np.sqrt(complex(xc * xc - 1.0))
-    if abs(z) < 1.0:
-        z = 1.0 / z
-    if abs(z) < 1e-12 or abs(z - 1.0) < 1e-9 or abs(z + 1.0) < 1e-9:
-        raise ClosedFormSingular(f"substitution degenerates at x={x!r}")
-
-    shift = (b - 2) * math.sqrt(a - 1) / math.sqrt(b - 1)
-
-    def c(zz):
-        return ((a - 1) * zz - 1.0 / zz + shift) / (a * (zz - 1.0 / zz))
-
-    val = (c(z) * z ** n + c(1.0 / z) * z ** (-n)) / ((a - 1) * (b - 1)) ** (n / 2.0)
-    return complex(val)
-
-
-@dataclass(frozen=True)
-class GabMeasure:
-    """Orthogonality measure: a density on [-1, 1] plus an optional atom."""
-
-    fam: GabFamily
-    atom_location: float | None
-    atom_mass: float
-
-    def density(self, x):
-        f = self.fam
-        x = np.asarray(x, dtype=np.float64)
-        return (f.a / (2 * math.pi)) * np.sqrt(np.clip(1.0 - x * x, 0.0, None)) / (
-            (f.s1 - x) * (x - f.s0)
-        )
-
-    def integrate(self, func, rtol: float = 1e-11) -> float:
-        """integral of func against the measure, atom included.
-
-        Continuous part via the angle substitution x = cos(theta), which
-        removes the endpoint singularities even when s0 = -1 or s1 = 1, by
-        Gauss-Legendre rules in theta of 100 and 200 nodes (func gets an
-        array of x); ``QuadratureNotConverged`` if they differ beyond rtol.
-        """
-        f = self.fam
-
-        def rule(count: int) -> float:
-            t, w = np.polynomial.legendre.leggauss(count)
-            x = np.cos(math.pi * (t + 1.0) / 2.0)  # d theta = (pi / 2) dt
-            # no node reaches +-1, so at s1 = 1 or s0 = -1 its ratio is exactly 1.0
-            one_minus, one_plus = (1.0 - x) / (f.s1 - x), (1.0 + x) / (x - f.s0)
-            return (f.a / 4.0) * float(np.sum(w * func(x) * one_minus * one_plus))
-
-        rough, val = rule(100), rule(200)
-        if abs(rough - val) > max(rtol * abs(val), 1e-14):
-            raise QuadratureNotConverged(f"doubling the rule moved the value by {rough - val:.3e}")
-        if self.atom_location is not None:
-            val += self.atom_mass * func(self.atom_location)
-        return val
-
-    def total_mass(self) -> float:
-        return self.integrate(lambda x: 1.0)
-
-
-def gab_orthogonality_measure(fam: GabFamily) -> GabMeasure:
-    """Spectral measure of the family; carries an atom at s0 iff b > a."""
-    if fam.b > fam.a:
-        return GabMeasure(fam, atom_location=fam.s0, atom_mass=(fam.b - fam.a) / fam.b)
-    return GabMeasure(fam, atom_location=None, atom_mass=0.0)
 
 
 def _ball_size(a: int, b: int, radius: int, budget: int) -> int:

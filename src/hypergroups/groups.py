@@ -2,10 +2,9 @@
 
 A multiplication table over opaque element labels is proved a group from its axioms, and
 scanned for latin rows and columns only to name a fault.  From a group G and a subgroup H
-we build the double-coset scheme on G/H and the double-coset convolution computed directly
-from coset products, so the two routes to the same measure can be compared exactly.  The
-orbitals of a transitive action form a scheme (Bannai-Ito 1984, II.2), so once the table
-and H are checked, the quotient's counts are not rechecked.
+we build the double-coset scheme on G/H.  The orbitals of a transitive action form a
+scheme (Bannai-Ito 1984, II.2), so once the table and H are checked, the quotient's counts
+are not rechecked.
 """
 
 from __future__ import annotations
@@ -206,11 +205,17 @@ def symmetric_group(n: int) -> FiniteGroup:
     return _group_from_indices(tuple(perms), table)
 
 
-def _quotient(group: FiniteGroup, subgroup: Sequence) -> tuple:
-    """The subgroup H, checked here and only here; the index of the left coset
-    gH and of the double coset HgH of each element; and the minimal member of
-    each left coset and of each double coset, in which order both are numbered."""
-    sub = check_subgroup(group, subgroup)
+def scheme_from_group_quotient(group: FiniteGroup, subgroup: Sequence) -> Scheme:
+    """Scheme on G/H whose classes are the double cosets of H.
+
+    Points are left cosets xH, and (xH, yH) lies in the class of the
+    double coset H x^{-1} y H; no count is rechecked (see the module
+    docstring), and class valency equals the number of left cosets inside
+    the double coset (asserted).  Cosets and double cosets are numbered in
+    the order of their minimal members, which name them.  Elements that
+    print alike (0 and "0") give duplicate labels, a ``ParseError``.
+    """
+    sub = check_subgroup(group, subgroup)  # H is checked here and only here
     coset_of = np.full(group.order, -1, dtype=np.int64)
     dcoset_of = coset_of.copy()
     reps, dreps = [], []
@@ -221,25 +226,8 @@ def _quotient(group: FiniteGroup, subgroup: Sequence) -> tuple:
         if dcoset_of[g] < 0:
             dcoset_of[group.mul[np.ix_(sub, group.mul[g, sub])]] = len(dreps)
             dreps.append(g)
-    return sub, coset_of, dcoset_of, np.array(reps), dreps
-
-
-def _double_coset_label(group: FiniteGroup, g: int) -> str:
-    return f"H{group.elements[g]}H"
-
-
-def scheme_from_group_quotient(group: FiniteGroup, subgroup: Sequence) -> Scheme:
-    """Scheme on G/H whose classes are the double cosets of H.
-
-    Points are left cosets xH, and (xH, yH) lies in the class of the
-    double coset H x^{-1} y H; no count is rechecked (see the module
-    docstring), and class valency equals the number of left cosets inside
-    the double coset (asserted).  Elements that print alike (0 and "0")
-    give duplicate labels, a ``ParseError``.
-    """
-    sub, _, dcoset_of, reps, dreps = _quotient(group, subgroup)
-    points = tuple(f"{group.elements[r]}H" for r in reps.tolist())
-    classes = tuple(_double_coset_label(group, g) for g in dreps)
+    points = tuple(f"{group.elements[r]}H" for r in reps)
+    classes = tuple(f"H{group.elements[g]}H" for g in dreps)
     _label_index(classes, "class")
     _label_index(points, "point")
     # (xH, yH) -> the double coset of x^{-1} y: class indices in class order
@@ -247,27 +235,3 @@ def scheme_from_group_quotient(group: FiniteGroup, subgroup: Sequence) -> Scheme
     s = _verified_scheme(points, classes, rel, [])
     assert np.array_equal(s.valencies * len(sub), np.bincount(dcoset_of))
     return s
-
-
-def hecke_convolution(group: FiniteGroup, subgroup: Sequence, a, b) -> dict:
-    """Double-coset convolution computed from coset products.
-
-    Decomposes HaH and HbH into left cosets a_i H, b_j H and counts, for
-    each double coset HcH (via its minimal representative c), how many
-    products a_i b_j land in cH.  Returns {double coset label: Fraction}
-    normalized by the coset indices, a probability measure on the
-    double-coset space.
-    """
-    from fractions import Fraction
-
-    _, coset_of, dcoset_of, reps, dreps = _quotient(group, subgroup)
-    dcoset_of_rep = dcoset_of[reps]
-    a_reps = reps[dcoset_of_rep == dcoset_of[group.index(a)]]
-    b_reps = reps[dcoset_of_rep == dcoset_of[group.index(b)]]
-    # how many products a_i b_j land in each left coset
-    lands = np.bincount(coset_of[group.mul[np.ix_(a_reps, b_reps)]].ravel(),
-                        minlength=len(reps))
-    # products landing in cH, times the index of HcH (its number of left cosets)
-    weights = lands[coset_of[dreps]] * np.bincount(dcoset_of_rep)
-    return {_double_coset_label(group, c): Fraction(int(w), a_reps.size * b_reps.size)
-            for c, w in zip(dreps, weights.tolist()) if w}

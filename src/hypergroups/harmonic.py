@@ -1,4 +1,4 @@
-"""Characters, Plancherel weights, Fourier pairs, and dual convolutions.
+"""Characters, Plancherel weights, the Fourier transform, and dual convolutions.
 
 All of this lives on a commutative finite hypergroup.  A character a
 satisfies M_i a = a(i) a for the class matrices (M_i)[j, k] = conv[i, j, k],
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import SEED, DegenerateSplitFailure, DualNotPositive, NotCommutative
 from .hypergroup import FiniteHypergroup, is_commutative, make_hypergroup
-from .schemes import Scheme
 
 CLUSTER_GAP = 1e-8
 CHARACTER_RESIDUAL_TOL = 1e-8
@@ -185,12 +184,6 @@ def fourier(tbl: CharacterTable, f) -> np.ndarray:
     return np.conjugate(tbl.chars) @ (tbl.haar * f)
 
 
-def inverse_fourier(tbl: CharacterTable, coeffs) -> np.ndarray:
-    """f(i) = sum_a plancherel(a) coeffs(a) a(i)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    return (tbl.plancherel * coeffs) @ tbl.chars
-
-
 def orthogonality_residual(tbl: CharacterTable) -> float:
     """Worst deviation of the weighted character Gram matrix from diag(1/plancherel)."""
     gram = (tbl.chars * tbl.haar) @ np.conjugate(tbl.chars).T
@@ -265,17 +258,6 @@ def dual_convolution(h: FiniteHypergroup, tbl: CharacterTable, a: int, b: int,
                        positive=min_re >= -tol, clamped=-tol <= min_re < 0.0)
 
 
-def conjugate_index(tbl: CharacterTable, a: int, tol: float = 1e-8) -> int:
-    """Index of the character equal to the complex conjugate of chi_a."""
-    dev = np.abs(tbl.chars - np.conjugate(tbl.chars[a])).max(axis=1)
-    b = int(dev.argmin())
-    if dev[b] > tol:
-        raise DegenerateSplitFailure(
-            f"no character matches the conjugate of chi{a} (residual {dev[b]:.3e})"
-        )
-    return b
-
-
 def dual_hypergroup(h: FiniteHypergroup, tbl: CharacterTable,
                     tol: float = 1e-9) -> FiniteHypergroup:
     """The dual convolution structure, when its coefficients are positive.
@@ -297,20 +279,3 @@ def dual_hypergroup(h: FiniteHypergroup, tbl: CharacterTable,
     conv = np.where(upper[..., None], duals.weights, duals.weights.swapaxes(0, 1))
     return make_hypergroup(tbl.labels, conv, tol=max(tol, 1e-10))
 
-
-def scheme_eigenvector_residual(s: Scheme, tbl: CharacterTable) -> float:
-    """Scheme-level eigenvalue consistency of the character table.
-
-    For each character a, the point function y -> a(rel(x0, y)) must be
-    an eigenvector of every class adjacency matrix A_i with eigenvalue
-    valency_i * a(i).  Returns the worst absolute residual.
-    """
-    base_row = s.relation[0]
-    V = tbl.chars[:, base_row]                     # (m, n) rows are point functions
-    worst = 0.0
-    for i in range(s.n_classes):
-        A = (s.relation == i).astype(np.float64)
-        lhs = V @ A.T                              # (m, n): (A_i v)(x) over points
-        rhs = (s.valencies[i] * tbl.chars[:, i])[:, None] * V
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst

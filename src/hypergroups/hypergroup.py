@@ -9,7 +9,8 @@ gives them as Fractions, built on first use.  Tensors coming from
 numeric families are float and carry a tolerance.  Checks run on values
 over a scale (N over L, or the float tensor over 1), so one code path
 serves both kinds: exact input compares with tolerance 0, float input
-with tol.
+with tol.  The module holds the tensor, its two constructors, and the
+axiom and commutativity checks.
 """
 
 from __future__ import annotations
@@ -269,50 +270,3 @@ def is_commutative(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> bool:
     gap = np.abs(h.values - h.values.transpose(1, 0, 2)).max()
     return bool(gap <= (0 if h.exact else tol))
 
-
-def is_probability(vec, tol: float = DEFAULT_TOL) -> bool:
-    """Nonnegative with total 1: exactly for ints and Fractions, within tol for floats."""
-    arr = np.asarray(vec)
-    cut = 0 if arr.dtype == object else tol
-    r = np.real(arr)
-    im = np.abs(np.imag(arr)).max() if np.iscomplexobj(arr) else 0.0
-    return bool(r.min() >= -cut and im <= cut and abs(r.sum() - 1) <= cut)
-
-
-def convolve_measures(h: FiniteHypergroup, mu, nu) -> np.ndarray:
-    """Pushforward of mu x nu through the convolution: sum_ij mu_i nu_j (d_i*d_j)."""
-    mu = np.asarray(mu)
-    nu = np.asarray(nu)
-    tmp = np.tensordot(mu, h.conv, axes=([0], [0]))
-    return np.tensordot(nu, tmp, axes=([0], [0]))
-
-
-def translate(h: FiniteHypergroup, f, i: int, j: int):
-    """f evaluated at the product i * j, i.e. (delta_i * delta_j)(f)."""
-    f = np.asarray(f)
-    return np.tensordot(h.conv[i, j], f, axes=([0], [0]))
-
-
-def involute(h: FiniteHypergroup, f) -> np.ndarray:
-    """f^*(i) = conj(f(ibar))."""
-    f = np.asarray(f)
-    return np.conjugate(f[h.involution])
-
-
-def convolve_functions(h: FiniteHypergroup, f, g) -> np.ndarray:
-    """(f "*" g)(i) = sum_j f(i * jbar) g(j) haar_j, matching measure convolution."""
-    f = np.asarray(f)
-    g = np.asarray(g)
-    shifted = np.tensordot(h.conv[:, h.involution, :], f, axes=([2], [0]))  # (i, j)
-    weights = g * h.haar
-    return np.tensordot(shifted, weights, axes=([1], [0]))
-
-
-def modular_function(h: FiniteHypergroup) -> np.ndarray:
-    """Delta(i) = haar(i) / haar(ibar); multiplicative on supports."""
-    return h.haar / h.haar[h.involution]
-
-
-def is_unimodular(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> bool:
-    gap = np.abs(modular_function(h) - 1).max()
-    return bool(gap <= (0 if h.exact else tol))

@@ -21,12 +21,12 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .errors import ParseError
-from .schemes import _UNDEFINED, Scheme, _key, _label_index, _relation_matrix, build_scheme
 
 if TYPE_CHECKING:
     from .generalized import GeneralizedScheme
     from .groups import FiniteGroup
     from .hypergroup import FiniteHypergroup
+    from .schemes import Scheme
 
 # ---------------------------------------------------------------------------
 # scalar formatting
@@ -251,6 +251,8 @@ def _scheme_fields(doc: dict, kind: str) -> tuple:
     and of a generalized document's base point (0 where absent), read alike for
     scheme and generalized documents.  A label names the entry of 'points' or
     'classes' with its _key, and no ordered pair gets two classes."""
+    from .schemes import _UNDEFINED, _key, _label_index
+
     for key in _REQUIRED[kind]:
         if key not in doc:
             raise ParseError(f"{kind} document missing {key!r}")
@@ -291,6 +293,8 @@ def _scheme_fields(doc: dict, kind: str) -> tuple:
 
 def _base_scheme(points, classes, table, e, tau) -> Scheme:
     """build_scheme of the fields, asserting the identity and involution read by position."""
+    from .schemes import _UNDEFINED, build_scheme
+
     return build_scheme(points, classes, table, identity=_UNDEFINED if e is None else classes[e],
                         involution=None if tau is None else [
                             (c, classes[j]) for c, j in zip(classes, tau)])
@@ -432,6 +436,7 @@ def generalized_from_json(doc: dict) -> GeneralizedScheme:
     field :func:`generalized_to_json` writes, and its relation needs no scheme; any
     other is audited over its base scheme."""
     from .generalized import _fold, build_generalized, build_windowed
+    from .schemes import _relation_matrix
 
     kind = "windowed" if "boundary_distance" in doc or "class_order" in doc else "generalized"
     points, classes, table, identity, involution, base_point = _scheme_fields(doc, kind)

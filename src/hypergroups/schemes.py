@@ -598,15 +598,3 @@ def check_automorphism(s: Scheme, point_map, class_map) -> bool:
     psi = _as_permutation(class_map, s.classes, "class")
     return np.array_equal(s.relation[np.ix_(phi, phi)], psi[s.relation])
 
-
-def commutativity_by_involution_automorphism(s: Scheme, point_map) -> bool:
-    """Commutativity certificate: a point map matching the involution.
-
-    If some point bijection phi satisfies relation(phi x, phi y) =
-    transpose(relation(x, y)) then the scheme is commutative; returns
-    whether the supplied phi works (and cross-checks the implication).
-    """
-    ok = check_automorphism(s, point_map, [s.classes[t] for t in s.involution.tolist()])
-    if ok:
-        assert is_commutative(s)
-    return ok

@@ -1,11 +1,16 @@
-"""Reference Cayley-table checks: the ones ``groups.group_from_table`` is held to.
+"""Reference group computations: the Cayley-table checks that
+``groups.group_from_table`` is held to, and the double-coset convolution that
+the quotient scheme's hypergroup is held to.
 
-Every check runs on a table of indices, in the order latin square (rows and
-columns counted by two scatters), unique two-sided identity, two-sided
+Every table check runs on a table of indices, in the order latin square (rows
+and columns counted by two scatters), unique two-sided identity, two-sided
 inverses, associativity (Light's test on greedy generators, searched until
 every element is reached, then a full per-row scan naming the first failing
 row), and the first failure raises ``InvalidCayleyTable``.
 """
+
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,3 +66,29 @@ def generators(mul: np.ndarray, e: int) -> list:
             frontier = np.unique(prod[~reached[prod]])
             reached[frontier] = True
     return gens
+
+
+def hecke_convolution(group, subgroup, a, b) -> dict:
+    """Double-coset convolution counted from coset products.
+
+    Decomposes HaH and HbH into left cosets a_i H, b_j H and counts, for each
+    double coset HcH (named by its minimal member c), the products a_i b_j that
+    land in cH.  Returns {double coset label: Fraction}, each count times the
+    number of left cosets in HcH over the number of pairs: a probability
+    measure on the double-coset space.  Cosets are found here from the table,
+    not by the quotient scheme's construction.
+    """
+    mul = group.mul
+    sub = sorted({group.index(h) for h in subgroup})
+    left = [int(mul[g, sub].min()) for g in range(group.order)]  # gH by its minimal member
+    double = [int(mul[np.ix_(sub, mul[g, sub])].min()) for g in range(group.order)]
+    reps = sorted(set(left))
+
+    def cosets_in(g):  # the left cosets inside HgH, by their minimal members
+        return [r for r in reps if double[r] == double[g]]
+
+    a_reps, b_reps = cosets_in(group.index(a)), cosets_in(group.index(b))
+    lands = Counter(left[mul[i, j]] for i in a_reps for j in b_reps)
+    pairs = len(a_reps) * len(b_reps)
+    return {f"H{group.elements[c]}H": Fraction(lands[c] * len(cosets_in(c)), pairs)
+            for c in sorted(set(double)) if lands[c]}

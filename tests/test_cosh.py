@@ -6,13 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypergroups.errors import ParameterOutOfRange, QuadratureNotConverged
+from family_oracle import QuadratureNotConverged, cosh_connection_quadrature
+from hypergroups.errors import ParameterOutOfRange
 from hypergroups.families.cosh import (
     WINDOW_MAX_HALF_WIDTH,
     CoshFamily,
     cosh_base_product,
     cosh_character,
-    cosh_connection_quadrature,
     cosh_convolution,
     cosh_parameter_in_dual,
     cosh_window_scheme,

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from group_oracle import group_from_indices as oracle_group
+from group_oracle import hecke_convolution
 from hypergroups import groups
 from hypergroups.errors import InvalidCayleyTable, NotASubgroup, ParseError
 from hypergroups.groups import (
     check_subgroup,
     cyclic_group,
     group_from_table,
-    hecke_convolution,
     scheme_from_group_quotient,
     symmetric_group,
 )

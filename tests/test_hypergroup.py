@@ -1,4 +1,5 @@
-"""Convolution tensors: construction, axiom checks, and measure/function algebra."""
+"""Convolution tensors: construction, axiom checks, and the measure and function
+convolutions they define."""
 
 import itertools
 from fractions import Fraction
@@ -11,16 +12,9 @@ from hypergroups.catalog import cyclic_scheme
 from hypergroups.errors import NotAHypergroup
 from hypergroups.hypergroup import (
     FiniteHypergroup,
-    convolve_functions,
-    convolve_measures,
     hypergroup_from_scheme,
-    involute,
     is_commutative,
-    is_probability,
-    is_unimodular,
     make_hypergroup,
-    modular_function,
-    translate,
     verify_hypergroup,
 )
 from hypergroups.schemes import (
@@ -179,23 +173,35 @@ def test_verify_reports_wrong_identity_index(pentagon):
     assert not rep["identity_unique"]["holds"]
 
 
+def _convolve_measures(h, mu, nu) -> np.ndarray:
+    """Pushforward of mu x nu through the convolution: sum_ij mu_i nu_j (d_i*d_j)."""
+    return np.tensordot(nu, np.tensordot(mu, h.conv, axes=([0], [0])), axes=([0], [0]))
+
+
+def _convolve_functions(h, f, g) -> np.ndarray:
+    """(f "*" g)(i) = sum_j f(i * jbar) g(j) haar_j, matching measure convolution."""
+    shifted = np.tensordot(h.conv_float[:, h.involution, :], f, axes=([2], [0]))  # (i, j)
+    return shifted @ (g * h.haar_float)
+
+
 def test_convolve_measures_associative_and_unital(commutative_schemes, rng):
     for name, s in commutative_schemes.items():
         h = hypergroup_from_scheme(s)
         d = h.n_classes
         mu, nu, sigma = rng.dirichlet(np.ones(d), size=3)
-        left = convolve_measures(h, convolve_measures(h, mu, nu), sigma)
-        right = convolve_measures(h, mu, convolve_measures(h, nu, sigma))
+        left = _convolve_measures(h, _convolve_measures(h, mu, nu), sigma)
+        right = _convolve_measures(h, mu, _convolve_measures(h, nu, sigma))
         np.testing.assert_allclose(left.astype(float), right.astype(float),
                                    rtol=0, atol=1e-12, err_msg=name)
         e = np.zeros(d)
         e[h.identity] = 1.0
-        np.testing.assert_allclose(convolve_measures(h, e, mu).astype(float),
+        np.testing.assert_allclose(_convolve_measures(h, e, mu).astype(float),
                                    mu, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(convolve_measures(h, mu, e).astype(float),
+        np.testing.assert_allclose(_convolve_measures(h, mu, e).astype(float),
                                    mu, rtol=0, atol=1e-15)
-        out = convolve_measures(h, mu, nu).astype(float)
-        assert is_probability(out, tol=1e-12)
+        out = _convolve_measures(h, mu, nu).astype(float)
+        # a probability vector: nonnegative with total 1
+        assert out.min() >= -1e-12 and abs(out.sum() - 1) <= 1e-12
 
 
 def test_group_case_matches_classic_convolution(rng):
@@ -210,18 +216,12 @@ def test_group_case_matches_classic_convolution(rng):
             expected = np.zeros(4)
             expected[(i + j) % 4] = 1.0
             np.testing.assert_array_equal(h.conv[i, j].astype(float), expected)
-            assert translate(h, f, i, j) == pytest.approx(f[(i + j) % 4])
+            # f at the product i * j, (delta_i * delta_j)(f)
+            assert h.conv_float[i, j] @ f == pytest.approx(f[(i + j) % 4])
     classic = np.array([sum(f[(i - j) % 4] * g[j] for j in range(4)) for i in range(4)])
-    np.testing.assert_allclose(convolve_functions(h, f, g).astype(float), classic,
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_convolve_functions(h, f, g), classic, rtol=0, atol=1e-12)
     # involution is negation mod 4
-    np.testing.assert_array_equal(involute(h, f), f[[0, 3, 2, 1]])
-
-
-def test_involute_conjugates_complex(pentagon):
-    h = hypergroup_from_scheme(pentagon)
-    f = np.array([1 + 2j, 3 - 1j, 0.5j])
-    np.testing.assert_array_equal(involute(h, f), np.conjugate(f))
+    np.testing.assert_array_equal(h.involution, [0, 3, 2, 1])
 
 
 def test_function_convolution_consistent_with_measures(commutative_schemes, rng):
@@ -233,17 +233,17 @@ def test_function_convolution_consistent_with_measures(commutative_schemes, rng)
         f = rng.standard_normal(d)
         g = rng.standard_normal(d)
         haar = h.haar_float
-        via_measures = convolve_measures(h, f * haar, g * haar).astype(float)
-        via_functions = convolve_functions(h, f, g).astype(float) * haar
+        via_measures = _convolve_measures(h, f * haar, g * haar).astype(float)
+        via_functions = _convolve_functions(h, f, g) * haar
         np.testing.assert_allclose(via_functions, via_measures, rtol=0, atol=1e-10,
                                    err_msg=name)
 
 
 def test_modular_function_trivial_on_scheme_tensors(commutative_schemes, s3_regular):
+    """The modular function haar(i) / haar(ibar) is 1 on every scheme tensor."""
     for s in list(commutative_schemes.values()) + [s3_regular]:
         h = hypergroup_from_scheme(s)
-        assert all(x == 1 for x in modular_function(h))
-        assert is_unimodular(h)
+        assert all(x == 1 for x in h.haar / h.haar[h.involution])
 
 
 def test_commutativity_and_hermitian_flags(pentagon, z4, s3_regular):
@@ -253,16 +253,6 @@ def test_commutativity_and_hermitian_flags(pentagon, z4, s3_regular):
     assert is_commutative(h4)
     assert not is_symmetric(h4)
     assert not is_commutative(hypergroup_from_scheme(s3_regular))
-
-
-def test_is_probability_branches():
-    assert is_probability([F(1, 3), F(2, 3)])
-    assert not is_probability([F(-1, 3), F(4, 3)])
-    assert is_probability(np.array([0.5, 0.5 - 1e-14, 1e-14]))
-    assert not is_probability(np.array([0.5, 0.6]))
-    assert not is_probability(np.array([-1e-3, 1.0 + 1e-3]))
-    assert is_probability(np.array([0.5 + 1e-15j, 0.5]))
-    assert not is_probability(np.array([0.5 + 0.2j, 0.5]))
 
 
 def test_conv_tensor_is_read_only(pentagon):

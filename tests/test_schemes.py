@@ -23,13 +23,12 @@ from hypergroups.schemes import (
     audit_intersection_identities,
     build_scheme,
     check_automorphism,
-    commutativity_by_involution_automorphism,
     is_commutative,
     is_symmetric,
     is_unimodular,
     scheme_from_distance_regular_graph,
 )
-from hypergroups.hypergroup import hypergroup_from_scheme, modular_function
+from hypergroups.hypergroup import hypergroup_from_scheme
 
 
 def brute_force_tensor(scheme):
@@ -170,7 +169,8 @@ def test_unimodularity_and_modular_function(name, request):
     """The modular function of a scheme hypergroup is valency(i) / valency(ibar) = 1."""
     s = request.getfixturevalue(name)
     assert is_unimodular(s)
-    assert np.array_equal(modular_function(hypergroup_from_scheme(s)), np.ones(s.n_classes))
+    h = hypergroup_from_scheme(s)
+    assert np.array_equal(h.haar / h.haar[h.involution], np.ones(s.n_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +713,6 @@ def test_boolean_class_labels_are_their_own_classes():
     assert check_automorphism(z3, range(3), [0, 1, True])
     assert check_automorphism(z3, [0, 2, 1], [0, True, 1])  # x -> -x transposes the classes
     assert not check_automorphism(z3, [0, 2, 1], [0, 1, True])
-    assert commutativity_by_involution_automorphism(z3, [0, 2, 1])
 
 
 def test_boolean_relation_array_names_the_boolean_classes():
@@ -724,22 +723,28 @@ def test_boolean_relation_array_names_the_boolean_classes():
         build_scheme(range(3), [0, 1], off)
 
 
+def _transposing(s) -> list:
+    """The class map sending each class to its transpose, as class labels."""
+    return [s.classes[t] for t in s.involution.tolist()]
+
+
 def test_commutativity_certificate_on_string_classes(s4_mod_s3):
-    """The involution is handed to the automorphism check as class labels, not indices."""
-    assert commutativity_by_involution_automorphism(s4_mod_s3, {x: x for x in s4_mod_s3.points})
+    """The involution goes to the automorphism check as class labels, not indices."""
+    assert check_automorphism(s4_mod_s3, {x: x for x in s4_mod_s3.points},
+                              _transposing(s4_mod_s3))
 
 
 def test_negation_automorphism_proves_commutativity(z5):
     # x -> -x sends the class of (x, y) to its transpose, which forces
     # the intersection tensor to be symmetric in its first two slots
     negate = {x: (-x) % 5 for x in range(5)}
-    assert commutativity_by_involution_automorphism(z5, negate)
+    assert check_automorphism(z5, negate, _transposing(z5))
     assert is_commutative(z5)
 
 
 def test_commutativity_witness_rejects_wrong_map(z5):
     shift = {x: (x + 1) % 5 for x in range(5)}
-    assert not commutativity_by_involution_automorphism(z5, shift)
+    assert not check_automorphism(z5, shift, _transposing(z5))
 
 
 # ---------------------------------------------------------------------------
