@@ -123,7 +123,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
     if kind == "hypergroup":
         from .hypergroup import verify_hypergroup
 
-        audit = verify_hypergroup(obj, tol=args.tol or 1e-12)
+        audit = verify_hypergroup(obj, tol=args.tol)
         return {"kind": kind, "audit": audit}, None, audit["all_hold"]
     results = {"kind": kind, "audit": obj.report, "windowed": obj.windowed,
                "pairs_checked": obj.pair_checked.sum()}
@@ -135,7 +135,7 @@ def cmd_hypergroup(args: argparse.Namespace) -> tuple:
 
     kind, obj = _load_any(args.input)
     h = _hypergroup_of(kind, obj)
-    audit = verify_hypergroup(h, tol=args.tol or 1e-12)
+    audit = verify_hypergroup(h, tol=args.tol)
     results = {"kind": kind, "hypergroup": jsonio.hypergroup_to_json(h), "audit": audit}
     return results, None, audit["all_hold"]
 
@@ -165,15 +165,14 @@ def cmd_chartable(args: argparse.Namespace) -> tuple:
 
 
 def cmd_dualtable(args: argparse.Namespace) -> tuple:
-    from .harmonic import character_table, dual_convolution
+    from .harmonic import DUAL_TOL, character_table, dual_convolution
 
     kind, obj = _load_any(args.input)
     h = _hypergroup_of(kind, obj)
-    tol = args.tol or 1e-9
     tbl = character_table(h, seed=args.seed)
     duals = tbl.duals
     for a, b in np.argwhere(~(duals.total > 0.0))[:1].tolist():
-        dual_convolution(h, tbl, a, b, tol=tol)  # raises DualNotPositive: the pair has no mass
+        dual_convolution(h, tbl, a, b)  # raises DualNotPositive: the pair has no mass
     m = tbl.n_characters
     pairs = [f"{a},{b}" for a in range(m) for b in range(m)]
     # Python min/max in row-major pair order, so ties of 0.0 and -0.0 resolve as before
@@ -186,7 +185,7 @@ def cmd_dualtable(args: argparse.Namespace) -> tuple:
         "min_raw_coefficient": min_raw,
         "max_imaginary_part": max(0.0, *duals.max_abs_imag.ravel().tolist()),
         "max_sum_deviation": max(0.0, *(abs(z - 1.0) for z in duals.sum_raw.ravel().tolist())),
-        "nonnegative": min_raw >= -tol,
+        "nonnegative": min_raw >= -(args.tol or DUAL_TOL),
     }
     rows = _dual_rows(tbl.labels, duals.weights)
     return results, (["left", "right", *tbl.labels], rows), results["nonnegative"]

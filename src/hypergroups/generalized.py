@@ -13,7 +13,9 @@ document's (d, n, n) stack is folded into it where it is read.
 
 Infinite examples enter through centered windows: boundary rows are
 sub-stochastic and every product check is restricted to rows far enough
-from the boundary, tracked per class pair.
+from the boundary, tracked per class pair.  The audit reads
+``STOCHASTIC_TOL``, ``BALANCE_TOL`` and ``CLOSURE_TOL``, and the deformed
+hypergroup keeps ``HYPERGROUP_TOL``.
 
 The positive-connection certificate reads the base hypergroup from one
 tensor, ``base_conv``: the scheme hypergroup over a base scheme, or the
@@ -40,13 +42,15 @@ from .errors import (
     SchemeError,
     SupportMismatch,
 )
-from .harmonic import _hermitian_floor, _multiplicativity_gap, _real_times, dual_convolution
+from .harmonic import (CHARACTER_RESIDUAL_TOL, PSD_TOL, _hermitian_floor, _multiplicativity_gap,
+                       _real_times, dual_convolution)
 from .hypergroup import FiniteHypergroup, _scheme_ratio, make_hypergroup
 from .schemes import _UNDEFINED, Scheme, _key, _label_index
 
 STOCHASTIC_TOL = 1e-12
 BALANCE_TOL = 1e-10
 CLOSURE_TOL = 1e-9
+HYPERGROUP_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,8 +359,8 @@ def deformed_valencies(g: GeneralizedScheme) -> np.ndarray:
     return np.array([_deformed_valency(g, i) for i in range(g.n_classes)])
 
 
-def hypergroup_from_generalized(g: GeneralizedScheme, tol: float = 1e-9) -> FiniteHypergroup:
-    """Finite hypergroup carried by the deformed tensor.
+def hypergroup_from_generalized(g: GeneralizedScheme) -> FiniteHypergroup:
+    """Finite hypergroup carried by the deformed tensor, at ``HYPERGROUP_TOL``.
 
     Windowed objects with unchecked pairs are refused: their convolution
     is only partially determined, which cannot form a finite hypergroup.
@@ -366,21 +370,21 @@ def hypergroup_from_generalized(g: GeneralizedScheme, tol: float = 1e-9) -> Fini
             f"only {int(g.pair_checked.sum())}/{g.pair_checked.size} class pairs "
             f"are determined by this window"
         )
-    return make_hypergroup(g.classes, g.p_tilde, tol=tol)
+    return make_hypergroup(g.classes, g.p_tilde, tol=HYPERGROUP_TOL)
 
 
-def pi_positive_definite(g: GeneralizedScheme, kernel, tol: float = 1e-9):
+def pi_positive_definite(g: GeneralizedScheme, kernel):
     """Positive definiteness of a kernel against the vertex weight.
 
-    Tests the matrix B[x, y] = weight(x) K(x, y): hermitian within tol
-    and eigenvalue floor -tol.  Returns (bool, certificate).
+    Tests the matrix B[x, y] = weight(x) K(x, y): hermitian within
+    ``PSD_TOL`` and eigenvalue floor -``PSD_TOL``.  Returns (bool, certificate).
     """
     K = np.asarray(kernel, dtype=complex)
     n = g.n_points
     if K.shape != (n, n):
         raise NonSquare(f"kernel has shape {K.shape}, expected {(n, n)}")
     herm, min_eig = _hermitian_floor(g.vertex_weight[:, None] * K)
-    ok = herm <= tol and min_eig >= -tol
+    ok = herm <= PSD_TOL and min_eig >= -PSD_TOL
     return ok, {"hermiticity_residual": herm, "min_eigenvalue": min_eig}
 
 
@@ -400,14 +404,14 @@ def kernel_F_f(g: GeneralizedScheme, f) -> np.ndarray:
     return f[g.relation]
 
 
-def positive_connection_check(g: GeneralizedScheme, alpha, tol: float = 1e-9,
-                              character_tol: float = 1e-8):
+def positive_connection_check(g: GeneralizedScheme, alpha):
     """Certificate that a deformed character connects the two structures.
 
     Verifies alpha is multiplicative for the deformed tensor (over the
-    checked pairs), then tests (a) positive definiteness of alpha on the
-    base class hypergroup, read from ``base_conv``, and (b) plain positive
-    semidefiniteness of the point kernel F_alpha = sum_i alpha(i) A_i.
+    checked pairs, to ``CHARACTER_RESIDUAL_TOL``), then tests (a) positive
+    definiteness of alpha on the base class hypergroup, read from
+    ``base_conv``, and (b) plain positive semidefiniteness of the point
+    kernel F_alpha = sum_i alpha(i) A_i, both to ``PSD_TOL``.
     Over a base scheme (b) runs in its d-dimensional Bose-Mesner algebra:
     the hermitian part sum_i c_i A_i, c = (alpha + conj alpha[ibar]) / 2,
     has the eigenvalues of its left action on the algebra (C^X and the
@@ -421,7 +425,7 @@ def positive_connection_check(g: GeneralizedScheme, alpha, tol: float = 1e-9,
     if alpha.shape != (g.n_classes,):
         raise NotACharacter(f"class function of shape {alpha.shape} on {g.n_classes} classes")
     char_residual = float(_multiplicativity_gap(g.p_tilde, alpha)[g.pair_checked].max(initial=0.0))
-    if not char_residual <= character_tol:  # a nan residual is no character either
+    if not char_residual <= CHARACTER_RESIDUAL_TOL:  # a nan residual is no character either
         raise NotACharacter(
             f"multiplicativity residual {char_residual:.3e} over checked pairs"
         )
@@ -440,7 +444,8 @@ def positive_connection_check(g: GeneralizedScheme, alpha, tol: float = 1e-9,
         kernel_min = _hermitian_floor(
             _real_times(regular.T, (alpha + adjoint) / 2.0).reshape(d, d))[1]
 
-    ok = (herm <= tol and base_min >= -tol and kherm <= tol and kernel_min >= -tol)
+    ok = (herm <= PSD_TOL and base_min >= -PSD_TOL
+          and kherm <= PSD_TOL and kernel_min >= -PSD_TOL)
     return ok, {
         "character_residual": char_residual,
         "base_hermiticity_residual": herm,
@@ -451,8 +456,7 @@ def positive_connection_check(g: GeneralizedScheme, alpha, tol: float = 1e-9,
     }
 
 
-def dual_product_generalized(g: GeneralizedScheme, tbl, a: int, b: int,
-                             tol: float = 1e-9, check_precondition: bool = True):
+def dual_product_generalized(g: GeneralizedScheme, tbl, a: int, b: int):
     """Product of two deformed characters expanded over the character set.
 
     ``tbl`` is the character table of the deformed hypergroup.  The
@@ -461,10 +465,5 @@ def dual_product_generalized(g: GeneralizedScheme, tbl, a: int, b: int,
     certificate outcome rides along in the info dict.
     """
     h = hypergroup_from_generalized(g)
-    info: dict = {}
-    if check_precondition:
-        ok, cert = positive_connection_check(g, tbl.chars[b], tol=tol)
-        info["precondition_certified"] = ok
-        info["precondition"] = cert
-    dm = dual_convolution(h, tbl, a, b, tol=tol)
-    return dm, info
+    ok, cert = positive_connection_check(g, tbl.chars[b])
+    return dual_convolution(h, tbl, a, b), {"precondition_certified": ok, "precondition": cert}

@@ -3,11 +3,12 @@
 All of this lives on a commutative finite hypergroup.  A character a
 satisfies M_i a = a(i) a for the class matrices (M_i)[j, k] = conv[i, j, k],
 so one seeded random positive combination of them is diagonalized once; a
-draw that leaves two eigenvalues within the gap does not separate the
-characters and raises ``DegenerateSplitFailure``, and another ``--seed``
-redraws it.  The dual coefficients c[a, b, g] of chi_a chi_b =
+draw that leaves two eigenvalues within ``CLUSTER_GAP`` does not separate
+the characters and raises ``DegenerateSplitFailure``, and another
+``--seed`` redraws it.  The dual coefficients c[a, b, g] of chi_a chi_b =
 sum_g c[a, b, g] chi_g are computed for all pairs at once and cached on
-the table as ``CharacterTable.duals`` (24 m^3 bytes).
+the table as ``CharacterTable.duals`` (24 m^3 bytes).  ``CHARACTER_RESIDUAL_TOL``
+bounds multiplicativity, ``DUAL_TOL`` negative duals, ``PSD_TOL`` eigenvalue floors.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .hypergroup import FiniteHypergroup, is_commutative, make_hypergroup
 
 CLUSTER_GAP = 1e-8
 CHARACTER_RESIDUAL_TOL = 1e-8
+PSD_TOL = 1e-9
+DUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,13 +105,12 @@ def _hermitian_floor(M: np.ndarray) -> tuple:
     return float(np.abs(M - adjoint).max()), float(np.linalg.eigvalsh((M + adjoint) / 2.0).min())
 
 
-def character_table(h: FiniteHypergroup, gap: float = CLUSTER_GAP,
-                    seed: int = SEED) -> CharacterTable:
+def character_table(h: FiniteHypergroup, seed: int = SEED) -> CharacterTable:
     """All characters of a commutative finite hypergroup.
 
     One seeded combination T = sum_i mu_i M_i is diagonalized once.  Raises
     ``NotCommutative`` for noncommutative input and ``DegenerateSplitFailure``
-    when two eigenvalues of T lie within ``gap`` (the draw does not separate
+    when two eigenvalues of T lie within ``CLUSTER_GAP`` (the draw does not separate
     the characters; witness: the index pair; another ``seed`` redraws it), when
     T overflows float64, or when the result fails the multiplicativity validation.
     """
@@ -126,12 +128,12 @@ def character_table(h: FiniteHypergroup, gap: float = CLUSTER_GAP,
             f"the combination drawn with seed {seed} overflows float64; redraw with another seed")
 
     w, V = np.linalg.eig(T)
-    close = np.argwhere(np.triu(np.abs(w[:, None] - w[None, :]) <= gap, 1))
+    close = np.argwhere(np.triu(np.abs(w[:, None] - w[None, :]) <= CLUSTER_GAP, 1))
     if len(close):
         i, j = close[0].tolist()
         raise DegenerateSplitFailure(
             f"eigenvalues {i} and {j} of the combination drawn with seed {seed} lie within "
-            f"{gap:g}, so it does not separate the characters; redraw with another seed",
+            f"{CLUSTER_GAP:g}, so it does not separate the characters; redraw with another seed",
             witness=(i, j))
 
     e = h.identity
@@ -190,20 +192,19 @@ def orthogonality_residual(tbl: CharacterTable) -> float:
     return float(np.abs(gram - np.diag(1.0 / tbl.plancherel)).max())
 
 
-def is_positive_definite(h: FiniteHypergroup, f, tol: float = 1e-9,
-                         tbl: CharacterTable | None = None):
+def is_positive_definite(h: FiniteHypergroup, f, tbl: CharacterTable | None = None):
     """Positive definiteness of a function, with a two-route certificate.
 
     Primary test: the matrix M[i, j] = f(i * jbar) must be hermitian and
-    positive semidefinite (eigenvalue floor -tol).  Cross-check: all
-    Fourier coefficients against the characters must be >= -tol (real).
+    positive semidefinite, both to ``PSD_TOL``.  Cross-check: all Fourier
+    coefficients against the characters must be >= -``PSD_TOL`` (real).
     Returns (bool, certificate dict); the bool is the matrix verdict.
     """
     f = np.asarray(f, dtype=complex)
     conv = h.conv_float
     M = np.tensordot(conv[:, h.involution, :], f, axes=([2], [0]))
     herm_residual, min_eig = _hermitian_floor(M)
-    matrix_positive = herm_residual <= tol and min_eig >= -tol
+    matrix_positive = herm_residual <= PSD_TOL and min_eig >= -PSD_TOL
 
     cert = {
         "hermiticity_residual": herm_residual,
@@ -215,7 +216,7 @@ def is_positive_definite(h: FiniteHypergroup, f, tol: float = 1e-9,
         cert["fourier_min"] = float(coeffs.real.min())
         cert["fourier_imag_max"] = float(np.abs(coeffs.imag).max())
         cert["bochner_positive"] = bool(
-            cert["fourier_min"] >= -tol and cert["fourier_imag_max"] <= tol
+            cert["fourier_min"] >= -PSD_TOL and cert["fourier_imag_max"] <= PSD_TOL
         )
     return matrix_positive, cert
 
@@ -229,17 +230,16 @@ class DualMeasure:
     min_raw_real: float
     max_abs_imag: float
     sum_raw: complex
-    positive: bool        # no raw coefficient below -tol
-    clamped: bool         # some coefficient in [-tol, 0) was zeroed
+    positive: bool        # no raw coefficient below -DUAL_TOL
+    clamped: bool         # some coefficient in [-DUAL_TOL, 0) was zeroed
 
 
-def dual_convolution(h: FiniteHypergroup, tbl: CharacterTable, a: int, b: int,
-                     tol: float = 1e-9) -> DualMeasure:
+def dual_convolution(h: FiniteHypergroup, tbl: CharacterTable, a: int, b: int) -> DualMeasure:
     """Coefficients of chi_a chi_b = sum_g c_g chi_g.
 
     c_g = plancherel(g) sum_i haar_i a(i) b(i) conj(g(i)).  Raw values
     are kept; weights are the raw real parts with tiny negatives (within
-    tol of zero) clamped and the vector renormalized to mass one.  With no
+    ``DUAL_TOL`` of zero) clamped and the vector renormalized to mass one.  With no
     positive coefficient there is no mass to renormalize, and
     ``DualNotPositive`` names (a, b) and the lowest coefficient.  Values
     are views into ``tbl.duals``, computed for all pairs on first use.
@@ -255,27 +255,27 @@ def dual_convolution(h: FiniteHypergroup, tbl: CharacterTable, a: int, b: int,
     return DualMeasure(raw=duals.raw[a, b], weights=duals.weights[a, b], min_raw_real=min_re,
                        max_abs_imag=float(duals.max_abs_imag[a, b]),
                        sum_raw=complex(duals.sum_raw[a, b]),
-                       positive=min_re >= -tol, clamped=-tol <= min_re < 0.0)
+                       positive=min_re >= -DUAL_TOL, clamped=-DUAL_TOL <= min_re < 0.0)
 
 
-def dual_hypergroup(h: FiniteHypergroup, tbl: CharacterTable,
-                    tol: float = 1e-9) -> FiniteHypergroup:
+def dual_hypergroup(h: FiniteHypergroup, tbl: CharacterTable) -> FiniteHypergroup:
     """The dual convolution structure, when its coefficients are positive.
 
     Raises ``DualNotPositive`` (with the offending character triple) at
-    the first pair a <= b with any raw coefficient below -tol; coefficients
-    in [-tol, 0) are clamped and each row renormalized.  Row (b, a) copies
-    row (a, b), whose raw values can differ from it in the last bit.
+    the first pair a <= b with any raw coefficient below -``DUAL_TOL``;
+    coefficients in [-``DUAL_TOL``, 0) are clamped, each row renormalized,
+    and the result keeps ``DUAL_TOL``.  Row (b, a) copies row (a, b), whose
+    raw values can differ from it in the last bit.
     """
     duals = tbl.duals
     upper = np.triu(np.ones(duals.total.shape, dtype=bool))
-    bad = upper & ~((duals.total > 0.0) & (duals.min_raw_real >= -tol))
+    bad = upper & ~((duals.total > 0.0) & (duals.min_raw_real >= -DUAL_TOL))
     if bad.any():
         a, b = divmod(int(np.argmax(bad)), len(bad))
-        dm = dual_convolution(h, tbl, a, b, tol=tol)  # raises first if the pair has no mass
+        dm = dual_convolution(h, tbl, a, b)  # raises first if the pair has no mass
         g = int(dm.raw.real.argmin())
         raise DualNotPositive(f"(chi{a} chi{b}) has coefficient {dm.min_raw_real:.6e} at chi{g}",
                               witness=(a, b, g))
     conv = np.where(upper[..., None], duals.weights, duals.weights.swapaxes(0, 1))
-    return make_hypergroup(tbl.labels, conv, tol=max(tol, 1e-10))
+    return make_hypergroup(tbl.labels, conv, tol=DUAL_TOL)
 

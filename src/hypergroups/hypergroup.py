@@ -6,11 +6,11 @@ involution tied to the support of the convolution at the identity.
 Tensors coming from schemes are exact and stored once, as integer
 numerators N over L, the lcm of their reduced denominators; ``conv``
 gives them as Fractions, built on first use.  Tensors coming from
-numeric families are float and carry a tolerance.  Checks run on values
-over a scale (N over L, or the float tensor over 1), so one code path
-serves both kinds: exact input compares with tolerance 0, float input
-with tol.  The module holds the tensor, its two constructors, and the
-axiom and commutativity checks.
+numeric families are float and keep ``tol``, the tolerance they were
+accepted under (``DEFAULT_TOL`` unless named).  Checks run on values over
+a scale (N over L, or the float tensor over 1), so one code path serves
+both kinds: exact input compares with tolerance 0, float input with
+``tol``.  The module holds the tensor, two constructors, and the checks.
 """
 
 from __future__ import annotations
@@ -33,8 +33,10 @@ class FiniteHypergroup:
     ``conv`` is a float tensor, or an exact one: numerators N over
     ``scale`` = L when that is given, else ints and Fractions, read once
     into N over L.  ``values`` holds the float tensor or N; ``scale`` is
-    None for a float tensor.
+    None for a float tensor.  ``tol`` is the tolerance its checks read.
     """
+
+    tol = DEFAULT_TOL
 
     def __init__(self, classes, conv, identity: int, involution, scale: int | None = None):
         self.classes = tuple(classes)
@@ -157,16 +159,13 @@ def make_hypergroup(classes, conv, tol: float = DEFAULT_TOL,
         )
     e = ids[0]
 
-    tau = np.full(d, -1, dtype=np.int64)
-    at_e = reals[:, :, e] if exact else np.abs(conv[:, :, e])
-    for i in range(d):
-        support = np.flatnonzero(at_e[i] > cut).tolist()
-        if len(support) != 1:
-            raise NotAHypergroup(
-                f"identity lies in {len(support)} products of class {classes[i]!r}",
-                witness=(i, support),
-            )
-        tau[i] = support[0]
+    at_e = (reals[:, :, e] if exact else np.abs(conv[:, :, e])) > cut
+    bad = np.flatnonzero(at_e.sum(axis=1) != 1)
+    if bad.size:
+        i, support = int(bad[0]), np.flatnonzero(at_e[bad[0]]).tolist()
+        raise NotAHypergroup(f"identity lies in {len(support)} products of class "
+                             f"{classes[i]!r}", witness=(i, support))
+    tau = at_e.argmax(axis=1)
     if not (tau[tau] == np.arange(d)).all():
         raise NotAHypergroup("support map at the identity is not an involution",
                              witness=tuple(int(t) for t in tau))
@@ -174,7 +173,9 @@ def make_hypergroup(classes, conv, tol: float = DEFAULT_TOL,
     conv = conv.copy()
     conv.setflags(write=False)
     tau.setflags(write=False)
-    return FiniteHypergroup(classes, conv, e, tau, scale)
+    h = FiniteHypergroup(classes, conv, e, tau, scale)
+    h.tol = tol
+    return h
 
 
 def _scheme_ratio(s: Scheme) -> tuple:
@@ -197,16 +198,17 @@ def hypergroup_from_scheme(s: Scheme) -> FiniteHypergroup:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing float tensor fails, quietly
-def verify_hypergroup(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> dict:
+def verify_hypergroup(h: FiniteHypergroup, tol: float | None = None) -> dict:
     """Axiom-by-axiom report for a convolution tensor.
 
     Exact tensors are checked on integer numerators over a common
     denominator with tolerance 0 (tol is only reported), and a witness is
-    the first violation in C order; float tensors use ``tol`` and report
-    the largest violation.  Each entry carries a ``holds`` flag, a witness
-    index tuple when it fails, and a residual.
+    the first violation in C order; float tensors use ``tol``, by default
+    ``h.tol``, and report the largest violation.  Each entry carries a
+    ``holds`` flag, a witness index tuple when it fails, and a residual.
     """
     d, e, tau, exact = h.n_classes, h.identity, h.involution, h.exact
+    tol = h.tol if tol is None else tol
     vals, scale = h.values, h.scale if exact else 1
     if exact:
         # float64 when d * max|N| and L stay below 2**53, so that every sum and
@@ -266,7 +268,7 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> dict:
     return report
 
 
-def is_commutative(h: FiniteHypergroup, tol: float = DEFAULT_TOL) -> bool:
+def is_commutative(h: FiniteHypergroup) -> bool:
     gap = np.abs(h.values - h.values.transpose(1, 0, 2)).max()
-    return bool(gap <= (0 if h.exact else tol))
+    return bool(gap <= (0 if h.exact else h.tol))
 

@@ -149,7 +149,7 @@ def test_03_matrix_and_spectral_positivity_agree(capsys):
                     if mode == 2:
                         coeffs[rng.integers(d)] *= -1.0
                     f = (tbl.plancherel * coeffs) @ tbl.chars  # the inverse Fourier transform
-                ok, cert = is_positive_definite(h, f, tol=1e-9, tbl=tbl)
+                ok, cert = is_positive_definite(h, f, tbl=tbl)
                 assert ok == cert["bochner_positive"], (
                     name, trial, cert["min_eigenvalue"], cert["fourier_min"])
 

@@ -707,6 +707,25 @@ def test_generalized_documents_give_their_deformed_hypergroup(capsys, tmp_path, 
     assert captured.err == "error: only 15/81 class pairs are determined by this window\n"
 
 
+def test_generalized_hypergroup_keeps_the_tolerance_it_was_accepted_under(capsys, tmp_path):
+    """Class-1 steps scaled by 1 + 9e-13 move the deformed row sums by about 1.8e-12:
+    within the audit's bounds and the 1e-9 the hypergroup is built at, so every
+    command passes, and ``hypergroup`` reports the tolerance it verified under."""
+    g = classical_embedding(pentagon_scheme())
+    doc = generalized_to_json(g)
+    step = np.array(doc["step"])
+    step[g.relation == 1] *= 1 + 9e-13
+    doc["step"] = step.tolist()
+    path = tmp_path / "epsilon.json"
+    path.write_text(dump_report(doc))
+    for command in ("verify", "hypergroup", "chartable", "dualtable"):
+        code, rep = run(capsys, command, str(path))
+        assert code == 0 and rep["status"] == "pass", command
+        if command == "hypergroup":
+            assert rep["results"]["audit"]["tol"] == 1e-9
+            assert 1e-12 < rep["results"]["audit"]["row_sums"]["residual"] <= 1e-9
+
+
 def test_decimal_strings_are_exact_values(capsys, tmp_path):
     """Strings outside the int and int/int forms are read as Fraction(str) reads them."""
     doc = {"classes": [0, 1, 2], "conv": [

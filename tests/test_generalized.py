@@ -24,6 +24,7 @@ from hypergroups.families.cosh import (
     cosh_window_scheme,
     window_character,
 )
+from hypergroups import generalized
 from hypergroups.generalized import (
     build_generalized,
     build_windowed,
@@ -301,15 +302,6 @@ def test_dual_product_matches_dual_convolution(commutative_schemes):
                 assert "precondition_certified" in info
 
 
-def test_dual_product_precondition_flag(pentagon):
-    g = classical_embedding(pentagon)
-    h = hypergroup_from_generalized(g)
-    tbl = character_table(h)
-    dm, info = dual_product_generalized(g, tbl, 1, 1, check_precondition=False)
-    assert "precondition_certified" not in info
-    assert dm.positive
-
-
 def hamming_scheme(D, q):
     digits = (np.arange(q ** D)[:, None] // q ** np.arange(D)) % q
     adj = (digits[:, None, :] != digits[None, :, :]).sum(-1) == 1
@@ -335,9 +327,10 @@ def _dense_kernel(g, alpha):
     return herm, float(np.linalg.eigvalsh((F + np.conjugate(F.T)) / 2.0).min())
 
 
-def test_kernel_floor_matches_dense_eigvalsh(algebra_schemes, rng):
+def test_kernel_floor_matches_dense_eigvalsh(algebra_schemes, rng, monkeypatch):
     """The Bose-Mesner route gives the dense kernel floor, for characters,
     random complex class functions and noncommutative bases alike."""
+    monkeypatch.setattr(generalized, "CHARACTER_RESIDUAL_TOL", np.inf)
     for name, s in algebra_schemes.items():
         g = classical_embedding(s)
         d = s.n_classes
@@ -346,16 +339,17 @@ def test_kernel_floor_matches_dense_eigvalsh(algebra_schemes, rng):
         if name != "s3_regular":
             alphas.extend(character_table(hypergroup_from_scheme(s)).chars)
         for alpha in alphas:
-            _, cert = positive_connection_check(g, alpha, character_tol=np.inf)
+            _, cert = positive_connection_check(g, alpha)
             herm, floor = _dense_kernel(g, alpha)
             assert cert["kernel_hermiticity_residual"] == herm, name
             scale = max(1.0, s.n_points * float(np.abs(alpha).max()))
             assert abs(cert["kernel_min_eigenvalue"] - floor) <= 1e-10 * scale, (name, alpha)
 
 
-def test_base_fields_match_the_complex_contraction(algebra_schemes, rng):
+def test_base_fields_match_the_complex_contraction(algebra_schemes, rng, monkeypatch):
     """The base block is contracted in split real and imaginary parts; the
     complex tensordot of the same block is the reference."""
+    monkeypatch.setattr(generalized, "CHARACTER_RESIDUAL_TOL", np.inf)
     for name, s in algebra_schemes.items():
         g = classical_embedding(s)
         h0 = hypergroup_from_scheme(s)
@@ -363,7 +357,7 @@ def test_base_fields_match_the_complex_contraction(algebra_schemes, rng):
         alphas = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(3)]
         alphas += [np.ones(d), 1e3 * rng.standard_normal(d)]
         for alpha in alphas:
-            _, cert = positive_connection_check(g, alpha, character_tol=np.inf)
+            _, cert = positive_connection_check(g, alpha)
             M = np.tensordot(h0.conv_float[:, h0.involution, :], alpha, axes=([2], [0]))
             herm = float(np.abs(M - np.conjugate(M.T)).max())
             floor = float(np.linalg.eigvalsh((M + np.conjugate(M.T)) / 2.0).min())
@@ -372,10 +366,11 @@ def test_base_fields_match_the_complex_contraction(algebra_schemes, rng):
             assert abs(cert["base_min_eigenvalue"] - floor) <= tol, name
 
 
-def test_kernel_floor_rejects_what_the_dense_kernel_rejects(pentagon):
+def test_kernel_floor_rejects_what_the_dense_kernel_rejects(pentagon, monkeypatch):
+    monkeypatch.setattr(generalized, "CHARACTER_RESIDUAL_TOL", np.inf)
     g = classical_embedding(pentagon)
     alpha = np.array([1.0, -1.0, 1.0])
-    ok, cert = positive_connection_check(g, alpha, character_tol=np.inf)
+    ok, cert = positive_connection_check(g, alpha)
     _, floor = _dense_kernel(g, alpha)
     assert not ok
     assert floor < -1e-3 and abs(cert["kernel_min_eigenvalue"] - floor) <= 1e-12
@@ -426,14 +421,14 @@ def test_classical_embedding_builds_no_hypergroup(algebra_schemes, monkeypatch, 
     real = FiniteHypergroup.__init__
     monkeypatch.setattr(FiniteHypergroup, "__init__",
                         lambda self, *args: built.append(args) or real(self, *args))
+    monkeypatch.setattr(generalized, "CHARACTER_RESIDUAL_TOL", np.inf)
     for name, s in algebra_schemes.items():
         d = s.n_classes
         alphas = (np.ones(d), rng.standard_normal(d) + 1j * rng.standard_normal(d))
         g = classical_embedding(s)
-        certs = [positive_connection_check(g, a, character_tol=np.inf)[1] for a in alphas]
+        certs = [positive_connection_check(g, a)[1] for a in alphas]
         own = dataclasses.replace(g)
-        assert certs == [positive_connection_check(own, a, character_tol=np.inf)[1]
-                         for a in alphas], name
+        assert certs == [positive_connection_check(own, a)[1] for a in alphas], name
         assert built == [], name
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from character_oracle import scheme_eigenvector_residual
-from hypergroups import catalog
+from hypergroups import catalog, harmonic
 from hypergroups.catalog import cyclic_scheme
 from hypergroups.errors import DegenerateSplitFailure, DualNotPositive, NotCommutative
 from hypergroups.harmonic import (
@@ -119,12 +119,13 @@ def test_noncommutative_rejected(s3_regular):
         character_table(hypergroup_from_scheme(s3_regular))
 
 
-def test_absurd_cluster_gap_fails_loudly(pentagon):
+def test_absurd_cluster_gap_fails_loudly(pentagon, monkeypatch):
     """No draw clears this gap: the first close eigenvalue pair is the witness,
     and the one-line message names the seed that another one would replace."""
+    monkeypatch.setattr(harmonic, "CLUSTER_GAP", 10.0)
     for seed in (7, 0xC0FFEE):
         with pytest.raises(DegenerateSplitFailure) as failure:
-            character_table(hypergroup_from_scheme(pentagon), gap=10.0, seed=seed)
+            character_table(hypergroup_from_scheme(pentagon), seed=seed)
         assert failure.value.witness == (0, 1)
         assert f"seed {seed} " in str(failure.value) and "\n" not in str(failure.value)
 
@@ -218,7 +219,7 @@ def test_matrix_and_fourier_verdicts_agree(commutative_schemes, rng):
         for _ in range(200):
             f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             f = (f + np.conjugate(f[h.involution])) / 2  # hermitian symmetry
-            ok, cert = is_positive_definite(h, f, tol=1e-9, tbl=tbl)
+            ok, cert = is_positive_definite(h, f, tbl=tbl)
             if min(abs(cert["min_eigenvalue"]), abs(cert["fourier_min"])) < 1e-8:
                 continue
             assert ok == cert["bochner_positive"], (name, cert)

@@ -128,6 +128,33 @@ def test_make_hypergroup_rejects_non_involutive_support():
         make_hypergroup((0, 1, 2, 3), conv)
 
 
+def _involution_by_rows(conv, e, cut):
+    """The per-row scan of the identity's support: the involution, or the
+    (message, witness) of the first failure."""
+    tau = []
+    for i in range(len(conv)):
+        support = np.flatnonzero(np.abs(conv[i, :, e]) > cut).tolist()
+        if len(support) != 1:
+            return f"identity lies in {len(support)} products of class {i!r}", (i, support)
+        tau.append(support[0])
+    if [tau[t] for t in tau] != list(range(len(conv))):
+        return "support map at the identity is not an involution", tuple(tau)
+    return tau
+
+
+def test_involution_inference_matches_the_row_scan(rng):
+    for _ in range(200):
+        d = int(rng.integers(2, 7))
+        conv = np.zeros((d, d, d))
+        conv[0] = conv[:, 0] = np.eye(d)
+        conv[1:, 1:, 0] = 0.5 * (rng.random((d - 1, d - 1)) < 0.3)
+        try:
+            got = make_hypergroup(range(d), conv).involution.tolist()
+        except NotAHypergroup as err:
+            got = (str(err), err.witness)
+        assert got == _involution_by_rows(conv, 0, 1e-12), conv[:, :, 0]
+
+
 @pytest.mark.parametrize(
     "key,mutate",
     [
@@ -410,6 +437,14 @@ def test_scheme_hypergroup_matches_per_entry_fractions():
         assert h.conv_float.dtype == np.float64
         assert is_commutative(h) == bool((h.conv == h.conv.transpose(1, 0, 2)).all()), name
     assert not is_commutative(hypergroup_from_scheme(fixtures["s3_regular"]))
+
+
+def test_is_commutative_reads_the_tolerance_the_hypergroup_was_built_at(pentagon):
+    """The only asymmetry is 1e-11: commutative at tol 1e-9, not at the default 1e-12."""
+    conv = hypergroup_from_scheme(pentagon).conv_float.copy()
+    conv[1, 2] += [0.0, 1e-11, -1e-11]
+    assert is_commutative(make_hypergroup((0, 1, 2), conv, tol=1e-9))
+    assert not is_commutative(make_hypergroup((0, 1, 2), conv))
 
 
 def test_exact_ratio_is_read_off_conv():
