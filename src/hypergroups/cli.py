@@ -45,8 +45,12 @@ EXIT_PARAMETER = 4
 PSD_SWEEP_MAX_POINTS = 10_000
 # largest gab --max-degree: the linearization table has about (2/3) d^3 rows
 LINEARIZATION_MAX_DEGREE = 64
+LINEARIZATION_NEGATIVE_TOL = 1e-15  # a linearization passes with no coefficient below minus it
+LINEARIZATION_SUM_TOL = 1e-10  # and each row of coefficients summing to 1 within it
 # largest gab --sweep-points: an lp-sweep runs one moment test per pair, points^2 of them
 LP_SWEEP_MAX_POINTS = 100
+WINDOW_CLOSED_FORM_TOL = 1e-12  # a window-audit passes with convolutions this near closed form
+WINDOW_CHARACTER_TOL = 1e-8  # and characters this near the recurrence, and multiplicative
 
 
 def _parameters(args: argparse.Namespace) -> dict:
@@ -100,12 +104,8 @@ def _hypergroup_of(kind: str, obj):
 def cmd_verify(args: argparse.Namespace) -> tuple:
     kind, obj = _load_any(args.input)
     if kind in ("scheme", "cayley"):
-        from .schemes import (
-            audit_intersection_identities,
-            is_commutative,
-            is_symmetric,
-            is_unimodular,
-        )
+        from .schemes import (audit_intersection_identities, is_commutative, is_symmetric,
+                              is_unimodular)
 
         audit = audit_intersection_identities(obj)
         results = {
@@ -209,9 +209,7 @@ def _gab_linearization_report(args: argparse.Namespace, fam: GabFamily):
     nmax = args.max_degree
     if not 0 <= nmax <= LINEARIZATION_MAX_DEGREE:
         raise ParameterOutOfRange(f"--max-degree {nmax} not in [0, {LINEARIZATION_MAX_DEGREE}]")
-    rows = []
-    worst = 0.0
-    min_coeff = math.inf
+    rows, worst, min_coeff = [], 0.0, math.inf
     for mdeg in range(nmax + 1):
         for ndeg in range(nmax + 1):
             coeffs = gab_linearization(fam, mdeg, ndeg)
@@ -226,9 +224,9 @@ def _gab_linearization_report(args: argparse.Namespace, fam: GabFamily):
         "rows": len(rows),
         "max_sum_deviation": worst,
         "min_coefficient": 0.0 if min_coeff is math.inf else min_coeff,
-        "nonnegative": min_coeff >= -1e-15,
+        "nonnegative": min_coeff >= -LINEARIZATION_NEGATIVE_TOL,
     }
-    ok = results["nonnegative"] and worst <= 1e-10
+    ok = results["nonnegative"] and worst <= LINEARIZATION_SUM_TOL
     return results, (("m", "n", "k", "g"), rows), ok
 
 
@@ -296,12 +294,8 @@ def _gab_lp_report(args: argparse.Namespace, fam: GabFamily):
 
 
 def _cosh_window_report(args: argparse.Namespace, fam: CoshFamily):
-    from .families.cosh import (
-        cosh_character,
-        cosh_convolution,
-        cosh_window_scheme,
-        window_character,
-    )
+    from .families.cosh import (cosh_character, cosh_convolution, cosh_window_scheme,
+                                window_character)
 
     m = args.window
     g = cosh_window_scheme(fam, m)
@@ -311,20 +305,15 @@ def _cosh_window_report(args: argparse.Namespace, fam: CoshFamily):
             ref = cosh_convolution(fam, k, l)
             vec = g.p_tilde[k, l].tolist()
             closed_dev = max(closed_dev, *(abs(v - ref.get(i, 0.0)) for i, v in enumerate(vec)))
-    lam_values = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
-    char_rows = []
-    char_dev = 0.0
-    for lam in lam_values:
+    char_rows, char_dev = [], 0.0
+    for lam in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi):
         alpha1 = complex(cosh_character(fam, lam, 1))
         alpha, resid = window_character(g, alpha1)
         ref = np.asarray(cosh_character(fam, lam, np.arange(m + 1)), dtype=complex)
         dev = np.max(np.abs(alpha - ref))
         char_dev = max(char_dev, dev, resid)
-        char_rows.append({
-            "lambda": lam,
-            "recurrence_deviation": dev,
-            "multiplicativity_residual": resid,
-        })
+        char_rows.append({"lambda": lam, "recurrence_deviation": dev,
+                          "multiplicativity_residual": resid})
     results = {
         "r": fam.r,
         "window": m,
@@ -333,7 +322,7 @@ def _cosh_window_report(args: argparse.Namespace, fam: CoshFamily):
         "characters": char_rows,
         "character_deviation": char_dev,
     }
-    ok = closed_dev <= 1e-12 and char_dev <= 1e-8
+    ok = closed_dev <= WINDOW_CLOSED_FORM_TOL and char_dev <= WINDOW_CHARACTER_TOL
     return results, None, ok
 
 

@@ -262,9 +262,7 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float | None = None) -> dict:
     entry("haar_consistency", (pair > 0).all() and (
         exact or np.abs(h.haar * pair - 1.0).max() <= tol))
 
-    report["all_hold"] = all(
-        v["holds"] for k, v in report.items() if isinstance(v, dict) and "holds" in v
-    )
+    report["all_hold"] = all(v["holds"] for v in report.values() if isinstance(v, dict))
     return report
 
 

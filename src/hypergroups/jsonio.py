@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import numbers
+import sys
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any
 
@@ -331,7 +332,7 @@ def cayley_from_json(doc: dict) -> tuple[FiniteGroup, list]:
 
 
 def hypergroup_to_json(h: FiniteHypergroup) -> dict:
-    from .hypergroup import _fractions
+    from .hypergroup import DEFAULT_TOL, _fractions
 
     support = np.argwhere(h.values != 0)
     entries = h.values[tuple(support.T)]
@@ -342,20 +343,24 @@ def hypergroup_to_json(h: FiniteHypergroup) -> dict:
         "involution": h.involution.tolist(),
         "conv": [[i, j, k, v] for (i, j, k), v in zip(support.tolist(), cells)],
         "haar": _json_value(h.haar),
+        **({} if h.exact or h.tol == DEFAULT_TOL else {"tol": h.tol}),
     }
 
 
 def hypergroup_from_json(doc: dict) -> FiniteHypergroup:
     """Exact unless some row holds a JSON float: ints and the strings Fraction
     reads become integer numerators over one denominator; float otherwise.  A
-    repeated [i, j, k] keeps its last value."""
+    repeated [i, j, k] keeps its last value.  A ``tol`` is the tolerance it is accepted under."""
     from fractions import Fraction
 
-    from .hypergroup import _stored, make_hypergroup
+    from .hypergroup import DEFAULT_TOL, _stored, make_hypergroup
 
     for key in ("classes", "conv"):
         if key not in doc:
             raise ParseError(f"hypergroup document missing {key!r}")
+    tol = doc.get("tol", DEFAULT_TOL)
+    if type(tol) not in (int, float) or not 0 < tol <= sys.float_info.max:
+        raise ParseError(f"'tol' must be a finite positive number, got {tol!r}")
     classes = [_norm_label(c) for c in _list(doc, "classes")]
     d = len(classes)
     if d == 0:
@@ -390,7 +395,7 @@ def hypergroup_from_json(doc: dict) -> FiniteHypergroup:
             raise ParseError("conv value is not a finite number")
     conv = np.zeros((d, d, d), dtype=values.dtype)
     conv.flat[flat] = values
-    return make_hypergroup(classes, conv, scale=scale)
+    return make_hypergroup(classes, conv, tol=float(tol), scale=scale)
 
 
 # ---------------------------------------------------------------------------

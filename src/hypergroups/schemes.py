@@ -14,9 +14,9 @@ rows i of greedy generators when their words span (Light's test, as for
 associativity).  The identity row is skipped, as A_e = I is proved before.
 A distance partition is checked by its adjacency row alone, which decides
 distance-regularity (Brouwer-Cohen-Neumaier 1989, section 4.1), inside the
-breadth-first search whose float32 products it reuses, and a group quotient
-by no row, as orbitals form a scheme (Bannai-Ito 1984, II.2).  Counts are at
-most n (n^2 in the audit), so the float products are exact; nothing is
+breadth-first search whose integer neighbour sums it reuses, and a group
+quotient by no row, as orbitals form a scheme (Bannai-Ito 1984, II.2).  Audit
+counts are at most n^2, so its float products are exact; nothing is
 sampled.  ``_key`` is the key of a label, under which true and false name no
 number, and ``_label_index`` the one map from labels to positions, built
 under it for every reader and check.
@@ -91,7 +91,7 @@ def _key(label):
 
 
 def _int_dtype(bound: int) -> np.dtype:
-    """The narrowest signed integer dtype holding -bound to bound; int64 past its range."""
+    """The narrowest signed integer dtype holding -bound to bound - 1; int64 past its range."""
     return np.min_scalar_type(-max(bound, 1)) if bound < 2**63 else np.dtype(np.int64)
 
 
@@ -525,43 +525,50 @@ def scheme_from_distance_regular_graph(adjacency) -> Scheme:
 
 
 def _distances_and_first_bad_count(A: np.ndarray) -> tuple[np.ndarray | None, dict | None]:
-    """Distances of a connected 0/1 adjacency matrix whose counts pass, else
+    """Distances of a connected int8 0/1 adjacency matrix whose counts pass, else
     None, and the witness of the adjacency row's first failing count, or None.
 
-    Breadth-first search from every vertex at once.  The level-r product P =
-    A_r A marks the pairs at distance r + 1; P.T = A A_r is block j = r of the
-    row, which lives on the distances r - 1, r and r + 1, so each of those
-    bands is checked against P.T at its first pair in C order, p's
-    representative, and the search stops at the first level that fails, on
-    the full scan's first failure.  The witness keeps no float scratch alive.
+    Breadth-first search from every vertex at once.  Level r adds up, for each c
+    below the largest degree k_max, the rows of A_r at every vertex's c-th neighbour
+    (row n, all zero, past its degree): Q = A A_r, int8 while k_max < 128.  Q marks
+    the pairs at distance r + 1 and is block j = r of the row, which lives on the
+    distances r - 1, r and r + 1, so each of those bands is checked against Q at its
+    first pair in C order, p's representative, and the search stops at the first
+    level that fails, on the full scan's first failure.
     """
     n = A.shape[0]
-    # counts are at most n; float32 is exact below 2**24, past any n x n array that fits
-    edges = A.astype(np.float32)
-    frontier = np.eye(n, dtype=np.float32)
+    cols = np.flatnonzero(A.view(bool))  # the neighbours, vertex by vertex
+    deg = np.bincount(cols // n, minlength=n)
+    k_max = max(int(deg.max()), 1)  # an edgeless graph gathers the zero row n once
+    nbr = np.full((n, k_max), n)
+    nbr[np.arange(k_max) < deg[:, None]] = cols % n
+    frontier = np.eye(n + 1, n, dtype=_int_dtype(k_max + 1))  # counts up to k_max
+    count, row = np.empty((2, n, n), dtype=frontier.dtype)
     unreached = ~np.eye(n, dtype=bool)
     dist = unreached.astype(_int_dtype(n))  # each level adds the pairs past it
     bands, first = [~unreached], [0]  # pairs at the last distances; first pair of each
     for r in range(n):  # the diameter is below n
-        prod = np.matmul(frontier, edges)
-        reached = (prod > 0) & unreached
+        frontier.take(nbr[:, 0], axis=0, out=count, mode="clip")  # "raise" would buffer
+        for c in range(1, k_max):
+            count += frontier.take(nbr[:, c], axis=0, out=row, mode="clip")
+        reached = (count > 0) & unreached
         if reached.any():
             first.append(int(reached.argmax()))
             unreached ^= reached
             dist += unreached
         bands.append(reached)
-        bad = np.zeros((n, n), dtype=bool)  # the check of P.T, transposed, as bands are symmetric
+        bad = np.zeros((n, n), dtype=bool)
         for k in range(max(r - 1, 0), len(first)):
-            bad |= (prod != prod.T.flat[first[k]]) & bands[k - r - 2]
+            bad |= (count != count.flat[first[k]]) & bands[k - r - 2]
         if bad.any():
-            a, b = map(int, np.argwhere(bad.T)[0])
+            a, b = map(int, np.argwhere(bad)[0])
             k = int(dist[a, b])
-            return None, {"i": 1, "j": r, "k": k, "pair": (a, b), "count": int(prod[b, a]),
-                          "reference_count": int(prod.T.flat[first[k]])}
+            return None, {"i": 1, "j": r, "k": k, "pair": (a, b), "count": int(count[a, b]),
+                          "reference_count": int(count.flat[first[k]])}
         if len(first) == r + 1:  # nothing reached at this level
             break
-        np.copyto(frontier, reached)
-        bands, prod = bands[-2:], None  # the next product reuses prod's memory
+        frontier[:n] = reached
+        bands = bands[-2:]
     return (None if unreached.any() else dist.astype(np.int64)), None
 
 

@@ -710,7 +710,9 @@ def test_generalized_documents_give_their_deformed_hypergroup(capsys, tmp_path, 
 def test_generalized_hypergroup_keeps_the_tolerance_it_was_accepted_under(capsys, tmp_path):
     """Class-1 steps scaled by 1 + 9e-13 move the deformed row sums by about 1.8e-12:
     within the audit's bounds and the 1e-9 the hypergroup is built at, so every
-    command passes, and ``hypergroup`` reports the tolerance it verified under."""
+    command passes, and ``hypergroup`` reports the tolerance it verified under.
+    Its ``results.hypergroup`` names that tolerance, so ``verify`` of it passes
+    too, unless ``--tol`` asks for 1e-12."""
     g = classical_embedding(pentagon_scheme())
     doc = generalized_to_json(g)
     step = np.array(doc["step"])
@@ -724,6 +726,23 @@ def test_generalized_hypergroup_keeps_the_tolerance_it_was_accepted_under(capsys
         if command == "hypergroup":
             assert rep["results"]["audit"]["tol"] == 1e-9
             assert 1e-12 < rep["results"]["audit"]["row_sums"]["residual"] <= 1e-9
+            hypergroup = rep["results"]["hypergroup"]
+    assert hypergroup["tol"] == 1e-9
+    round_trip = tmp_path / "epsilon-hypergroup.json"
+    round_trip.write_text(dump_report(hypergroup))
+    code, rep = run(capsys, "verify", str(round_trip))
+    assert code == 0 and rep["results"]["audit"]["tol"] == 1e-9
+    code, rep = run(capsys, "verify", str(round_trip), "--tol", "1e-12")
+    assert code == 2 and rep["results"]["audit"]["tol"] == 1e-12
+
+
+@pytest.mark.parametrize("tol", [0, -1e-9, math.inf, "1e-9", True, None, 10**400])
+def test_hypergroup_tolerance_must_be_finite_and_positive(capsys, tmp_path, tol):
+    doc = {"classes": [0, 1], "conv": [[0, 0, 0, 1.0], [0, 1, 1, 1.0], [1, 0, 1, 1.0],
+                                       [1, 1, 0, 0.5], [1, 1, 1, 0.5]], "tol": tol}
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(path)) == (1, None)
 
 
 def test_decimal_strings_are_exact_values(capsys, tmp_path):

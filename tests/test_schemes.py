@@ -373,25 +373,43 @@ def test_drg_rejects_irregular_but_connected():
         scheme_from_distance_regular_graph(adj)
 
 
-def test_drg_switched_hamming_witness(monkeypatch):
-    # H(4,2) with edges {0, 1}, {2, 3} switched to {0, 3}, {2, 1}: the count of
-    # level 1 fails, and the search stops there, after two n x n products
-    v = np.arange(16)
-    adj = (np.bitwise_count(v[:, None] ^ v[None, :]) == 1).astype(np.int64)
-    adj[0, 1] = adj[1, 0] = adj[2, 3] = adj[3, 2] = 0
-    adj[0, 3] = adj[3, 0] = adj[2, 1] = adj[1, 2] = 1
-    products = []
+def counting_search(monkeypatch):
+    """(gathers, products): the length of each index array the search gathers
+    frontier rows by, and the shapes of every ``np.matmul`` call, in schemes."""
+    gathers, products = [], []
+
+    class CountingFrontier(np.ndarray):
+        def take(self, indices, *args, **kwargs):
+            gathers.append(len(indices))
+            return super().take(indices, *args, **kwargs)
 
     class CountingNumpy:
         def __getattr__(self, name):
             return getattr(np, name)
 
         @staticmethod
-        def matmul(a, b):
-            products.append((a.shape, b.shape))
-            return np.matmul(a, b)
+        def matmul(a, b, *args, **kwargs):
+            products.append((np.shape(a), np.shape(b)))
+            return np.matmul(a, b, *args, **kwargs)
+
+        @staticmethod
+        def eye(N, M=None, **kwargs):  # the frontier alone is an (n + 1) x n eye
+            out = np.eye(N, M, **kwargs)
+            return out if M is None else out.view(CountingFrontier)
 
     monkeypatch.setattr(schemes, "np", CountingNumpy())
+    return gathers, products
+
+
+def test_drg_switched_hamming_witness(monkeypatch):
+    # H(4,2) with edges {0, 1}, {2, 3} switched to {0, 3}, {2, 1}: the count of
+    # level 1 fails, and the search stops there, after two neighbour sums of
+    # four gathers each and no product
+    v = np.arange(16)
+    adj = (np.bitwise_count(v[:, None] ^ v[None, :]) == 1).astype(np.int64)
+    adj[0, 1] = adj[1, 0] = adj[2, 3] = adj[3, 2] = 0
+    adj[0, 3] = adj[3, 0] = adj[2, 1] = adj[1, 2] = 1
+    gathers, products = counting_search(monkeypatch)
     with pytest.raises(NotDistanceRegular) as err:
         scheme_from_distance_regular_graph(adj)
     assert str(err.value) == (
@@ -401,7 +419,8 @@ def test_drg_switched_hamming_witness(monkeypatch):
     assert err.value.witness == {
         "i": 1, "j": 1, "k": 2, "pair": (0, 5), "count": 1, "reference_count": 2,
     }
-    assert products == [((16, 16), (16, 16))] * 2
+    assert gathers == [16] * (4 * 2)
+    assert products == []
     # beside a disjoint edge, the failing count gives way to the first unreached pair
     split = np.zeros((18, 18), dtype=np.int64)
     split[:16, :16] = adj
@@ -495,32 +514,24 @@ def test_drg_hamming_10_2_matches_closed_form():
 
 
 def test_drg_counts_come_from_the_search_products(monkeypatch):
-    # H(6, 2) has diameter 6: seven n x n products, one per search level,
-    # and no row left for the count check after the search
+    # H(6, 2) has diameter 6 and valency 6: the products A A_r are seven
+    # neighbour sums of six gathers, one sum per search level, with no
+    # np.matmul, and no row is left for the count check after the search
     adj = hamming_graph(6, 2)
     n = len(adj)
-    products, rows = [], []
-
-    class CountingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def matmul(a, b):
-            products.append((a.shape, b.shape))
-            return np.matmul(a, b)
-
+    rows = []
     bad_count = schemes._bad_count
 
     def spy(points, classes, rel, p, rows_asked):
         rows.append(list(rows_asked))
         return bad_count(points, classes, rel, p, rows_asked)
 
-    monkeypatch.setattr(schemes, "np", CountingNumpy())
+    gathers, products = counting_search(monkeypatch)
     monkeypatch.setattr(schemes, "_bad_count", spy)
     s = scheme_from_distance_regular_graph(adj)
     assert np.array_equal(s.p, hamming_intersection_numbers(6, 2))
-    assert products == [((n, n), (n, n))] * 7
+    assert gathers == [n] * (6 * 7)
+    assert products == []
     assert rows == [[]]
 
 
@@ -668,6 +679,112 @@ def test_row_shortcuts_match_the_full_scan(adj, data):
         order = data.draw(st.permutations(order))
     args = (range(len(adj)), order, dist)
     assert outcome(build_scheme, *args) == outcome(build_scheme, *args, full_scan=True)
+
+
+def float32_search(A):
+    """The distance-regular search by one float32 n x n product per level,
+    P = A_r A, whose transpose is checked: the oracle for the neighbour sums."""
+    n = A.shape[0]
+    # counts are at most n; float32 is exact below 2**24, past any n x n array that fits
+    edges = A.astype(np.float32)
+    frontier = np.eye(n, dtype=np.float32)
+    unreached = ~np.eye(n, dtype=bool)
+    dist = unreached.astype(np.int64)
+    bands, first = [~unreached], [0]
+    for r in range(n):
+        prod = np.matmul(frontier, edges)
+        reached = (prod > 0) & unreached
+        if reached.any():
+            first.append(int(reached.argmax()))
+            unreached ^= reached
+            dist += unreached
+        bands.append(reached)
+        bad = np.zeros((n, n), dtype=bool)  # the check of P.T, transposed, as bands are symmetric
+        for k in range(max(r - 1, 0), len(first)):
+            bad |= (prod != prod.T.flat[first[k]]) & bands[k - r - 2]
+        if bad.any():
+            a, b = map(int, np.argwhere(bad.T)[0])
+            k = int(dist[a, b])
+            return None, {"i": 1, "j": r, "k": k, "pair": (a, b), "count": int(prod[b, a]),
+                          "reference_count": int(prod.T.flat[first[k]])}
+        if len(first) == r + 1:
+            break
+        np.copyto(frontier, reached)
+        bands = bands[-2:]
+    return (None if unreached.any() else dist), None
+
+
+def johnson_graph(v, k):
+    sets = np.array([[x in c for x in range(v)]
+                     for c in itertools.combinations(range(v), k)], dtype=np.int64)
+    return (sets @ sets.T == k - 1).astype(np.int64)
+
+
+@st.composite
+def search_graphs(draw):
+    """Symmetric 0/1 matrices without loops: random graphs of any density,
+    some vertices isolated; circulants, regular and possibly disconnected;
+    relabelled Hamming and Johnson graphs, with at most one edge switch."""
+    kind = draw(st.sampled_from(["random", "circulant", "distance-regular"]))
+    if kind == "random":
+        n = draw(st.integers(1, 12))
+        upper = np.triu_indices(n, 1)
+        adj = np.zeros((n, n), dtype=np.int64)
+        adj[upper] = draw(st.lists(st.booleans(), min_size=len(upper[0]),
+                                   max_size=len(upper[0])))
+        isolated = draw(st.lists(st.integers(0, n - 1), max_size=2))
+        adj[upper[1], upper[0]] = adj[upper]
+        adj[isolated] = adj[:, isolated] = 0
+        return adj
+    if kind == "circulant":
+        n = draw(st.integers(2, 16))
+        steps = draw(st.sets(st.integers(1, n // 2), max_size=3))
+        diff = np.subtract.outer(np.arange(n), np.arange(n)) % n
+        return np.isin(np.minimum(diff, n - diff), list(steps)).astype(np.int64)
+    base = draw(st.sampled_from([hamming_graph(3, 2), hamming_graph(2, 3), hamming_graph(4, 2),
+                                 johnson_graph(5, 2), johnson_graph(6, 3)]))
+    perm = draw(st.permutations(range(len(base))))
+    adj = base[np.ix_(perm, perm)]
+    if draw(st.booleans()):  # degree-preserving switch {a, b}, {c, e} -> {a, e}, {c, b}
+        edges = np.argwhere(np.triu(adj))
+        (a, b), (c, e) = edges[draw(st.lists(st.integers(0, len(edges) - 1), min_size=2,
+                                             max_size=2))]
+        if len({a, b, c, e}) == 4 and not adj[a, e] and not adj[c, b]:
+            adj[a, b] = adj[b, a] = adj[c, e] = adj[e, c] = 0
+            adj[a, e] = adj[e, a] = adj[c, b] = adj[b, c] = 1
+    return adj
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(search_graphs())
+@example(np.zeros((1, 1), dtype=np.int64))  # a single vertex
+@example(np.zeros((5, 5), dtype=np.int64))  # no edges
+@example(PATH_AND_EDGE)
+def test_neighbour_sums_match_the_float32_products(adj):
+    """Same int64 distances, or None, and the same witness as the float32 search."""
+    A = adj.astype(np.int8)
+    dist, witness = schemes._distances_and_first_bad_count(A)
+    want_dist, want_witness = float32_search(A)
+    assert witness == want_witness
+    if want_dist is None:
+        assert dist is None
+    else:
+        assert dist.dtype == np.int64 and np.array_equal(dist, want_dist)
+
+
+def test_neighbour_sums_hold_valency_128():
+    """K_129 and K_{128,128} have valency 128, past int8: closed-form p."""
+    m = 128
+    complete = scheme_from_distance_regular_graph(catalog.complete_graph(m + 1))
+    assert complete.p.tolist() == [[[1, 0], [0, 1]], [[0, 1], [m, m - 1]]]
+    side = np.arange(2 * m) < m
+    bipartite = scheme_from_distance_regular_graph(side[:, None] != side)
+    # p[i, j, k]: z with d(x, z) = i, d(z, y) = j for x, y at distance k
+    assert bipartite.p.tolist() == [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [m, 0, m], [0, m - 1, 0]],
+        [[0, 0, 1], [0, m - 1, 0], [m - 1, 0, m - 2]],
+    ]
 
 
 # ---------------------------------------------------------------------------
